@@ -240,16 +240,18 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
             writer.writerow(("x", "u"))
             for x, u in zip(sol.u.xs, sol.u.values):
                 writer.writerow((fmt17(x), fmt17(u)))
-    rep.add("fixed_point", 0, sol.final_increment, rc.tol,
-            sol.final_increment - rc.tol, sol.final_increment <= rc.tol)
+    bound = sol.error_bound
+    rep.add("fixed_point", 0, bound, rc.tol, bound - rc.tol, bound <= rc.tol)
 
     const = solve_resolvent(space, lam, _h_family("constant", 0.7, space.box),
-                            dt=lam / rc.dt_factor, dx=rc.dx, tol=rc.tol)
+                            control_bound=rc.control_bound, dt=lam / rc.dt_factor,
+                            dx=rc.dx, n_controls=rc.n_controls, tol=rc.tol)
     err = float(np.max(np.abs(const.u.values - 0.7)))
     rep.add("constant_h", 0, err, 1e-8, err - 1e-8, err <= 1e-8)
 
     shifted = solve_resolvent(space, lam, lambda x: h(x) - 0.3,
-                              dt=lam / rc.dt_factor, dx=rc.dx, tol=rc.tol)
+                              control_bound=rc.control_bound, dt=lam / rc.dt_factor,
+                              dx=rc.dx, n_controls=rc.n_controls, tol=rc.tol)
     err = float(np.max(np.abs(shifted.u.values - (sol.u.values - 0.3))))
     rep.add("shift_equivariance", 0, err, 1e-8, err - 1e-8, err <= 1e-8)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -139,6 +140,19 @@ def _build_section(name: str, cls, data: dict):
         raise ConfigError(name, str(exc)) from exc
 
 
+def _positive_finite(value, path: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, "must be a number")
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(path, "must be finite and positive")
+
+
+def _grid_step(value, path: str, box: float) -> None:
+    _positive_finite(value, path)
+    if value > box:
+        raise ConfigError(path, "must not exceed space.box")
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {cfg.schema}")
@@ -166,14 +180,22 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("ham_chain.link", f"unknown link {cfg.ham_chain.link!r}")
     if cfg.ham_chain.samples < 1:
         raise ConfigError("ham_chain.samples", "must be >= 1")
-    if cfg.resolvent.lam <= 0:
-        raise ConfigError("resolvent.lam", "must be positive")
-    if cfg.resolvent.dt_factor <= 1:
+    rc = cfg.resolvent
+    _positive_finite(rc.lam, "resolvent.lam")
+    _grid_step(rc.dx, "resolvent.dx", cfg.space.box)
+    _positive_finite(rc.control_bound, "resolvent.control_bound")
+    _positive_finite(rc.tol, "resolvent.tol")
+    if isinstance(rc.n_controls, bool) or not isinstance(rc.n_controls, int) \
+            or rc.n_controls < 2:
+        raise ConfigError("resolvent.n_controls", "must be an integer >= 2")
+    if rc.dt_factor <= 1:
         raise ConfigError("resolvent.dt_factor", "must exceed 1 (dt < lam)")
-    if cfg.resolvent.h not in ("linear_clip", "constant", "fourier"):
-        raise ConfigError("resolvent.h", f"unknown h family {cfg.resolvent.h!r}")
+    if rc.h not in ("linear_clip", "constant", "fourier"):
+        raise ConfigError("resolvent.h", f"unknown h family {rc.h!r}")
     if cfg.comparison.pairs < 1:
         raise ConfigError("comparison.pairs", "must be >= 1")
+    _grid_step(cfg.comparison.dx, "comparison.dx", cfg.space.box)
+    _positive_finite(cfg.comparison.lam, "comparison.lam")
     return cfg
 
 

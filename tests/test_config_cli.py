@@ -133,3 +133,29 @@ def test_console_entry_point(tmp_path):
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert "hjflow" in res.stdout
+
+
+@pytest.mark.parametrize("path, value", [
+    ("resolvent.dx", -0.01),
+    ("resolvent.control_bound", float("nan")),
+    ("resolvent.tol", 0),
+    ("resolvent.n_controls", 1),
+    ("comparison.dx", "abc"),
+    ("comparison.lam", float("inf")),
+])
+def test_solver_field_validation(tmp_path, capsys, path, value):
+    section, key = path.split(".")
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"schema": 1, section: {key: value}}))
+    code = main([section, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"config error: {path}" in capsys.readouterr().err
+
+
+def test_resolvent_uses_configured_controls(tmp_path):
+    # the constant and shifted solves must use the configured control set,
+    # or shift_equivariance compares solutions of two different schemes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"schema": 1, "resolvent": {"dx": 0.05, "n_controls": 33, "h": "fourier"}}))
+    assert main(["resolvent", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0

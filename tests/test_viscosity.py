@@ -62,8 +62,9 @@ def test_monotone_in_h(ou):
     assert np.all(s1.u.values <= s2.u.values + 1e-9)
 
 
-def test_solver_contraction_metadata(value_function):
-    sol = value_function
+def test_solver_contraction_metadata(ou):
+    sol = solve_resolvent(ou, 1.0, smooth_h, dt=1.0 / 100.0, dx=1.0 / 100.0,
+                          method="value")
     assert sol.final_increment <= 1e-10
     assert sol.contraction_factor == pytest.approx(1 - sol.dt / 1.0)
     assert sol.iterations > 10
@@ -198,4 +199,49 @@ def test_grid_function_validation():
 
 def test_solver_nonconvergence_error(ou):
     with pytest.raises(RuntimeError, match="did not converge"):
-        solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=3)
+        solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=3, method="value")
+
+
+def test_policy_iteration_step_cap(ou):
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=1)
+
+
+def test_unknown_method(ou):
+    with pytest.raises(ValueError, match="unknown method"):
+        solve_resolvent(ou, 1.0, smooth_h, method="newton")
+
+
+def _random_bounded_grid_h(seed):
+    knots = np.linspace(-5.0, 5.0, 41)
+    return GridFunction(knots, np.random.default_rng(seed).uniform(-1.0, 1.0, knots.size))
+
+
+H_FAMILIES = {
+    "linear_clip": lambda x: np.clip(np.asarray(x, dtype=float), -5.0, 5.0),
+    "fourier": lambda x: np.cos(0.9 * np.asarray(x, dtype=float) + 0.4),
+    "constant": lambda x: np.full_like(np.asarray(x, dtype=float), 0.7),
+    "random": _random_bounded_grid_h(2718),
+}
+
+
+@pytest.mark.parametrize("n_controls", [33, 129])
+@pytest.mark.parametrize("dt_factor", [50.0, 200.0])
+@pytest.mark.parametrize("family", sorted(H_FAMILIES))
+@pytest.mark.parametrize("potential", ["quadratic", "quartic"])
+def test_policy_iteration_matches_value_iteration(request, potential, family,
+                                                  dt_factor, n_controls):
+    space = request.getfixturevalue("ou" if potential == "quadratic" else "quartic")
+    h, tol = H_FAMILIES[family], 1e-10
+    kwargs = dict(dt=1.0 / dt_factor, dx=0.1, n_controls=n_controls, tol=tol)
+    howard = solve_resolvent(space, 1.0, h, **kwargs)
+    oracle = solve_resolvent(space, 1.0, h, method="value", **kwargs)
+    assert howard.error_bound <= tol
+    # VI stops with error up to beta tol / (1 - beta); Howard's is certified <= tol
+    gap = np.max(np.abs(howard.u.values - oracle.u.values))
+    assert gap <= tol / (1.0 - howard.contraction_factor)
+
+
+def test_certificate_gates_the_solution(ou):
+    with pytest.raises(RuntimeError, match="certificate"):
+        solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, tol=1e-30)

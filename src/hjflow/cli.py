@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, default_config, load_config
+from .config import ConfigError, ExperimentConfig, default_config, load_config, validate
 from .cylinders import affine_phi
 from .evi import run_evi_suite
 from .hamiltonians import build_chain_pair, build_cyl_dagger, build_cyl_ddagger, chain_inequality_report
@@ -57,14 +57,21 @@ def run_evi(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     return rep
 
 
+def _config_point(space, values, path: str):
+    try:
+        return space.point(np.asarray(values, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"{exc} (space.size is {space.size})") from exc
+
+
 def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     space = cfg.space.build()
     rng = _rng(cfg, "tataru")
     rep = _report("tataru", cfg)
     tol = 1e-6
 
-    pi = space.point(np.asarray(cfg.tataru.pi, dtype=float))
-    mu = space.point(np.asarray(cfg.tataru.mu, dtype=float))
+    pi = _config_point(space, cfg.tataru.pi, "tataru.pi")
+    mu = _config_point(space, cfg.tataru.mu, "tataru.mu")
     res = tataru(space, pi, mu)
     print(f"tataru value: {res.value:.12g}  minimizers: "
           + ", ".join(f"{t:.12g}" for t in res.minimizers))
@@ -116,8 +123,8 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     space = cfg.space.build()
     rep = _report("laplace-converge", cfg)
     lc = cfg.laplace
-    pi = space.point(np.asarray(lc.pi, dtype=float))
-    mu = space.point(np.asarray(lc.mu, dtype=float))
+    pi = _config_point(space, lc.pi, "laplace.pi")
+    mu = _config_point(space, lc.mu, "laplace.mu")
 
     # constant-exponent instance: exact at every m when the damping is trivial
     if space.kappa_hat == 0.0:
@@ -377,6 +384,7 @@ def main(argv=None) -> int:
             samples = args.samples if args.samples is not None else hc.samples
             cfg = ExperimentConfig(**{**cfg.__dict__,
                                       "ham_chain": type(hc)(link=link, samples=samples)})
+        validate(cfg)
         out_dir = Path(args.out) if args.out else Path(cfg.out)
         names = list(SUITES) if args.command == "all" else [args.command]
         ok = True

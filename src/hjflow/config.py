@@ -140,11 +140,28 @@ def _build_section(name: str, cls, data: dict):
         raise ConfigError(name, str(exc)) from exc
 
 
+def _finite(value, path: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(path, "must be a finite number")
+
+
 def _positive_finite(value, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, "must be a number")
-    if not (math.isfinite(value) and value > 0):
+    _finite(value, path)
+    if value <= 0:
         raise ConfigError(path, "must be finite and positive")
+
+
+def _integer(value, path: str, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(path, f"must be an integer >= {low}")
+
+
+def _integer_list(values, path: str) -> None:
+    if not isinstance(values, tuple) or not values:
+        raise ConfigError(path, "must be a nonempty list")
+    for v in values:
+        _integer(v, path, 1)
 
 
 def _grid_step(value, path: str, box: float) -> None:
@@ -153,47 +170,60 @@ def _grid_step(value, path: str, box: float) -> None:
         raise ConfigError(path, "must not exceed space.box")
 
 
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+def validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check every field; raise ConfigError naming the first bad one."""
     if cfg.schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {cfg.schema}")
-    if cfg.space.kind not in ("euclidean", "quantile"):
-        raise ConfigError("space.kind", f"unknown kind {cfg.space.kind!r}")
-    if cfg.space.potential not in ("quadratic", "quartic", "double_well"):
-        raise ConfigError("space.potential", f"unknown potential {cfg.space.potential!r}")
-    if cfg.space.potential == "double_well" and cfg.space.kappa >= 0:
+    _integer(cfg.seed, "seed", 0)
+    if not isinstance(cfg.out, str):
+        raise ConfigError("out", "must be a path string")
+    sc = cfg.space
+    if sc.kind not in ("euclidean", "quantile"):
+        raise ConfigError("space.kind", f"unknown kind {sc.kind!r}")
+    if sc.potential not in ("quadratic", "quartic", "double_well"):
+        raise ConfigError("space.potential", f"unknown potential {sc.potential!r}")
+    _finite(sc.kappa, "space.kappa")
+    if sc.potential == "double_well" and sc.kappa >= 0:
         raise ConfigError("space.kappa", "double_well requires kappa < 0")
-    if cfg.space.size is not None and cfg.space.size < 1:
-        raise ConfigError("space.size", "must be >= 1")
-    if cfg.space.box <= 0:
-        raise ConfigError("space.box", "must be positive")
-    if cfg.evi.instances < 1:
-        raise ConfigError("evi.instances", "must be >= 1")
-    if cfg.evi.delta <= 0:
-        raise ConfigError("evi.delta", "must be positive")
-    if cfg.tataru.epsilon <= 0:
-        raise ConfigError("tataru.epsilon", "must be positive")
-    if cfg.laplace.epsilon <= 0:
-        raise ConfigError("laplace.epsilon", "must be positive")
-    if any(b <= a for a, b in zip(cfg.laplace.m_list, cfg.laplace.m_list[1:])):
+    if sc.size is not None:
+        _integer(sc.size, "space.size", 1)
+    _positive_finite(sc.box, "space.box")
+    _positive_finite(sc.sample_radius, "space.sample_radius")
+    _integer(cfg.evi.instances, "evi.instances", 1)
+    _positive_finite(cfg.evi.delta, "evi.delta")
+    _positive_finite(cfg.tataru.epsilon, "tataru.epsilon")
+    _integer(cfg.tataru.instances, "tataru.instances", 1)
+    if not isinstance(cfg.tataru.dump_objective, bool):
+        raise ConfigError("tataru.dump_objective", "must be true or false")
+    lc = cfg.laplace
+    _positive_finite(lc.epsilon, "laplace.epsilon")
+    _integer_list(lc.m_list, "laplace.m_list")
+    if any(b <= a for a, b in zip(lc.m_list, lc.m_list[1:])):
         raise ConfigError("laplace.m_list", "must be increasing")
+    _integer_list(lc.refine_n, "laplace.refine_n")
+    _integer(lc.refine_m, "laplace.refine_m", 1)
+    _integer(lc.concentration_m, "laplace.concentration_m", 1)
+    _positive_finite(lc.concentration_epsilon, "laplace.concentration_epsilon")
+    _positive_finite(lc.concentration_window, "laplace.concentration_window")
+    _positive_finite(lc.concentration_mass, "laplace.concentration_mass")
+    if lc.concentration_mass > 1:
+        raise ConfigError("laplace.concentration_mass", "must not exceed 1")
     if cfg.ham_chain.link not in ("1to2", "4to5", "0to1"):
         raise ConfigError("ham_chain.link", f"unknown link {cfg.ham_chain.link!r}")
-    if cfg.ham_chain.samples < 1:
-        raise ConfigError("ham_chain.samples", "must be >= 1")
+    _integer(cfg.ham_chain.samples, "ham_chain.samples", 1)
     rc = cfg.resolvent
     _positive_finite(rc.lam, "resolvent.lam")
     _grid_step(rc.dx, "resolvent.dx", cfg.space.box)
     _positive_finite(rc.control_bound, "resolvent.control_bound")
     _positive_finite(rc.tol, "resolvent.tol")
-    if isinstance(rc.n_controls, bool) or not isinstance(rc.n_controls, int) \
-            or rc.n_controls < 2:
-        raise ConfigError("resolvent.n_controls", "must be an integer >= 2")
+    _integer(rc.n_controls, "resolvent.n_controls", 2)
+    _positive_finite(rc.dt_factor, "resolvent.dt_factor")
     if rc.dt_factor <= 1:
         raise ConfigError("resolvent.dt_factor", "must exceed 1 (dt < lam)")
     if rc.h not in ("linear_clip", "constant", "fourier"):
         raise ConfigError("resolvent.h", f"unknown h family {rc.h!r}")
-    if cfg.comparison.pairs < 1:
-        raise ConfigError("comparison.pairs", "must be >= 1")
+    _finite(rc.h_param, "resolvent.h_param")
+    _integer(cfg.comparison.pairs, "comparison.pairs", 1)
     _grid_step(cfg.comparison.dx, "comparison.dx", cfg.space.box)
     _positive_finite(cfg.comparison.lam, "comparison.lam")
     return cfg
@@ -210,7 +240,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             kwargs[key] = value
         else:
             raise ConfigError(key, "unknown field")
-    return _validate(ExperimentConfig(**kwargs))
+    return validate(ExperimentConfig(**kwargs))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -63,7 +63,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        """True iff the report has rows and every row passed; an empty report fails."""
+        return bool(self.rows) and all(r.passed for r in self.rows)
 
     def summary(self) -> dict:
         n_pass = sum(1 for r in self.rows if r.passed)

@@ -9,7 +9,8 @@ Two finite-dimensional geometries sit behind one interface:
 In both, the energy is the potential energy of the coordinates, the steepest
 descent ODE is coordinatewise x' = -V'(x), and the evolution variational
 inequality with parameter kappa = inf V'' holds exactly, which is what makes
-these spaces usable as ground truth for everything built on top.
+these spaces usable as ground truth for everything built on top.  Every
+potential here solves that ODE in closed form; no flow is integrated numerically.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 MONOTONE_SLACK = 1e-9
 
@@ -30,11 +30,11 @@ MONOTONE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar confining potential with explicit derivatives and convexity bound.
+    """Scalar confining potential with explicit derivatives, convexity bound and flow.
 
-    ``kappa`` is a lower bound for V'' on the working box; ``exact_rate`` is
-    set when V' is linear (V = kappa x^2 / 2), in which case the descent flow
-    has the closed form x * exp(-kappa t).
+    ``kappa`` is a lower bound for V'' on the working box.  ``flow(x0, t)`` is
+    the exact solution of x' = -V'(x) from the start vector ``x0`` at the 1-d
+    array of times ``t >= 0``, with shape (len(t), len(x0)).
     """
 
     form: str
@@ -42,7 +42,7 @@ class Potential:
     v: Callable[[np.ndarray], np.ndarray]
     dv: Callable[[np.ndarray], np.ndarray]
     d2v: Callable[[np.ndarray], np.ndarray]
-    exact_rate: float | None = None
+    flow: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def quadratic_potential(kappa: float) -> Potential:
@@ -54,32 +54,45 @@ def quadratic_potential(kappa: float) -> Potential:
         v=lambda x: 0.5 * k * np.square(x),
         dv=lambda x: k * np.asarray(x, dtype=float),
         d2v=lambda x: np.full_like(np.asarray(x, dtype=float), k),
-        exact_rate=k,
+        flow=lambda x0, t: np.exp(-k * t)[:, None] * x0[None, :],
     )
 
 
 def quartic_potential() -> Potential:
-    """V(x) = x^4 / 4, convex with kappa = 0 (tight at the origin)."""
+    """V(x) = x^4 / 4, convex with kappa = 0 (tight at 0); flow x0 / sqrt(1 + 2 t x0^2)."""
     return Potential(
         form="quartic",
         kappa=0.0,
         v=lambda x: 0.25 * np.power(x, 4),
         dv=lambda x: np.power(x, 3),
         d2v=lambda x: 3.0 * np.square(x),
+        flow=lambda x0, t: x0[None, :] / np.sqrt(1.0 + 2.0 * np.outer(t, np.square(x0))),
     )
 
 
 def double_well_potential(kappa: float) -> Potential:
-    """V(x) = x^4 / 4 + kappa x^2 / 2 with kappa < 0; V'' >= kappa, tight at 0."""
+    """V(x) = x^4 / 4 + kappa x^2 / 2 with kappa < 0; V'' >= kappa, tight at 0.
+
+    w = x^-2 solves the linear ODE w' = 2 + 2 kappa w; multiplied through by
+    x0^2 this gives x0 / sqrt(e^(2 kappa t) + x0^2 expm1(2 kappa t) / kappa),
+    which keeps the sign of x0 and tends to +-sqrt(-kappa).  x0 = 0 stays 0
+    until e^(2 kappa t) underflows at t > 372 / |kappa|, where it reads 0/0.
+    """
     k = float(kappa)
-    if k >= 0:
+    if not k < 0:  # also rejects NaN
         raise ValueError("double-well potential requires kappa < 0")
+
+    def flow(x0, t):
+        kt = 2.0 * k * t[:, None]
+        return x0[None, :] / np.sqrt(np.exp(kt) + np.square(x0) * np.expm1(kt) / k)
+
     return Potential(
         form="double_well",
         kappa=k,
         v=lambda x: 0.25 * np.power(x, 4) + 0.5 * k * np.square(x),
         dv=lambda x: np.power(x, 3) + k * np.asarray(x, dtype=float),
         d2v=lambda x: 3.0 * np.square(x) + k,
+        flow=flow,
     )
 
 
@@ -161,56 +174,20 @@ SpacePoint = Union[EuclideanPoint, QuantilePoint]
 class FlowCurve:
     """Steepest-descent curve from a fixed start, evaluable at arbitrary t >= 0.
 
-    For quadratic potentials the exponential closed form is used; otherwise the
-    curve is integrated once with an adaptive RK45 scheme and stored as dense
-    segments that are extended (never recomputed) when larger times are asked
-    for, so repeated queries are reproducible bit for bit.
+    Stateless: every query evaluates the potential's closed-form flow, so
+    repeated queries are reproducible bit for bit.
     """
 
     def __init__(self, space: "ModelSpace", start: np.ndarray):
         self._space = space
         self._y0 = np.asarray(start, dtype=float)
-        self._rate = space.potential.exact_rate
-        self._segments: list = []
-        self._horizon = 0.0
-        self._tail = self._y0
-
-    def _extend(self, t_max: float) -> None:
-        while self._horizon < t_max:
-            t_next = max(1.0, 2.0 * self._horizon, t_max)
-            sol = solve_ivp(
-                lambda _t, y: -self._space.potential.dv(y),
-                (self._horizon, t_next),
-                self._tail,
-                method="RK45",
-                dense_output=True,
-                rtol=self._space.flow_rtol,
-                atol=self._space.flow_atol,
-            )
-            if not sol.success:  # pragma: no cover - defensive
-                raise RuntimeError(f"flow integration failed: {sol.message}")
-            self._segments.append((self._horizon, t_next, sol.sol))
-            self._horizon = t_next
-            self._tail = sol.y[:, -1]
 
     def values_at(self, times) -> np.ndarray:
         """Points along the curve; shape (len(times), n)."""
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         if ts.size and ts.min() < 0:
             raise ValueError("negative time")
-        if self._rate is not None:
-            out = np.exp(-self._rate * ts)[:, None] * self._y0[None, :]
-        else:
-            out = np.empty((ts.size, self._y0.size))
-            if ts.size:
-                self._extend(float(ts.max()))
-            for lo, hi, interp in self._segments:
-                mask = (ts >= lo) & (ts <= hi) if hi < self._horizon else (ts >= lo)
-                if mask.any():
-                    out[mask] = interp(ts[mask]).T
-            zero = ts == 0.0
-            if zero.any():
-                out[zero] = self._y0
+        out = self._space.potential.flow(self._y0, ts)
         if self._space.kind == "quantile":
             out = np.maximum.accumulate(out, axis=1)
         return out
@@ -255,9 +232,6 @@ class ModelSpace:
     potential: Potential
     box: float = 5.0
     sample_radius: float = 2.0
-    flow_rtol: float = 1e-11
-    flow_atol: float = 1e-13
-    flow_method: str = "rk45"  # adaptive embedded 4th/5th-order stepping
 
     def __post_init__(self):
         if self.kind not in ("euclidean", "quantile"):
@@ -332,18 +306,12 @@ class ModelSpace:
         return FlowCurve(self, self._vals(x))
 
     def flow(self, x: SpacePoint, t: float) -> SpacePoint:
-        if t < 0:
-            raise ValueError("negative time")
         return self.flow_curve(x).point_at(float(t))
 
     def flow_trajectory(self, x: SpacePoint, times: Sequence[float]) -> FlowTrajectory:
         ts = np.asarray(list(times), dtype=float)
         if ts.size == 0:
             raise ValueError("trajectory needs at least one time")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
-        if ts[0] < 0:
-            raise ValueError("negative time")
         vals = self.flow_curve(x).values_at(ts)
         points = tuple(self.point(v) for v in vals)
         energies = np.array([self.energy(p) for p in points])

@@ -69,6 +69,12 @@ def test_empty_report_writes_header_only(tmp_path):
     assert path.read_text() == ",".join(CSV_HEADER) + "\n"
 
 
+def test_empty_report_fails():
+    rep = Report(name="empty")
+    assert not rep.passed
+    assert "FAIL: 0/0" in rep.summary_line()
+
+
 def test_json_roundtrips(tmp_path):
     rep = Report(name="demo", config_echo={"seed": 1}, version="0.1.0")
     rep.add("check_a", 0, 1.0, 2.0, -1.0, True)
@@ -159,3 +165,49 @@ def test_resolvent_uses_configured_controls(tmp_path):
     cfg_path.write_text(json.dumps(
         {"schema": 1, "resolvent": {"dx": 0.05, "n_controls": 33, "h": "fourier"}}))
     assert main(["resolvent", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, data, path", [
+    ("evi-check", {"space": {"kappa": NAN}}, "space.kappa"),
+    ("evi-check", {"space": {"potential": "double_well", "kappa": NAN}}, "space.kappa"),
+    ("evi-check", {"space": {"box": NAN}}, "space.box"),
+    ("evi-check", {"space": {"size": "2"}}, "space.size"),
+    ("evi-check", {"evi": {"delta": NAN}}, "evi.delta"),
+    ("evi-check", {"evi": {"instances": "abc"}}, "evi.instances"),
+    ("evi-check", {"seed": -1}, "seed"),
+    ("tataru", {"tataru": {"epsilon": NAN}}, "tataru.epsilon"),
+    ("tataru", {"tataru": {"instances": 0}}, "tataru.instances"),
+    ("tataru", {"space": {"size": 2}}, "tataru.pi"),
+    ("tataru", {"tataru": {"mu": ["abc"]}}, "tataru.mu"),
+    ("laplace-converge", {"laplace": {"epsilon": NAN}}, "laplace.epsilon"),
+    ("laplace-converge", {"laplace": {"m_list": []}}, "laplace.m_list"),
+    ("laplace-converge", {"laplace": {"refine_n": ["a"]}}, "laplace.refine_n"),
+    ("laplace-converge", {"laplace": {"refine_m": "a"}}, "laplace.refine_m"),
+    ("laplace-converge", {"laplace": {"concentration_epsilon": NAN}},
+     "laplace.concentration_epsilon"),
+    ("laplace-converge", {"laplace": {"concentration_mass": NAN}},
+     "laplace.concentration_mass"),
+    ("laplace-converge", {"space": {"size": 2}}, "laplace.pi"),
+    ("laplace-converge", {"space": {"kind": "quantile", "size": 2},
+                          "laplace": {"pi": [0.0, 0.0], "mu": [1.0, 0.0]}}, "laplace.mu"),
+    ("ham-chain", {"ham_chain": {"samples": "abc"}}, "ham_chain.samples"),
+    ("resolvent", {"resolvent": {"dt_factor": NAN}}, "resolvent.dt_factor"),
+    ("resolvent", {"resolvent": {"h_param": NAN}}, "resolvent.h_param"),
+    ("tataru", {"tataru": {"dump_objective": "x"}}, "tataru.dump_objective"),
+    ("evi-check", {"out": 5}, "out"),
+])
+def test_config_probe_errors(tmp_path, capsys, command, data, path):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"schema": 1, **data}))
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"config error: {path}" in capsys.readouterr().err
+
+
+def test_cli_seed_flag_is_validated(tmp_path, capsys):
+    code = main(["evi-check", "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "config error: seed" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from hjflow.spaces import (
     EuclideanPoint,
@@ -93,6 +94,33 @@ def test_flow_quartic_closed_form():
     for t in (0.3, 1.0, 4.0):
         got = space.flow(space.point([x0]), t).values[0]
         assert got == pytest.approx(x0 / np.sqrt(1 + 2 * x0**2 * t), abs=1e-9)
+
+
+@pytest.mark.parametrize("make", [quartic_potential,
+                                  lambda: double_well_potential(-0.5),
+                                  lambda: double_well_potential(-2.0)])
+def test_closed_form_flow_matches_rk45(make):
+    # RK45 at tight tolerances is the oracle for the closed-form flows
+    pot = make()
+    rng = np.random.default_rng(7)
+    ts = np.linspace(0.0, 100.0, 401)
+    for _ in range(20):
+        x0 = rng.uniform(-3.0, 3.0, size=3)
+        x0[rng.integers(3)] = 0.0
+        ref = solve_ivp(lambda _t, y: -pot.dv(y), (0.0, 100.0), x0, method="RK45",
+                        t_eval=ts, rtol=1e-11, atol=1e-13)
+        assert ref.success
+        got = pot.flow(x0, ts)
+        assert got.shape == (ts.size, 3)
+        assert np.max(np.abs(got - ref.y.T)) <= 1e-9
+        assert np.array_equal(got[0], x0)
+        if pot.form == "double_well":
+            assert np.allclose(got[-1], np.sign(x0) * np.sqrt(-pot.kappa), atol=1e-12)
+    space = quantile_space(pot, grid_size=32, sample_radius=3.0)
+    x = space.sample(rng)
+    vals = space.flow_curve(x).values_at(ts)
+    assert np.all(np.diff(vals, axis=1) >= 0)
+    assert np.all(np.diff(pot.flow(x.values, ts), axis=1) >= -1e-14)
 
 
 def test_flow_trajectory_examples(ou):

@@ -3,7 +3,8 @@
 Subcommands: evi-check, tataru, laplace-converge, ham-chain, resolvent,
 comparison, all.  Every suite consumes the shared JSON config (or defaults),
 derives its randomness from the seed, writes deterministic CSV/JSON artifacts
-into the output directory and exits 0 iff every check passed.
+into the output directory.  Exit codes: 0 when every check passed, 1 when a
+check failed, 2 on a config error, 3 on an internal error (one stderr line).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .config import ConfigError, ExperimentConfig, default_config, load_config, 
 from .cylinders import affine_phi
 from .evi import run_evi_suite
 from .hamiltonians import build_chain_pair, build_cyl_dagger, build_cyl_ddagger, chain_inequality_report
-from .laplace import lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
+from .laplace import HCurve, lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
 from .reporting import Report, fmt17, write_csv, write_json
-from .tataru import psi_eps, tataru, tataru_eps
+from .tataru import _flow_objective, psi_eps, tataru, tataru_eps
 from .viscosity import check_subsolution, check_supersolution, comparison_gap, solve_resolvent
 
 SUITE_IDS = {
@@ -76,11 +77,10 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     print(f"tataru value: {res.value:.12g}  minimizers: "
           + ", ".join(f"{t:.12g}" for t in res.minimizers))
     if cfg.tataru.dump_objective and out_dir is not None:
-        curve = space.flow_curve(mu)
+        objective, _ = _flow_objective(space, pi, space.flow_curve(mu), space.kappa_hat,
+                                       eps=None)
         ts = np.linspace(0.0, res.t_cap, res.grid_points)
-        diffs = curve.values_at(ts) - pi.values[None, :]
-        dists = np.sqrt(space.weight * np.sum(diffs * diffs, axis=1))
-        obj = ts + np.exp(space.kappa_hat * ts) * dists
+        obj = objective(ts)
         path = out_dir / "tataru_objective.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -169,16 +169,9 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
             lc.concentration_mass - mass, mass >= lc.concentration_mass)
 
     # mean exponent under the tilted measure approaches its value at the minimizer
-    curve = space.flow_curve(mu)
-    diffs = curve.values_at(tm.atoms) - pi.values[None, :]
-    dist2 = space.weight * np.sum(diffs * diffs, axis=1)
-    hvals = np.exp(space.kappa_hat * tm.atoms) * psi_eps(lc.concentration_epsilon, 0.5 * dist2)
-    mean_h = tm.expectation(hvals)
-    t_star = res.minimizers[0]
-    dstar = curve.value_at(float(t_star)) - pi.values
-    h_star = float(np.exp(space.kappa_hat * t_star)
-                   * psi_eps(lc.concentration_epsilon,
-                             0.5 * space.weight * float(np.dot(dstar, dstar))))
+    hcurve = HCurve(space, lc.concentration_epsilon, pi, mu)
+    mean_h = tm.expectation(hcurve.h(tm.atoms))
+    h_star = float(hcurve.h(res.minimizers[:1])[0])
     gap = abs(mean_h - h_star)
     rep.add("tilt_mean_weight", lc.concentration_m, mean_h, h_star, gap - 0.05, gap <= 0.05)
     return rep
@@ -395,6 +388,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

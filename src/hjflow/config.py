@@ -51,7 +51,6 @@ class EviConfig:
 
 @dataclass(frozen=True)
 class TataruConfig:
-    epsilon: float = 1e-2
     instances: int = 500
     pi: tuple = (0.0,)
     mu: tuple = (3.0,)
@@ -191,7 +190,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     _positive_finite(sc.sample_radius, "space.sample_radius")
     _integer(cfg.evi.instances, "evi.instances", 1)
     _positive_finite(cfg.evi.delta, "evi.delta")
-    _positive_finite(cfg.tataru.epsilon, "tataru.epsilon")
     _integer(cfg.tataru.instances, "tataru.instances", 1)
     if not isinstance(cfg.tataru.dump_objective, bool):
         raise ConfigError("tataru.dump_objective", "must be true or false")

@@ -55,7 +55,7 @@ def contraction_violation(space: ModelSpace, x: SpacePoint, y: SpacePoint,
 
 def energy_identity_residual(space: ModelSpace, traj: FlowTrajectory) -> float:
     """|E(end) - E(start) + trapezoid integral of the squared slopes|."""
-    if len(traj.points) < 2:
+    if len(traj.times) < 2:
         raise ValueError("trajectory needs at least two samples")
     dissipated = float(np.trapezoid(traj.slopes**2, traj.times))
     return abs(traj.energies[-1] - traj.energies[0] + dissipated)

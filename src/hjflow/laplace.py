@@ -8,6 +8,7 @@ precision already for moderate m.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -160,34 +161,46 @@ def lambda_discrete(space: ModelSpace, eps: float, m: int, n: int,
                         log_contrib=log_contrib)
 
 
-def _panel(log_f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+def _panels(log_f, a: np.ndarray, b: np.ndarray):
+    """Gauss-Kronrod-style panels on the intervals [a[k], b[k]], all nodes in
+    one log_f call: per panel the 15-point log integral, the log of its gap to
+    the 7-point rule, and the 15 nodes with their log contributions."""
+    half = 0.5 * (b - a)[:, None]
+    mid = 0.5 * (a + b)[:, None]
     ts = mid + half * _GL15[0]
-    log_contrib = log_f(ts) + np.log(_GL15[1] * half)
-    log_i15 = float(logsumexp(log_contrib))
     ts7 = mid + half * _GL7[0]
-    log_i7 = float(logsumexp(log_f(ts7) + np.log(_GL7[1] * half)))
-    top = max(log_i15, log_i7)
-    if not np.isfinite(top):
-        log_err = -np.inf
-    else:
-        gap = abs(math.exp(log_i15 - top) - math.exp(log_i7 - top))
-        log_err = top + math.log(gap) if gap > 0 else -np.inf
+    log_vals = log_f(np.concatenate((ts.ravel(), ts7.ravel())))
+    log_contrib = log_vals[:ts.size].reshape(ts.shape) + np.log(_GL15[1] * half)
+    log_i15 = logsumexp(log_contrib, axis=1)
+    log_i7 = logsumexp(log_vals[ts.size:].reshape(ts7.shape) + np.log(_GL7[1] * half), axis=1)
+    top = np.maximum(log_i15, log_i7)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = np.abs(np.exp(log_i15 - top) - np.exp(log_i7 - top))
+        log_err = np.where(np.isfinite(top) & (gap > 0), top + np.log(gap), -np.inf)
     return log_i15, log_err, ts, log_contrib
 
 
 def _adaptive_log_quadrature(log_f, a: float, b: float, rel_tol: float = 1e-10,
                              seed_panels: int = 64, max_panels: int = 4096):
-    """log of int_a^b exp(log_f) dt by adaptive Gauss panels, fully in log space."""
-    edges = np.linspace(a, b, seed_panels + 1)
+    """log of int_a^b exp(log_f) dt by adaptive Gauss panels, fully in log space.
+
+    The seed panels are evaluated in one batch, then the panel with the largest
+    error estimate is split until the summed estimate meets rel_tol; both
+    halves of a split are evaluated in one batch.
+    """
     heap = []
     store = {}
-    for i in range(seed_panels):
-        log_i, log_err, ts, contrib = _panel(log_f, edges[i], edges[i + 1])
-        store[i] = (log_i, log_err, edges[i], edges[i + 1], ts, contrib)
-        heapq.heappush(heap, (-log_err, i))
-    next_id = seed_panels
+    ids = itertools.count()
+
+    def add(lo, hi):
+        log_i, log_err, ts, contrib = _panels(log_f, lo, hi)
+        for k in range(lo.size):
+            key = next(ids)
+            store[key] = (log_i[k], log_err[k], lo[k], hi[k], ts[k], contrib[k])
+            heapq.heappush(heap, (-log_err[k], key))
+
+    edges = np.linspace(a, b, seed_panels + 1)
+    add(edges[:-1], edges[1:])
     while True:
         logs = np.array([v[0] for v in store.values()])
         errs = np.array([v[1] for v in store.values()])
@@ -201,17 +214,10 @@ def _adaptive_log_quadrature(log_f, a: float, b: float, rel_tol: float = 1e-10,
                 f"quadrature did not converge: achieved relative tolerance {achieved:.3e}"
             )
         # split the panel with the largest error estimate
-        while True:
-            _, worst = heapq.heappop(heap)
-            if worst in store:
-                break
+        _, worst = heapq.heappop(heap)
         _, _, pa, pb, _, _ = store.pop(worst)
         mid = 0.5 * (pa + pb)
-        for lo, hi in ((pa, mid), (mid, pb)):
-            log_i, log_err, ts, contrib = _panel(log_f, lo, hi)
-            store[next_id] = (log_i, log_err, lo, hi, ts, contrib)
-            heapq.heappush(heap, (-log_err, next_id))
-            next_id += 1
+        add(np.array([pa, mid]), np.array([mid, pb]))
     nodes = np.concatenate([v[4] for v in store.values()])
     contribs = np.concatenate([v[5] for v in store.values()])
     order = np.argsort(nodes, kind="stable")

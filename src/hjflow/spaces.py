@@ -201,17 +201,21 @@ class FlowCurve:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """Flow samples with the matching energies and slopes."""
+    """Flow samples, shape (len(times), n), with the matching energies and slopes."""
 
     start: SpacePoint
     times: np.ndarray
-    points: tuple
+    values: np.ndarray
     energies: np.ndarray
     slopes: np.ndarray
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
+
+    @property
+    def points(self) -> tuple:
+        return tuple(type(self.start)(v) for v in self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +317,11 @@ class ModelSpace:
         if ts.size == 0:
             raise ValueError("trajectory needs at least one time")
         vals = self.flow_curve(x).values_at(ts)
-        points = tuple(self.point(v) for v in vals)
-        energies = np.array([self.energy(p) for p in points])
-        slopes = np.array([self.slope(p) for p in points])
-        return FlowTrajectory(start=x, times=ts, points=points, energies=energies, slopes=slopes)
+        energies = self.weight * np.sum(self.potential.v(vals), axis=1)
+        # vecdot, not sum(g * g): each row gets the same dot product as slope()
+        grads = self.potential.dv(vals)
+        slopes = np.sqrt(self.weight * np.vecdot(grads, grads))
+        return FlowTrajectory(start=x, times=ts, values=vals, energies=energies, slopes=slopes)
 
     # -- sampling --------------------------------------------------------------
 

@@ -5,6 +5,10 @@ The distance between pi and mu is the infimum over t >= 0 of
 at mu and kappa_hat = min(kappa, 0).  The smoothed variant replaces d by
 ``psi_eps(d^2 / 2)``, a C^2 approximation of r -> sqrt(2 r) that makes the
 objective differentiable in the squared distance.
+
+Both are minimized over t in [0, T_cap] on a coarse grid; the three best grid
+minima are then refined together by a bracket zoom that evaluates the
+objective on whole arrays of times, never one scalar time at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ import numpy as np
 from .spaces import FlowCurve, ModelSpace, SpacePoint
 
 GRID_POINTS = 512
+ZOOM_POINTS = 33
+ZOOM_STEPS = 20
+_ZOOM_UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
 VALUE_TOL = 1e-9
 
 
@@ -72,50 +79,45 @@ class TataruResult:
         return float(self.minimizers[0])
 
 
-def _golden(f, a: float, b: float, tol: float = 1e-11) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b]; returns (t, f(t))."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    t = 0.5 * (a + b)
-    return t, f(t)
+def _zoom(objective_batch, a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+    """Bracket zoom on all brackets [a[k], b[k]] at once; returns the midpoints.
+
+    Each step evaluates objective_batch once, on a ZOOM_POINTS grid in every
+    bracket, and shrinks each bracket to the grid neighbours of its argmin (a
+    factor (ZOOM_POINTS - 1) / 2 per step) until all are at most tol wide.
+    """
+    rows = np.arange(a.size)
+    for _ in range(ZOOM_STEPS):
+        if not np.any(b - a > tol):
+            break
+        ts = a[:, None] + (b - a)[:, None] * _ZOOM_UNIT
+        j = np.argmin(objective_batch(ts.ravel()).reshape(ts.shape), axis=1)
+        a = ts[rows, np.maximum(j - 1, 0)]
+        b = ts[rows, np.minimum(j + 1, ZOOM_POINTS - 1)]
+    return 0.5 * (a + b)
 
 
 def _minimize_over_time(objective_batch, objective_one, t_cap: float,
                         grid_points: int = GRID_POINTS) -> TataruResult:
-    """Coarse grid plus golden refinement around the best local minima.
+    """Coarse grid plus one batched bracket zoom around the best local minima.
 
-    ``objective_batch`` maps an array of times to objective values,
-    ``objective_one`` a scalar time to a value.  The minimizer set collects all
-    refined minima whose value is within VALUE_TOL of the best one.
+    ``objective_batch`` maps an array of times to objective values and does
+    all the search; ``objective_one`` maps a scalar time to a value and is
+    called once per refined minimum, at its zoomed midpoint.  The minimizer
+    set collects all grid and refined minima whose value is within VALUE_TOL
+    of the best one.
     """
     ts = np.linspace(0.0, t_cap, grid_points)
     vals = objective_batch(ts)
     # local minima, boundaries included
-    left = np.r_[np.inf, vals[:-1]]
-    right = np.r_[vals[1:], np.inf]
-    local = np.flatnonzero((vals <= left) & (vals <= right))
+    padded = np.concatenate(([np.inf], vals, [np.inf]))
+    local = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]))
     order = local[np.argsort(vals[local], kind="stable")][:3]
-    candidates = []
-    for i in order:
-        a = ts[max(i - 1, 0)]
-        b = ts[min(i + 1, grid_points - 1)]
-        if b <= a:
-            candidates.append((float(ts[i]), float(vals[i])))
-            continue
-        t_star, v_star = _golden(objective_one, a, b)
-        candidates.append((t_star, v_star))
-        candidates.append((float(ts[i]), float(vals[i])))
+    candidates = list(zip(ts[order].tolist(), vals[order].tolist()))
+    a = ts[np.maximum(order - 1, 0)]
+    b = ts[np.minimum(order + 1, grid_points - 1)]
+    for t_star in _zoom(objective_batch, a[b > a], b[b > a]).tolist():
+        candidates.append((t_star, objective_one(t_star)))
     best = min(v for _, v in candidates)
     mins = sorted(t for t, v in candidates if v <= best + VALUE_TOL)
     dedup: list[float] = []
@@ -128,25 +130,18 @@ def _minimize_over_time(objective_batch, objective_one, t_cap: float,
 
 def _flow_objective(space: ModelSpace, pi: SpacePoint, curve: FlowCurve,
                     kappa_hat: float, eps: float | None):
+    """(batch, one): t + exp(kappa_hat t) d(pi, mu(t)), or psi_eps(d^2/2) for eps,
+    over an array of times resp. at one time; ``one`` evaluates ``batch``."""
     pvals = pi.values
     w = space.weight
-
-    def inner(dist2):
-        if eps is None:
-            return np.sqrt(dist2)
-        return psi_eps(eps, 0.5 * dist2)
 
     def batch(ts):
         diffs = curve.values_at(ts) - pvals[None, :]
         dist2 = w * np.sum(diffs * diffs, axis=1)
-        return ts + np.exp(kappa_hat * ts) * inner(dist2)
+        inner = np.sqrt(dist2) if eps is None else psi_eps(eps, 0.5 * dist2)
+        return ts + np.exp(kappa_hat * ts) * inner
 
-    def one(t):
-        diff = curve.value_at(t) - pvals
-        dist2 = w * float(np.dot(diff, diff))
-        return t + float(np.exp(kappa_hat * t)) * float(inner(dist2))
-
-    return batch, one
+    return batch, lambda t: float(batch(np.array([t]))[0])
 
 
 def tataru(space: ModelSpace, pi: SpacePoint, mu: SpacePoint,

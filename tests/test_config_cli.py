@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import hjflow.cli as cli
 from hjflow.cli import main, run_experiment
 from hjflow.config import ConfigError, config_from_dict, default_config, load_config
 from hjflow.reporting import CSV_HEADER, Report, write_csv, write_json
@@ -30,9 +31,18 @@ def test_default_config_builds_space():
 
 def test_negative_epsilon_names_field():
     with pytest.raises(ConfigError) as err:
-        config_from_dict({"tataru": {"epsilon": -0.5}})
-    assert err.value.path == "tataru.epsilon"
-    assert "tataru.epsilon" in str(err.value)
+        config_from_dict({"laplace": {"epsilon": -0.5}})
+    assert err.value.path == "laplace.epsilon"
+    assert "laplace.epsilon" in str(err.value)
+
+
+def test_removed_tataru_epsilon_is_unknown(tmp_path, capsys):
+    # the tataru suite has no epsilon; an old config that sets it is rejected
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"tataru": {"epsilon": 0.01}}))
+    code = main(["tataru", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "config error: tataru.epsilon: unknown field"
 
 
 def test_unknown_fields_are_rejected():
@@ -113,9 +123,20 @@ def test_cli_json_format(tmp_path):
 
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"tataru": {"epsilon": -1}}))
-    code = main(["tataru", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    cfg_path.write_text(json.dumps({"laplace": {"epsilon": -1}}))
+    code = main(["laplace-converge", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(cfg, out_dir=None):
+        raise ZeroDivisionError("float division\nby zero")
+
+    monkeypatch.setitem(cli.SUITES, "tataru", broken)
+    code = main(["tataru", "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: ZeroDivisionError: float division by zero\n"
 
 
 def test_cli_seed_override(tmp_path):

@@ -11,6 +11,7 @@ from hjflow.hamiltonians import (
     chain_inequality_report,
     composite_phi_for_push,
 )
+from hjflow.spaces import double_well_potential, euclidean_space
 from hjflow.tataru import psi_eps, tataru_eps
 
 
@@ -273,6 +274,17 @@ def test_chain_inequality_other_spaces(double_well, quantile_ou, rng):
     for space in (double_well, quantile_ou):
         assert chain_inequality_report(space, "1to2", 10, rng).max_violation <= 1e-9
         assert chain_inequality_report(space, "4to5", 10, rng).max_violation <= 1e-6
+
+
+def test_chain_1to2_holds_on_double_well_probe_instances():
+    # the level-2 g keeps its max(1/m, h) floor in the damping integral; on the
+    # double well (kappa_hat < 0, where the floor matters) the generic
+    # cylindrical g stays below it on every sampled instance
+    space = euclidean_space(double_well_potential(-0.5), sample_radius=1.5)
+    rep = chain_inequality_report(space, "1to2", 50, np.random.default_rng(20240817))
+    assert len(rep.rows) == 50
+    assert all(row[5] for row in rep.rows)
+    assert rep.max_violation < 0
 
 
 def test_chain_1to2_degenerate_sample(ou):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from scipy.special import logsumexp
 import hjflow.laplace as laplace
 from hjflow.laplace import (
     DiscreteMeasure,
+    HCurve,
     _adaptive_log_quadrature,
+    _panels,
     discrete_exp_measure,
     lambda_continuous,
     lambda_discrete,
@@ -206,3 +210,42 @@ def test_laplace_rejects_bad_parameters(ou):
         lambda_continuous(ou, 0.1, 0, p([0]), p([1]))
     with pytest.raises(ValueError):
         discrete_exp_measure(0, 5)
+
+
+def scalar_panel(log_f, a, b):
+    """One 15/7-point Gauss panel on [a, b], evaluated on its own: the reference
+    for the batched panels."""
+    nodes15, weights15 = np.polynomial.legendre.leggauss(15)
+    nodes7, weights7 = np.polynomial.legendre.leggauss(7)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    ts = mid + half * nodes15
+    log_contrib = log_f(ts) + np.log(weights15 * half)
+    log_i15 = float(logsumexp(log_contrib))
+    log_i7 = float(logsumexp(log_f(mid + half * nodes7) + np.log(weights7 * half)))
+    top = max(log_i15, log_i7)
+    gap = abs(math.exp(log_i15 - top) - math.exp(log_i7 - top)) if np.isfinite(top) else 0.0
+    log_err = top + math.log(gap) if gap > 0 else -np.inf
+    return log_i15, log_err, ts, log_contrib
+
+
+@pytest.mark.parametrize("space_name", ["ou", "double_well", "quantile_ou"])
+@pytest.mark.parametrize("m", [1, 100, 10000])
+def test_batched_panels_match_one_panel_at_a_time(request, space_name, m):
+    space = request.getfixturevalue(space_name)
+    rng = np.random.default_rng(m)
+    pi, mu = space.sample(rng), space.sample(rng)
+    hcurve = HCurve(space, 0.1, pi, mu)
+
+    def log_f(ts):
+        return math.log(m + 1.0) - (m + 1.0) * ts - m * hcurve.h(ts)
+
+    edges = np.linspace(0.0, hcurve.t_cap() + 5.0 / (m + 1), 65)
+    log_i, log_err, ts, contrib = _panels(log_f, edges[:-1], edges[1:])
+    for k in range(64):
+        ref_i, ref_err, ref_ts, ref_contrib = scalar_panel(log_f, edges[k], edges[k + 1])
+        assert ts[k] == pytest.approx(ref_ts, rel=1e-14, abs=1e-14)
+        assert contrib[k] == pytest.approx(ref_contrib, rel=1e-14, abs=1e-14)
+        assert log_i[k] == pytest.approx(ref_i, rel=1e-14, abs=1e-14)
+        # the error estimate is a difference of two nearly equal sums, so it is
+        # compared on the scale of the panel integral, which is how it is used
+        assert abs(math.exp(log_err[k] - log_i[k]) - math.exp(ref_err - ref_i)) <= 1e-14

@@ -136,6 +136,24 @@ def test_flow_trajectory_examples(ou):
         ou.flow_trajectory(ou.point([1]), [0.5, 0.2])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: euclidean_space(quadratic_potential(1.0)),
+    lambda: euclidean_space(quartic_potential(), dim=3, sample_radius=1.5),
+    lambda: quantile_space(double_well_potential(-0.5), grid_size=64),
+])
+def test_flow_trajectory_matches_per_point_kernels(make, rng):
+    space = make()
+    x = space.sample(rng)
+    traj = space.flow_trajectory(x, np.linspace(0.0, 2.0, 201))
+    points = traj.points
+    assert len(points) == 201 and type(points[0]) is type(x)
+    assert np.array_equal(points[0].values, x.values)
+    energies = np.array([space.energy(p) for p in points])
+    slopes = np.array([space.slope(p) for p in points])
+    assert np.allclose(traj.energies, energies, rtol=1e-14, atol=1e-15)
+    assert np.allclose(traj.slopes, slopes, rtol=1e-14, atol=1e-15)
+
+
 def test_trajectory_energies_nonincreasing(double_well, rng):
     x = double_well.sample(rng)
     traj = double_well.flow_trajectory(x, np.linspace(0, 3, 50))

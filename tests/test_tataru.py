@@ -3,7 +3,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjflow.tataru import d_eps, psi_eps, psi_eps_prime, tataru, tataru_eps
+from hjflow.spaces import (
+    double_well_potential,
+    euclidean_space,
+    quadratic_potential,
+    quantile_space,
+    quartic_potential,
+)
+from hjflow.tataru import (
+    GRID_POINTS,
+    VALUE_TOL,
+    _minimize_over_time,
+    d_eps,
+    psi_eps,
+    psi_eps_prime,
+    tataru,
+    tataru_eps,
+)
+
+
+def golden_oracle(space, pi, mu, eps, t_cap, grid_points=GRID_POINTS):
+    """Scalar reference for the time minimization: the same coarse grid, then
+    golden-section search on a hand-written scalar objective around each of the
+    three best local grid minima."""
+    curve = space.flow_curve(mu)
+
+    def objective(t):
+        diff = curve.value_at(t) - pi.values
+        dist2 = space.weight * float(np.dot(diff, diff))
+        inner = np.sqrt(dist2) if eps is None else float(psi_eps(eps, 0.5 * dist2))
+        return t + float(np.exp(space.kappa_hat * t)) * inner
+
+    def golden(a, b, tol=1e-11):
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+        f1, f2 = objective(x1), objective(x2)
+        while b - a > tol:
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - invphi * (b - a)
+                f1 = objective(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + invphi * (b - a)
+                f2 = objective(x2)
+        t = 0.5 * (a + b)
+        return t, objective(t)
+
+    ts = np.linspace(0.0, t_cap, grid_points)
+    vals = np.array([objective(t) for t in ts])
+    local = [i for i in range(grid_points)
+             if (i == 0 or vals[i] <= vals[i - 1])
+             and (i == grid_points - 1 or vals[i] <= vals[i + 1])]
+    local.sort(key=lambda i: vals[i])
+    candidates = []
+    for i in local[:3]:
+        candidates.append((ts[i], vals[i]))
+        candidates.append(golden(ts[max(i - 1, 0)], ts[min(i + 1, grid_points - 1)]))
+    best = min(v for _, v in candidates)
+    mins = []
+    for t in sorted(t for t, v in candidates if v <= best + VALUE_TOL):
+        if not mins or t - mins[-1] > 1e-8:
+            mins.append(t)
+    return best, np.array(mins)
 
 
 def test_psi_tagged_values():
@@ -169,3 +231,42 @@ def test_tataru_double_well_multiwell_minimizers(double_well):
     res = tataru(double_well, pi, mu)
     assert res.value > 0
     assert res.minimizers.size >= 1
+
+
+ORACLE_SPACES = {
+    "quadratic": euclidean_space(quadratic_potential(1.0)),
+    "quartic": euclidean_space(quartic_potential(), sample_radius=1.5),
+    "double_well_quantile": quantile_space(double_well_potential(-0.5), grid_size=64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+@pytest.mark.parametrize("eps", [None, 1e-3, 0.3])
+def test_zoom_minimization_matches_golden_oracle(name, eps):
+    space = ORACLE_SPACES[name]
+    rng = np.random.default_rng(20240817)
+    for _ in range(12 if space.kind == "euclidean" else 4):
+        pi, mu = space.sample(rng), space.sample(rng)
+        res = tataru(space, pi, mu) if eps is None else tataru_eps(space, eps, pi, mu)
+        value, minimizers = golden_oracle(space, pi, mu, eps, res.t_cap)
+        assert abs(res.value - value) <= 1e-10
+        assert res.minimizers.shape == minimizers.shape
+        assert np.max(np.abs(res.minimizers - minimizers)) <= 1e-6
+
+
+def test_zoom_refines_every_local_minimum_in_one_batch_per_step():
+    # two wells of equal depth at t = 1 and t = 3: both bracket zooms share
+    # each batch call and both minimizers are resolved well below the grid step
+    calls = []
+
+    def batch(ts):
+        calls.append(ts.size)
+        return np.minimum(np.square(ts - 1.0), np.square(ts - 3.0))
+
+    res = _minimize_over_time(batch, lambda t: float(batch(np.array([t]))[0]), 4.0)
+    assert res.value == pytest.approx(0.0, abs=1e-18)
+    assert np.allclose(res.minimizers, [1.0, 3.0], atol=1e-9)
+    # one grid call, then zoom steps on both brackets together (width
+    # 2 * 4/511 shrinks 16-fold per step, 8 steps to 1e-11), then one scalar
+    # value per refined minimum
+    assert calls == [GRID_POINTS] + [66] * 8 + [1, 1]

@@ -37,14 +37,7 @@ from .cylinders import (
 )
 from .laplace import _adaptive_log_quadrature, discrete_exp_log_weights
 from .spaces import ModelSpace, SpacePoint
-from .tataru import (
-    TataruResult,
-    _flow_objective,
-    _minimize_over_time,
-    d_eps,
-    psi_eps,
-    psi_eps_prime,
-)
+from .tataru import d_eps, psi_eps, psi_eps_prime, tataru, tataru_eps
 
 CHAIN_LEVELS = (2, 3, 4, 5, 6)
 
@@ -227,14 +220,12 @@ def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
-    kappa, kappa_hat = _kappas(space, kappa_override)
-    curve = space.flow_curve(flow_anchor)
+    kappa, _ = _kappas(space, kappa_override)
+    space.flow_curve(flow_anchor)  # fail at build time on an anchor outside the space
     e_base = space.energy(base_point)
 
     def d_t(pt: SpacePoint) -> float:
-        batch, one = _flow_objective(space, pt, curve, kappa_hat, eps=None)
-        t_cap = space.distance(pt, flow_anchor) + 1.0
-        return _minimize_over_time(batch, one, t_cap).value
+        return tataru(space, pt, flow_anchor, kappa_override).value
 
     if side == "dagger":
         def f(pi: SpacePoint) -> float:
@@ -362,17 +353,13 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     if level == 4:
         eps = _require(params, level, "eps")[0]
 
-        def minimize(pt: SpacePoint) -> TataruResult:
-            batch, one = _flow_objective(space, pt, curve, kappa_hat, eps=eps)
-            return _minimize_over_time(batch, one, d_eps(space, eps, pt, flow_anchor) + 1.0)
-
         def f(pt: SpacePoint) -> float:
-            value = minimize(pt).value
+            value = tataru_eps(space, eps, pt, flow_anchor).value
             return sign * (0.5 * a * space.distance(pt, base_point) ** 2
                            + b * value) + c
 
         def g(pt: SpacePoint) -> float:
-            ts = minimize(pt).minimizers
+            ts = tataru_eps(space, eps, pt, flow_anchor).minimizers
             h, damping, psi_p, flow_e = flow_pieces(pt, ts, eps)
             gap = flow_e - space.energy(pt)
             # h = damping * d_eps along the flow, so -kappa_hat/2 h is the
@@ -386,12 +373,10 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     eps = _require(params, level, "eps")[0] if level == 5 else None
 
     def f(pt: SpacePoint) -> float:
-        batch, one = _flow_objective(space, pt, curve, kappa_hat, eps=eps)
         if eps is None:
-            t_cap = space.distance(pt, flow_anchor) + 1.0
+            value = tataru(space, pt, flow_anchor).value
         else:
-            t_cap = d_eps(space, eps, pt, flow_anchor) + 1.0
-        value = _minimize_over_time(batch, one, t_cap).value
+            value = tataru_eps(space, eps, pt, flow_anchor).value
         return sign * (0.5 * a * space.distance(pt, base_point) ** 2 + b * value) + c
 
     if side == "dagger":
@@ -469,8 +454,7 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             mu = space.sample(rng)
             pi = space.sample(rng)
             curve = space.flow_curve(mu)
-            batch, one = _flow_objective(space, pi, curve, kappa_hat, eps=eps)
-            res = _minimize_over_time(batch, one, d_eps(space, eps, pi, mu) + 1.0)
+            res = tataru_eps(space, eps, pi, mu)
             e_pi = space.energy(pi)
             lhs_best = -np.inf
             for t in res.minimizers:

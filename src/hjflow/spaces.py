@@ -33,8 +33,9 @@ class Potential:
     """Scalar confining potential with explicit derivatives, convexity bound and flow.
 
     ``kappa`` is a lower bound for V'' on the working box.  ``flow(x0, t)`` is
-    the exact solution of x' = -V'(x) from the start vector ``x0`` at the 1-d
-    array of times ``t >= 0``, with shape (len(t), len(x0)).
+    the exact solution of x' = -V'(x) from the starts ``x0`` of shape (..., n)
+    at the times ``t >= 0`` of shape (..., T), with shape (..., T, n); the
+    leading axes pair each start with its own row of times.
     """
 
     form: str
@@ -54,7 +55,7 @@ def quadratic_potential(kappa: float) -> Potential:
         v=lambda x: 0.5 * k * np.square(x),
         dv=lambda x: k * np.asarray(x, dtype=float),
         d2v=lambda x: np.full_like(np.asarray(x, dtype=float), k),
-        flow=lambda x0, t: np.exp(-k * t)[:, None] * x0[None, :],
+        flow=lambda x0, t: np.exp(-k * t)[..., :, None] * x0[..., None, :],
     )
 
 
@@ -66,7 +67,8 @@ def quartic_potential() -> Potential:
         v=lambda x: 0.25 * np.power(x, 4),
         dv=lambda x: np.power(x, 3),
         d2v=lambda x: 3.0 * np.square(x),
-        flow=lambda x0, t: x0[None, :] / np.sqrt(1.0 + 2.0 * np.outer(t, np.square(x0))),
+        flow=lambda x0, t: x0[..., None, :] / np.sqrt(
+            1.0 + 2.0 * (t[..., :, None] * np.square(x0)[..., None, :])),
     )
 
 
@@ -83,8 +85,9 @@ def double_well_potential(kappa: float) -> Potential:
         raise ValueError("double-well potential requires kappa < 0")
 
     def flow(x0, t):
-        kt = 2.0 * k * t[:, None]
-        return x0[None, :] / np.sqrt(np.exp(kt) + np.square(x0) * np.expm1(kt) / k)
+        kt = 2.0 * k * t[..., :, None]
+        x0 = x0[..., None, :]
+        return x0 / np.sqrt(np.exp(kt) + np.square(x0) * np.expm1(kt) / k)
 
     return Potential(
         form="double_well",
@@ -187,10 +190,7 @@ class FlowCurve:
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         if ts.size and ts.min() < 0:
             raise ValueError("negative time")
-        out = self._space.potential.flow(self._y0, ts)
-        if self._space.kind == "quantile":
-            out = np.maximum.accumulate(out, axis=1)
-        return out
+        return self._space.flow_values(self._y0, ts)
 
     def value_at(self, t: float) -> np.ndarray:
         return self.values_at([t])[0]
@@ -305,6 +305,18 @@ class ModelSpace:
         return self.energy(x), self.slope(x)
 
     # -- gradient flow --------------------------------------------------------
+
+    def flow_values(self, starts: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Flow from the start values (..., n) at the times (..., T) >= 0; (..., T, n).
+
+        No point checks: callers pass validated coordinates.  In quantile
+        coordinates the guard ``np.maximum.accumulate`` on the last axis keeps
+        each flowed vector nondecreasing despite rounding.
+        """
+        out = self.potential.flow(starts, times)
+        if self.kind == "quantile":
+            out = np.maximum.accumulate(out, axis=-1)
+        return out
 
     def flow_curve(self, x: SpacePoint) -> FlowCurve:
         return FlowCurve(self, self._vals(x))

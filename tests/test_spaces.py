@@ -123,6 +123,35 @@ def test_closed_form_flow_matches_rk45(make):
     assert np.all(np.diff(pot.flow(x.values, ts), axis=1) >= -1e-14)
 
 
+@pytest.mark.parametrize("make", [lambda: quadratic_potential(0.7), quartic_potential,
+                                  lambda: double_well_potential(-0.5)],
+                         ids=["quadratic", "quartic", "double_well"])
+def test_flow_broadcasts_over_starts_and_rows_of_times(make):
+    # (N, n) starts with (N, T) times give (N, T, n), bit for bit the stack of
+    # the per-start 1-d calls; every potential gets a zero coordinate
+    pot = make()
+    rng = np.random.default_rng(13)
+    starts = rng.uniform(-2.5, 2.5, size=(6, 3))
+    starts[2, 1] = 0.0
+    starts[4] = 0.0
+    times = np.sort(rng.uniform(0.0, 8.0, size=(6, 9)), axis=1)
+    got = pot.flow(starts, times)
+    assert got.shape == (6, 9, 3)
+    assert np.array_equal(got, np.stack([pot.flow(x0, t) for x0, t in zip(starts, times)]))
+    assert np.array_equal(got[4], np.zeros((9, 3)))
+
+
+def test_flow_values_broadcast_with_quantile_guard():
+    space = quantile_space(double_well_potential(-0.5), grid_size=16, sample_radius=3.0)
+    rng = np.random.default_rng(17)
+    points = [space.sample(rng) for _ in range(4)]
+    times = np.sort(rng.uniform(0.0, 20.0, size=(4, 11)), axis=1)
+    got = space.flow_values(np.stack([p.values for p in points]), times)
+    want = np.stack([space.flow_curve(p).values_at(t) for p, t in zip(points, times)])
+    assert np.array_equal(got, want)
+    assert np.all(np.diff(got, axis=-1) >= 0)
+
+
 def test_flow_trajectory_examples(ou):
     single = ou.flow_trajectory(ou.point([2]), [0.0])
     assert len(single.points) == 1

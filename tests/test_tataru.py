@@ -1,8 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjflow import cli
+from hjflow.config import config_from_dict
+from hjflow.reporting import Report
 from hjflow.spaces import (
     double_well_potential,
     euclidean_space,
@@ -13,13 +18,17 @@ from hjflow.spaces import (
 from hjflow.tataru import (
     GRID_POINTS,
     VALUE_TOL,
-    _minimize_over_time,
+    _minimize,
     d_eps,
     psi_eps,
     psi_eps_prime,
     tataru,
+    tataru_batch,
     tataru_eps,
 )
+
+# the package re-exports the function ``tataru`` under the module's name
+TATARU_MODULE = sys.modules["hjflow.tataru"]
 
 
 def golden_oracle(space, pi, mu, eps, t_cap, grid_points=GRID_POINTS):
@@ -254,19 +263,148 @@ def test_zoom_minimization_matches_golden_oracle(name, eps):
         assert np.max(np.abs(res.minimizers - minimizers)) <= 1e-6
 
 
+def _two_wells(ts):
+    return np.minimum(np.square(ts - 1.0), np.square(ts - 3.0))
+
+
+def _one_well(ts):
+    return np.abs(ts - 0.01)
+
+
 def test_zoom_refines_every_local_minimum_in_one_batch_per_step():
     # two wells of equal depth at t = 1 and t = 3: both bracket zooms share
-    # each batch call and both minimizers are resolved well below the grid step
+    # each objective call and both minimizers are resolved well below the grid step
     calls = []
 
-    def batch(ts):
+    def objective(rows, ts):
         calls.append(ts.size)
-        return np.minimum(np.square(ts - 1.0), np.square(ts - 3.0))
+        return _two_wells(ts)
 
-    res = _minimize_over_time(batch, lambda t: float(batch(np.array([t]))[0]), 4.0)
+    (res,) = _minimize(objective, np.array([4.0]))
     assert res.value == pytest.approx(0.0, abs=1e-18)
     assert np.allclose(res.minimizers, [1.0, 3.0], atol=1e-9)
     # one grid call, then zoom steps on both brackets together (width
-    # 2 * 4/511 shrinks 16-fold per step, 8 steps to 1e-11), then one scalar
-    # value per refined minimum
-    assert calls == [GRID_POINTS] + [66] * 8 + [1, 1]
+    # 2 * 4/511 shrinks 16-fold per step, 8 steps to 1e-11), then one call
+    # for the values of both refined minima
+    assert calls == [GRID_POINTS] + [66] * 8 + [2]
+
+
+def test_zoom_stops_each_instance_on_its_own():
+    # instance 0 has the two wells on [0, 4] (8 zoom steps); instance 1 has one
+    # well on [0, 0.04], whose bracket 2 * 0.04/511 is below 1e-11 after 6 steps
+    calls = []
+    wells = (_two_wells, _one_well)
+
+    def objective(rows, ts):
+        calls.append(ts.shape)
+        return np.stack([wells[r](t) for r, t in zip(rows, ts)]).reshape(ts.shape)
+
+    both = _minimize(objective, np.array([4.0, 0.04]))
+    assert calls == ([(2, GRID_POINTS)] + [(3, 33)] * 6 + [(2, 33)] * 2 + [(3, 1)])
+    assert np.allclose(both[0].minimizers, [1.0, 3.0], atol=1e-9)
+    assert np.allclose(both[1].minimizers, [0.01], atol=1e-9)
+    for well, t_cap, res in zip(wells, (4.0, 0.04), both):
+        (alone,) = _minimize(lambda rows, ts, well=well: well(ts), np.array([t_cap]))
+        assert res.value == alone.value
+        assert np.array_equal(res.minimizers, alone.minimizers)
+        assert res.t_cap == alone.t_cap
+
+
+def per_instance_rows(cfg) -> list:
+    """Oracle: the tataru suite's rows from the per-instance loop, one tataru
+    call per (pi, mu, kappa) triple, interleaved with the sampling."""
+    space = cfg.space.build()
+    rng = np.random.default_rng([cfg.seed, cli.SUITE_IDS["tataru"]])
+    rep = Report(name="tataru")
+    tol = 1e-6
+    n = cfg.tataru.instances
+    for i in range(n):
+        mu1, nu1 = space.sample(rng), space.sample(rng)
+        mu2, nu2 = space.sample(rng), space.sample(rng)
+        lhs = tataru(space, mu1, nu1).value - tataru(space, mu2, nu2).value
+        bound = space.distance(mu1, mu2) + space.distance(nu1, nu2)
+        rep.add("lipschitz", i, lhs, bound + tol, lhs - bound - tol, lhs <= bound + tol)
+    for i in range(n):
+        nu, nu_hat = space.sample(rng), space.sample(rng)
+        base = tataru(space, nu, nu_hat).value
+        worst = -np.inf
+        for r in (1e-3, 1e-2, 1e-1):
+            moved = space.flow(nu, r)
+            rate = (tataru(space, moved, nu_hat).value - base) / r
+            worst = max(worst, rate)
+        rep.add("flow_lipschitz", i, worst, 1.0 + tol, worst - 1.0 - tol, worst <= 1.0 + tol)
+    for i in range(n):
+        rho, mid, nu = space.sample(rng), space.sample(rng), space.sample(rng)
+        lhs = tataru(space, rho, nu).value
+        rhs = tataru(space, rho, mid).value + tataru(space, mid, nu).value
+        rep.add("triangle", i, lhs, rhs + tol, lhs - rhs - tol, lhs <= rhs + tol)
+    for i in range(n):
+        x, y = space.sample(rng), space.sample(rng)
+        k2 = float(rng.uniform(-1.0, 1.0))
+        k1 = k2 - float(rng.uniform(0.0, 1.0))
+        lo = tataru(space, x, y, kappa_override=k1).value
+        hi = tataru(space, x, y, kappa_override=k2).value
+        rep.add("kappa_monotone", i, lo, hi + 1e-9, lo - hi - 1e-9, lo <= hi + 1e-9)
+    return rep.rows
+
+
+_QUANTILE_PI = np.sort(np.random.default_rng(3).uniform(-2.0, 2.0, 64)).tolist()
+_QUANTILE_MU = np.sort(np.random.default_rng(4).uniform(-2.0, 2.0, 64)).tolist()
+SUITE_CONFIGS = {
+    # 12 instances give 132 triples: 4 blocks of 32 and one of 4
+    "quadratic_1d": {"space": {"potential": "quadratic", "kappa": 1.0},
+                     "tataru": {"instances": 12}},
+    # blocks of 10 instances: 13 full blocks and one of 2
+    "quartic_3d": {"space": {"potential": "quartic", "size": 3, "sample_radius": 1.5},
+                   "tataru": {"instances": 12, "pi": [0.0, 0.5, -1.0], "mu": [1.0, 2.0, 3.0]}},
+    # one instance per block
+    "double_well_quantile": {"space": {"kind": "quantile", "potential": "double_well",
+                                       "kappa": -0.5, "size": 64},
+                             "tataru": {"instances": 2, "pi": _QUANTILE_PI,
+                                        "mu": _QUANTILE_MU}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_CONFIGS))
+def test_batched_tataru_suite_matches_per_instance_oracle(name):
+    cfg = config_from_dict({"seed": 19, **SUITE_CONFIGS[name]})
+    rows = cli.run_tataru(cfg).rows
+    assert len(rows) == 4 * cfg.tataru.instances
+    assert rows == per_instance_rows(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_CONFIGS))
+def test_batched_tataru_suite_is_independent_of_block_size(name, monkeypatch):
+    cfg = config_from_dict({"seed": 19, **SUITE_CONFIGS[name]})
+    oracle = per_instance_rows(cfg)
+    # blocks of 7 instances: 11 * n triples is not a multiple of 7 for these n
+    size = cfg.space.build().size
+    monkeypatch.setattr(TATARU_MODULE, "BLOCK_ELEMENTS", 7 * GRID_POINTS * size)
+    assert (11 * cfg.tataru.instances) % 7 != 0
+    assert cli.run_tataru(cfg).rows == oracle
+
+
+@pytest.mark.parametrize("eps", [None, 1e-3, 0.3])
+def test_tataru_batch_matches_single_calls(eps, monkeypatch):
+    space = euclidean_space(quartic_potential(), dim=3, sample_radius=1.5)
+    rng = np.random.default_rng(5)
+    pis = [space.sample(rng) for _ in range(23)]
+    mus = [space.sample(rng) for _ in range(23)]
+    kappas = [None if i % 3 else float(rng.uniform(-1.0, 1.0)) for i in range(23)]
+    monkeypatch.setattr(TATARU_MODULE, "BLOCK_ELEMENTS", 4 * GRID_POINTS * space.size)
+    batch = tataru_batch(space, pis, mus, kappas, eps=eps)
+    for pi, mu, kappa, res in zip(pis, mus, kappas, batch):
+        alone = (tataru(space, pi, mu, kappa) if eps is None
+                 else tataru_eps(space, eps, pi, mu, kappa))
+        assert res.value == alone.value
+        assert np.array_equal(res.minimizers, alone.minimizers)
+        assert res.t_cap == alone.t_cap
+
+
+def test_tataru_batch_rejects_mismatched_inputs(ou):
+    p = ou.point
+    with pytest.raises(ValueError, match="same length"):
+        tataru_batch(ou, [p([0])], [p([1]), p([2])])
+    with pytest.raises(ValueError, match="positive"):
+        tataru_batch(ou, [p([0])], [p([1])], eps=0.0)
+    assert tataru_batch(ou, [], []) == []

@@ -106,7 +106,7 @@ def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
             if not live.size:
                 return mid
         ts = a[:, None] + (b - a)[:, None] * _ZOOM_UNIT
-        j = np.argmin(objective(rows, ts), axis=1)
+        j = objective(rows, ts).argmin(axis=1)
         k = np.arange(j.size)
         a = ts[k, np.maximum(j - 1, 0)]
         b = ts[k, np.minimum(j + 1, ZOOM_POINTS - 1)]
@@ -132,10 +132,10 @@ def _minimize(objective, t_caps: np.ndarray,
     # ties in grid order (lexsort is stable)
     edge = np.full((n, 1), np.inf)
     padded = np.concatenate((edge, vals, edge), axis=1)
-    inst, at = np.nonzero((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]))
+    inst, at = ((vals <= padded[:, :-2]) & (vals <= padded[:, 2:])).nonzero()
     by_value = np.lexsort((vals[inst, at], inst))
     inst, at = inst[by_value], at[by_value]
-    rank = np.arange(inst.size) - np.searchsorted(inst, inst)
+    rank = np.arange(inst.size) - inst.searchsorted(inst)
     top = rank < 3
     inst, at, rank = inst[top], at[top], rank[top]
     cand_t = np.full((n, 6), np.inf)
@@ -175,7 +175,7 @@ def _flow_objective(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[
 
     def objective(rows, ts):
         diffs = space.flow_values(starts.take(rows, 0), ts) - pvals.take(rows, 0)[:, None, :]
-        dist2 = w * np.sum(diffs * diffs, axis=-1)
+        dist2 = w * (diffs * diffs).sum(axis=-1)
         inner = np.sqrt(dist2) if eps is None else psi_eps(eps, 0.5 * dist2)
         return ts + np.exp(k_hat.take(rows)[:, None] * ts) * inner
 

@@ -12,6 +12,7 @@ number of policy steps and the solver's certified error bound
 import csv
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from hjflow.spaces import euclidean_space, quadratic_potential
 from hjflow.viscosity import solve_resolvent
 
 
-def main(out_path: str = "out/resolvent_accuracy.csv") -> int:
+def main(out_path: str | Path = "out/resolvent_accuracy.csv") -> int:
     space = euclidean_space(quadratic_potential(1.0))
     h = lambda x: np.clip(x, -space.box, space.box)
     rows = []
@@ -35,9 +36,7 @@ def main(out_path: str = "out/resolvent_accuracy.csv") -> int:
         print(f"dt=lam/{factor:<4d} policy steps={sol.iterations:<3d} "
               f"certified={sol.error_bound:.1e} "
               f"abs={abs_err:.3e} rel={rel_err:.3e} ({rows[-1][-1]:.2f}s)")
-    import pathlib
-
-    pathlib.Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("dt_factor", "dt", "policy_steps", "certified_error_bound",

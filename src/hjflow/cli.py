@@ -20,11 +20,11 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, default_config, load_config, validate
 from .cylinders import affine_phi
 from .evi import run_evi_suite
-from .hamiltonians import build_chain_pair, build_cyl_dagger, build_cyl_ddagger, chain_inequality_report
+from .hamiltonians import build_chain_pair, build_cyl_pair, chain_inequality_report, side_sign
 from .laplace import HCurve, lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
 from .reporting import Report, fmt17, write_csv, write_json
 from .tataru import _flow_objective, psi_eps, tataru, tataru_batch, tataru_eps
-from .viscosity import check_subsolution, check_supersolution, comparison_gap, solve_resolvent
+from .viscosity import check_viscosity, comparison_gap, solve_resolvent
 
 SUITE_IDS = {
     "evi-check": 1,
@@ -296,12 +296,11 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         c = float(rng.uniform(0.0, 0.5))
         base = space.point([rng.uniform(-1.5, 1.5)])
         anchors = [space.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
-        pair = build_cyl_dagger(space, a, affine_phi(w, c), base, anchors)
-        sub = check_subsolution(space, sol.u, pair, h, lam, tol)
-        rep.add("subsolution", i, sub.slack, tol, sub.slack - tol, sub.soft_passed)
-        pair_d = build_cyl_ddagger(space, a, affine_phi(w, c), base, anchors)
-        sup = check_supersolution(space, sol.u, pair_d, h, lam, tol)
-        rep.add("supersolution", i, sup.slack, tol, -sup.slack - tol, sup.soft_passed)
+        for side, name in (("dagger", "subsolution"), ("ddagger", "supersolution")):
+            pair = build_cyl_pair(space, side, a, affine_phi(w, c), base, anchors)
+            check = check_viscosity(space, sol.u, pair, h, lam, tol)
+            rep.add(name, i, check.slack, tol, side_sign(side) * check.slack - tol,
+                    check.soft_passed)
     return rep
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .spaces import ModelSpace, SpacePoint
+from .spaces import SpacePoint
 from .tataru import psi_eps, psi_eps_prime
 
 
@@ -197,30 +197,10 @@ def identity_phi() -> Affine:
 
 @dataclass(frozen=True)
 class CylindricalTestFunction:
-    """Base function, anchors, optional leading quadratic and constant.
-
-    Evaluates as  [a/2 d^2(., rho)] + base(d^2(., anchors)/2) + const.
-    """
+    """Base function on the half-squared distances d^2(., anchors)/2."""
 
     base: CylNode
     anchors: tuple
-    leading: tuple | None = None  # (a, rho)
-    const: float = 0.0
-
-    @property
-    def k(self) -> int:
-        return len(self.anchors)
-
-    def half_sq_dists(self, space: ModelSpace, pi: SpacePoint) -> np.ndarray:
-        return np.array([0.5 * space.distance(pi, anc) ** 2 for anc in self.anchors])
-
-    def value(self, space: ModelSpace, pi: SpacePoint) -> float:
-        v, _, _ = self.base.vag(self.half_sq_dists(space, pi))
-        out = v + self.const
-        if self.leading is not None:
-            a, rho = self.leading
-            out += 0.5 * a * space.distance(pi, rho) ** 2
-        return out
 
     def base_value_and_grad(self, r: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and partials of the base, enforcing the positivity class.
@@ -264,8 +244,5 @@ def truncate_cylinder(phi0: CylindricalTestFunction, a: float, rho: SpacePoint,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if phi0.leading is not None:
-        raise ValueError("phi0 must not carry a leading quadratic")
-    inner = Affine(terms=((float(a), Coord(0)), (1.0, Shift(phi0.base, 1))),
-                   const=phi0.const)
+    inner = Affine(terms=((float(a), Coord(0)), (1.0, Shift(phi0.base, 1))))
     return CylindricalTestFunction(base=Iota(n, inner), anchors=(rho, *phi0.anchors))

@@ -78,9 +78,9 @@ def discrete_exp_measure(m: int, n: int) -> DiscreteMeasure:
 class HCurve:
     """Evaluator of h(t) = exp(kappa_hat t) psi_eps(d^2(pi, mu(t)) / 2).
 
-    Bundles the flow curve of the anchor mu with the squared distances,
-    energies and psi-derivative factors needed by the Laplace integrands and
-    the Hamiltonian ladder.
+    Bundles the flow curve of the anchor mu with the squared distances that
+    the Laplace integrands need (``h``) and with the flow-action terms of the
+    Hamiltonian ladder (``action_terms``).
     """
 
     def __init__(self, space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint,
@@ -96,22 +96,24 @@ class HCurve:
         self.curve = space.flow_curve(mu)
         self._pvals = pi.values
 
-    def dist2(self, ts) -> np.ndarray:
-        diffs = self.curve.values_at(ts) - self._pvals[None, :]
-        return self.space.weight * np.sum(diffs * diffs, axis=1)
-
-    def flow_energies(self, ts) -> np.ndarray:
-        vals = self.curve.values_at(ts)
-        return self.space.weight * np.sum(self.space.potential.v(vals), axis=1)
+    def _half_dist2(self, vals: np.ndarray) -> np.ndarray:
+        diffs = vals - self._pvals[None, :]
+        # vecdot, not sum(diffs * diffs): each row gets the dot product of distance()
+        return 0.5 * (self.space.weight * np.vecdot(diffs, diffs))
 
     def damping(self, ts) -> np.ndarray:
         return np.exp(self.kappa_hat * np.asarray(ts, dtype=float))
 
     def h(self, ts) -> np.ndarray:
-        return self.damping(ts) * psi_eps(self.eps, 0.5 * self.dist2(ts))
+        return self.damping(ts) * psi_eps(self.eps, self._half_dist2(self.curve.values_at(ts)))
 
-    def psi_prime(self, ts) -> np.ndarray:
-        return psi_eps_prime(self.eps, 0.5 * self.dist2(ts))
+    def action_terms(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(h, damping, psi_eps', flow energies) at the times ts, from one flow evaluation."""
+        vals = self.curve.values_at(ts)
+        half = self._half_dist2(vals)
+        damping = self.damping(ts)
+        flow_e = self.space.weight * np.sum(self.space.potential.v(vals), axis=1)
+        return damping * psi_eps(self.eps, half), damping, psi_eps_prime(self.eps, half), flow_e
 
     def t_cap(self) -> float:
         return d_eps(self.space, self.eps, self.pi, self.mu) + 1.0
@@ -141,9 +143,6 @@ class LaplaceValue:
 
     def tilted_weights(self) -> np.ndarray:
         return np.exp(self.log_contrib - self.log_value)
-
-    def tilted_expectation(self, values) -> float:
-        return float(np.dot(self.tilted_weights(), np.asarray(values, dtype=float)))
 
 
 def lambda_discrete(space: ModelSpace, eps: float, m: int, n: int,

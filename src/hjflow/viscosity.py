@@ -16,8 +16,9 @@ The answer carries a checked certificate: since T is a beta-contraction,
 ||u - u*|| <= ||T u - u|| / (1 - beta), and the solve raises unless that bound
 is within ``tol``.  Value iteration on the same operator is kept as an oracle.
 
-Sub/supersolution checks then test the defining inequality at near-optimizers
-of u - f for Hamiltonian pairs (f, g).
+``check_viscosity`` then tests the defining inequality of a sub- resp.
+supersolution at the near-maximizers resp. near-minimizers of u - f for a
+dagger resp. ddagger Hamiltonian pair (f, g).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .hamiltonians import HamiltonianPair
+from .hamiltonians import HamiltonianPair, side_sign
 from .spaces import ModelSpace
 
 
@@ -227,68 +228,35 @@ def _policy_iteration(q_values, u, idx, w0, w1, reward, beta, sup_h, max_iter):
 class ViscosityReport:
     side: str
     optimizers: np.ndarray
-    optimality_gap: float
     slack: float
     tol: float
     passed: bool
     soft_passed: bool
 
 
-def _pair_on_grid(space: ModelSpace, pair: HamiltonianPair, xs: np.ndarray,
-                  which: str) -> np.ndarray:
-    fn = pair.f if which == "f" else pair.g
-    return np.array([fn(space.point([x])) for x in xs])
+def check_viscosity(space: ModelSpace, u: GridFunction, pair: HamiltonianPair,
+                    h, lam: float, tol: float, gap_tol: float = 1e-6) -> ViscosityReport:
+    """Test sigma (u - lam g - h) <= tol at some near-maximizer of sigma (u - f).
 
-
-def check_subsolution(space: ModelSpace, u: GridFunction, pair: HamiltonianPair,
-                      h, lam: float, tol: float,
-                      gap_tol: float = 1e-6) -> ViscosityReport:
-    """Test u - lam g - h <= tol at some near-optimizer of u - f.
-
-    Near-optimizers are grid points within gap_tol of sup(u - f); the verdict
-    is a pass when the inequality holds at one of them, which is the finite
-    form of the sequence-based subsolution definition.
+    sigma = side_sign(pair.side): a dagger pair tests the subsolution
+    inequality u - lam g - h <= tol at the near-maximizers of u - f, a ddagger
+    pair the supersolution inequality u - lam g - h >= -tol at the
+    near-minimizers.  Near-optimizers are grid points within gap_tol of the
+    optimum; the verdict is a pass when the inequality holds at one of them,
+    which is the finite form of the sequence-based definition.  ``slack`` is
+    u - lam g - h at the best of them.
     """
-    if pair.side != "dagger":
-        raise ValueError("subsolution check expects a dagger-side pair")
+    sigma = side_sign(pair.side)
     xs = u.xs
-    fv = _pair_on_grid(space, pair, xs, "f")
-    s = u.values - fv
-    top = float(np.max(s))
-    cand = np.flatnonzero(s >= top - gap_tol)
+    s = sigma * (u.values - np.array([pair.f(space.point([x])) for x in xs]))
+    cand = np.flatnonzero(s >= float(np.max(s)) - gap_tol)
     hv = np.asarray(h(xs), dtype=float)
     slacks = np.array([
         u.values[i] - lam * pair.g(space.point([xs[i]])) - hv[i] for i in cand
     ])
-    best = int(np.argmin(slacks))
-    slack = float(slacks[best])
-    return ViscosityReport(side="dagger", optimizers=xs[cand],
-                           optimality_gap=float(top - np.max(s[cand])),
-                           slack=slack, tol=tol, passed=slack <= tol,
-                           soft_passed=slack <= 2 * tol)
-
-
-def check_supersolution(space: ModelSpace, v: GridFunction, pair: HamiltonianPair,
-                        h, lam: float, tol: float,
-                        gap_tol: float = 1e-6) -> ViscosityReport:
-    """Mirror check: v - lam g - h >= -tol at a near-optimizer of inf(v - f)."""
-    if pair.side != "ddagger":
-        raise ValueError("supersolution check expects a ddagger-side pair")
-    xs = v.xs
-    fv = _pair_on_grid(space, pair, xs, "f")
-    s = v.values - fv
-    bottom = float(np.min(s))
-    cand = np.flatnonzero(s <= bottom + gap_tol)
-    hv = np.asarray(h(xs), dtype=float)
-    slacks = np.array([
-        v.values[i] - lam * pair.g(space.point([xs[i]])) - hv[i] for i in cand
-    ])
-    best = int(np.argmax(slacks))
-    slack = float(slacks[best])
-    return ViscosityReport(side="ddagger", optimizers=xs[cand],
-                           optimality_gap=float(np.min(s[cand]) - bottom),
-                           slack=slack, tol=tol, passed=slack >= -tol,
-                           soft_passed=slack >= -2 * tol)
+    slack = float(slacks[np.argmin(sigma * slacks)])
+    return ViscosityReport(side=pair.side, optimizers=xs[cand], slack=slack, tol=tol,
+                           passed=sigma * slack <= tol, soft_passed=sigma * slack <= 2 * tol)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ from hjflow.evi import (
 )
 from hjflow.hamiltonians import (
     build_chain_pair,
-    build_cyl_dagger,
-    build_cyl_ddagger,
+    build_cyl_pair,
     chain_inequality_report,
 )
 from hjflow.laplace import (
@@ -39,8 +38,7 @@ from hjflow.spaces import (
 from hjflow.tataru import psi_eps, psi_eps_prime, tataru, tataru_eps
 from hjflow.viscosity import (
     GridFunction,
-    check_subsolution,
-    check_supersolution,
+    check_viscosity,
     comparison_gap,
     solve_resolvent,
 )
@@ -270,28 +268,29 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
         base = ou.point([rng.uniform(-1.5, 1.5)])
         anchors = [ou.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
         if side == "dagger":
-            return build_cyl_dagger(ou, a, affine_phi(w, c), base, anchors)
-        return build_cyl_ddagger(ou, a, affine_phi(w, c), base, anchors)
+            return build_cyl_pair(ou, "dagger", a, affine_phi(w, c), base, anchors)
+        return build_cyl_pair(ou, "ddagger", a, affine_phi(w, c), base, anchors)
 
     sub_ok = all(
-        check_subsolution(ou, sol.u, sample_pair("dagger"), smooth_h, 1.0, tol).passed
+        check_viscosity(ou, sol.u, sample_pair("dagger"), smooth_h, 1.0, tol).passed
         for _ in range(50)
     )
     sup_ok = all(
-        check_supersolution(ou, sol.u, sample_pair("ddagger"), smooth_h, 1.0, tol).passed
+        check_viscosity(ou, sol.u, sample_pair("ddagger"), smooth_h, 1.0, tol).passed
         for _ in range(50)
     )
 
     xs = sol.u.xs
     zeros_h = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     x0 = float(xs[len(xs) // 2 + 11])
-    fail_pair = build_cyl_dagger(ou, 0.5, affine_phi([0.3]), ou.point([x0]), [ou.point([x0])])
-    fail_sub = check_subsolution(ou, GridFunction(xs, np.ones_like(xs)), fail_pair,
-                                 zeros_h, 1.0, tol)
-    fail_pair_d = build_cyl_ddagger(ou, 0.5, affine_phi([0.3]), ou.point([x0]),
-                                    [ou.point([x0])])
-    fail_sup = check_supersolution(ou, GridFunction(xs, -np.ones_like(xs)), fail_pair_d,
-                                   zeros_h, 1.0, tol)
+    fail_pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), ou.point([x0]),
+                               [ou.point([x0])])
+    fail_sub = check_viscosity(ou, GridFunction(xs, np.ones_like(xs)), fail_pair,
+                               zeros_h, 1.0, tol)
+    fail_pair_d = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), ou.point([x0]),
+                                 [ou.point([x0])])
+    fail_sup = check_viscosity(ou, GridFunction(xs, -np.ones_like(xs)), fail_pair_d,
+                               zeros_h, 1.0, tol)
     designed_ok = (not fail_sub.passed) and (not fail_sup.passed)
 
     ok = sub_ok and sup_ok and designed_ok

@@ -95,18 +95,6 @@ def test_truncate_cylinder_below_knee_agreement(ou, rng):
 
 
 def test_truncate_cylinder_rejects_leading():
-    phi0 = CylindricalTestFunction(base=affine_phi([1.0]), anchors=(None,),
-                                   leading=(1.0, None))
-    with pytest.raises(ValueError, match="leading"):
-        truncate_cylinder(phi0, 1.0, None, 2)
     with pytest.raises(ValueError, match="n must be"):
         truncate_cylinder(CylindricalTestFunction(base=affine_phi([1.0]), anchors=(None,)),
                           1.0, None, 0)
-
-
-def test_cylindrical_function_value(ou):
-    fun = CylindricalTestFunction(base=identity_phi(), anchors=(ou.point([0]),),
-                                  leading=(2.0, ou.point([1])), const=0.25)
-    # at pi = 3: 0.5 * 2 * (3-1)^2 + 0.5 * 3^2 + 0.25
-    assert fun.value(ou, ou.point([3])) == pytest.approx(4.0 + 4.5 + 0.25)
-    assert fun.k == 1

@@ -4,8 +4,7 @@ import pytest
 from hjflow.cylinders import Iota, affine_phi, identity_phi
 from hjflow.hamiltonians import (
     build_chain_pair,
-    build_cyl_dagger,
-    build_cyl_ddagger,
+    build_cyl_pair,
     build_h0_pair,
     build_tataru_pair,
     chain_inequality_report,
@@ -33,7 +32,8 @@ def five_term_g_dagger(space, a, weights, const, rho, mus, pi):
 
 
 def test_cyl_dagger_hand_example(ou):
-    pair = build_cyl_dagger(ou, 1.0, identity_phi(), ou.point([0]), [ou.point([0])])
+    pair = build_cyl_pair(ou, "dagger", 1.0, identity_phi(), ou.point([0]),
+                          [ou.point([0])])
     pi = ou.point([1])
     assert pair.f(pi) == pytest.approx(1.0)
     assert pair.g(pi) == pytest.approx(0.0, abs=1e-14)
@@ -41,7 +41,7 @@ def test_cyl_dagger_hand_example(ou):
 
 def test_cyl_dagger_degenerate(ou):
     crit = ou.rest_point()
-    pair = build_cyl_dagger(ou, 1.0, affine_phi([1.0], 0.3), crit, [crit])
+    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([1.0], 0.3), crit, [crit])
     assert pair.f(crit) == pytest.approx(0.3)  # phi(0)
     assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
 
@@ -55,22 +55,23 @@ def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
         rho = quartic.sample(rng)
         mus = [quartic.sample(rng) for _ in range(k)]
         pi = quartic.sample(rng)
-        pair = build_cyl_dagger(quartic, a, affine_phi(weights, const), rho, mus)
+        pair = build_cyl_pair(quartic, "dagger", a, affine_phi(weights, const), rho, mus)
         oracle = five_term_g_dagger(quartic, a, weights, const, rho, mus, pi)
         assert pair.g(pi) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_cyl_dagger_rejects_bad_inputs(ou):
     with pytest.raises(ValueError, match="positive"):
-        build_cyl_dagger(ou, 0.0, identity_phi(), ou.point([0]), [ou.point([0])])
-    pair = build_cyl_dagger(ou, 1.0, affine_phi([-1.0]), ou.point([0]), [ou.point([0])])
+        build_cyl_pair(ou, "dagger", 0.0, identity_phi(), ou.point([0]), [ou.point([0])])
+    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([-1.0]), ou.point([0]),
+                          [ou.point([0])])
     with pytest.raises(ValueError, match="not in class T"):
         pair.f(ou.point([1]))
 
 
 def test_cyl_ddagger_hand_example(ou):
     crit = ou.rest_point()
-    pair = build_cyl_ddagger(ou, 1.0, identity_phi(), crit, [crit])
+    pair = build_cyl_pair(ou, "ddagger", 1.0, identity_phi(), crit, [crit])
     assert pair.f(crit) == pytest.approx(0.0)
     assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
     mu = ou.point([1])
@@ -87,7 +88,7 @@ def test_cyl_ddagger_below_dagger_style_bound(ou, rng):
         gamma = ou.sample(rng)
         pis = [ou.sample(rng) for _ in range(2)]
         mu = ou.sample(rng)
-        pair = build_cyl_ddagger(ou, a, affine_phi(weights), gamma, pis)
+        pair = build_cyl_pair(ou, "ddagger", a, affine_phi(weights), gamma, pis)
         e_mu = ou.energy(mu)
         d0 = ou.distance(mu, gamma)
         upper = a * (e_mu - ou.energy(gamma) + 0.5 * ou.kappa * d0**2) + 0.5 * a**2 * d0**2
@@ -159,8 +160,8 @@ def test_composite_phi_partials_match_finite_differences(ou, rng):
 
 def test_ddagger_f_bounded_above(ou, rng):
     c = 0.4
-    pair = build_cyl_ddagger(ou, 0.8, affine_phi([0.5], c), ou.sample(rng),
-                             [ou.sample(rng)])
+    pair = build_cyl_pair(ou, "ddagger", 0.8, affine_phi([0.5], c), ou.sample(rng),
+                          [ou.sample(rng)])
     for _ in range(20):
         assert pair.f(ou.sample(rng)) <= -c + 1e-12
 
@@ -292,7 +293,7 @@ def test_chain_1to2_degenerate_sample(ou):
     b, c, eps, m, n = 0.7, 0.1, 0.3, 5, 2
     phi, ts = composite_phi_for_push(ou, eps, b, c, m, n)
     anchors = [ou.point(v) for v in ou.flow_curve(crit).values_at(ts)]
-    pair1 = build_cyl_dagger(ou, 1.0, phi, crit, anchors)
+    pair1 = build_cyl_pair(ou, "dagger", 1.0, phi, crit, anchors)
     pair2 = build_chain_pair(ou, 2, "dagger",
                              dict(a=1.0, b=b, c=c, eps=eps, m=m, n=n, rho=crit, mu=crit))
     g1, g2 = pair1.g(crit), pair2.g(crit)
@@ -319,8 +320,8 @@ def test_dagger_f_bounded_below(ou, rng):
         a = float(rng.uniform(0.2, 1.5))
         c = float(rng.uniform(-1, 1))
         weights = rng.uniform(0.1, 1.0, size=2)
-        pair = build_cyl_dagger(ou, a, affine_phi(weights, c), ou.sample(rng),
-                                [ou.sample(rng), ou.sample(rng)])
+        pair = build_cyl_pair(ou, "dagger", a, affine_phi(weights, c), ou.sample(rng),
+                              [ou.sample(rng), ou.sample(rng)])
         for _ in range(20):
             assert pair.f(ou.sample(rng)) >= c - 1e-12
 

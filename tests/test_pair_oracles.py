@@ -1,0 +1,613 @@
+"""Oracles for the sign-parametrized pair builders, the flow-action kernel and
+the one viscosity check.
+
+The hand-mirrored dagger/ddagger builders, the ladder with its own copy of the
+flow action, the 4to5 loop and the separate sub/supersolution checks are kept
+here verbatim.  The current code must reproduce them bit for bit, with two
+stated exceptions:
+
+* the closed-form g of the Tataru pair (levels 5 and 6) adds the b term last
+  now, as the ladder always did, so it agrees to rounding of a six-term sum;
+* on spaces with more than one coordinate the flow-action terms take the
+  squared distance to the flow as a dot product per row (``np.vecdot``, the
+  bits of ``distance`` and of the 4to5 rows) where the ladder summed the
+  products, so levels 2 to 4 agree to rounding there.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp
+
+from hjflow import hamiltonians as new
+from hjflow.cylinders import (
+    Affine,
+    Coord,
+    CylindricalTestFunction,
+    CylNode,
+    Iota,
+    Psi,
+    affine_phi,
+)
+from hjflow.laplace import _adaptive_log_quadrature, discrete_exp_log_weights
+from hjflow.spaces import ModelSpace, SpacePoint, euclidean_space, quartic_potential
+from hjflow.tataru import d_eps, psi_eps, psi_eps_prime, tataru, tataru_eps
+from hjflow.viscosity import GridFunction, check_viscosity, make_grid
+
+# ---------------------------------------------------------------------------
+# oracles, verbatim
+# ---------------------------------------------------------------------------
+
+CHAIN_LEVELS = (2, 3, 4, 5, 6)
+
+
+@dataclass(frozen=True)
+class HamiltonianPair:
+    family: str
+    side: str
+    params: dict = field(repr=False)
+    f: Callable[[SpacePoint], float] = field(repr=False)
+    g: Callable[[SpacePoint], float] = field(repr=False)
+
+
+def _kappas(space: ModelSpace, kappa_override: float | None = None) -> tuple[float, float]:
+    """(kappa, kappa_hat): quadratic corrections use the first, damping the second."""
+    kappa = space.kappa if kappa_override is None else kappa_override
+    return kappa, min(kappa, 0.0)
+
+
+def _anchor_data(space: ModelSpace, anchors) -> tuple[np.ndarray, np.ndarray]:
+    vals = np.stack([a.values for a in anchors])
+    energies = np.array([space.energy(a) for a in anchors])
+    return vals, energies
+
+
+def _anchor_dists(space: ModelSpace, anchor_vals: np.ndarray, pt: SpacePoint) -> np.ndarray:
+    diffs = anchor_vals - pt.values[None, :]
+    return np.sqrt(space.weight * np.sum(diffs * diffs, axis=1))
+
+
+def build_cyl_dagger(space: ModelSpace, a: float, phi: CylNode, rho: SpacePoint,
+                     mus) -> HamiltonianPair:
+    """Upper-bound pair on cylinders f = a/2 d^2(., rho) + phi(d^2(., mus)/2)."""
+    if a <= 0:
+        raise ValueError("a must be positive")
+    mus = tuple(mus)
+    cyl = CylindricalTestFunction(base=phi, anchors=mus)
+    anchor_vals, anchor_e = _anchor_data(space, mus)
+    e_rho = space.energy(rho)
+    kappa, _ = _kappas(space)
+
+    def f(pi: SpacePoint) -> float:
+        r = 0.5 * _anchor_dists(space, anchor_vals, pi) ** 2
+        v, _ = cyl.base_value_and_grad(r)
+        return 0.5 * a * space.distance(pi, rho) ** 2 + v
+
+    def g(pi: SpacePoint) -> float:
+        dists = _anchor_dists(space, anchor_vals, pi)
+        _, grad = cyl.base_value_and_grad(0.5 * dists**2)
+        d0 = space.distance(pi, rho)
+        e_pi = space.energy(pi)
+        cross = float(np.dot(grad, dists))
+        out = a * (e_rho - e_pi - 0.5 * kappa * d0**2) + 0.5 * a**2 * d0**2
+        out += float(np.dot(grad, anchor_e - e_pi - 0.5 * kappa * dists**2))
+        out += 0.5 * cross**2 + a * d0 * cross
+        return out
+
+    params = {"a": a, "rho": rho, "anchors": mus}
+    return HamiltonianPair(family="cyl", side="dagger", params=params, f=f, g=g)
+
+
+def build_cyl_ddagger(space: ModelSpace, a: float, phi: CylNode, gamma: SpacePoint,
+                      pis) -> HamiltonianPair:
+    """Lower-bound mirror with the subtracted square and cross terms."""
+    if a <= 0:
+        raise ValueError("a must be positive")
+    pis = tuple(pis)
+    cyl = CylindricalTestFunction(base=phi, anchors=pis)
+    anchor_vals, anchor_e = _anchor_data(space, pis)
+    e_gamma = space.energy(gamma)
+    kappa, _ = _kappas(space)
+
+    def f(mu: SpacePoint) -> float:
+        r = 0.5 * _anchor_dists(space, anchor_vals, mu) ** 2
+        v, _ = cyl.base_value_and_grad(r)
+        return -0.5 * a * space.distance(mu, gamma) ** 2 - v
+
+    def g(mu: SpacePoint) -> float:
+        dists = _anchor_dists(space, anchor_vals, mu)
+        _, grad = cyl.base_value_and_grad(0.5 * dists**2)
+        d0 = space.distance(mu, gamma)
+        e_mu = space.energy(mu)
+        cross = float(np.dot(grad, dists))
+        out = a * (e_mu - e_gamma + 0.5 * kappa * d0**2) + 0.5 * a**2 * d0**2
+        out += float(np.dot(grad, e_mu - anchor_e + 0.5 * kappa * dists**2))
+        out += -0.5 * cross**2 - a * d0 * cross
+        return out
+
+    params = {"a": a, "gamma": gamma, "anchors": pis}
+    return HamiltonianPair(family="cyl", side="ddagger", params=params, f=f, g=g)
+
+
+def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> HamiltonianPair:
+    """Pairs on bounded cylinders f = +-phi(d^2(., anchors)/2)."""
+    anchors = tuple(anchors)
+    cyl = CylindricalTestFunction(base=phi, anchors=anchors)
+    if not cyl.bounded():
+        raise ValueError("requires class T_b (bounded test function)")
+    anchor_vals, anchor_e = _anchor_data(space, anchors)
+    kappa, _ = _kappas(space)
+
+    if side == "dagger":
+        def f(pi: SpacePoint) -> float:
+            r = 0.5 * _anchor_dists(space, anchor_vals, pi) ** 2
+            v, _ = cyl.base_value_and_grad(r)
+            return v
+
+        def g(pi: SpacePoint) -> float:
+            dists = _anchor_dists(space, anchor_vals, pi)
+            _, grad = cyl.base_value_and_grad(0.5 * dists**2)
+            e_pi = space.energy(pi)
+            cross = float(np.dot(grad, dists))
+            out = float(np.dot(grad, anchor_e - e_pi - 0.5 * kappa * dists**2))
+            return out + 0.5 * cross**2
+
+    elif side == "ddagger":
+        def f(mu: SpacePoint) -> float:
+            r = 0.5 * _anchor_dists(space, anchor_vals, mu) ** 2
+            v, _ = cyl.base_value_and_grad(r)
+            return -v
+
+        def g(mu: SpacePoint) -> float:
+            dists = _anchor_dists(space, anchor_vals, mu)
+            _, grad = cyl.base_value_and_grad(0.5 * dists**2)
+            e_mu = space.energy(mu)
+            prods = grad * dists
+            s1 = float(np.dot(prods, prods))
+            s = float(prods.sum())
+            # 1/2 sum_i p_i^2 - 1/2 sum_{i != j} p_i p_j  ==  s1 - s^2 / 2
+            out = float(np.dot(grad, e_mu - anchor_e + 0.5 * kappa * dists**2))
+            return out + s1 - 0.5 * s**2
+
+    else:
+        raise ValueError(f"unknown side {side!r}")
+
+    params = {"anchors": anchors}
+    return HamiltonianPair(family="cyl0", side=side, params=params, f=f, g=g)
+
+
+def _tataru_g_dagger(space, a, b, rho, e_rho, kappa):
+    def g(pi: SpacePoint) -> float:
+        d0 = space.distance(pi, rho)
+        return (a * (e_rho - space.energy(pi)) - 0.5 * a * kappa * d0**2
+                + b + 0.5 * a**2 * d0**2 + a * b * d0 + 0.5 * b**2)
+    return g
+
+
+def _tataru_g_ddagger(space, a, b, gamma, e_gamma, kappa):
+    def g(mu: SpacePoint) -> float:
+        d0 = space.distance(mu, gamma)
+        return (a * (space.energy(mu) - e_gamma) + 0.5 * a * kappa * d0**2
+                - b + 0.5 * a**2 * d0**2 - a * b * d0 - 0.5 * b**2)
+    return g
+
+
+def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float,
+                      base_point: SpacePoint, flow_anchor: SpacePoint,
+                      kappa_override: float | None = None) -> HamiltonianPair:
+    """f = +-(a/2 d^2 + b d_T) + c with the closed-form g.
+
+    ``base_point`` anchors the quadratic; ``flow_anchor`` is the point whose
+    gradient flow enters the Tataru minimization.
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError("a and b must be positive")
+    kappa, _ = _kappas(space, kappa_override)
+    space.flow_curve(flow_anchor)  # fail at build time on an anchor outside the space
+    e_base = space.energy(base_point)
+
+    def d_t(pt: SpacePoint) -> float:
+        return tataru(space, pt, flow_anchor, kappa_override).value
+
+    if side == "dagger":
+        def f(pi: SpacePoint) -> float:
+            return 0.5 * a * space.distance(pi, base_point) ** 2 + b * d_t(pi) + c
+        g = _tataru_g_dagger(space, a, b, base_point, e_base, kappa)
+    elif side == "ddagger":
+        def f(mu: SpacePoint) -> float:
+            return -0.5 * a * space.distance(mu, base_point) ** 2 - b * d_t(mu) + c
+        g = _tataru_g_ddagger(space, a, b, base_point, e_base, kappa)
+    else:
+        raise ValueError(f"unknown side {side!r}")
+
+    params = {"a": a, "b": b, "c": c, "base": base_point, "anchor": flow_anchor}
+    return HamiltonianPair(family="tataru", side=side, params=params, f=f, g=g)
+
+
+def _require(params: dict, level: int, *names):
+    missing = [name for name in names if params.get(name) is None]
+    if missing:
+        raise ValueError(f"missing parameter {missing[0]!r} for level {level}")
+    return [params[name] for name in names]
+
+
+def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> HamiltonianPair:
+    """One rung of the approximation ladder.
+
+    Levels 2 and 3 use the exponentially tilted Riemann sum resp. integral of
+    exp(-m h) with the (1/m v h)-regularized damping term; level 4 replaces the
+    integral by the smoothed Tataru distance and a sup over its minimizer set;
+    levels 5 and 6 use the closed-form g (identical by construction) with the
+    smoothed resp. exact Tataru distance in f.
+    """
+    if level not in CHAIN_LEVELS:
+        raise ValueError(f"level must be one of {CHAIN_LEVELS}")
+    if side not in ("dagger", "ddagger"):
+        raise ValueError(f"unknown side {side!r}")
+    sign = 1.0 if side == "dagger" else -1.0
+    base_key, anchor_key = ("rho", "mu") if side == "dagger" else ("gamma", "pi")
+
+    a, b, c, base_point, flow_anchor = _require(params, level, "a", "b", "c",
+                                                base_key, anchor_key)
+    if a <= 0 or b <= 0:
+        raise ValueError("a and b must be positive")
+    kappa, kappa_hat = _kappas(space)
+    e_base = space.energy(base_point)
+    curve = space.flow_curve(flow_anchor)
+
+    def quad_prefix(pt: SpacePoint) -> float:
+        """All g terms except the +-b flow-action slot."""
+        d0 = space.distance(pt, base_point)
+        e_pt = space.energy(pt)
+        if side == "dagger":
+            return (a * (e_base - e_pt) - 0.5 * a * kappa * d0**2
+                    + 0.5 * a**2 * d0**2 + a * b * d0 + 0.5 * b**2)
+        return (a * (e_pt - e_base) + 0.5 * a * kappa * d0**2
+                + 0.5 * a**2 * d0**2 - a * b * d0 - 0.5 * b**2)
+
+    def flow_pieces(pt: SpacePoint, ts: np.ndarray, eps: float):
+        """(h, damping, psi', flow energies) along the anchor flow at times ts."""
+        vals = curve.values_at(ts)
+        diffs = vals - pt.values[None, :]
+        dist2 = space.weight * np.sum(diffs * diffs, axis=1)
+        damping = np.exp(kappa_hat * np.asarray(ts, dtype=float))
+        h = damping * psi_eps(eps, 0.5 * dist2)
+        psi_p = psi_eps_prime(eps, 0.5 * dist2)
+        flow_e = space.weight * np.sum(space.potential.v(vals), axis=1)
+        return h, damping, psi_p, flow_e
+
+    if level in (2, 3):
+        eps, m = _require(params, level, "eps", "m")
+        m = int(m)
+
+        if level == 2:
+            n = int(_require(params, level, "n")[0])
+            atoms, log_w = discrete_exp_log_weights(m + 1, n)
+
+            def tilt_data(pt: SpacePoint):
+                h, damping, psi_p, flow_e = flow_pieces(pt, atoms, eps)
+                log_contrib = log_w - m * h
+                log_lam = float(logsumexp(log_contrib))
+                return log_lam, np.exp(log_contrib - log_lam), h, damping, psi_p, flow_e
+
+        else:
+            rel_tol = params.get("quad_rel_tol", 1e-10)
+            log_rate = np.log(m + 1.0)
+
+            def tilt_data(pt: SpacePoint):
+                t_quad = d_eps(space, eps, pt, flow_anchor) + 1.0 + 5.0 / (m + 1)
+
+                def log_f(ts):
+                    h, _, _, _ = flow_pieces(pt, ts, eps)
+                    return log_rate - (m + 1.0) * ts - m * h
+
+                log_quad, nodes, log_contrib, _ = _adaptive_log_quadrature(
+                    log_f, 0.0, t_quad, rel_tol=rel_tol)
+                # frozen-exponent tail estimate, as in the standalone integral
+                h_end, _, _, _ = flow_pieces(pt, np.array([t_quad]), eps)
+                log_tail = float(-(m + 1.0) * t_quad - m * h_end[0])
+                log_lam = float(np.logaddexp(log_quad, log_tail))
+                nodes = np.append(nodes, t_quad)
+                log_contrib = np.append(log_contrib, log_tail)
+                h, damping, psi_p, flow_e = flow_pieces(pt, nodes, eps)
+                return log_lam, np.exp(log_contrib - log_lam), h, damping, psi_p, flow_e
+
+        def f(pt: SpacePoint) -> float:
+            log_lam = tilt_data(pt)[0]
+            return sign * (0.5 * a * space.distance(pt, base_point) ** 2
+                           + b * (-log_lam / m)) + c
+
+        def g(pt: SpacePoint) -> float:
+            _, tilt, h, damping, psi_p, flow_e = tilt_data(pt)
+            gap = flow_e - space.energy(pt)
+            term_energy = b * float(np.dot(tilt, psi_p * damping * gap))
+            term_reg = -0.5 * b * kappa_hat * float(np.dot(tilt, np.maximum(1.0 / m, h)))
+            return quad_prefix(pt) + sign * (term_energy + term_reg)
+
+        return HamiltonianPair(family=f"chain{level}", side=side,
+                               params=dict(params), f=f, g=g)
+
+    if level == 4:
+        eps = _require(params, level, "eps")[0]
+
+        def f(pt: SpacePoint) -> float:
+            value = tataru_eps(space, eps, pt, flow_anchor).value
+            return sign * (0.5 * a * space.distance(pt, base_point) ** 2
+                           + b * value) + c
+
+        def g(pt: SpacePoint) -> float:
+            ts = tataru_eps(space, eps, pt, flow_anchor).minimizers
+            h, damping, psi_p, flow_e = flow_pieces(pt, ts, eps)
+            gap = flow_e - space.energy(pt)
+            # h = damping * d_eps along the flow, so -kappa_hat/2 h is the
+            # damped-distance correction of the flow action
+            expr = damping * gap * psi_p - 0.5 * kappa_hat * h
+            return quad_prefix(pt) + sign * b * float(np.max(expr))
+
+        return HamiltonianPair(family="chain4", side=side, params=dict(params), f=f, g=g)
+
+    # levels 5 and 6: closed-form g, shared bit for bit
+    eps = _require(params, level, "eps")[0] if level == 5 else None
+
+    def f(pt: SpacePoint) -> float:
+        if eps is None:
+            value = tataru(space, pt, flow_anchor).value
+        else:
+            value = tataru_eps(space, eps, pt, flow_anchor).value
+        return sign * (0.5 * a * space.distance(pt, base_point) ** 2 + b * value) + c
+
+    if side == "dagger":
+        g = _tataru_g_dagger(space, a, b, base_point, e_base, kappa)
+    else:
+        g = _tataru_g_ddagger(space, a, b, base_point, e_base, kappa)
+    return HamiltonianPair(family=f"chain{level}", side=side, params=dict(params), f=f, g=g)
+
+
+def old_4to5_rows(space: ModelSpace, samples: int, rng: np.random.Generator,
+                  tol: float = 1e-6) -> list:
+    rows = []
+    _, kappa_hat = _kappas(space)
+    for i in range(samples):
+        eps = rng.uniform(0.05, 0.7)
+        mu = space.sample(rng)
+        pi = space.sample(rng)
+        curve = space.flow_curve(mu)
+        res = tataru_eps(space, eps, pi, mu)
+        e_pi = space.energy(pi)
+        lhs_best = -np.inf
+        for t in res.minimizers:
+            vals = curve.value_at(float(t))
+            dist2 = space.weight * float(np.dot(vals - pi.values, vals - pi.values))
+            damping = float(np.exp(kappa_hat * t))
+            flow_e = space.weight * float(np.sum(space.potential.v(vals)))
+            lhs = (damping * (flow_e - e_pi) * psi_eps_prime(eps, 0.5 * dist2)
+                   - 0.5 * kappa_hat * damping * psi_eps(eps, 0.5 * dist2))
+            lhs_best = max(lhs_best, lhs)
+        violation = lhs_best - 1.0
+        rows.append(("chain-4to5", i, lhs_best, 1.0, violation, violation <= tol))
+    return rows
+
+
+@dataclass(frozen=True)
+class OldViscosityReport:
+    side: str
+    optimizers: np.ndarray
+    optimality_gap: float
+    slack: float
+    tol: float
+    passed: bool
+    soft_passed: bool
+
+
+def _pair_on_grid(space: ModelSpace, pair: HamiltonianPair, xs: np.ndarray,
+                  which: str) -> np.ndarray:
+    fn = pair.f if which == "f" else pair.g
+    return np.array([fn(space.point([x])) for x in xs])
+
+
+def check_subsolution(space: ModelSpace, u: GridFunction, pair: HamiltonianPair,
+                      h, lam: float, tol: float,
+                      gap_tol: float = 1e-6) -> OldViscosityReport:
+    """Test u - lam g - h <= tol at some near-optimizer of u - f.
+
+    Near-optimizers are grid points within gap_tol of sup(u - f); the verdict
+    is a pass when the inequality holds at one of them, which is the finite
+    form of the sequence-based subsolution definition.
+    """
+    if pair.side != "dagger":
+        raise ValueError("subsolution check expects a dagger-side pair")
+    xs = u.xs
+    fv = _pair_on_grid(space, pair, xs, "f")
+    s = u.values - fv
+    top = float(np.max(s))
+    cand = np.flatnonzero(s >= top - gap_tol)
+    hv = np.asarray(h(xs), dtype=float)
+    slacks = np.array([
+        u.values[i] - lam * pair.g(space.point([xs[i]])) - hv[i] for i in cand
+    ])
+    best = int(np.argmin(slacks))
+    slack = float(slacks[best])
+    return OldViscosityReport(side="dagger", optimizers=xs[cand],
+                           optimality_gap=float(top - np.max(s[cand])),
+                           slack=slack, tol=tol, passed=slack <= tol,
+                           soft_passed=slack <= 2 * tol)
+
+
+def check_supersolution(space: ModelSpace, v: GridFunction, pair: HamiltonianPair,
+                        h, lam: float, tol: float,
+                        gap_tol: float = 1e-6) -> OldViscosityReport:
+    """Mirror check: v - lam g - h >= -tol at a near-optimizer of inf(v - f)."""
+    if pair.side != "ddagger":
+        raise ValueError("supersolution check expects a ddagger-side pair")
+    xs = v.xs
+    fv = _pair_on_grid(space, pair, xs, "f")
+    s = v.values - fv
+    bottom = float(np.min(s))
+    cand = np.flatnonzero(s <= bottom + gap_tol)
+    hv = np.asarray(h(xs), dtype=float)
+    slacks = np.array([
+        v.values[i] - lam * pair.g(space.point([xs[i]])) - hv[i] for i in cand
+    ])
+    best = int(np.argmax(slacks))
+    slack = float(slacks[best])
+    return OldViscosityReport(side="ddagger", optimizers=xs[cand],
+                           optimality_gap=float(np.min(s[cand]) - bottom),
+                           slack=slack, tol=tol, passed=slack >= -tol,
+                           soft_passed=slack >= -2 * tol)
+
+
+# ---------------------------------------------------------------------------
+# the current code against the oracles
+# ---------------------------------------------------------------------------
+
+INSTANCES = 200
+SPACES = ("ou", "quartic", "double_well", "quartic_3d", "quantile_ou")
+SIDES = ("dagger", "ddagger")
+
+
+@pytest.fixture(scope="module")
+def quartic_3d():
+    return euclidean_space(quartic_potential(), dim=3, sample_radius=1.5)
+
+
+@pytest.fixture(params=SPACES)
+def space(request):
+    return request.getfixturevalue(request.param)
+
+
+def _random_phi(rng: np.random.Generator, k: int) -> CylNode:
+    """An affine base, or a positive combination of smoothed square roots."""
+    weights = rng.uniform(0.1, 1.0, size=k)
+    if rng.uniform() < 0.5:
+        return affine_phi(weights, float(rng.uniform(-0.5, 0.5)))
+    eps = float(rng.uniform(0.05, 0.7))
+    return Affine(terms=tuple((float(w), Psi(eps, Coord(j))) for j, w in enumerate(weights)),
+                  const=float(rng.uniform(-0.5, 0.5)))
+
+
+# where the order of a sum or product changed: 64 units in the last place
+ROUNDING = 64 * np.finfo(float).eps
+
+
+def _assert_rounding(new_value: float, old_value: float) -> None:
+    assert new_value == pytest.approx(old_value, rel=ROUNDING, abs=ROUNDING)
+
+
+def test_cyl_pair_matches_mirrored_builders(space):
+    rng = np.random.default_rng(601)
+    for _ in range(INSTANCES):
+        a = float(rng.uniform(0.2, 1.5))
+        k = int(rng.integers(1, 4))
+        phi = _random_phi(rng, k)
+        base = space.sample(rng)
+        anchors = [space.sample(rng) for _ in range(k)]
+        pts = (space.sample(rng), base, anchors[0])
+        old = {"dagger": build_cyl_dagger(space, a, phi, base, anchors),
+               "ddagger": build_cyl_ddagger(space, a, phi, base, anchors)}
+        for side in SIDES:
+            pair = new.build_cyl_pair(space, side, a, phi, base, anchors)
+            assert pair.side == side
+            for pt in pts:
+                assert pair.f(pt) == old[side].f(pt)
+                assert pair.g(pt) == old[side].g(pt)
+
+
+def test_h0_pair_matches_both_branches(space):
+    rng = np.random.default_rng(602)
+    for _ in range(INSTANCES):
+        k = int(rng.integers(1, 4))
+        phi = Iota(int(rng.integers(1, 4)), affine_phi(rng.uniform(0.1, 1.0, size=k)))
+        anchors = [space.sample(rng) for _ in range(k)]
+        pt = space.sample(rng, radius=3.0)  # reaches past the knee now and then
+        for side in SIDES:
+            old = build_h0_pair(space, side, phi, anchors)
+            pair = new.build_h0_pair(space, side, phi, anchors)
+            assert pair.f(pt) == old.f(pt)
+            assert pair.g(pt) == old.g(pt)
+
+
+def test_tataru_pairs_match_closed_form_oracle(space):
+    rng = np.random.default_rng(603)
+    for i in range(INSTANCES):
+        side = SIDES[i % 2]
+        a, b = float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.2, 1.5))
+        c = float(rng.uniform(-1.0, 1.0))
+        eps = float(rng.uniform(1e-4, 0.5))
+        base, anchor, pt = space.sample(rng), space.sample(rng), space.sample(rng)
+        keys = ("rho", "mu") if side == "dagger" else ("gamma", "pi")
+        params = {"a": a, "b": b, "c": c, "eps": eps, keys[0]: base, keys[1]: anchor}
+        level = (4, 5, 6)[i % 3]  # 4: the Tataru pair itself
+        if level == 4:
+            old = build_tataru_pair(space, side, a, b, c, base, anchor)
+            pair = new.build_tataru_pair(space, side, a, b, c, base, anchor)
+        else:
+            old = build_chain_pair(space, level, side, params)
+            pair = new.build_chain_pair(space, level, side, params)
+        assert pair.f(pt) == old.f(pt)
+        _assert_rounding(pair.g(pt), old.g(pt))
+
+
+@pytest.mark.parametrize("level", (2, 3, 4))
+def test_ladder_matches_hand_copied_flow_action(space, level):
+    rng = np.random.default_rng(604 + level)
+    exact = space.size == 1
+    # the quadrature of level 3 is the slow part; a looser tolerance keeps it
+    # cheap and is the same for the oracle and the current code
+    instances = INSTANCES if level != 3 else INSTANCES // 4
+    for i in range(instances):
+        side = SIDES[i % 2]
+        keys = ("rho", "mu") if side == "dagger" else ("gamma", "pi")
+        params = {"a": float(rng.uniform(0.2, 1.5)), "b": float(rng.uniform(0.2, 1.5)),
+                  "c": float(rng.uniform(-1.0, 1.0)), "eps": float(rng.uniform(0.05, 0.7)),
+                  "m": int(rng.integers(1, 41)), "n": int(rng.integers(1, 6)),
+                  "quad_rel_tol": 1e-6,
+                  keys[0]: space.sample(rng), keys[1]: space.sample(rng)}
+        pt = space.sample(rng)
+        old = build_chain_pair(space, level, side, params)
+        pair = new.build_chain_pair(space, level, side, params)
+        for fn in ("f", "g"):
+            got, want = getattr(pair, fn)(pt), getattr(old, fn)(pt)
+            if exact or (fn == "f" and level == 4):
+                assert got == want, (level, side, fn)
+            else:
+                _assert_rounding(got, want)
+
+
+def test_4to5_rows_match_minimizer_loop(space):
+    rows = new.chain_inequality_report(space, "4to5", INSTANCES,
+                                       np.random.default_rng(605)).rows
+    assert list(rows) == old_4to5_rows(space, INSTANCES, np.random.default_rng(605))
+
+
+@pytest.mark.parametrize("space_name", ("ou", "quartic", "double_well"))
+def test_check_viscosity_matches_sub_and_super_checks(request, space_name):
+    space = request.getfixturevalue(space_name)
+    rng = np.random.default_rng(606)
+    xs = make_grid(space.box, 1.0)
+    for i in range(INSTANCES):
+        amp, freq, phase = rng.uniform(0.2, 1.0, size=3)
+        values = amp * np.cos(freq * xs + 3 * phase)
+        if i % 3 == 0:
+            values = np.round(values, 1)  # plateaus: many near-optimizers and ties
+        u = GridFunction(xs, values)
+        h = lambda x, w=rng.uniform(0.5, 1.5): 0.5 * np.sin(w * np.asarray(x, dtype=float))
+        a = float(rng.uniform(0.1, 0.6))
+        k = int(rng.integers(1, 3))
+        phi = affine_phi(rng.uniform(0.05, 0.5, size=k), float(rng.uniform(0.0, 0.5)))
+        base = space.point([rng.uniform(-1.5, 1.5)])
+        anchors = [space.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
+        lam, tol = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 0.5))
+        gap_tol = (1e-6, 1e-2, 0.3)[i % 3]
+        for side, old_check in (("dagger", check_subsolution),
+                                ("ddagger", check_supersolution)):
+            pair = new.build_cyl_pair(space, side, a, phi, base, anchors)
+            old = old_check(space, u, pair, h, lam, tol, gap_tol)
+            rep = check_viscosity(space, u, pair, h, lam, tol, gap_tol)
+            assert rep.side == old.side
+            assert np.array_equal(rep.optimizers, old.optimizers)
+            assert rep.slack == old.slack
+            assert (rep.passed, rep.soft_passed) == (old.passed, old.soft_passed)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from hjflow.cylinders import affine_phi
-from hjflow.hamiltonians import build_cyl_dagger, build_cyl_ddagger
+from hjflow.hamiltonians import HamiltonianPair, build_cyl_pair
 from hjflow.viscosity import (
     GridFunction,
-    check_subsolution,
-    check_supersolution,
+    check_viscosity,
     comparison_gap,
     solve_resolvent,
 )
@@ -79,10 +78,15 @@ def test_value_function_is_subsolution(ou, value_function, rng):
         w = rng.uniform(0.05, 0.5, size=k)
         rho = ou.point([rng.uniform(-1.5, 1.5)])
         mus = [ou.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
-        pair = build_cyl_dagger(ou, a, affine_phi(w, float(rng.uniform(0, 0.5))), rho, mus)
-        rep = check_subsolution(ou, sol.u, pair, smooth_h, 1.0, tol)
+        pair = build_cyl_pair(ou, "dagger", a, affine_phi(w, float(rng.uniform(0, 0.5))),
+                              rho, mus)
+        rep = check_viscosity(ou, sol.u, pair, smooth_h, 1.0, tol)
         assert rep.passed, rep
-        assert rep.optimality_gap <= 1e-6
+        # every reported optimizer is within gap_tol of sup (u - f), recomputed here
+        s = sol.u.values - np.array([pair.f(ou.point([x])) for x in sol.u.xs])
+        at = np.searchsorted(sol.u.xs, rep.optimizers)
+        assert np.array_equal(sol.u.xs[at], rep.optimizers)
+        assert np.all(s[at] >= s.max() - 1e-6)
 
 
 def test_value_function_is_supersolution(ou, value_function, rng):
@@ -93,8 +97,8 @@ def test_value_function_is_supersolution(ou, value_function, rng):
         w = rng.uniform(0.05, 0.5, size=1)
         gamma = ou.point([rng.uniform(-1.5, 1.5)])
         pis = [ou.point([rng.uniform(-1.5, 1.5)])]
-        pair = build_cyl_ddagger(ou, a, affine_phi(w), gamma, pis)
-        rep = check_supersolution(ou, sol.u, pair, smooth_h, 1.0, tol)
+        pair = build_cyl_pair(ou, "ddagger", a, affine_phi(w), gamma, pis)
+        rep = check_viscosity(ou, sol.u, pair, smooth_h, 1.0, tol)
         assert rep.passed, rep
 
 
@@ -102,9 +106,10 @@ def test_designed_subsolution_failure(ou, value_function):
     xs = value_function.u.xs
     ones = GridFunction(xs, np.ones_like(xs))
     x0 = float(xs[len(xs) // 2 + 7])
-    pair = build_cyl_dagger(ou, 0.5, affine_phi([0.3]), ou.point([x0]), [ou.point([x0])])
-    rep = check_subsolution(ou, ones, pair, lambda x: np.zeros_like(np.asarray(x)),
-                            1.0, tol=5 * value_function.dx)
+    pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), ou.point([x0]),
+                          [ou.point([x0])])
+    rep = check_viscosity(ou, ones, pair, lambda x: np.zeros_like(np.asarray(x)),
+                          1.0, tol=5 * value_function.dx)
     assert not rep.passed
     assert rep.slack == pytest.approx(1.0, abs=1e-9)
 
@@ -113,9 +118,10 @@ def test_designed_supersolution_failure(ou, value_function):
     xs = value_function.u.xs
     minus = GridFunction(xs, -np.ones_like(xs))
     x0 = float(xs[len(xs) // 2 - 5])
-    pair = build_cyl_ddagger(ou, 0.5, affine_phi([0.3]), ou.point([x0]), [ou.point([x0])])
-    rep = check_supersolution(ou, minus, pair, lambda x: np.zeros_like(np.asarray(x)),
-                              1.0, tol=5 * value_function.dx)
+    pair = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), ou.point([x0]),
+                          [ou.point([x0])])
+    rep = check_viscosity(ou, minus, pair, lambda x: np.zeros_like(np.asarray(x)),
+                          1.0, tol=5 * value_function.dx)
     assert not rep.passed
     assert rep.slack == pytest.approx(-1.0, abs=1e-9)
 
@@ -130,8 +136,8 @@ def test_min_h_is_subsolution_where_g_nonnegative(ou, value_function, rng):
         w = rng.uniform(0.05, 0.5, size=1)
         rho = ou.point([rng.uniform(-1.5, 1.5)])
         mus = [ou.point([rng.uniform(-1.5, 1.5)])]
-        pair = build_cyl_dagger(ou, a, affine_phi(w), rho, mus)
-        rep = check_subsolution(ou, umin, pair, smooth_h, 1.0, tol=1e-9)
+        pair = build_cyl_pair(ou, "dagger", a, affine_phi(w), rho, mus)
+        rep = check_viscosity(ou, umin, pair, smooth_h, 1.0, tol=1e-9)
         g_at_opt = min(pair.g(ou.point([x])) for x in rep.optimizers)
         if g_at_opt >= 0:
             checked += 1
@@ -144,15 +150,20 @@ def test_min_h_is_subsolution_where_g_nonnegative(ou, value_function, rng):
 def test_supersolution_shift_invariance(ou, value_function, rng):
     sol = value_function
     shifted = GridFunction(sol.u.xs, sol.u.values + 0.8)
-    pair = build_cyl_ddagger(ou, 0.4, affine_phi([0.2]), ou.point([0.5]), [ou.point([-0.5])])
-    rep = check_supersolution(ou, shifted, pair, smooth_h, 1.0, tol=5 * sol.dx)
+    pair = build_cyl_pair(ou, "ddagger", 0.4, affine_phi([0.2]), ou.point([0.5]),
+                          [ou.point([-0.5])])
+    rep = check_viscosity(ou, shifted, pair, smooth_h, 1.0, tol=5 * sol.dx)
     assert rep.passed
 
 
 def test_check_rejects_wrong_side(ou, value_function):
-    pair = build_cyl_dagger(ou, 0.4, affine_phi([0.2]), ou.point([0]), [ou.point([0])])
-    with pytest.raises(ValueError, match="ddagger"):
-        check_supersolution(ou, value_function.u, pair, smooth_h, 1.0, 0.01)
+    # the check takes its side from the pair, so only an unknown side is wrong
+    pair = build_cyl_pair(ou, "dagger", 0.4, affine_phi([0.2]), ou.point([0]), [ou.point([0])])
+    wrong = HamiltonianPair(side="up", f=pair.f, g=pair.g)
+    with pytest.raises(ValueError, match="unknown side 'up'"):
+        check_viscosity(ou, value_function.u, wrong, smooth_h, 1.0, 0.01)
+    with pytest.raises(ValueError, match="unknown side 'up'"):
+        build_cyl_pair(ou, "up", 0.4, affine_phi([0.2]), ou.point([0]), [ou.point([0])])
 
 
 def test_comparison_same_h(ou):

@@ -10,7 +10,6 @@ check failed, 2 on a config error, 3 on an internal error (one stderr line).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .cylinders import affine_phi
 from .evi import run_evi_suite
 from .hamiltonians import build_chain_pair, build_cyl_pair, chain_inequality_report, side_sign
 from .laplace import HCurve, lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
-from .reporting import Report, fmt17, write_csv, write_json
+from .reporting import Report, fmt17, write_csv, write_json, write_table
 from .tataru import _flow_objective, psi_eps, tataru, tataru_batch, tataru_eps
 from .viscosity import check_viscosity, comparison_gap, solve_resolvent
 
@@ -80,12 +79,8 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         objective = _flow_objective(space, [pi], [mu], [space.kappa_hat], eps=None)
         ts = np.linspace(0.0, res.t_cap, res.grid_points)
         obj = objective([0], ts[None, :])[0]
-        path = out_dir / "tataru_objective.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("t", "objective"))
-            for t, o in zip(ts, obj):
-                writer.writerow((fmt17(t), fmt17(o)))
+        write_table(out_dir / "tataru_objective.csv", ("t", "objective"),
+                    ((fmt17(t), fmt17(o)) for t, o in zip(ts, obj)))
 
     # Draw every sample first, property by property, and note which (pi, mu,
     # kappa) triples each row needs; then minimize all triples in one batch.
@@ -157,12 +152,10 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     curve_rows = varadhan_error_curve(space, lc.epsilon, pi, mu, lc.m_list)
     target = tataru_eps(space, lc.epsilon, pi, mu).value
     if out_dir is not None:
-        path = out_dir / "laplace_converge_curve.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("m", "n", "neg_log", "target", "abs_error"))
-            for m, err in curve_rows:
-                writer.writerow((m, "inf", fmt17(target + err), fmt17(target), fmt17(err)))
+        write_table(out_dir / "laplace_converge_curve.csv",
+                    ("m", "n", "neg_log", "target", "abs_error"),
+                    ((m, "inf", fmt17(target + err), fmt17(target), fmt17(err))
+                     for m, err in curve_rows))
     final_err = curve_rows[-1][1]
     first_err = curve_rows[0][1]
     rep.add("varadhan_final_error", curve_rows[-1][0], final_err, 0.05,
@@ -211,8 +204,8 @@ def run_ham_chain(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         rho, mu, pi = space.sample(rng), space.sample(rng), space.sample(rng)
         p5 = build_chain_pair(space, 5, "dagger", dict(a=a, b=b, c=c, eps=eps, rho=rho, mu=mu))
         p6 = build_chain_pair(space, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
-        g_equal = p5.g(pi) == p6.g(pi)
-        rep.add("g5_equals_g6", i, p5.g(pi), p6.g(pi), 0.0 if g_equal else 1.0, g_equal)
+        g5, g6 = p5.g(pi), p6.g(pi)
+        rep.add("g5_equals_g6", i, g5, g6, 0.0 if g5 == g6 else 1.0, g5 == g6)
         f_gap = abs(p5.f(pi) - p6.f(pi))
         bound = b * np.sqrt(2 * eps)
         rep.add("f5_f6_gap", i, f_gap, bound, f_gap - bound, f_gap <= bound + 1e-12)
@@ -249,28 +242,24 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     rc = cfg.resolvent
     lam = rc.lam
     h = _h_family(rc.h, rc.h_param, space.box)
-    sol = solve_resolvent(space, lam, h, control_bound=rc.control_bound,
-                          dt=lam / rc.dt_factor, dx=rc.dx,
-                          n_controls=rc.n_controls, tol=rc.tol)
+
+    def solve(reward):
+        return solve_resolvent(space, lam, reward, control_bound=rc.control_bound,
+                               dt=lam / rc.dt_factor, dx=rc.dx,
+                               n_controls=rc.n_controls, tol=rc.tol)
+
+    sol = solve(h)
     if out_dir is not None:
-        path = out_dir / "resolvent_solution.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("x", "u"))
-            for x, u in zip(sol.u.xs, sol.u.values):
-                writer.writerow((fmt17(x), fmt17(u)))
+        write_table(out_dir / "resolvent_solution.csv", ("x", "u"),
+                    ((fmt17(x), fmt17(u)) for x, u in zip(sol.u.xs, sol.u.values)))
     bound = sol.error_bound
     rep.add("fixed_point", 0, bound, rc.tol, bound - rc.tol, bound <= rc.tol)
 
-    const = solve_resolvent(space, lam, _h_family("constant", 0.7, space.box),
-                            control_bound=rc.control_bound, dt=lam / rc.dt_factor,
-                            dx=rc.dx, n_controls=rc.n_controls, tol=rc.tol)
+    const = solve(_h_family("constant", 0.7, space.box))
     err = float(np.max(np.abs(const.u.values - 0.7)))
     rep.add("constant_h", 0, err, 1e-8, err - 1e-8, err <= 1e-8)
 
-    shifted = solve_resolvent(space, lam, lambda x: h(x) - 0.3,
-                              control_bound=rc.control_bound, dt=lam / rc.dt_factor,
-                              dx=rc.dx, n_controls=rc.n_controls, tol=rc.tol)
+    shifted = solve(lambda x: h(x) - 0.3)
     err = float(np.max(np.abs(shifted.u.values - (sol.u.values - 0.3))))
     rep.add("shift_equivariance", 0, err, 1e-8, err - 1e-8, err <= 1e-8)
 

@@ -73,8 +73,7 @@ def _cylinder(space: ModelSpace, phi: CylNode, anchors):
     anchor_e = np.array([space.energy(p) for p in anchors])
 
     def at(pt: SpacePoint):
-        diffs = anchor_vals - pt.values[None, :]
-        dists = np.sqrt(space.weight * np.sum(diffs * diffs, axis=1))
+        dists = np.sqrt(space.sq_dist(anchor_vals, pt.values))
         v, grad = cyl.base_value_and_grad(0.5 * dists**2)
         return v, grad, dists
 

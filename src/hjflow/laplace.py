@@ -83,26 +83,20 @@ class HCurve:
     Hamiltonian ladder (``action_terms``).
     """
 
-    def __init__(self, space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint,
-                 kappa_override: float | None = None):
+    def __init__(self, space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint):
         if eps <= 0:
             raise ValueError("eps must be positive")
         self.space = space
         self.eps = eps
         self.pi = pi
         self.mu = mu
-        kappa = space.kappa if kappa_override is None else kappa_override
-        self.kappa_hat = min(kappa, 0.0)
         self.curve = space.flow_curve(mu)
-        self._pvals = pi.values
 
     def _half_dist2(self, vals: np.ndarray) -> np.ndarray:
-        diffs = vals - self._pvals[None, :]
-        # vecdot, not sum(diffs * diffs): each row gets the dot product of distance()
-        return 0.5 * (self.space.weight * np.vecdot(diffs, diffs))
+        return 0.5 * self.space.sq_dist(vals, self.pi.values)
 
     def damping(self, ts) -> np.ndarray:
-        return np.exp(self.kappa_hat * np.asarray(ts, dtype=float))
+        return np.exp(self.space.kappa_hat * np.asarray(ts, dtype=float))
 
     def h(self, ts) -> np.ndarray:
         return self.damping(ts) * psi_eps(self.eps, self._half_dist2(self.curve.values_at(ts)))
@@ -112,8 +106,8 @@ class HCurve:
         vals = self.curve.values_at(ts)
         half = self._half_dist2(vals)
         damping = self.damping(ts)
-        flow_e = self.space.weight * np.sum(self.space.potential.v(vals), axis=1)
-        return damping * psi_eps(self.eps, half), damping, psi_eps_prime(self.eps, half), flow_e
+        return (damping * psi_eps(self.eps, half), damping, psi_eps_prime(self.eps, half),
+                self.space.energies(vals))
 
     def t_cap(self) -> float:
         return d_eps(self.space, self.eps, self.pi, self.mu) + 1.0
@@ -146,13 +140,12 @@ class LaplaceValue:
 
 
 def lambda_discrete(space: ModelSpace, eps: float, m: int, n: int,
-                    pi: SpacePoint, mu: SpacePoint,
-                    kappa_override: float | None = None) -> LaplaceValue:
+                    pi: SpacePoint, mu: SpacePoint) -> LaplaceValue:
     """Riemann-sum Laplace integral of exp(-m h) against the discrete
     exponential measure of rate m + 1."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    hcurve = HCurve(space, eps, pi, mu, kappa_override)
+    hcurve = HCurve(space, eps, pi, mu)
     atoms, log_w = discrete_exp_log_weights(m + 1, n)
     log_contrib = log_w - m * hcurve.h(atoms)
     log_value = float(logsumexp(log_contrib))
@@ -225,8 +218,7 @@ def _adaptive_log_quadrature(log_f, a: float, b: float, rel_tol: float = 1e-10,
 
 def lambda_continuous(space: ModelSpace, eps: float, m: int,
                       pi: SpacePoint, mu: SpacePoint,
-                      rel_tol: float = 1e-10,
-                      kappa_override: float | None = None) -> LaplaceValue:
+                      rel_tol: float = 1e-10) -> LaplaceValue:
     """Laplace integral of exp(-m h) against the exponential law of rate m + 1.
 
     Quadrature runs on [0, T] with T = T_cap + 5/(m+1).  The tail beyond T is
@@ -237,7 +229,7 @@ def lambda_continuous(space: ModelSpace, eps: float, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    hcurve = HCurve(space, eps, pi, mu, kappa_override)
+    hcurve = HCurve(space, eps, pi, mu)
     t_quad = hcurve.t_cap() + 5.0 / (m + 1)
     log_rate = math.log(m + 1.0)
 

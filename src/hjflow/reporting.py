@@ -84,15 +84,19 @@ class Report:
                 f"max violation {s['max_violation']:.3e}")
 
 
-def write_csv(report: Report, path: str | Path) -> Path:
+def write_table(path: str | Path, header, rows) -> Path:
+    """Write a CSV file: the header, then one line per row, each ended by a newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in report.rows:
-            writer.writerow(r.as_csv())
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def write_csv(report: Report, path: str | Path) -> Path:
+    return write_table(path, CSV_HEADER, (r.as_csv() for r in report.rows))
 
 
 def write_json(report: Report, path: str | Path) -> Path:

@@ -11,6 +11,10 @@ descent ODE is coordinatewise x' = -V'(x), and the evolution variational
 inequality with parameter kappa = inf V'' holds exactly, which is what makes
 these spaces usable as ground truth for everything built on top.  Every
 potential here solves that ODE in closed form; no flow is integrated numerically.
+
+Every metric and energy reduction lives in ``ModelSpace``: the row kernels
+``sq_dist``, ``energies`` and ``sq_slopes`` broadcast over coordinate rows, and
+``distance``, ``energy``, ``slope`` and ``information`` are their one-row case.
 """
 
 from __future__ import annotations
@@ -195,9 +199,6 @@ class FlowCurve:
     def value_at(self, t: float) -> np.ndarray:
         return self.values_at([t])[0]
 
-    def point_at(self, t: float) -> SpacePoint:
-        return self._space.point(self.value_at(t))
-
 
 @dataclass(frozen=True)
 class FlowTrajectory:
@@ -277,11 +278,28 @@ class ModelSpace:
         """The critical point of V at the origin (V'(0) = 0 for all forms)."""
         return self.point(np.zeros(self.size))
 
+    # -- row kernels: metric, energy and slope --------------------------------
+    # The last axis holds the coordinates and leading axes broadcast; no point
+    # checks.  vecdot gives each row the same bits as a one-row call.
+
+    def sq_dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Squared distances d^2 between the coordinate rows a and b."""
+        diffs = a - b
+        return self.weight * np.vecdot(diffs, diffs)
+
+    def energies(self, vals: np.ndarray) -> np.ndarray:
+        """Energies E of the coordinate rows vals."""
+        return self.weight * np.sum(self.potential.v(vals), axis=-1)
+
+    def sq_slopes(self, vals: np.ndarray) -> np.ndarray:
+        """Squared slopes |dE|^2 of the coordinate rows vals."""
+        grads = self.potential.dv(vals)
+        return self.weight * np.vecdot(grads, grads)
+
     # -- metric and geodesics ------------------------------------------------
 
     def distance(self, x: SpacePoint, y: SpacePoint) -> float:
-        dx = self._vals(x) - self._vals(y)
-        return float(np.sqrt(self.weight * np.dot(dx, dx)))
+        return float(np.sqrt(self.sq_dist(self._vals(x), self._vals(y))))
 
     def geodesic_point(self, x: SpacePoint, y: SpacePoint, t: float) -> SpacePoint:
         if not 0.0 <= t <= 1.0:
@@ -291,18 +309,14 @@ class ModelSpace:
     # -- energy, slope, information ------------------------------------------
 
     def energy(self, x: SpacePoint) -> float:
-        return float(self.weight * np.sum(self.potential.v(self._vals(x))))
+        return float(self.energies(self._vals(x)))
 
     def slope(self, x: SpacePoint) -> float:
-        g = self.potential.dv(self._vals(x))
-        return float(np.sqrt(self.weight * np.dot(g, g)))
+        return float(np.sqrt(self.sq_slopes(self._vals(x))))
 
     def information(self, x: SpacePoint) -> float:
         """Squared slope; drives the energy dissipation identity."""
-        return self.slope(x) ** 2
-
-    def energy_and_slope(self, x: SpacePoint) -> tuple[float, float]:
-        return self.energy(x), self.slope(x)
+        return float(self.sq_slopes(self._vals(x)))
 
     # -- gradient flow --------------------------------------------------------
 
@@ -322,18 +336,15 @@ class ModelSpace:
         return FlowCurve(self, self._vals(x))
 
     def flow(self, x: SpacePoint, t: float) -> SpacePoint:
-        return self.flow_curve(x).point_at(float(t))
+        return self.point(self.flow_curve(x).value_at(float(t)))
 
     def flow_trajectory(self, x: SpacePoint, times: Sequence[float]) -> FlowTrajectory:
         ts = np.asarray(list(times), dtype=float)
         if ts.size == 0:
             raise ValueError("trajectory needs at least one time")
         vals = self.flow_curve(x).values_at(ts)
-        energies = self.weight * np.sum(self.potential.v(vals), axis=1)
-        # vecdot, not sum(g * g): each row gets the same dot product as slope()
-        grads = self.potential.dv(vals)
-        slopes = np.sqrt(self.weight * np.vecdot(grads, grads))
-        return FlowTrajectory(start=x, times=ts, values=vals, energies=energies, slopes=slopes)
+        return FlowTrajectory(start=x, times=ts, values=vals, energies=self.energies(vals),
+                              slopes=np.sqrt(self.sq_slopes(vals)))
 
     # -- sampling --------------------------------------------------------------
 

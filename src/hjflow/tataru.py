@@ -171,11 +171,10 @@ def _flow_objective(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[
     pvals = np.array([p.values for p in pis])
     starts = np.array([m.values for m in mus])
     k_hat = np.array(kappa_hats, dtype=float)
-    w = space.weight
 
     def objective(rows, ts):
-        diffs = space.flow_values(starts.take(rows, 0), ts) - pvals.take(rows, 0)[:, None, :]
-        dist2 = w * (diffs * diffs).sum(axis=-1)
+        dist2 = space.sq_dist(space.flow_values(starts.take(rows, 0), ts),
+                              pvals.take(rows, 0)[:, None, :])
         inner = np.sqrt(dist2) if eps is None else psi_eps(eps, 0.5 * dist2)
         return ts + np.exp(k_hat.take(rows)[:, None] * ts) * inner
 

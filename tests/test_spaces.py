@@ -59,13 +59,13 @@ def test_geodesic_parameter_out_of_range(ou):
 
 
 def test_energy_and_slope_examples(ou):
-    e, s = ou.energy_and_slope(ou.point([3]))
-    assert (e, s) == (4.5, 3.0)
+    x = ou.point([3])
+    assert (ou.energy(x), ou.slope(x)) == (4.5, 3.0)
     assert ou.slope(ou.rest_point()) == 0.0
     q2 = quantile_space(quadratic_potential(1.0), grid_size=2)
-    e, s = q2.energy_and_slope(q2.point([1, 3]))
-    assert e == pytest.approx(2.5)
-    assert s == pytest.approx(np.sqrt(5))
+    y = q2.point([1, 3])
+    assert q2.energy(y) == pytest.approx(2.5)
+    assert q2.slope(y) == pytest.approx(np.sqrt(5))
     assert q2.information(q2.point([1, 3])) == pytest.approx(5.0)
 
 
@@ -177,10 +177,23 @@ def test_flow_trajectory_matches_per_point_kernels(make, rng):
     points = traj.points
     assert len(points) == 201 and type(points[0]) is type(x)
     assert np.array_equal(points[0].values, x.values)
-    energies = np.array([space.energy(p) for p in points])
-    slopes = np.array([space.slope(p) for p in points])
-    assert np.allclose(traj.energies, energies, rtol=1e-14, atol=1e-15)
-    assert np.allclose(traj.slopes, slopes, rtol=1e-14, atol=1e-15)
+    assert np.array_equal(traj.energies, [space.energy(p) for p in points])
+    assert np.array_equal(traj.slopes, [space.slope(p) for p in points])
+
+    # the row kernels broadcast over leading axes, and each row gets the bits
+    # of the one-row kernels
+    ts = np.linspace(0.0, 2.0, 51)
+    a, b = (np.stack([space.flow_curve(space.sample(rng)).values_at(ts) for _ in range(3)])
+            for _ in range(2))
+    for rows, others in ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b), (a, b[0, 0])):
+        assert rows.shape in ((space.size,), (51, space.size), (3, 51, space.size))
+        pa = [space.point(v) for v in rows.reshape(-1, space.size)]
+        pb = [space.point(v) for v in np.broadcast_to(others, rows.shape).reshape(-1, space.size)]
+        dists = np.sqrt(space.sq_dist(rows, others))
+        assert dists.shape == rows.shape[:-1]
+        assert np.array_equal(dists.ravel(), [space.distance(p, q) for p, q in zip(pa, pb)])
+        assert np.array_equal(space.energies(rows).ravel(), [space.energy(p) for p in pa])
+        assert np.array_equal(space.sq_slopes(rows).ravel(), [space.information(p) for p in pa])
 
 
 def test_trajectory_energies_nonincreasing(double_well, rng):

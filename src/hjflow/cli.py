@@ -204,9 +204,9 @@ def run_ham_chain(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         rho, mu, pi = space.sample(rng), space.sample(rng), space.sample(rng)
         p5 = build_chain_pair(space, 5, "dagger", dict(a=a, b=b, c=c, eps=eps, rho=rho, mu=mu))
         p6 = build_chain_pair(space, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
-        g5, g6 = p5.g(pi), p6.g(pi)
+        g5, g6 = p5.g(pi.values), p6.g(pi.values)
         rep.add("g5_equals_g6", i, g5, g6, 0.0 if g5 == g6 else 1.0, g5 == g6)
-        f_gap = abs(p5.f(pi) - p6.f(pi))
+        f_gap = abs(p5.f(pi.values) - p6.f(pi.values))
         bound = b * np.sqrt(2 * eps)
         rep.add("f5_f6_gap", i, f_gap, bound, f_gap - bound, f_gap <= bound + 1e-12)
     print(f"ham-chain link {cfg.ham_chain.link}: max violation {chain.max_violation:.3e}")
@@ -287,7 +287,7 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         anchors = [space.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
         for side, name in (("dagger", "subsolution"), ("ddagger", "supersolution")):
             pair = build_cyl_pair(space, side, a, affine_phi(w, c), base, anchors)
-            check = check_viscosity(space, sol.u, pair, h, lam, tol)
+            check = check_viscosity(sol.u, pair, h, lam, tol)
             rep.add(name, i, check.slack, tol, side_sign(side) * check.slack - tol,
                     check.soft_passed)
     return rep

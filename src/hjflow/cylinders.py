@@ -7,6 +7,10 @@ smooth saturation.  Representing the functions as a small closed combinator
 family (affine, smoothed square root, exponential log-sum, saturation,
 composition) keeps the partials exact and the class constraints checkable,
 which arbitrary callables would not allow.
+
+Every combinator evaluates rows: ``vag(r)`` takes r of shape (..., k), one
+vector per leading index, and returns the values (...), the partials (..., k)
+and the saturation flags (...).
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .spaces import SpacePoint
-from .tataru import psi_eps, psi_eps_prime
+from .tataru import logsumexp, psi_eps, psi_eps_prime
 
 
 def iota(n: int, r):
@@ -30,21 +33,19 @@ def iota(n: int, r):
     arr = np.asarray(r, dtype=float)
     s = np.clip((arr - n) / 2.0, 0.0, 1.0)
     mid = n + 2.0 * s - s * s
-    out = np.where(arr <= n, arr, np.where(arr >= n + 2, n + 1.0, mid))
-    return float(out) if np.isscalar(r) or out.ndim == 0 else out
+    return np.where(arr <= n, arr, np.where(arr >= n + 2, n + 1.0, mid))
 
 
 def iota_prime(n: int, r):
     arr = np.asarray(r, dtype=float)
     s = np.clip((arr - n) / 2.0, 0.0, 1.0)
-    out = np.where(arr <= n, 1.0, np.where(arr >= n + 2, 0.0, 1.0 - s))
-    return float(out) if np.isscalar(r) or out.ndim == 0 else out
+    return np.where(arr <= n, 1.0, np.where(arr >= n + 2, 0.0, 1.0 - s))
 
 
 class CylNode:
-    """Base combinator; ``vag`` returns (value, gradient, saturated-flag)."""
+    """Base combinator; ``vag`` returns (values, partials, saturation flags) of rows."""
 
-    def vag(self, r: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    def vag(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def bounded(self) -> bool:
@@ -59,9 +60,9 @@ class Coord(CylNode):
     index: int
 
     def vag(self, r):
-        grad = np.zeros(r.size)
-        grad[self.index] = 1.0
-        return float(r[self.index]), grad, False
+        grad = np.zeros(r.shape)
+        grad[..., self.index] = 1.0
+        return r[..., self.index], grad, np.zeros(r.shape[:-1], dtype=bool)
 
     def structurally_positive(self):
         return True
@@ -75,14 +76,14 @@ class Affine(CylNode):
     const: float = 0.0
 
     def vag(self, r):
-        value = self.const
-        grad = np.zeros(r.size)
-        sat = False
+        value = np.full(r.shape[:-1], self.const)
+        grad = np.zeros(r.shape)
+        sat = np.zeros(r.shape[:-1], dtype=bool)
         for w, node in self.terms:
             v, g, s = node.vag(r)
             value += w * v
             grad += w * g
-            sat = sat or s
+            sat |= s
         return value, grad, sat
 
     def bounded(self):
@@ -101,7 +102,7 @@ class Psi(CylNode):
 
     def vag(self, r):
         v, g, s = self.child.vag(r)
-        return float(psi_eps(self.eps, v)), float(psi_eps_prime(self.eps, v)) * g, s
+        return psi_eps(self.eps, v), psi_eps_prime(self.eps, v)[..., None] * g, s
 
     def bounded(self):
         return self.child.bounded()
@@ -127,17 +128,17 @@ class SumExpNegLog(CylNode):
     def vag(self, r):
         vals = []
         grads = []
-        sat = False
+        sat = np.zeros(r.shape[:-1], dtype=bool)
         for node in self.children:
             v, g, s = node.vag(r)
             vals.append(v)
             grads.append(g)
-            sat = sat or s
-        exponents = np.asarray(self.log_coeffs) - self.m * np.asarray(vals)
-        lse = float(logsumexp(exponents))
-        soft = np.exp(exponents - lse)
+            sat |= s
+        exponents = np.asarray(self.log_coeffs) - self.m * np.stack(vals, axis=-1)
+        lse = logsumexp(exponents, axis=-1)
+        soft = np.exp(exponents - lse[..., None])
         value = self.const + self.scale * (-lse / self.m)
-        grad = self.scale * sum(w * g for w, g in zip(soft, grads))
+        grad = self.scale * sum(soft[..., i, None] * g for i, g in enumerate(grads))
         return value, grad, sat
 
     def bounded(self):
@@ -156,7 +157,7 @@ class Iota(CylNode):
 
     def vag(self, r):
         v, g, s = self.child.vag(r)
-        return float(iota(self.n, v)), float(iota_prime(self.n, v)) * g, s or v >= self.n + 2
+        return iota(self.n, v), iota_prime(self.n, v)[..., None] * g, s | (v >= self.n + 2)
 
     def bounded(self):
         return True
@@ -173,9 +174,9 @@ class Shift(CylNode):
     offset: int
 
     def vag(self, r):
-        v, g, s = self.child.vag(r[self.offset:])
-        grad = np.zeros(r.size)
-        grad[self.offset:] = g
+        v, g, s = self.child.vag(r[..., self.offset:])
+        grad = np.zeros(r.shape)
+        grad[..., self.offset:] = g
         return v, grad, s
 
     def bounded(self):
@@ -202,17 +203,18 @@ class CylindricalTestFunction:
     base: CylNode
     anchors: tuple
 
-    def base_value_and_grad(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and partials of the base, enforcing the positivity class.
+    def base_value_and_grad(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and partials of the base on the rows r, enforcing the positivity class.
 
         Strictly negative partials are rejected outright; exact zeros are
-        accepted only when explained by saturation of a bounded truncation or
-        by float underflow inside a structurally positive composite.
+        accepted only when explained by saturation of a bounded truncation in
+        the same row or by float underflow inside a structurally positive
+        composite.  One bad row rejects the batch.
         """
         v, g, sat = self.base.vag(r)
         if np.any(g < 0):
             raise ValueError("not in class T: nonpositive partial derivative")
-        if np.any(g == 0) and not (sat or self.base.structurally_positive()):
+        if np.any(np.any(g == 0, axis=-1) & ~sat) and not self.base.structurally_positive():
             raise ValueError("not in class T: nonpositive partial derivative")
         return v, g
 
@@ -221,16 +223,16 @@ class CylindricalTestFunction:
 
 
 def finite_difference_grad(node: CylNode, r: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a combinator tree, for cross-checking."""
-    out = np.zeros(r.size)
-    for i in range(r.size):
+    """Central finite differences of a combinator tree on the rows r, for cross-checking."""
+    out = np.zeros(r.shape)
+    for i in range(r.shape[-1]):
         up = r.copy()
         dn = r.copy()
-        up[i] += h
-        dn[i] = max(dn[i] - h, 0.0)
+        up[..., i] += h
+        dn[..., i] = np.maximum(dn[..., i] - h, 0.0)
         vu, _, _ = node.vag(up)
         vd, _, _ = node.vag(dn)
-        out[i] = (vu - vd) / (up[i] - dn[i])
+        out[..., i] = (vu - vd) / (up[..., i] - dn[..., i])
     return out
 
 

@@ -17,6 +17,11 @@ subtracted off-diagonal products) are written out as such.  Families:
 * the approximation ladder, levels 2..6, walking from exponential Riemann sums
   over the flow to the Tataru pair.
 
+``f`` and ``g`` take coordinate rows x (..., size), checked once by
+``ModelSpace.rows``, and return values (...): one pass through the combinator
+tree for the cylindrical pairs, one ``tataru_batch`` call at levels 4 to 6, a
+loop over rows at levels 2 and 3.
+
 Exponential damping factors use kappa_hat = min(kappa, 0); the quadratic
 correction -kappa/2 d^2 uses kappa itself.
 """
@@ -27,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cylinders import (
     Affine,
@@ -41,7 +45,7 @@ from .cylinders import (
 )
 from .laplace import HCurve, discrete_exp_log_weights, lambda_continuous
 from .spaces import ModelSpace, SpacePoint
-from .tataru import tataru, tataru_eps
+from .tataru import logsumexp, tataru_batch, tataru_eps
 
 CHAIN_LEVELS = (2, 3, 4, 5, 6)
 
@@ -57,27 +61,45 @@ def side_sign(side: str) -> float:
 
 @dataclass(frozen=True)
 class HamiltonianPair:
-    """An (f, g) evaluator pair tagged by side; immutable and pure."""
+    """An immutable, pure (f, g) pair tagged by side; f, g map rows (..., size) to (...)."""
 
     side: str
-    f: Callable[[SpacePoint], float] = field(repr=False)
-    g: Callable[[SpacePoint], float] = field(repr=False)
+    f: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    g: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+
+
+def _pair(space: ModelSpace, side: str, f, g) -> HamiltonianPair:
+    """The pair of f and g on checked rows."""
+    return HamiltonianPair(side=side, f=lambda x: f(space.rows(x)),
+                           g=lambda x: g(space.rows(x)))
+
+
+def _square(x):
+    """x**2 by libm pow, as floats square; numpy's x * x differs in the last bit at times."""
+    return np.float_power(x, 2)
+
+
+def _dist(space: ModelSpace, x: np.ndarray, p: SpacePoint) -> np.ndarray:
+    return np.sqrt(space.sq_dist(x, p.values))
+
+
+def _points(space: ModelSpace, x: np.ndarray) -> list:
+    return [space.point(v) for v in x.reshape(-1, space.size)]
 
 
 def _cylinder(space: ModelSpace, phi: CylNode, anchors):
-    """(anchor energies, at) with at(pt) = (phi(r), grad phi(r), d) for d = d(pt, anchors)
-    and r = d^2/2; grad phi is checked for the positivity class."""
+    """(anchor energies, at) with at(x) = (phi(r), grad phi(r), d) for the rows x,
+    d = d(x, anchors) and r = d^2/2; grad phi is checked for the positivity class."""
     anchors = tuple(anchors)
     cyl = CylindricalTestFunction(base=phi, anchors=anchors)
     anchor_vals = np.stack([p.values for p in anchors])
-    anchor_e = np.array([space.energy(p) for p in anchors])
 
-    def at(pt: SpacePoint):
-        dists = np.sqrt(space.sq_dist(anchor_vals, pt.values))
+    def at(x: np.ndarray):
+        dists = np.sqrt(space.sq_dist(anchor_vals, x[..., None, :]))
         v, grad = cyl.base_value_and_grad(0.5 * dists**2)
         return v, grad, dists
 
-    return anchor_e, at
+    return space.energies(anchor_vals), at
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +117,18 @@ def build_cyl_pair(space: ModelSpace, side: str, a: float, phi: CylNode, base: S
     e_base = space.energy(base)
     kappa = space.kappa
 
-    def f(pt: SpacePoint) -> float:
-        v, _, _ = at(pt)
-        return sigma * (0.5 * a * space.distance(pt, base) ** 2 + v)
+    def f(x):
+        return sigma * (0.5 * a * _square(_dist(space, x, base)) + at(x)[0])
 
-    def g(pt: SpacePoint) -> float:
-        _, grad, dists = at(pt)
-        d0 = space.distance(pt, base)
-        e = space.energy(pt)
-        cross = float(np.dot(grad, dists))
-        out = sigma * a * (e_base - e - 0.5 * kappa * d0**2) + 0.5 * a**2 * d0**2
-        out += sigma * float(np.dot(grad, anchor_e - e - 0.5 * kappa * dists**2))
-        return out + sigma * (0.5 * cross**2 + a * d0 * cross)
+    def g(x):
+        _, grad, dists = at(x)
+        d0 = _dist(space, x, base)
+        d0sq, e, cross = _square(d0), space.energies(x), np.vecdot(grad, dists)
+        out = sigma * a * (e_base - e - 0.5 * kappa * d0sq) + 0.5 * a**2 * d0sq
+        out += sigma * np.vecdot(grad, anchor_e - e[..., None] - 0.5 * kappa * dists**2)
+        return out + sigma * (0.5 * _square(cross) + a * d0 * cross)
 
-    return HamiltonianPair(side=side, f=f, g=g)
+    return _pair(space, side, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +144,17 @@ def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> Hamilt
     anchor_e, at = _cylinder(space, phi, anchors)
     kappa = space.kappa
 
-    def f(pt: SpacePoint) -> float:
-        return sigma * at(pt)[0]
-
-    def g(pt: SpacePoint) -> float:
-        _, grad, dists = at(pt)
-        e = space.energy(pt)
-        out = sigma * float(np.dot(grad, anchor_e - e - 0.5 * kappa * dists**2))
+    def g(x):
+        _, grad, dists = at(x)
+        e = space.energies(x)
+        out = sigma * np.vecdot(grad, anchor_e - e[..., None] - 0.5 * kappa * dists**2)
         if sigma > 0:
-            return out + 0.5 * float(np.dot(grad, dists)) ** 2
+            return out + 0.5 * _square(np.vecdot(grad, dists))
         # 1/2 sum_i p_i^2 - 1/2 sum_{i != j} p_i p_j  ==  s1 - s^2 / 2
         prods = grad * dists
-        return out + float(np.dot(prods, prods)) - 0.5 * float(prods.sum()) ** 2
+        return out + np.vecdot(prods, prods) - 0.5 * _square(prods.sum(axis=-1))
 
-    return HamiltonianPair(side=side, f=f, g=g)
+    return _pair(space, side, lambda x: sigma * at(x)[0], g)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +163,7 @@ def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> Hamilt
 
 
 def _closed_g(space: ModelSpace, sigma: float, a: float, b: float, base_point: SpacePoint):
-    """g(pt, slot): the closed-form g with ``slot`` = b times the flow action.
+    """g(x, slot): the closed-form g with ``slot`` = b times the flow action.
 
     The flow action is 1 for the exact Tataru distance (levels 5 and 6) and
     the tilted resp. maximal flow action at levels 2 to 4.
@@ -154,21 +171,35 @@ def _closed_g(space: ModelSpace, sigma: float, a: float, b: float, base_point: S
     kappa = space.kappa
     e_base = space.energy(base_point)
 
-    def g(pt: SpacePoint, slot: float) -> float:
-        d0 = space.distance(pt, base_point)
-        return (sigma * a * (e_base - space.energy(pt)) - sigma * 0.5 * a * kappa * d0**2
-                + 0.5 * a**2 * d0**2 + sigma * a * b * d0 + sigma * 0.5 * b**2
+    def g(x: np.ndarray, slot) -> np.ndarray:
+        d0 = _dist(space, x, base_point)
+        d0sq = _square(d0)
+        return (sigma * a * (e_base - space.energies(x)) - sigma * 0.5 * a * kappa * d0sq
+                + 0.5 * a**2 * d0sq + sigma * a * b * d0 + sigma * 0.5 * b**2
                 + sigma * slot)
 
     return g
 
 
 def _ladder_f(space: ModelSpace, sigma: float, a: float, b: float, c: float,
-              base_point: SpacePoint, value: Callable[[SpacePoint], float]):
+              base_point: SpacePoint, value):
     """f = sigma (a/2 d^2(., base) + b value) + c."""
-    def f(pt: SpacePoint) -> float:
-        return sigma * (0.5 * a * space.distance(pt, base_point) ** 2 + b * value(pt)) + c
+    def f(x):
+        return sigma * (0.5 * a * _square(_dist(space, x, base_point)) + b * value(x)) + c
     return f
+
+
+def _tataru_rows(space: ModelSpace, x: np.ndarray, flow_anchor: SpacePoint,
+                 eps: float | None):
+    """(points, Tataru results) of the rows x against ``flow_anchor``, from one
+    ``tataru_batch`` call; smoothed by eps unless it is None."""
+    pts = _points(space, x)
+    return pts, tataru_batch(space, pts, [flow_anchor] * len(pts), eps=eps)
+
+
+def _tataru_value(space: ModelSpace, flow_anchor: SpacePoint, eps: float | None):
+    return lambda x: np.reshape([r.value for r in _tataru_rows(space, x, flow_anchor, eps)[1]],
+                                x.shape[:-1])
 
 
 def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float,
@@ -185,14 +216,9 @@ def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float
         raise ValueError("a and b must be positive")
     space.flow_curve(flow_anchor)  # fail at build time on an anchor outside the space
     g = _closed_g(space, sigma, a, b, base_point)
-
-    def d_t(pt: SpacePoint) -> float:
-        if eps is None:
-            return tataru(space, pt, flow_anchor).value
-        return tataru_eps(space, eps, pt, flow_anchor).value
-
-    return HamiltonianPair(side=side, f=_ladder_f(space, sigma, a, b, c, base_point, d_t),
-                           g=lambda pt: g(pt, b))
+    return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,
+                                        _tataru_value(space, flow_anchor, eps)),
+                 lambda x: g(x, b))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +233,11 @@ def _require(params: dict, level: int, *names):
     return [params[name] for name in names]
 
 
-def _max_flow_action(space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint) -> float:
-    """Max over the minimizer set of d_{T,eps}(pi, mu) of the flow action
+def _max_flow_action(space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint,
+                     ts: np.ndarray) -> float:
+    """Max over the minimizer set ts of d_{T,eps}(pi, mu) of the flow action
     exp(kappa_hat t) [(E(mu(t)) - E(pi)) psi_eps'(d^2/2) - kappa_hat/2 psi_eps(d^2/2)]
     with d = d(pi, mu(t))."""
-    ts = tataru_eps(space, eps, pi, mu).minimizers
     h, damping, psi_p, flow_e = HCurve(space, eps, pi, mu).action_terms(ts)
     # h = damping * d_eps along the flow, so -kappa_hat/2 h is the
     # damped-distance correction of the flow action
@@ -244,10 +270,15 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
 
     if level == 4:
         eps = _require(params, level, "eps")[0]
-        f = _ladder_f(space, sigma, a, b, c, base_point,
-                      lambda pt: tataru_eps(space, eps, pt, flow_anchor).value)
-        return HamiltonianPair(side=side, f=f, g=lambda pt: closed_g(
-            pt, b * _max_flow_action(space, eps, pt, flow_anchor)))
+
+        def g4(x):
+            pts, res = _tataru_rows(space, x, flow_anchor, eps)
+            action = [_max_flow_action(space, eps, pt, flow_anchor, r.minimizers)
+                      for pt, r in zip(pts, res)]
+            return closed_g(x, b * np.reshape(action, x.shape[:-1]))
+
+        return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,
+                                            _tataru_value(space, flow_anchor, eps)), g4)
 
     eps, m = _require(params, level, "eps", "m")
     m = int(m)
@@ -269,15 +300,19 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
             terms = HCurve(space, eps, pt, flow_anchor).action_terms(lam.nodes)
             return lam.log_value, lam.tilted_weights(), terms
 
-    def g(pt: SpacePoint) -> float:
-        _, tilt, (h, damping, psi_p, flow_e) = tilt_data(pt)
-        gap = flow_e - space.energy(pt)
-        term_energy = b * float(np.dot(tilt, psi_p * damping * gap))
-        term_reg = -0.5 * b * space.kappa_hat * float(np.dot(tilt, np.maximum(1.0 / m, h)))
-        return closed_g(pt, term_energy + term_reg)
+    def per_point(x):
+        """(-log Lambda / m, b times the tilted flow action) at each row of x."""
+        out = []
+        for pt in _points(space, x):
+            log_lam, tilt, (h, damping, psi_p, flow_e) = tilt_data(pt)
+            gap = flow_e - space.energy(pt)
+            term_energy = b * float(np.dot(tilt, psi_p * damping * gap))
+            term_reg = -0.5 * b * space.kappa_hat * float(np.dot(tilt, np.maximum(1.0 / m, h)))
+            out.append((-log_lam / m, term_energy + term_reg))
+        return np.reshape(out, (*x.shape[:-1], 2))
 
-    f = _ladder_f(space, sigma, a, b, c, base_point, lambda pt: -tilt_data(pt)[0] / m)
-    return HamiltonianPair(side=side, f=f, g=g)
+    f = _ladder_f(space, sigma, a, b, c, base_point, lambda x: per_point(x)[..., 0])
+    return _pair(space, side, f, lambda x: closed_g(x, per_point(x)[..., 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +370,8 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             pair2 = build_chain_pair(space, 2, "dagger",
                                      {"a": a, "b": b, "c": c, "eps": eps,
                                       "m": m, "n": n, "rho": rho, "mu": mu})
-            g1 = pair1.g(pi)
-            g2 = pair2.g(pi)
+            g1 = pair1.g(pi.values)
+            g2 = pair2.g(pi.values)
             violation = g1 - g2
             rows.append(("chain-1to2", i, g1, g2, violation, violation <= tol))
     elif link == "4to5":
@@ -345,7 +380,8 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             eps = rng.uniform(0.05, 0.7)
             mu = space.sample(rng)
             pi = space.sample(rng)
-            lhs = _max_flow_action(space, eps, pi, mu)
+            lhs = _max_flow_action(space, eps, pi, mu,
+                                   tataru_eps(space, eps, pi, mu).minimizers)
             violation = lhs - 1.0
             rows.append(("chain-4to5", i, lhs, 1.0, violation, violation <= tol))
     elif link == "0to1":
@@ -360,13 +396,13 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             pi = space.sample(rng)
             phi0 = affine_phi(weights, const)
             pair1 = build_cyl_pair(space, "dagger", a, phi0, rho, mus)
-            inner_value = pair1.f(pi)  # equals a r0 + phi0(r) at pi
+            inner_value = pair1.f(pi.values)  # equals a r0 + phi0(r) at pi
             n = int(np.ceil(inner_value)) + 1
             cyl_fun = CylindricalTestFunction(base=phi0, anchors=tuple(mus))
             truncated = truncate_cylinder(cyl_fun, a, rho, n)
             pair0 = build_h0_pair(space, "dagger", truncated.base, truncated.anchors)
-            g0 = pair0.g(pi)
-            g1 = pair1.g(pi)
+            g0 = pair0.g(pi.values)
+            g1 = pair1.g(pi.values)
             violation = abs(g0 - g1)
             rows.append(("chain-0to1", i, g0, g1, violation, violation <= tol))
     else:

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .spaces import ModelSpace, SpacePoint
-from .tataru import d_eps, psi_eps, psi_eps_prime
+from .tataru import d_eps, logsumexp, psi_eps, psi_eps_prime
 
 _GL15 = np.polynomial.legendre.leggauss(15)
 _GL7 = np.polynomial.legendre.leggauss(7)

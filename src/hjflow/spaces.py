@@ -128,6 +128,17 @@ def _clean_values(vals) -> np.ndarray:
     return arr
 
 
+def _ordered(rows: np.ndarray) -> np.ndarray:
+    """Quantile rows (..., n), checked nondecreasing along the last axis."""
+    gaps = np.diff(rows, axis=-1)
+    if gaps.size and gaps.min() < -MONOTONE_SLACK:
+        raise ValueError("quantiles must be nondecreasing")
+    if gaps.size and gaps.min() < 0:
+        # repair float-level order noise; anything larger raised above
+        rows = np.maximum.accumulate(rows, axis=-1)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class EuclideanPoint:
     """Element of the Euclidean model space."""
@@ -152,14 +163,8 @@ class QuantilePoint:
     quantiles: np.ndarray
 
     def __post_init__(self):
-        arr = _clean_values(self.quantiles)
-        gaps = np.diff(arr)
-        if gaps.size and gaps.min() < -MONOTONE_SLACK:
-            raise ValueError("quantiles must be nondecreasing")
-        if gaps.size and gaps.min() < 0:
-            # repair float-level order noise; anything larger raised above
-            arr = np.maximum.accumulate(np.asarray(arr))
-            arr.setflags(write=False)
+        arr = _ordered(_clean_values(self.quantiles))
+        arr.setflags(write=False)
         object.__setattr__(self, "quantiles", arr)
 
     @property
@@ -267,6 +272,16 @@ class ModelSpace:
         if p.values.size != self.size:
             raise ValueError("incompatible points")
         return p
+
+    def rows(self, vals) -> np.ndarray:
+        """Coordinate rows (..., size) that pass the checks of ``point`` row by row:
+        the size, finite values and, for quantiles, the order (float noise repaired)."""
+        arr = np.asarray(vals, dtype=float)
+        if arr.ndim == 0 or arr.shape[-1] != self.size:
+            raise ValueError("incompatible points")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("point coordinates must be finite")
+        return _ordered(arr) if self.kind == "quantile" else arr
 
     def _vals(self, p: SpacePoint) -> np.ndarray:
         expected = EuclideanPoint if self.kind == "euclidean" else QuantilePoint

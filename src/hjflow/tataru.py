@@ -32,7 +32,22 @@ VALUE_TOL = 1e-9
 BLOCK_ELEMENTS = 2**14
 
 
-def psi_eps(eps: float, r) -> np.ndarray | float:
+def logsumexp(a, axis: int | None = None):
+    """log(sum(exp(a))) over ``axis`` (all of ``a`` for None) with the bits of scipy's:
+    the maxima leave the sum and are counted, and an all -inf slice gives -inf."""
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    out = np.where(a_max == -np.inf, -np.inf, out)
+    return np.squeeze(out, axis)[()]
+
+
+def psi_eps(eps: float, r) -> np.ndarray:
     """Smoothed square root: sqrt(2 r) for r >= eps, a matched quadratic below.
 
     Explicitly, for 0 <= r <= eps the value is
@@ -48,11 +63,10 @@ def psi_eps(eps: float, r) -> np.ndarray | float:
     root = np.sqrt(2.0 * eps)
     low = root + (arr - eps) / root - np.square(arr - eps) / (2.0 * root**3)
     high = np.sqrt(2.0 * np.maximum(arr, eps))
-    out = np.where(arr <= eps, low, high)
-    return float(out) if np.isscalar(r) or out.ndim == 0 else out
+    return np.where(arr <= eps, low, high)
 
 
-def psi_eps_prime(eps: float, r) -> np.ndarray | float:
+def psi_eps_prime(eps: float, r) -> np.ndarray:
     """Derivative of psi_eps; positive, strictly decreasing."""
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -62,8 +76,7 @@ def psi_eps_prime(eps: float, r) -> np.ndarray | float:
     root = np.sqrt(2.0 * eps)
     low = 1.0 / root - (arr - eps) / root**3
     high = 1.0 / np.sqrt(2.0 * np.maximum(arr, eps))
-    out = np.where(arr <= eps, low, high)
-    return float(out) if np.isscalar(r) or out.ndim == 0 else out
+    return np.where(arr <= eps, low, high)
 
 
 def d_eps(space: ModelSpace, eps: float, x: SpacePoint, y: SpacePoint) -> float:

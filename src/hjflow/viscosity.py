@@ -18,7 +18,8 @@ is within ``tol``.  Value iteration on the same operator is kept as an oracle.
 
 ``check_viscosity`` then tests the defining inequality of a sub- resp.
 supersolution at the near-maximizers resp. near-minimizers of u - f for a
-dagger resp. ddagger Hamiltonian pair (f, g).
+dagger resp. ddagger Hamiltonian pair (f, g), with one f call on the whole
+grid and one g call on the near-optimizers.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ class ViscosityReport:
     soft_passed: bool
 
 
-def check_viscosity(space: ModelSpace, u: GridFunction, pair: HamiltonianPair,
-                    h, lam: float, tol: float, gap_tol: float = 1e-6) -> ViscosityReport:
+def check_viscosity(u: GridFunction, pair: HamiltonianPair, h, lam: float, tol: float,
+                    gap_tol: float = 1e-6) -> ViscosityReport:
     """Test sigma (u - lam g - h) <= tol at some near-maximizer of sigma (u - f).
 
     sigma = side_sign(pair.side): a dagger pair tests the subsolution
@@ -248,12 +249,10 @@ def check_viscosity(space: ModelSpace, u: GridFunction, pair: HamiltonianPair,
     """
     sigma = side_sign(pair.side)
     xs = u.xs
-    s = sigma * (u.values - np.array([pair.f(space.point([x])) for x in xs]))
+    s = sigma * (u.values - pair.f(xs[:, None]))
     cand = np.flatnonzero(s >= float(np.max(s)) - gap_tol)
     hv = np.asarray(h(xs), dtype=float)
-    slacks = np.array([
-        u.values[i] - lam * pair.g(space.point([xs[i]])) - hv[i] for i in cand
-    ])
+    slacks = u.values[cand] - lam * pair.g(xs[cand, None]) - hv[cand]
     slack = float(slacks[np.argmin(sigma * slacks)])
     return ViscosityReport(side=pair.side, optimizers=xs[cand], slack=slack, tol=tol,
                            passed=sigma * slack <= tol, soft_passed=sigma * slack <= 2 * tol)

@@ -226,8 +226,8 @@ def test_criterion_10_level56_identity(ou):
         rho, mu, pi = ou.sample(rng), ou.sample(rng), ou.sample(rng)
         p5 = build_chain_pair(ou, 5, "dagger", dict(a=a, b=b, c=c, eps=eps, rho=rho, mu=mu))
         p6 = build_chain_pair(ou, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
-        g_ok &= p5.g(pi) == p6.g(pi)
-        f_ok &= abs(p5.f(pi) - p6.f(pi)) <= b * np.sqrt(2 * eps) + 1e-12
+        g_ok &= p5.g(pi.values) == p6.g(pi.values)
+        f_ok &= abs(p5.f(pi.values) - p6.f(pi.values)) <= b * np.sqrt(2 * eps) + 1e-12
     verdict(10, "levels 5/6 share g, f gap bounded", g_ok and f_ok,
             f"g bit-identical: {g_ok}, f gap within b sqrt(2 eps): {f_ok}")
 
@@ -271,11 +271,11 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
         return build_cyl_pair(ou, "ddagger", a, affine_phi(w, c), base, anchors)
 
     sub_ok = all(
-        check_viscosity(ou, sol.u, sample_pair("dagger"), smooth_h, 1.0, tol).passed
+        check_viscosity(sol.u, sample_pair("dagger"), smooth_h, 1.0, tol).passed
         for _ in range(50)
     )
     sup_ok = all(
-        check_viscosity(ou, sol.u, sample_pair("ddagger"), smooth_h, 1.0, tol).passed
+        check_viscosity(sol.u, sample_pair("ddagger"), smooth_h, 1.0, tol).passed
         for _ in range(50)
     )
 
@@ -284,11 +284,11 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
     x0 = float(xs[len(xs) // 2 + 11])
     fail_pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), ou.point([x0]),
                                [ou.point([x0])])
-    fail_sub = check_viscosity(ou, GridFunction(xs, np.ones_like(xs)), fail_pair,
+    fail_sub = check_viscosity(GridFunction(xs, np.ones_like(xs)), fail_pair,
                                zeros_h, 1.0, tol)
     fail_pair_d = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), ou.point([x0]),
                                  [ou.point([x0])])
-    fail_sup = check_viscosity(ou, GridFunction(xs, -np.ones_like(xs)), fail_pair_d,
+    fail_sup = check_viscosity(GridFunction(xs, -np.ones_like(xs)), fail_pair_d,
                                zeros_h, 1.0, tol)
     designed_ok = (not fail_sub.passed) and (not fail_sup.passed)
 

@@ -162,6 +162,14 @@ def test_console_entry_point(tmp_path):
     assert "hjflow" in res.stdout
 
 
+def test_import_leaves_out_scipy_special():
+    # scipy.special costs about a third of the start-up; the package does not need it
+    code = "import sys, hjflow.cli; print('scipy.special' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("path, value", [
     ("resolvent.dx", -0.01),
     ("resolvent.control_bound", float("nan")),

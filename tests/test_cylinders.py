@@ -47,11 +47,10 @@ def test_iota_derivative_matches_knees():
     (Shift(affine_phi([0.9]), 1), 2),
 ])
 def test_symbolic_gradients_match_finite_differences(node, k, rng):
-    for _ in range(10):
-        r = rng.uniform(0.05, 2.5, size=k)
-        _, grad, _ = node.vag(r)
-        fd = finite_difference_grad(node, r)
-        assert np.allclose(grad, fd, atol=1e-6)
+    r = rng.uniform(0.05, 2.5, size=(10, k))
+    _, grad, _ = node.vag(r)
+    fd = finite_difference_grad(node, r)
+    assert np.allclose(grad, fd, atol=1e-6)
 
 
 def test_class_positivity_enforced():
@@ -82,12 +81,11 @@ def test_truncate_cylinder_below_knee_agreement(ou, rng):
     a = 0.9
     trunc = truncate_cylinder(phi0, a, None, n=50)
     assert trunc.base.bounded()
-    for _ in range(10):
-        r = rng.uniform(0.0, 2.0, size=3)
-        v_t, g_t, _ = trunc.base.vag(r)
-        inner = a * r[0] + 0.4 * r[1] + 0.8 * r[2] + 0.1
-        assert v_t == pytest.approx(inner, abs=1e-12)
-        assert np.allclose(g_t, [a, 0.4, 0.8], atol=1e-12)
+    r = rng.uniform(0.0, 2.0, size=(10, 3))
+    v_t, g_t, _ = trunc.base.vag(r)
+    inner = a * r[:, 0] + 0.4 * r[:, 1] + 0.8 * r[:, 2] + 0.1
+    assert v_t == pytest.approx(inner, abs=1e-12)
+    assert np.allclose(g_t, [a, 0.4, 0.8], atol=1e-12)
     # far above the knee the value saturates at n + 1
     v_t, g_t, sat = trunc.base.vag(np.array([200.0, 0.0, 0.0]))
     assert v_t == 51.0

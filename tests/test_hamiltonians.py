@@ -35,15 +35,15 @@ def test_cyl_dagger_hand_example(ou):
     pair = build_cyl_pair(ou, "dagger", 1.0, identity_phi(), ou.point([0]),
                           [ou.point([0])])
     pi = ou.point([1])
-    assert pair.f(pi) == pytest.approx(1.0)
-    assert pair.g(pi) == pytest.approx(0.0, abs=1e-14)
+    assert pair.f(pi.values) == pytest.approx(1.0)
+    assert pair.g(pi.values) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cyl_dagger_degenerate(ou):
     crit = ou.rest_point()
     pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([1.0], 0.3), crit, [crit])
-    assert pair.f(crit) == pytest.approx(0.3)  # phi(0)
-    assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
+    assert pair.f(crit.values) == pytest.approx(0.3)  # phi(0)
+    assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
@@ -57,7 +57,7 @@ def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
         pi = quartic.sample(rng)
         pair = build_cyl_pair(quartic, "dagger", a, affine_phi(weights, const), rho, mus)
         oracle = five_term_g_dagger(quartic, a, weights, const, rho, mus, pi)
-        assert pair.g(pi) == pytest.approx(oracle, abs=1e-12)
+        assert pair.g(pi.values) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_cyl_dagger_rejects_bad_inputs(ou):
@@ -66,17 +66,17 @@ def test_cyl_dagger_rejects_bad_inputs(ou):
     pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([-1.0]), ou.point([0]),
                           [ou.point([0])])
     with pytest.raises(ValueError, match="not in class T"):
-        pair.f(ou.point([1]))
+        pair.f(ou.point([1]).values)
 
 
 def test_cyl_ddagger_hand_example(ou):
     crit = ou.rest_point()
     pair = build_cyl_pair(ou, "ddagger", 1.0, identity_phi(), crit, [crit])
-    assert pair.f(crit) == pytest.approx(0.0)
-    assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
+    assert pair.f(crit.values) == pytest.approx(0.0)
+    assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
     mu = ou.point([1])
-    assert pair.f(mu) == pytest.approx(-1.0)
-    assert pair.g(mu) == pytest.approx(1.0, abs=1e-14)
+    assert pair.f(mu.values) == pytest.approx(-1.0)
+    assert pair.g(mu.values) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_cyl_ddagger_below_dagger_style_bound(ou, rng):
@@ -98,7 +98,7 @@ def test_cyl_ddagger_below_dagger_style_bound(ou, rng):
             upper += w * (e_mu - ou.energy(p) + 0.5 * ou.kappa * di**2)
             cross += w * di
         upper += 0.5 * cross**2 + a * d0 * cross
-        assert pair.g(mu) <= upper + 1e-12
+        assert pair.g(mu.values) <= upper + 1e-12
 
 
 def test_h0_pair_examples(ou, rng):
@@ -106,8 +106,8 @@ def test_h0_pair_examples(ou, rng):
     phi = Iota(2, affine_phi([1.0]))
     for side, sign in (("dagger", 1.0), ("ddagger", -1.0)):
         pair = build_h0_pair(ou, side, phi, [crit])
-        assert pair.f(crit) == pytest.approx(sign * 0.0)
-        assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
+        assert pair.f(crit.values) == pytest.approx(sign * 0.0)
+        assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
 
     # overlap with the quadratic-free cylindrical pair below the knee
     pair0 = build_h0_pair(ou, "dagger", phi, [crit])
@@ -118,7 +118,7 @@ def test_h0_pair_examples(ou, rng):
         # below the knee iota is the identity, so g matches the affine base
         direct = (1.0 * (ou.energy(crit) - ou.energy(pi) - 0.5 * ou.kappa * 2 * r)
                   + 0.5 * (np.sqrt(2 * r)) ** 2)
-        assert pair0.g(pi) == pytest.approx(direct, abs=1e-12)
+        assert pair0.g(pi.values) == pytest.approx(direct, abs=1e-12)
 
 
 def test_h0_requires_bounded(ou):
@@ -145,7 +145,7 @@ def test_h0_ddagger_below_cauchy_schwarz_bound(ou, rng):
             for g, a, d in zip(grad, anchors, dists)
         )
         upper = energy_terms + 0.5 * float(np.dot(grad, dists)) ** 2
-        assert pair.g(mu) <= upper + 1e-12
+        assert pair.g(mu.values) <= upper + 1e-12
 
 
 def test_composite_phi_partials_match_finite_differences(ou, rng):
@@ -163,17 +163,17 @@ def test_ddagger_f_bounded_above(ou, rng):
     pair = build_cyl_pair(ou, "ddagger", 0.8, affine_phi([0.5], c), ou.sample(rng),
                           [ou.sample(rng)])
     for _ in range(20):
-        assert pair.f(ou.sample(rng)) <= -c + 1e-12
+        assert pair.f(ou.sample(rng).values) <= -c + 1e-12
 
 
 def test_tataru_pair_examples(ou):
     pair = build_tataru_pair(ou, "dagger", 1.0, 1.0, 0.0, ou.point([0]), ou.point([1]))
-    assert pair.f(ou.point([0])) == pytest.approx(1.0, abs=1e-9)
-    assert pair.g(ou.point([0])) == pytest.approx(1.5)
+    assert pair.f(ou.point([0]).values) == pytest.approx(1.0, abs=1e-9)
+    assert pair.g(ou.point([0]).values) == pytest.approx(1.5)
     crit = ou.rest_point()
     pair2 = build_tataru_pair(ou, "dagger", 1.0, 0.5, 0.7, crit, crit)
-    assert pair2.f(crit) == pytest.approx(0.7)
-    assert pair2.g(crit) == pytest.approx(0.5 + 0.125)
+    assert pair2.f(crit.values) == pytest.approx(0.7)
+    assert pair2.g(crit.values) == pytest.approx(0.5 + 0.125)
     with pytest.raises(ValueError, match="positive"):
         build_tataru_pair(ou, "dagger", 1.0, 0.0, 0.0, crit, crit)
 
@@ -185,7 +185,7 @@ def test_tataru_pair_lipschitz_on_box(ou, rng):
     const = a * diam + b + a * diam
     for _ in range(20):
         x, y = ou.sample(rng), ou.sample(rng)
-        lhs = abs(pair.f(x) - pair.f(y))
+        lhs = abs(pair.f(x.values) - pair.f(y.values))
         assert lhs <= const * ou.distance(x, y) + 1e-9
 
 
@@ -194,8 +194,8 @@ def test_tataru_pair_ddagger_mirror(ou):
     pair = build_tataru_pair(ou, "ddagger", 1.0, 1.0, 0.0, crit, ou.point([1]))
     mu = ou.point([0])
     # f = -1/2 d^2(mu, crit) - b d_T(mu, anchor) + 0 with d_T((0), (1)) = 1
-    assert pair.f(mu) == pytest.approx(-1.0, abs=1e-9)
-    assert pair.g(mu) == pytest.approx(-1.0 - 0.5)
+    assert pair.f(mu.values) == pytest.approx(-1.0, abs=1e-9)
+    assert pair.g(mu.values) == pytest.approx(-1.0 - 0.5)
 
 
 def test_chain_level2_constant_instance(ou):
@@ -203,7 +203,7 @@ def test_chain_level2_constant_instance(ou):
     pair = build_chain_pair(ou, 2, "dagger",
                             dict(a=1.0, b=1.0, c=0.25, eps=0.5, m=7, n=3,
                                  rho=crit, mu=crit))
-    assert pair.f(crit) == pytest.approx(0.25 + psi_eps(0.5, 0.0), abs=1e-12)
+    assert pair.f(crit.values) == pytest.approx(0.25 + psi_eps(0.5, 0.0), abs=1e-12)
 
 
 def test_chain_level4_sup_at_minimizer(ou):
@@ -224,7 +224,7 @@ def test_chain_level4_sup_at_minimizer(ou):
     expected_sup = gap * psi_eps_prime(eps, 0.5 * dist2)
     # pi = rho: the quadratic, cross and energy-gap terms vanish, b^2/2 stays
     base = 0.5
-    assert pair.g(pi) == pytest.approx(base + expected_sup, abs=1e-6)
+    assert pair.g(pi.values) == pytest.approx(base + expected_sup, abs=1e-6)
 
 
 def test_chain_level5_level6_identity(ou, rng):
@@ -235,8 +235,8 @@ def test_chain_level5_level6_identity(ou, rng):
         rho, mu, pi = ou.sample(rng), ou.sample(rng), ou.sample(rng)
         p5 = build_chain_pair(ou, 5, "dagger", dict(a=a, b=b, c=c, eps=eps, rho=rho, mu=mu))
         p6 = build_chain_pair(ou, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
-        assert p5.g(pi) == p6.g(pi)  # bit-identical shared closed form
-        assert abs(p5.f(pi) - p6.f(pi)) <= b * np.sqrt(2 * eps) + 1e-12
+        assert p5.g(pi.values) == p6.g(pi.values)  # bit-identical shared closed form
+        assert abs(p5.f(pi.values) - p6.f(pi.values)) <= b * np.sqrt(2 * eps) + 1e-12
 
 
 def test_chain_missing_parameter(ou):
@@ -257,7 +257,7 @@ def test_chain_ddagger_requires_its_anchors(ou):
                                                 rho=crit, mu=crit))
     pair = build_chain_pair(ou, 5, "ddagger", dict(a=1, b=1, c=0, eps=0.1,
                                                    gamma=crit, pi=crit))
-    assert pair.g(crit) == pytest.approx(-1.0 - 0.5)
+    assert pair.g(crit.values) == pytest.approx(-1.0 - 0.5)
 
 
 def test_chain_inequality_links(ou, rng):
@@ -296,22 +296,22 @@ def test_chain_1to2_degenerate_sample(ou):
     pair1 = build_cyl_pair(ou, "dagger", 1.0, phi, crit, anchors)
     pair2 = build_chain_pair(ou, 2, "dagger",
                              dict(a=1.0, b=b, c=c, eps=eps, m=m, n=n, rho=crit, mu=crit))
-    g1, g2 = pair1.g(crit), pair2.g(crit)
+    g1, g2 = pair1.g(crit.values), pair2.g(crit.values)
     assert np.isfinite(g1) and np.isfinite(g2)
     assert g1 <= g2 + 1e-12
-    assert pair1.f(crit) == pytest.approx(pair2.f(crit), abs=1e-12)
+    assert pair1.f(crit.values) == pytest.approx(pair2.f(crit.values), abs=1e-12)
 
 
 def test_pair_evaluations_deterministic(ou, rng):
     pair = build_tataru_pair(ou, "dagger", 0.9, 0.8, 0.1, ou.point([0.3]), ou.point([-0.7]))
     x = ou.point([1.234])
-    assert pair.f(x) == pair.f(x)
-    assert pair.g(x) == pair.g(x)
+    assert pair.f(x.values) == pair.f(x.values)
+    assert pair.g(x.values) == pair.g(x.values)
     pair2 = build_chain_pair(ou, 3, "dagger",
                              dict(a=0.9, b=0.8, c=0.1, eps=0.2, m=9,
                                   rho=ou.point([0.3]), mu=ou.point([-0.7])))
-    assert pair2.f(x) == pair2.f(x)
-    assert pair2.g(x) == pair2.g(x)
+    assert pair2.f(x.values) == pair2.f(x.values)
+    assert pair2.g(x.values) == pair2.g(x.values)
 
 
 def test_dagger_f_bounded_below(ou, rng):
@@ -323,7 +323,7 @@ def test_dagger_f_bounded_below(ou, rng):
         pair = build_cyl_pair(ou, "dagger", a, affine_phi(weights, c), ou.sample(rng),
                               [ou.sample(rng), ou.sample(rng)])
         for _ in range(20):
-            assert pair.f(ou.sample(rng)) >= c - 1e-12
+            assert pair.f(ou.sample(rng).values) >= c - 1e-12
 
 
 def test_chain_end_to_end_limit(ou):
@@ -339,12 +339,12 @@ def test_chain_end_to_end_limit(ou):
     pi = p([0.0])
     p4 = build_chain_pair(ou, 4, "dagger", params)
     p5 = build_chain_pair(ou, 5, "dagger", params)
-    g4, g5 = p4.g(pi), p5.g(pi)
+    g4, g5 = p4.g(pi.values), p5.g(pi.values)
     assert g4 <= g5 + 1e-12
     gaps = []
     for n in (4, 8, 16):
         p2 = build_chain_pair(ou, 2, "dagger", {**params, "m": n * n, "n": n})
-        gaps.append(abs(p2.g(pi) - g4))
+        gaps.append(abs(p2.g(pi.values) - g4))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 0.05
     # and the 4 -> 5 gap on this instance is genuinely positive (about b/2)
@@ -359,7 +359,7 @@ def test_level2_level3_agree_for_large_n(ou):
     gaps = []
     for n in (5, 20, 80):
         pair2 = build_chain_pair(ou, 2, "dagger", {**params, "n": n})
-        gaps.append(abs(pair2.f(pi) - pair3.f(pi)))
+        gaps.append(abs(pair2.f(pi.values) - pair3.f(pi.values)))
     assert gaps[0] > gaps[1] > gaps[2]
     # the Riemann-sum gap decays like (m+1)/(2n)
     assert gaps[2] < 0.01

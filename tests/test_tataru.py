@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from hjflow import cli
 from hjflow.config import config_from_dict
@@ -20,6 +21,7 @@ from hjflow.tataru import (
     VALUE_TOL,
     _minimize,
     d_eps,
+    logsumexp,
     psi_eps,
     psi_eps_prime,
     tataru,
@@ -29,6 +31,26 @@ from hjflow.tataru import (
 
 # the package re-exports the function ``tataru`` under the module's name
 TATARU_MODULE = sys.modules["hjflow.tataru"]
+
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(17)
+    for trial in range(500):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 30)))
+        a = rng.normal(scale=rng.uniform(0.1, 50.0), size=shape)
+        if trial % 3 == 0:
+            a = np.round(a)  # ties at the maximum
+        if trial % 4 == 0:
+            a[rng.uniform(size=shape) < 0.3] = -np.inf
+        if trial % 25 == 0:
+            a[0] = -np.inf  # an all -inf row
+        for axis in (None, 1, -1):
+            want = scipy_logsumexp(a, axis=axis)
+            got = logsumexp(a, axis=axis)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want), (a, axis)
+        assert logsumexp(a[0]) == scipy_logsumexp(a[0])
+    assert logsumexp(np.full(3, -np.inf)) == -np.inf
 
 
 def golden_oracle(space, pi, mu, eps, t_cap, grid_points=GRID_POINTS):

@@ -80,10 +80,10 @@ def test_value_function_is_subsolution(ou, value_function, rng):
         mus = [ou.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
         pair = build_cyl_pair(ou, "dagger", a, affine_phi(w, float(rng.uniform(0, 0.5))),
                               rho, mus)
-        rep = check_viscosity(ou, sol.u, pair, smooth_h, 1.0, tol)
+        rep = check_viscosity(sol.u, pair, smooth_h, 1.0, tol)
         assert rep.passed, rep
         # every reported optimizer is within gap_tol of sup (u - f), recomputed here
-        s = sol.u.values - np.array([pair.f(ou.point([x])) for x in sol.u.xs])
+        s = sol.u.values - np.array([pair.f(ou.point([x]).values) for x in sol.u.xs])
         at = np.searchsorted(sol.u.xs, rep.optimizers)
         assert np.array_equal(sol.u.xs[at], rep.optimizers)
         assert np.all(s[at] >= s.max() - 1e-6)
@@ -98,7 +98,7 @@ def test_value_function_is_supersolution(ou, value_function, rng):
         gamma = ou.point([rng.uniform(-1.5, 1.5)])
         pis = [ou.point([rng.uniform(-1.5, 1.5)])]
         pair = build_cyl_pair(ou, "ddagger", a, affine_phi(w), gamma, pis)
-        rep = check_viscosity(ou, sol.u, pair, smooth_h, 1.0, tol)
+        rep = check_viscosity(sol.u, pair, smooth_h, 1.0, tol)
         assert rep.passed, rep
 
 
@@ -108,7 +108,7 @@ def test_designed_subsolution_failure(ou, value_function):
     x0 = float(xs[len(xs) // 2 + 7])
     pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), ou.point([x0]),
                           [ou.point([x0])])
-    rep = check_viscosity(ou, ones, pair, lambda x: np.zeros_like(np.asarray(x)),
+    rep = check_viscosity(ones, pair, lambda x: np.zeros_like(np.asarray(x)),
                           1.0, tol=5 * value_function.dx)
     assert not rep.passed
     assert rep.slack == pytest.approx(1.0, abs=1e-9)
@@ -120,7 +120,7 @@ def test_designed_supersolution_failure(ou, value_function):
     x0 = float(xs[len(xs) // 2 - 5])
     pair = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), ou.point([x0]),
                           [ou.point([x0])])
-    rep = check_viscosity(ou, minus, pair, lambda x: np.zeros_like(np.asarray(x)),
+    rep = check_viscosity(minus, pair, lambda x: np.zeros_like(np.asarray(x)),
                           1.0, tol=5 * value_function.dx)
     assert not rep.passed
     assert rep.slack == pytest.approx(-1.0, abs=1e-9)
@@ -137,8 +137,8 @@ def test_min_h_is_subsolution_where_g_nonnegative(ou, value_function, rng):
         rho = ou.point([rng.uniform(-1.5, 1.5)])
         mus = [ou.point([rng.uniform(-1.5, 1.5)])]
         pair = build_cyl_pair(ou, "dagger", a, affine_phi(w), rho, mus)
-        rep = check_viscosity(ou, umin, pair, smooth_h, 1.0, tol=1e-9)
-        g_at_opt = min(pair.g(ou.point([x])) for x in rep.optimizers)
+        rep = check_viscosity(umin, pair, smooth_h, 1.0, tol=1e-9)
+        g_at_opt = min(pair.g(ou.point([x]).values) for x in rep.optimizers)
         if g_at_opt >= 0:
             checked += 1
             assert rep.passed
@@ -152,7 +152,7 @@ def test_supersolution_shift_invariance(ou, value_function, rng):
     shifted = GridFunction(sol.u.xs, sol.u.values + 0.8)
     pair = build_cyl_pair(ou, "ddagger", 0.4, affine_phi([0.2]), ou.point([0.5]),
                           [ou.point([-0.5])])
-    rep = check_viscosity(ou, shifted, pair, smooth_h, 1.0, tol=5 * sol.dx)
+    rep = check_viscosity(shifted, pair, smooth_h, 1.0, tol=5 * sol.dx)
     assert rep.passed
 
 
@@ -161,7 +161,7 @@ def test_check_rejects_wrong_side(ou, value_function):
     pair = build_cyl_pair(ou, "dagger", 0.4, affine_phi([0.2]), ou.point([0]), [ou.point([0])])
     wrong = HamiltonianPair(side="up", f=pair.f, g=pair.g)
     with pytest.raises(ValueError, match="unknown side 'up'"):
-        check_viscosity(ou, value_function.u, wrong, smooth_h, 1.0, 0.01)
+        check_viscosity(value_function.u, wrong, smooth_h, 1.0, 0.01)
     with pytest.raises(ValueError, match="unknown side 'up'"):
         build_cyl_pair(ou, "up", 0.4, affine_phi([0.2]), ou.point([0]), [ou.point([0])])
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,12 +233,69 @@ def test_quantile_monotonicity_preserved(rng):
 @pytest.mark.parametrize("form,kappa", [("quadratic", 1.0), ("quadratic", 2.5),
                                         ("quartic", None), ("double_well", -0.5)])
 def test_potential_convexity_bound(form, kappa):
+    # at h = 1e-3 the difference quotient's truncation error (h^2 |V''''| / 12
+    # <= 5e-7) and its rounding (about 4 eps |V| / h^2, 1.4e-7 at |x| = 5) are
+    # far below atol, so atol alone bounds the curvature error
     pot = make_potential(form, kappa)
     xs = np.linspace(-5, 5, 2001)
-    h = 1e-5
+    h = 1e-3
     second = (pot.v(xs + h) - 2 * pot.v(xs) + pot.v(xs - h)) / h**2
     assert np.all(second >= pot.kappa - 1e-4)
-    assert np.allclose(pot.d2v(xs), second, atol=1e-4)
+    assert np.allclose(pot.d2v(xs), second, rtol=0, atol=1e-4)
+
+
+class _NoPow(np.ndarray):
+    """Array whose ufuncs refuse power and float_power however they are spelled."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        assert ufunc not in (np.power, np.float_power), f"{ufunc.__name__} called"
+        out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+        return out.view(_NoPow)
+
+
+def _exact_terms(form, kappa, x):
+    """The terms of V, V' and V'' at the float x, each an exact Fraction."""
+    x = Fraction(x)
+    k = None if kappa is None else Fraction(kappa)
+    if form == "quadratic":
+        return [k * x**2 / 2], [k * x], [k]
+    if form == "quartic":
+        return [x**4 / 4], [x**3], [3 * x**2]
+    return [x**4 / 4, k * x**2 / 2], [x**3, k * x], [3 * x**2, k]
+
+
+@pytest.mark.parametrize("form,kappa", [("quadratic", 2.5), ("quartic", None),
+                                        ("double_well", -0.5), ("double_well", -2.0)])
+def test_potential_kernels_exact_and_pow_free(form, kappa, monkeypatch, rng):
+    # v, dv and d2v each stay within 2 eps of the sum of their terms' magnitudes
+    # (gamma_3: at most three roundings), checked in exact rational arithmetic
+    # on the grid plus +-1, +-sqrt(2), +-sqrt(|kappa|) and +-sqrt(2 |kappa|) for
+    # kappa in {-0.5, -2}, where V and V' of the double wells cancel
+    pot = make_potential(form, kappa)
+    roots = np.sqrt([0.5, 1.0, 2.0, 4.0])
+    xs = np.concatenate([np.linspace(-5, 5, 2001), roots, -roots])
+    eps = Fraction(np.finfo(float).eps)
+    for i, kernel in enumerate((pot.v, pot.dv, pot.d2v)):
+        got = np.asarray(kernel(xs.view(_NoPow)))
+        assert got.shape == xs.shape
+        for x, y in zip(xs, got):
+            terms = _exact_terms(form, kappa, x)[i]
+            assert abs(Fraction(y) - sum(terms)) <= 2 * eps * sum(abs(t) for t in terms)
+
+    # the row kernels and the flow built on them call no libm pow either
+    def refuse(*args, **kwargs):
+        raise AssertionError("libm pow called")
+
+    monkeypatch.setattr(np, "power", refuse)
+    monkeypatch.setattr(np, "float_power", refuse)
+    space = quantile_space(pot, grid_size=16, sample_radius=3.0)
+    x = space.sample(rng)
+    ts = np.linspace(0.0, 2.0, 21)
+    vals = space.flow_values(x.values, ts)
+    traj = space.flow_trajectory(x, ts)
+    assert np.array_equal(traj.values, vals)
+    assert np.array_equal(traj.energies, space.energies(vals))
+    assert np.array_equal(traj.slopes, np.sqrt(space.sq_slopes(vals)))
 
 
 def test_double_well_requires_negative_kappa():

@@ -12,6 +12,11 @@ matrix has two nonzeros per row, and it is solved exactly by Howard's policy
 iteration: fix a control per grid point, solve the linear system
 (I - beta P) u = r for that policy, improve the policy greedily, and stop when
 no grid point gains.  The iterates increase monotonically, which is asserted.
+The scheme's geometry (grid, controls, foot cells and interpolation weights)
+depends on the potential, the box, dt, dx and the control set but not on h or
+lam, so ``_scheme`` computes it once per scheme and every solve on that scheme
+shares its read-only arrays; each policy step then assembles I - beta P as one
+CSR matrix for the sparse LU solve.
 The answer carries a checked certificate: since T is a beta-contraction,
 ||u - u*|| <= ||T u - u|| / (1 - beta), and the solve raises unless that bound
 is within ``tol``.  Value iteration on the same operator is kept as an oracle.
@@ -25,6 +30,7 @@ grid and one g call on the near-optimizers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -42,8 +48,9 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # read-only copies: freezing the caller's arrays would make them read-only too
+        xs = np.array(self.xs, dtype=float)
+        values = np.array(self.values, dtype=float)
         if xs.shape != values.shape or xs.ndim != 1:
             raise ValueError("grid and values must be matching 1-d arrays")
         if not np.all(np.isfinite(values)):
@@ -55,9 +62,6 @@ class GridFunction:
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.values)
-
-    def shifted(self, c: float) -> "GridFunction":
-        return GridFunction(self.xs, self.values + c)
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,28 @@ def make_grid(box: float = 5.0, dx: float = 1.0 / 200.0) -> np.ndarray:
     return np.linspace(-box, box, n + 1)
 
 
+# one scheme at a time: every caller finishes the solves of one scheme before the
+# next, and a scheme at the default dx holds about 6 MB (2001 x 129 cells, 24 B each)
+@lru_cache(maxsize=1)
+def _scheme(potential, box: float, dt: float, dx: float, control_bound: float,
+            n_controls: int) -> tuple[np.ndarray, ...]:
+    """The read-only geometry (xs, controls, idx, w0, w1) shared by a scheme's solves:
+    the foot of grid point i under control j lies in cell idx[i, j], with weights
+    w0[i, j] and w1[i, j] on its two ends."""
+    xs = make_grid(box, dx)
+    controls = np.linspace(-control_bound, control_bound, n_controls)
+    drift = -potential.dv(xs)
+    targets = np.clip(xs[:, None] + dt * (drift[:, None] + controls[None, :]),
+                      xs[0], xs[-1])
+    idx = np.clip(np.searchsorted(xs, targets) - 1, 0, xs.size - 2)
+    w1 = (targets - xs[idx]) / (xs[idx + 1] - xs[idx])
+    w0 = 1.0 - w1
+    scheme = (xs, controls, idx, w0, w1)
+    for arr in scheme:
+        arr.setflags(write=False)
+    return scheme
+
+
 def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0,
                     dt: float | None = None, dx: float = 1.0 / 200.0,
                     n_controls: int = 129, tol: float = 1e-10,
@@ -110,7 +136,8 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
     ----------
     space : euclidean, one-dimensional model space (raises otherwise)
     lam : discount scale; the contraction factor is beta = 1 - dt/lam
-    h : callable or GridFunction, clamped to the box by constant extension
+    h : callable or GridFunction, clamped to the box by constant extension;
+        it is called once, on the read-only grid of the shared scheme
     control_bound : controls range over [-U, U] with 129 candidates by default
     dt : semi-Lagrangian step, defaults to lam/50; must satisfy dt < lam
     max_iter : cap on policy steps (Howard) or sweeps (value iteration)
@@ -124,17 +151,11 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
     dt = lam / 50.0 if dt is None else dt
     if dt >= lam:
         raise ValueError("time step too large (requires dt < lam)")
-    xs = make_grid(space.box, dx)
+    xs, controls, idx, w0, w1 = _scheme(space.potential, space.box, dt, dx,
+                                        control_bound, n_controls)
     hv = np.asarray(h(xs), dtype=float)
     if not np.all(np.isfinite(hv)):
         raise ValueError("h must be finite on the grid")
-    controls = np.linspace(-control_bound, control_bound, n_controls)
-    drift = -space.potential.dv(xs)
-    targets = np.clip(xs[:, None] + dt * (drift[:, None] + controls[None, :]),
-                      xs[0], xs[-1])
-    idx = np.clip(np.searchsorted(xs, targets) - 1, 0, xs.size - 2)
-    w1 = (targets - xs[idx]) / (xs[idx + 1] - xs[idx])
-    w0 = 1.0 - w1
     reward = dt * (hv[:, None] / lam - 0.5 * controls[None, :] ** 2)
     beta = 1.0 - dt / lam
 
@@ -183,27 +204,43 @@ def _value_iteration(q_values, u, beta, tol, max_iter):
     )
 
 
+def _policy_matrix(idx, w0, w1, beta):
+    """I - beta P for the transition P with weights w0, w1 on columns idx, idx + 1.
+
+    One CSR matrix with the pattern and entries of scipy's
+    ``identity - beta * P``: each row holds its diagonal 1 and -beta w0,
+    -beta w1 in column order, a diagonal on idx or idx + 1 becomes 1 - beta w
+    there, and zero entries are dropped.
+    """
+    n = idx.size
+    rows = np.arange(n)
+    cols = np.stack((rows, idx, idx + 1, rows), axis=1)
+    vals = np.stack((rows < idx, (rows == idx) - beta * w0,
+                     (rows == idx + 1) - beta * w1, rows > idx + 1), axis=1)
+    keep = vals != 0
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sparse.csr_matrix((vals[keep], cols[keep].astype(np.intc), indptr),
+                             shape=(n, n))
+
+
 def _policy_iteration(q_values, u, idx, w0, w1, reward, beta, sup_h, max_iter):
     """Howard's algorithm, starting from the greedy policy for u = h.
 
-    A policy changes only where the gain is strictly above ``_POLICY_GAIN``, so
-    ties cannot make it cycle.  Returns the value of the final policy, the
-    number of policy steps, the sup-norm change of the last step and the
-    Q-values at the final u.
+    Each policy step assembles I - beta P for the current policy as one CSR
+    matrix (``_policy_matrix``) and solves it by sparse LU.  A policy changes
+    only where the gain is strictly above ``_POLICY_GAIN``, so ties cannot make
+    it cycle.  Returns the value of the final policy, the number of policy
+    steps, the sup-norm change of the last step and the Q-values at the final u.
     """
-    n = u.size
-    rows = np.arange(n)
-    indptr = np.arange(0, 2 * n + 1, 2)
-    identity = sparse.identity(n, format="csr")
+    rows = np.arange(u.size)
     # the linear solve has condition number at most (1 + beta) / (1 - beta)
     roundoff = 1e-13 * (1.0 + sup_h) / (1.0 - beta)
     q = q_values(u)
     policy = np.argmax(q, axis=1)
     for iterations in range(1, max_iter + 1):
-        cols = np.stack((idx[rows, policy], idx[rows, policy] + 1), axis=1).ravel()
-        weights = np.stack((w0[rows, policy], w1[rows, policy]), axis=1).ravel()
-        transition = sparse.csr_matrix((weights, cols, indptr), shape=(n, n))
-        u_new = spsolve(identity - beta * transition, reward[rows, policy])
+        matrix = _policy_matrix(idx[rows, policy], w0[rows, policy], w1[rows, policy], beta)
+        u_new = spsolve(matrix, reward[rows, policy])
         if iterations > 1 and float(np.max(u - u_new)) > roundoff:
             raise RuntimeError(
                 f"policy iteration lost monotonicity at step {iterations}: "

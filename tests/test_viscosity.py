@@ -1,12 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
+from hjflow import viscosity
 from hjflow.cylinders import affine_phi
 from hjflow.hamiltonians import HamiltonianPair, build_cyl_pair
+from hjflow.spaces import euclidean_space
 from hjflow.viscosity import (
     GridFunction,
     check_viscosity,
     comparison_gap,
+    make_grid,
     solve_resolvent,
 )
 
@@ -208,6 +215,16 @@ def test_grid_function_validation():
         GridFunction(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
 
 
+def test_grid_function_copies_the_callers_arrays():
+    xs, values = np.linspace(0.0, 1.0, 5), np.zeros(5)
+    u = GridFunction(xs, values)
+    xs[0], values[0] = -1.0, 1.0  # the caller's arrays stay writable
+    assert u.xs[0] == 0.0 and u.values[0] == 0.0
+    for arr in (u.xs, u.values):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+
+
 def test_solver_nonconvergence_error(ou):
     with pytest.raises(RuntimeError, match="did not converge"):
         solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=3, method="value")
@@ -256,3 +273,93 @@ def test_policy_iteration_matches_value_iteration(request, potential, family,
 def test_certificate_gates_the_solution(ou):
     with pytest.raises(RuntimeError, match="certificate"):
         solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, tol=1e-30)
+
+
+def oracle_howard(space, lam, h, control_bound=2.0, dt=None, dx=1.0 / 200.0,
+                  n_controls=129, tol=1e-10, max_iter=200000):
+    """Howard's solve as it was before the scheme cache and the one-step assembly:
+    geometry rebuilt per call and I - beta P formed as identity - beta * transition.
+    Returns (u, iterations, final_increment, bellman_residual)."""
+    dt = lam / 50.0 if dt is None else dt
+    xs = make_grid(space.box, dx)
+    hv = np.asarray(h(xs), dtype=float)
+    controls = np.linspace(-control_bound, control_bound, n_controls)
+    drift = -space.potential.dv(xs)
+    targets = np.clip(xs[:, None] + dt * (drift[:, None] + controls[None, :]),
+                      xs[0], xs[-1])
+    idx = np.clip(np.searchsorted(xs, targets) - 1, 0, xs.size - 2)
+    w1 = (targets - xs[idx]) / (xs[idx + 1] - xs[idx])
+    w0 = 1.0 - w1
+    reward = dt * (hv[:, None] / lam - 0.5 * controls[None, :] ** 2)
+    beta = 1.0 - dt / lam
+
+    def q_values(u):
+        return reward + beta * (w0 * u[idx] + w1 * u[idx + 1])
+
+    u = hv
+    n = u.size
+    rows = np.arange(n)
+    indptr = np.arange(0, 2 * n + 1, 2)
+    identity = sparse.identity(n, format="csr")
+    q = q_values(u)
+    policy = np.argmax(q, axis=1)
+    for iterations in range(1, max_iter + 1):
+        cols = np.stack((idx[rows, policy], idx[rows, policy] + 1), axis=1).ravel()
+        weights = np.stack((w0[rows, policy], w1[rows, policy]), axis=1).ravel()
+        transition = sparse.csr_matrix((weights, cols, indptr), shape=(n, n))
+        u_new = spsolve(identity - beta * transition, reward[rows, policy])
+        increment = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        q = q_values(u)
+        best = np.argmax(q, axis=1)
+        improve = q[rows, best] > q[rows, policy] + viscosity._POLICY_GAIN
+        if not np.any(improve):
+            residual = float(np.max(np.abs(np.max(q, axis=1) - u)))
+            assert residual / (1.0 - beta) <= tol
+            return u, iterations, increment, residual
+        policy = np.where(improve, best, policy)
+    raise RuntimeError("oracle did not converge")
+
+
+def assert_matches_oracle(space, h, **kwargs):
+    sol = solve_resolvent(space, 1.0, h, **kwargs)
+    u, iterations, increment, residual = oracle_howard(space, 1.0, h, **kwargs)
+    assert np.array_equal(sol.u.values, u)
+    assert sol.iterations == iterations
+    assert sol.final_increment == increment
+    assert sol.bellman_residual == residual
+
+
+ORACLE_CASES = [
+    *itertools.product(["ou", "quartic", "double_well"], sorted(H_FAMILIES),
+                       [50.0, 200.0], [33, 129], [0.1]),
+    ("double_well", "random", 50.0, 129, 0.05),
+]
+
+
+@pytest.mark.parametrize("potential,family,dt_factor,n_controls,dx", ORACLE_CASES)
+def test_howard_matches_oracle_bit_for_bit(request, potential, family, dt_factor,
+                                           n_controls, dx):
+    assert_matches_oracle(request.getfixturevalue(potential), H_FAMILIES[family],
+                          dt=1.0 / dt_factor, dx=dx, n_controls=n_controls)
+
+
+def test_scheme_cache_keys_on_every_input(ou, quartic):
+    base = dict(dt=0.02, dx=0.1, control_bound=2.0, n_controls=33)
+    variants = [
+        (quartic, base),
+        (euclidean_space(ou.potential, box=4.0), base),
+        (ou, {**base, "dt": 0.005}),
+        (ou, {**base, "dx": 0.05}),
+        (ou, {**base, "control_bound": 1.0}),
+        (ou, {**base, "n_controls": 129}),
+    ]
+    h = H_FAMILIES["fourier"]
+    viscosity._scheme.cache_clear()
+    for space, kwargs in variants:
+        assert_matches_oracle(ou, h, **base)
+        assert_matches_oracle(space, h, **kwargs)
+    scheme = viscosity._scheme(ou.potential, ou.box, 0.02, 0.1, 2.0, 33)
+    for arr in scheme:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0

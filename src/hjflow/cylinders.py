@@ -4,9 +4,10 @@ A test function acts on the vector r of half-squared distances to a finite set
 of anchor points.  The admissible class requires every partial derivative to
 be strictly positive; the bounded subclass additionally caps the value with a
 smooth saturation.  Representing the functions as a small closed combinator
-family (affine, smoothed square root, exponential log-sum, saturation,
-composition) keeps the partials exact and the class constraints checkable,
-which arbitrary callables would not allow.
+family (affine, saturation, re-indexing, and the array node ``SoftminPsi``, a
+softmin of smoothed square roots of weighted coordinates that is the ladder's
+level-1 composite) keeps the partials exact and the class constraints
+checkable, which arbitrary callables would not allow.
 
 Every combinator evaluates rows: ``vag(r)`` takes r of shape (..., k), one
 vector per leading index, and returns the values (...), the partials (..., k)
@@ -93,59 +94,33 @@ class Affine(CylNode):
         return all(w > 0 and node.structurally_positive() for w, node in self.terms)
 
 
-@dataclass(frozen=True)
-class Psi(CylNode):
-    """Smoothed square root of a child value."""
+@dataclass(frozen=True, eq=False)
+class SoftminPsi(CylNode):
+    """c + b (-1/m) log sum_i exp(log_w_i - m w_i psi_eps(r_i)).
 
-    eps: float
-    child: CylNode
-
-    def vag(self, r):
-        v, g, s = self.child.vag(r)
-        return psi_eps(self.eps, v), psi_eps_prime(self.eps, v)[..., None] * g, s
-
-    def bounded(self):
-        return self.child.bounded()
-
-    def structurally_positive(self):
-        return self.child.structurally_positive()
-
-
-@dataclass(frozen=True)
-class SumExpNegLog(CylNode):
-    """const + scale * (-1/m) log sum_i exp(log_coeff_i - m * child_i).
-
-    The partials are scale times the softmin weights times the children's
-    partials, hence positive whenever scale > 0 and the children are in class.
+    A softmin of the smoothed square roots of the weighted coordinates.  The
+    partials b soft_i w_i psi_eps'(r_i) are diagonal, so one expression gives
+    all of them; they are positive when b > 0 and every w_i > 0, up to
+    underflow of the softmin weights soft_i.
     """
 
+    eps: float
     m: float
-    scale: float
-    log_coeffs: tuple
-    children: tuple
-    const: float = 0.0
+    b: float
+    c: float
+    w: np.ndarray
+    log_w: np.ndarray
 
     def vag(self, r):
-        vals = []
-        grads = []
-        sat = np.zeros(r.shape[:-1], dtype=bool)
-        for node in self.children:
-            v, g, s = node.vag(r)
-            vals.append(v)
-            grads.append(g)
-            sat |= s
-        exponents = np.asarray(self.log_coeffs) - self.m * np.stack(vals, axis=-1)
+        exponents = self.log_w - self.m * (self.w * psi_eps(self.eps, r))
         lse = logsumexp(exponents, axis=-1)
         soft = np.exp(exponents - lse[..., None])
-        value = self.const + self.scale * (-lse / self.m)
-        grad = self.scale * sum(soft[..., i, None] * g for i, g in enumerate(grads))
-        return value, grad, sat
-
-    def bounded(self):
-        return all(node.bounded() for node in self.children)
+        value = self.c + self.b * (-lse / self.m)
+        grad = self.b * (soft * (self.w * psi_eps_prime(self.eps, r)))
+        return value, grad, np.zeros(r.shape[:-1], dtype=bool)
 
     def structurally_positive(self):
-        return self.scale > 0 and all(n.structurally_positive() for n in self.children)
+        return self.b > 0 and bool(np.all(self.w > 0))
 
 
 @dataclass(frozen=True)
@@ -192,10 +167,6 @@ def affine_phi(weights: Sequence[float], const: float = 0.0) -> Affine:
                   const=float(const))
 
 
-def identity_phi() -> Affine:
-    return affine_phi([1.0])
-
-
 @dataclass(frozen=True)
 class CylindricalTestFunction:
     """Base function on the half-squared distances d^2(., anchors)/2."""
@@ -220,20 +191,6 @@ class CylindricalTestFunction:
 
     def bounded(self) -> bool:
         return self.base.bounded()
-
-
-def finite_difference_grad(node: CylNode, r: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a combinator tree on the rows r, for cross-checking."""
-    out = np.zeros(r.shape)
-    for i in range(r.shape[-1]):
-        up = r.copy()
-        dn = r.copy()
-        up[..., i] += h
-        dn[..., i] = np.maximum(dn[..., i] - h, 0.0)
-        vu, _, _ = node.vag(up)
-        vd, _, _ = node.vag(dn)
-        out[..., i] = (vu - vd) / (up[..., i] - dn[..., i])
-    return out
 
 
 def truncate_cylinder(phi0: CylindricalTestFunction, a: float, rho: SpacePoint,

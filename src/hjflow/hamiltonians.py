@@ -34,12 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .cylinders import (
-    Affine,
-    Coord,
     CylNode,
     CylindricalTestFunction,
-    Psi,
-    SumExpNegLog,
+    SoftminPsi,
     affine_phi,
     truncate_cylinder,
 )
@@ -89,10 +86,14 @@ def _points(space: ModelSpace, x: np.ndarray) -> list:
 
 def _cylinder(space: ModelSpace, phi: CylNode, anchors):
     """(anchor energies, at) with at(x) = (phi(r), grad phi(r), d) for the rows x,
-    d = d(x, anchors) and r = d^2/2; grad phi is checked for the positivity class."""
-    anchors = tuple(anchors)
-    cyl = CylindricalTestFunction(base=phi, anchors=anchors)
-    anchor_vals = np.stack([p.values for p in anchors])
+    d = d(x, anchors) and r = d^2/2; grad phi is checked for the positivity class.
+
+    ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``,
+    or k points."""
+    if not isinstance(anchors, np.ndarray):
+        anchors = [p.values for p in anchors]
+    anchor_vals = space.rows(anchors)
+    cyl = CylindricalTestFunction(base=phi, anchors=tuple(anchor_vals))
 
     def at(x: np.ndarray):
         dists = np.sqrt(space.sq_dist(anchor_vals, x[..., None, :]))
@@ -329,16 +330,16 @@ class ChainReport:
 
 
 def composite_phi_for_push(space: ModelSpace, eps: float, b: float, c: float,
-                           m: int, n: int) -> tuple[CylNode, np.ndarray]:
+                           m: int, n: int) -> tuple[SoftminPsi, np.ndarray]:
     """The explicit log-sum-exp composite whose cylindrical pair has f equal
-    to the level-2 test function; returns (node, atom times)."""
+    to the level-2 test function; returns (node, atom times).
+
+    One array node over the K = n^2 atoms t_i of ``discrete_exp_log_weights``:
+    c - (b/m) log sum_i exp(log_w_i - m exp(kappa_hat t_i) psi_eps(r_i)), with
+    r_i the half-squared distance to the flow at t_i."""
     ts, log_w = discrete_exp_log_weights(m + 1, n)
-    children = tuple(
-        Affine(terms=((float(np.exp(space.kappa_hat * t)), Psi(eps, Coord(i))),))
-        for i, t in enumerate(ts)
-    )
-    node = SumExpNegLog(m=float(m), scale=b, log_coeffs=tuple(log_w),
-                        children=children, const=c)
+    node = SoftminPsi(eps=eps, m=float(m), b=b, c=c, w=np.exp(space.kappa_hat * ts),
+                      log_w=log_w)
     return node, ts
 
 
@@ -365,8 +366,8 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             mu = space.sample(rng)
             pi = space.sample(rng)
             phi, ts = composite_phi_for_push(space, eps, b, c, m, n)
-            anchors = [space.point(v) for v in space.flow_curve(mu).values_at(ts)]
-            pair1 = build_cyl_pair(space, "dagger", a, phi, rho, anchors)
+            pair1 = build_cyl_pair(space, "dagger", a, phi, rho,
+                                   space.flow_curve(mu).values_at(ts))
             pair2 = build_chain_pair(space, 2, "dagger",
                                      {"a": a, "b": b, "c": c, "eps": eps,
                                       "m": m, "n": n, "rho": rho, "mu": mu})

@@ -7,6 +7,7 @@ precision already for moderate m.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -53,13 +54,20 @@ class DiscreteMeasure:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
+@functools.lru_cache(maxsize=256)
 def discrete_exp_log_weights(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms i/n, i = 1..n^2, and log weights of the normalized geometric law."""
+    """Atoms i/n, i = 1..n^2, and log weights of the normalized geometric law.
+
+    Cached, since the ladder asks for the same (m, n) twice per sample; the
+    arrays are read-only because every caller shares them."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     atoms = np.arange(1, n * n + 1, dtype=float) / n
     log_raw = -m * atoms
-    return atoms, log_raw - logsumexp(log_raw)
+    log_w = log_raw - logsumexp(log_raw)
+    atoms.setflags(write=False)
+    log_w.setflags(write=False)
+    return atoms, log_w
 
 
 def discrete_exp_measure(m: int, n: int) -> DiscreteMeasure:

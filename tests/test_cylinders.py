@@ -6,16 +6,15 @@ from hjflow.cylinders import (
     Coord,
     CylindricalTestFunction,
     Iota,
-    Psi,
     Shift,
-    SumExpNegLog,
     affine_phi,
-    finite_difference_grad,
-    identity_phi,
     iota,
     iota_prime,
     truncate_cylinder,
 )
+
+from cylinder_helpers import finite_difference_grad, identity_phi
+from test_pair_oracles import Psi, SumExpNegLog
 
 
 def test_iota_plateau_and_identity():

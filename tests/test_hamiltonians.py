@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjflow.cylinders import Iota, affine_phi, identity_phi
+from hjflow.cylinders import CylindricalTestFunction, CylNode, Iota, SoftminPsi, affine_phi
 from hjflow.hamiltonians import (
     build_chain_pair,
     build_cyl_pair,
@@ -12,6 +12,8 @@ from hjflow.hamiltonians import (
 )
 from hjflow.spaces import double_well_potential, euclidean_space
 from hjflow.tataru import psi_eps, tataru_eps
+
+from cylinder_helpers import finite_difference_grad, identity_phi
 
 
 def five_term_g_dagger(space, a, weights, const, rho, mus, pi):
@@ -137,7 +139,6 @@ def test_h0_ddagger_below_cauchy_schwarz_bound(ou, rng):
         mu = ou.sample(rng)
         dists = np.array([ou.distance(mu, a) for a in anchors])
         r = 0.5 * dists**2
-        from hjflow.cylinders import CylindricalTestFunction
         grad = CylindricalTestFunction(base=phi, anchors=tuple(anchors)).base_value_and_grad(r)[1]
         e_mu = ou.energy(mu)
         energy_terms = sum(
@@ -149,13 +150,58 @@ def test_h0_ddagger_below_cauchy_schwarz_bound(ou, rng):
 
 
 def test_composite_phi_partials_match_finite_differences(ou, rng):
-    from hjflow.cylinders import finite_difference_grad
     phi, ts = composite_phi_for_push(ou, eps=0.3, b=0.9, c=0.1, m=6, n=2)
     for _ in range(5):
         r = rng.uniform(0.05, 2.0, size=ts.size)
         _, grad, _ = phi.vag(r)
         assert np.allclose(grad, finite_difference_grad(phi, r), atol=1e-6)
         assert np.all(grad > 0)
+
+
+def test_softmin_node_partials_match_finite_differences(rng):
+    # kappa_hat < 0: unequal weights w_i = exp(kappa_hat t_i), on a batch of rows
+    space = euclidean_space(double_well_potential(-0.5), sample_radius=1.5)
+    for m, n in ((1, 1), (7, 3), (40, 5)):
+        phi, ts = composite_phi_for_push(space, eps=0.2, b=1.1, c=-0.3, m=m, n=n)
+        assert np.all(np.diff(phi.w) < 0)
+        r = rng.uniform(0.05, 2.0, size=(4, 3, ts.size))
+        _, grad, _ = phi.vag(r)
+        assert np.allclose(grad, finite_difference_grad(phi, r), atol=1e-6)
+
+
+def test_softmin_node_class_t_underflow_and_rejection(ou):
+    # m = 40 and widely spread r: all softmin weight on the near coordinate, the
+    # others underflow to exact-zero partials, which the class check excuses
+    phi, ts = composite_phi_for_push(ou, eps=0.3, b=0.9, c=0.1, m=40, n=5)
+    r = np.full((2, ts.size), 1e3)
+    r[0, 0] = r[1, -1] = 0.01
+    _, grad = CylindricalTestFunction(base=phi, anchors=(None,) * ts.size
+                                      ).base_value_and_grad(r)
+    assert grad[0, 0] > 0 and grad[1, -1] > 0
+    assert np.count_nonzero(grad == 0) == 2 * (ts.size - 1)
+    # a nonpositive scale b, or one nonpositive weight w_i, is out of class
+    bad_w = [phi.w.copy(), phi.w.copy()]
+    bad_w[0][3], bad_w[1][3] = 0.0, -0.2
+    bad = [SoftminPsi(eps=0.3, m=40.0, b=b, c=0.1, w=phi.w, log_w=phi.log_w)
+           for b in (0.0, -0.9)]
+    bad += [SoftminPsi(eps=0.3, m=40.0, b=0.9, c=0.1, w=w, log_w=phi.log_w) for w in bad_w]
+    for node in bad:
+        assert not node.structurally_positive()
+        fun = CylindricalTestFunction(base=node, anchors=(None,) * ts.size)
+        for rows in (r, np.full(ts.size, 0.5)):
+            with pytest.raises(ValueError, match="not in class T"):
+                fun.base_value_and_grad(rows)
+
+
+@pytest.mark.parametrize("n", (1, 3, 5))
+def test_composite_phi_is_one_array_node(ou, n):
+    """The composite is a single array node: no child combinators to walk per vag."""
+    phi, ts = composite_phi_for_push(ou, eps=0.3, b=0.9, c=0.1, m=6, n=n)
+    assert type(phi) is SoftminPsi
+    for value in vars(phi).values():
+        assert not isinstance(value, (CylNode, tuple, list))
+    for arr in (phi.w, phi.log_w):
+        assert isinstance(arr, np.ndarray) and arr.shape == (n * n,) == ts.shape
 
 
 def test_ddagger_f_bounded_above(ou, rng):

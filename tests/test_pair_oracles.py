@@ -1,13 +1,16 @@
 """Oracles for the sign-parametrized pair builders, the flow-action kernel, the
-one viscosity check and the evaluation of pairs on rows.
+one viscosity check, the evaluation of pairs on rows and the ladder's level-1
+composite.
 
 The hand-mirrored dagger/ddagger builders, the ladder with its own copy of the
-flow action, the 4to5 loop, the separate sub/supersolution checks and the
-viscosity check that evaluated f and g one grid point at a time are kept here
-verbatim; the oracles take points, and the pairs they drive take the point's
-``values``.  The current pairs, evaluated on a batch of coordinate rows, must
-reproduce the oracles' per-point values bit for bit, with two stated
-exceptions:
+flow action, the 4to5 loop, the separate sub/supersolution checks, the
+viscosity check that evaluated f and g one grid point at a time and the
+composite as a combinator tree (``SumExpNegLog`` over ``Affine(Psi(Coord(i)))``)
+are kept here verbatim; the oracles take points, and the pairs they drive take
+the point's ``values``.  The array node ``SoftminPsi`` must match the tree bit
+for bit on every space.  The current pairs, evaluated on a batch of coordinate
+rows, must reproduce the oracles' per-point values bit for bit, with two
+stated exceptions:
 
 * the closed-form g of the Tataru pair (levels 5 and 6) adds the b term last
   now, as the ladder always did, so it agrees to rounding of a six-term sum;
@@ -33,11 +36,17 @@ from hjflow.cylinders import (
     CylindricalTestFunction,
     CylNode,
     Iota,
-    Psi,
     affine_phi,
 )
 from hjflow.laplace import _adaptive_log_quadrature, discrete_exp_log_weights
-from hjflow.spaces import ModelSpace, SpacePoint, euclidean_space, quartic_potential
+from hjflow.spaces import (
+    ModelSpace,
+    SpacePoint,
+    double_well_potential,
+    euclidean_space,
+    quantile_space,
+    quartic_potential,
+)
 from hjflow.tataru import d_eps, psi_eps, psi_eps_prime, tataru, tataru_eps
 from hjflow.viscosity import GridFunction, ViscosityReport, check_viscosity, make_grid
 
@@ -370,6 +379,76 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     return HamiltonianPair(family=f"chain{level}", side=side, params=dict(params), f=f, g=g)
 
 
+# the composite tree; ``logsumexp`` here is scipy's, which hjflow's matches bit for bit
+@dataclass(frozen=True)
+class Psi(CylNode):
+    """Smoothed square root of a child value."""
+
+    eps: float
+    child: CylNode
+
+    def vag(self, r):
+        v, g, s = self.child.vag(r)
+        return psi_eps(self.eps, v), psi_eps_prime(self.eps, v)[..., None] * g, s
+
+    def bounded(self):
+        return self.child.bounded()
+
+    def structurally_positive(self):
+        return self.child.structurally_positive()
+
+
+@dataclass(frozen=True)
+class SumExpNegLog(CylNode):
+    """const + scale * (-1/m) log sum_i exp(log_coeff_i - m * child_i).
+
+    The partials are scale times the softmin weights times the children's
+    partials, hence positive whenever scale > 0 and the children are in class.
+    """
+
+    m: float
+    scale: float
+    log_coeffs: tuple
+    children: tuple
+    const: float = 0.0
+
+    def vag(self, r):
+        vals = []
+        grads = []
+        sat = np.zeros(r.shape[:-1], dtype=bool)
+        for node in self.children:
+            v, g, s = node.vag(r)
+            vals.append(v)
+            grads.append(g)
+            sat |= s
+        exponents = np.asarray(self.log_coeffs) - self.m * np.stack(vals, axis=-1)
+        lse = logsumexp(exponents, axis=-1)
+        soft = np.exp(exponents - lse[..., None])
+        value = self.const + self.scale * (-lse / self.m)
+        grad = self.scale * sum(soft[..., i, None] * g for i, g in enumerate(grads))
+        return value, grad, sat
+
+    def bounded(self):
+        return all(node.bounded() for node in self.children)
+
+    def structurally_positive(self):
+        return self.scale > 0 and all(n.structurally_positive() for n in self.children)
+
+
+def composite_phi_for_push(space: ModelSpace, eps: float, b: float, c: float,
+                           m: int, n: int) -> tuple[CylNode, np.ndarray]:
+    """The explicit log-sum-exp composite whose cylindrical pair has f equal
+    to the level-2 test function; returns (node, atom times)."""
+    ts, log_w = discrete_exp_log_weights(m + 1, n)
+    children = tuple(
+        Affine(terms=((float(np.exp(space.kappa_hat * t)), Psi(eps, Coord(i))),))
+        for i, t in enumerate(ts)
+    )
+    node = SumExpNegLog(m=float(m), scale=b, log_coeffs=tuple(log_w),
+                        children=children, const=c)
+    return node, ts
+
+
 def old_4to5_rows(space: ModelSpace, samples: int, rng: np.random.Generator,
                   tol: float = 1e-6) -> list:
     rows = []
@@ -500,6 +579,11 @@ SIDES = ("dagger", "ddagger")
 @pytest.fixture(scope="module")
 def quartic_3d():
     return euclidean_space(quartic_potential(), dim=3, sample_radius=1.5)
+
+
+@pytest.fixture(scope="module")
+def double_well_quantile():
+    return quantile_space(double_well_potential(-0.5), grid_size=64)
 
 
 @pytest.fixture(params=SPACES)
@@ -680,6 +764,39 @@ def test_4to5_rows_match_minimizer_loop(space):
     rows = new.chain_inequality_report(space, "4to5", INSTANCES,
                                        np.random.default_rng(605)).rows
     assert list(rows) == old_4to5_rows(space, INSTANCES, np.random.default_rng(605))
+
+
+@pytest.mark.parametrize("shape", ((), (4,), (3, 2)))
+@pytest.mark.parametrize("space_name", ("ou", "double_well"))
+def test_softmin_node_matches_composite_tree(request, space_name, shape):
+    """The array node reproduces the tree's values, partials and flags bit for bit:
+    the same per-element arithmetic, and each one-hot sum has one nonzero term."""
+    space = request.getfixturevalue(space_name)  # kappa_hat = 0 resp. < 0
+    rng = np.random.default_rng(607)
+    for n in range(1, 6):
+        for m in (1, 7, 40):
+            eps, b = float(rng.uniform(0.05, 0.7)), float(rng.uniform(0.2, 1.5))
+            c = float(rng.uniform(-1.0, 1.0))
+            node, ts = new.composite_phi_for_push(space, eps, b, c, m, n)
+            tree, tree_ts = composite_phi_for_push(space, eps, b, c, m, n)
+            assert np.array_equal(ts, tree_ts)
+            assert node.structurally_positive() == tree.structurally_positive()
+            assert node.bounded() == tree.bounded()
+            # some coordinates on the quadratic branch of psi_eps, below eps
+            scale = rng.uniform(0.0, 1.0, size=ts.size)
+            r = scale * rng.uniform(0.0, 3.0, size=(*shape, ts.size))
+            for got, want in zip(node.vag(r), tree.vag(r)):
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("space_name", ("ou", "quartic_3d", "double_well_quantile"))
+def test_1to2_rows_match_composite_tree(request, monkeypatch, space_name):
+    space = request.getfixturevalue(space_name)
+    rows = new.chain_inequality_report(space, "1to2", INSTANCES, np.random.default_rng(608)).rows
+    monkeypatch.setattr(new, "composite_phi_for_push", composite_phi_for_push)
+    old = new.chain_inequality_report(space, "1to2", INSTANCES, np.random.default_rng(608)).rows
+    assert list(rows) == list(old)
 
 
 @pytest.mark.parametrize("space_name", ("ou", "quartic", "double_well"))

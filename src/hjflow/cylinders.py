@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .spaces import SpacePoint
-from .tataru import logsumexp, psi_eps, psi_eps_prime
+from .tataru import logsumexp, psi_eps_and_prime
 
 
 def iota(n: int, r):
@@ -112,11 +112,12 @@ class SoftminPsi(CylNode):
     log_w: np.ndarray
 
     def vag(self, r):
-        exponents = self.log_w - self.m * (self.w * psi_eps(self.eps, r))
+        psi, psi_p = psi_eps_and_prime(self.eps, r)
+        exponents = self.log_w - self.m * (self.w * psi)
         lse = logsumexp(exponents, axis=-1)
         soft = np.exp(exponents - lse[..., None])
         value = self.c + self.b * (-lse / self.m)
-        grad = self.b * (soft * (self.w * psi_eps_prime(self.eps, r)))
+        grad = self.b * (soft * (self.w * psi_p))
         return value, grad, np.zeros(r.shape[:-1], dtype=bool)
 
     def structurally_positive(self):

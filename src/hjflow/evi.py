@@ -25,7 +25,7 @@ def evi_residual(space: ModelSpace, x: SpacePoint, rho: SpacePoint,
     delta; R = E(rho) - E(x(t)) - kappa/2 d^2(x(t), rho).  Nonpositive up to
     O(delta) for valid flows.
     """
-    if delta <= 0:
+    if not delta > 0:  # also rejects NaN
         raise ValueError("delta must be positive")
     if t < 0:
         raise ValueError("negative time")
@@ -36,12 +36,20 @@ def evi_residual(space: ModelSpace, x: SpacePoint, rho: SpacePoint,
     return float(lhs - rhs)
 
 
+def _times(times) -> np.ndarray:
+    return np.asarray(list(times), dtype=float)
+
+
 def contraction_violation(space: ModelSpace, x: SpacePoint, y: SpacePoint,
                           times) -> float:
     """max over times of d(x(t), y(t)) - exp(-kappa t) d(x, y)."""
-    ts = np.asarray(list(times), dtype=float)
-    cx = space.flow_curve(x).values_at(ts)
-    cy = space.flow_curve(y).values_at(ts)
+    ts = _times(times)
+    return _contraction(space, x, y, ts, space.flow_curve(x).values_at(ts),
+                        space.flow_curve(y).values_at(ts))
+
+
+def _contraction(space, x, y, ts, cx, cy) -> float:
+    """contraction_violation from the flows cx of x and cy of y at ts."""
     dists = np.sqrt(space.sq_dist(cx, cy))
     bound = np.exp(-space.kappa * ts) * space.distance(x, y)
     return float(np.max(dists - bound))
@@ -57,8 +65,13 @@ def energy_identity_residual(space: ModelSpace, traj: FlowTrajectory) -> float:
 
 def slope_decay_violation(space: ModelSpace, x: SpacePoint, times) -> float:
     """max over times of I(x(t)) - I(x) exp(-2 kappa t)."""
-    ts = np.asarray(list(times), dtype=float)
-    info = space.sq_slopes(space.flow_curve(x).values_at(ts))
+    ts = _times(times)
+    return _slope_decay(space, x, ts, space.flow_curve(x).values_at(ts))
+
+
+def _slope_decay(space, x, ts, cx) -> float:
+    """slope_decay_violation from the flow cx of x at ts."""
+    info = space.sq_slopes(cx)
     bound = space.information(x) * np.exp(-2.0 * space.kappa * ts)
     return float(np.max(info - bound))
 
@@ -83,13 +96,19 @@ def distance_growth_violation(space: ModelSpace, pi: SpacePoint, mu: SpacePoint,
     For kappa != 0 the left side is exp(kappa t) d^2(pi, mu(t)) / 2; for
     kappa = 0 it is d^2(pi, mu(t)) / 2.
     """
-    ts = np.asarray(list(times), dtype=float)
-    half_sq = 0.5 * space.sq_dist(space.flow_curve(mu).values_at(ts), pi.values)
+    ts = _times(times)
+    return _distance_growth(space, pi, ts, space.flow_curve(mu).values_at(ts),
+                            _growth_rhs(space, pi, mu, ts))
+
+
+def _distance_growth(space, pi, ts, cmu, rhs) -> float:
+    """distance_growth_violation from the flow cmu of mu at ts and the growth rhs."""
+    half_sq = 0.5 * space.sq_dist(cmu, pi.values)
     if space.kappa != 0.0:
         lhs = np.exp(space.kappa * ts) * half_sq
     else:
         lhs = half_sq
-    return float(np.max(lhs - _growth_rhs(space, pi, mu, ts)))
+    return float(np.max(lhs - rhs))
 
 
 def damped_distance_bound_violation(space: ModelSpace, pi: SpacePoint, mu: SpacePoint,
@@ -99,9 +118,15 @@ def damped_distance_bound_violation(space: ModelSpace, pi: SpacePoint, mu: Space
     Checks exp(kappa_hat t) d_eps(pi, mu(t)) <= sqrt(2 RHS(t)) + sqrt(2 eps)
     where RHS is the integrated growth bound; eps None means the plain metric.
     """
-    ts = np.asarray(list(times), dtype=float)
-    dist2 = space.sq_dist(space.flow_curve(mu).values_at(ts), pi.values)
-    rhs = np.sqrt(2.0 * np.maximum(_growth_rhs(space, pi, mu, ts), 0.0))
+    ts = _times(times)
+    return _damped_distance_bound(space, pi, ts, space.flow_curve(mu).values_at(ts),
+                                  _growth_rhs(space, pi, mu, ts), eps_list)
+
+
+def _damped_distance_bound(space, pi, ts, cmu, growth_rhs, eps_list) -> float:
+    """damped_distance_bound_violation from the flow cmu of mu at ts and the growth rhs."""
+    dist2 = space.sq_dist(cmu, pi.values)
+    rhs = np.sqrt(2.0 * np.maximum(growth_rhs, 0.0))
     damping = np.exp(space.kappa_hat * ts)
     worst = -math.inf
     for eps in eps_list:
@@ -150,19 +175,25 @@ def run_evi_suite(space: ModelSpace, rng: np.random.Generator, instances: int = 
         if res > worst[0]:
             worst = (res, (x, t, rho))
 
-        v = contraction_violation(space, x, rho, times)
+        # the flows of x and rho at times and the growth bound serve every
+        # check below that needs them; each is evaluated once
+        cx = space.flow_curve(x).values_at(times)
+        crho = space.flow_curve(rho).values_at(times)
+        growth = _growth_rhs(space, x, rho, times)
+
+        v = _contraction(space, x, rho, times, cx, crho)
         rows.append(("contraction", i, v, tol_other, v - tol_other, v <= tol_other))
 
         traj = space.flow_trajectory(x, np.linspace(0.0, 1.0, 2001))
         v = energy_identity_residual(space, traj)
         rows.append(("energy_identity", i, v, tol_other, v - tol_other, v <= tol_other))
 
-        v = slope_decay_violation(space, x, times)
+        v = _slope_decay(space, x, times, cx)
         rows.append(("slope_decay", i, v, tol_other, v - tol_other, v <= tol_other))
 
-        v = distance_growth_violation(space, x, rho, times)
+        v = _distance_growth(space, x, times, crho, growth)
         rows.append(("distance_growth", i, v, tol_other, v - tol_other, v <= tol_other))
 
-        v = damped_distance_bound_violation(space, x, rho, times)
+        v = _damped_distance_bound(space, x, times, crho, growth, (None, 0.1, 1.0))
         rows.append(("damped_distance_bound", i, v, tol_other, v - tol_other, v <= tol_other))
     return EviReport(rows=tuple(rows), max_residual=worst[0], worst_case=worst[1])

@@ -42,7 +42,7 @@ from .cylinders import (
 )
 from .laplace import HCurve, discrete_exp_log_weights, lambda_continuous
 from .spaces import ModelSpace, SpacePoint
-from .tataru import logsumexp, tataru_batch, tataru_eps
+from .tataru import logsumexp, tataru_batch
 
 CHAIN_LEVELS = (2, 3, 4, 5, 6)
 
@@ -112,7 +112,7 @@ def build_cyl_pair(space: ModelSpace, side: str, a: float, phi: CylNode, base: S
                    anchors) -> HamiltonianPair:
     """f = sigma [a/2 d^2(., base) + phi(d^2(., anchors)/2)] with the five-term g."""
     sigma = side_sign(side)
-    if a <= 0:
+    if not a > 0:  # also rejects NaN
         raise ValueError("a must be positive")
     anchor_e, at = _cylinder(space, phi, anchors)
     e_base = space.energy(base)
@@ -213,7 +213,7 @@ def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float
     it is None.
     """
     sigma = side_sign(side)
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):  # also rejects NaN
         raise ValueError("a and b must be positive")
     space.flow_curve(flow_anchor)  # fail at build time on an anchor outside the space
     g = _closed_g(space, sigma, a, b, base_point)
@@ -261,7 +261,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     base_key, anchor_key = ("rho", "mu") if sigma > 0 else ("gamma", "pi")
     a, b, c, base_point, flow_anchor = _require(params, level, "a", "b", "c",
                                                 base_key, anchor_key)
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):  # also rejects NaN
         raise ValueError("a and b must be positive")
     if level >= 5:
         eps = _require(params, level, "eps")[0] if level == 5 else None
@@ -349,8 +349,9 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
 
     ``1to2``: g of the generic cylindrical pair on the explicit composite is
     dominated by the level-2 g.  ``4to5``: the flow-action expression at the
-    minimizer set stays below 1.  ``0to1``: bounded and unbounded pairs agree
-    below the truncation knee.
+    minimizer set stays below 1; all samples are drawn first and minimized by
+    one ``tataru_batch`` call, each with its own eps.  ``0to1``: bounded and
+    unbounded pairs agree below the truncation knee.
     """
     rows = []
     if link == "1to2":
@@ -377,12 +378,15 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             rows.append(("chain-1to2", i, g1, g2, violation, violation <= tol))
     elif link == "4to5":
         tol = 1e-6 if tol is None else tol
-        for i in range(samples):
-            eps = rng.uniform(0.05, 0.7)
-            mu = space.sample(rng)
-            pi = space.sample(rng)
-            lhs = _max_flow_action(space, eps, pi, mu,
-                                   tataru_eps(space, eps, pi, mu).minimizers)
+        # all samples first, then one minimization over them, each with its eps
+        epss, mus, pis = [], [], []
+        for _ in range(samples):
+            epss.append(rng.uniform(0.05, 0.7))
+            mus.append(space.sample(rng))
+            pis.append(space.sample(rng))
+        results = tataru_batch(space, pis, mus, eps=epss)
+        for i, (eps, mu, pi, res) in enumerate(zip(epss, mus, pis, results)):
+            lhs = _max_flow_action(space, eps, pi, mu, res.minimizers)
             violation = lhs - 1.0
             rows.append(("chain-4to5", i, lhs, 1.0, violation, violation <= tol))
     elif link == "0to1":

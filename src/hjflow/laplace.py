@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import ModelSpace, SpacePoint
-from .tataru import d_eps, logsumexp, psi_eps, psi_eps_prime
+from .tataru import d_eps, logsumexp, psi_eps, psi_eps_and_prime
 
 _GL15 = np.polynomial.legendre.leggauss(15)
 _GL7 = np.polynomial.legendre.leggauss(7)
@@ -91,7 +91,7 @@ class HCurve:
     """
 
     def __init__(self, space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint):
-        if eps <= 0:
+        if not eps > 0:  # also rejects NaN
             raise ValueError("eps must be positive")
         self.space = space
         self.eps = eps
@@ -111,10 +111,9 @@ class HCurve:
     def action_terms(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(h, damping, psi_eps', flow energies) at the times ts, from one flow evaluation."""
         vals = self.curve.values_at(ts)
-        half = self._half_dist2(vals)
+        psi, psi_p = psi_eps_and_prime(self.eps, self._half_dist2(vals))
         damping = self.damping(ts)
-        return (damping * psi_eps(self.eps, half), damping, psi_eps_prime(self.eps, half),
-                self.space.energies(vals))
+        return damping * psi, damping, psi_p, self.space.energies(vals)
 
     def t_cap(self) -> float:
         return d_eps(self.space, self.eps, self.pi, self.mu) + 1.0

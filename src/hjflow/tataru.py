@@ -6,12 +6,15 @@ at mu and kappa_hat = min(kappa, 0).  The smoothed variant replaces d by
 ``psi_eps(d^2 / 2)``, a C^2 approximation of r -> sqrt(2 r) that makes the
 objective differentiable in the squared distance.
 
-``tataru_batch`` minimizes over t in [0, T_cap] for many (pi, mu, kappa)
-instances at once, in blocks of instances: one coarse-grid objective call per
-block, then a bracket zoom around the three best grid minima of every instance
-with one objective call per step for all brackets of the block, then one call
-for the refined values.  ``tataru`` and ``tataru_eps`` are its one-instance
-case, so every instance gets the same numbers alone or in a batch.
+``tataru_batch`` minimizes over t in [0, T_cap] for many (pi, mu, kappa, eps)
+instances at once: one coarse-grid objective call per chunk of instances, of
+which only the three best grid brackets of every instance are kept, then,
+per block of instances, a bracket zoom with one objective call per step for
+all brackets of the block and one call for the refined values.  Chunks and
+blocks are sized by BLOCK_ELEMENTS, so a 64-point quantile space, whose grid
+fills a chunk with one instance, still zooms five instances together.
+``tataru`` and ``tataru_eps`` are its one-instance case, so every instance
+gets the same numbers alone or in a batch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,10 @@ ZOOM_POINTS = 33
 ZOOM_STEPS = 20
 _ZOOM_UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
 VALUE_TOL = 1e-9
-# grid points x coordinates evaluated per block of instances; bounds the memory
+# bounds the memory of one objective call: with cap = max(BLOCK_ELEMENTS,
+# GRID_POINTS * size) flow elements, the grid runs on chunks of
+# cap // (GRID_POINTS * size) instances (at least one) and the zoom on blocks of
+# cap // (3 * ZOOM_POINTS * size) instances, three brackets each
 BLOCK_ELEMENTS = 2**14
 
 
@@ -47,6 +53,44 @@ def logsumexp(a, axis: int | None = None):
     return np.squeeze(out, axis)[()]
 
 
+def _psi_consts(eps) -> tuple:
+    """(eps, sqrt(2 eps), sqrt(2 eps)**3) for a positive eps.  The cube is the
+    scalar pow, which a vectorized array power misses by an ulp at times."""
+    if not eps > 0:  # also rejects NaN
+        raise ValueError("eps must be positive")
+    root = np.sqrt(2.0 * eps)
+    return eps, root, root**3
+
+
+def _psi_r(r) -> np.ndarray:
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("psi_eps requires r >= 0")
+    return arr
+
+
+def _psi(consts, arr: np.ndarray, value: bool = True, prime: bool = True):
+    """(psi_eps, psi_eps') on the checked arr, each only when asked for (else None).
+
+    ``consts`` = (eps, root, cube) of ``_psi_consts``: floats, or arrays of
+    them broadcasting against arr.  Every element takes the expressions of the
+    one-eps formulas, so it has their bits.
+    """
+    eps, root, cube = consts
+    # the low branch of the value comes first, before ``high`` is held, which
+    # keeps the peak memory of a value-only call at that of the plain formula
+    val = der = None
+    if value:
+        val = root + (arr - eps) / root - np.square(arr - eps) / (2.0 * cube)
+    high = np.sqrt(2.0 * np.maximum(arr, eps))
+    low = arr <= eps
+    if value:
+        val = np.where(low, val, high)
+    if prime:
+        der = np.where(low, 1.0 / root - (arr - eps) / cube, 1.0 / high)
+    return val, der
+
+
 def psi_eps(eps: float, r) -> np.ndarray:
     """Smoothed square root: sqrt(2 r) for r >= eps, a matched quadratic below.
 
@@ -55,28 +99,18 @@ def psi_eps(eps: float, r) -> np.ndarray:
     which glues C^1 to sqrt(2 r) at r = eps.  Strictly increasing with a
     positive, strictly decreasing derivative.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("psi_eps requires r >= 0")
-    root = np.sqrt(2.0 * eps)
-    low = root + (arr - eps) / root - np.square(arr - eps) / (2.0 * root**3)
-    high = np.sqrt(2.0 * np.maximum(arr, eps))
-    return np.where(arr <= eps, low, high)
+    return _psi(_psi_consts(eps), _psi_r(r), prime=False)[0]
 
 
 def psi_eps_prime(eps: float, r) -> np.ndarray:
     """Derivative of psi_eps; positive, strictly decreasing."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("psi_eps requires r >= 0")
-    root = np.sqrt(2.0 * eps)
-    low = 1.0 / root - (arr - eps) / root**3
-    high = 1.0 / np.sqrt(2.0 * np.maximum(arr, eps))
-    return np.where(arr <= eps, low, high)
+    return _psi(_psi_consts(eps), _psi_r(r), value=False)[1]
+
+
+def psi_eps_and_prime(eps: float, r) -> tuple[np.ndarray, np.ndarray]:
+    """(psi_eps(eps, r), psi_eps_prime(eps, r)), bit for bit, from one check,
+    one sqrt(2 eps) and one branch mask."""
+    return _psi(_psi_consts(eps), _psi_r(r))
 
 
 def d_eps(space: ModelSpace, eps: float, x: SpacePoint, y: SpacePoint) -> float:
@@ -127,37 +161,46 @@ def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
     return mid
 
 
-def _minimize(objective, t_caps: np.ndarray,
-              grid_points: int = GRID_POINTS) -> list[TataruResult]:
-    """Coarse grid plus a batched bracket zoom around each instance's best local minima.
-
-    ``objective(rows, ts)`` maps instance indices (R,) into ``t_caps`` and
-    times (R, T) to objective values (R, T).  It is called once on the grid of
-    every instance, once per zoom step and once for the refined values.  The
-    minimizer set of an instance collects all its grid and refined minima whose
-    value is within VALUE_TOL of its best one.
-    """
-    n = t_caps.size
-    rows = np.arange(n)
+def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, grid_points: int):
+    """Coarse grid of the instances ``rows``: (instance, rank, time, value, a, b) of
+    their three lowest local grid minima, boundaries included, ties in grid order,
+    with the brackets [a, b] between the grid neighbours."""
     ts = np.linspace(0.0, t_caps, grid_points, axis=1)
     vals = objective(rows, ts)
-    # local minima, boundaries included; the three lowest of each instance,
-    # ties in grid order (lexsort is stable)
-    edge = np.full((n, 1), np.inf)
+    edge = np.full((rows.size, 1), np.inf)
     padded = np.concatenate((edge, vals, edge), axis=1)
     inst, at = ((vals <= padded[:, :-2]) & (vals <= padded[:, 2:])).nonzero()
-    by_value = np.lexsort((vals[inst, at], inst))
+    by_value = np.lexsort((vals[inst, at], inst))  # stable: ties stay in grid order
     inst, at = inst[by_value], at[by_value]
     rank = np.arange(inst.size) - inst.searchsorted(inst)
     top = rank < 3
     inst, at, rank = inst[top], at[top], rank[top]
+    return (rows[inst], rank, ts[inst, at], vals[inst, at],
+            ts[inst, np.maximum(at - 1, 0)], ts[inst, np.minimum(at + 1, grid_points - 1)])
+
+
+def _minimize(objective, t_caps: np.ndarray, grid_points: int = GRID_POINTS,
+              chunk: int | None = None) -> list[TataruResult]:
+    """Coarse grid plus a batched bracket zoom around each instance's best local minima.
+
+    ``objective(rows, ts)`` maps instance indices (R,) into ``t_caps`` and
+    times (R, T) to objective values (R, T).  It is called once on the grid of
+    every ``chunk`` instances (all of them for None), keeping only the three
+    best brackets of each, then once per zoom step for all instances and once
+    for the refined values.  The minimizer set of an instance collects all its
+    grid and refined minima whose value is within VALUE_TOL of its best one.
+    """
+    n = t_caps.size
+    chunk = n if chunk is None else chunk
+    parts = [_grid_brackets(objective, np.arange(lo, min(lo + chunk, n)),
+                            t_caps[lo:lo + chunk], grid_points)
+             for lo in range(0, n, chunk)]
+    inst, rank, grid_t, grid_v, a, b = (np.concatenate(col) for col in zip(*parts))
     cand_t = np.full((n, 6), np.inf)
     cand_v = np.full((n, 6), np.inf)
-    cand_t[inst, rank] = ts[inst, at]
-    cand_v[inst, rank] = vals[inst, at]
+    cand_t[inst, rank] = grid_t
+    cand_v[inst, rank] = grid_v
 
-    a = ts[inst, np.maximum(at - 1, 0)]
-    b = ts[inst, np.minimum(at + 1, grid_points - 1)]
     keep = b > a
     inst, rank = inst[keep], rank[keep]
     t_star = _zoom(objective, inst, a[keep], b[keep])
@@ -178,17 +221,23 @@ def _minimize(objective, t_caps: np.ndarray,
 
 
 def _flow_objective(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[SpacePoint],
-                    kappa_hats: Sequence[float], eps: float | None):
+                    kappa_hats: Sequence[float], eps: Sequence[float] | None):
     """objective(rows, ts): t + exp(kappa_hat t) d(pi, mu(t)), or psi_eps(d^2/2)
-    for eps, for the instances ``rows`` at the times ts of shape (len(rows), T)."""
+    with eps[i] for instance i unless eps is None, for the instances ``rows`` at
+    the times ts of shape (len(rows), T)."""
     pvals = np.array([p.values for p in pis])
     starts = np.array([m.values for m in mus])
     k_hat = np.array(kappa_hats, dtype=float)
+    if eps is not None:
+        consts = np.array([_psi_consts(e) for e in eps])  # (instances, 3)
 
     def objective(rows, ts):
         dist2 = space.sq_dist(space.flow_values(starts.take(rows, 0), ts),
                               pvals.take(rows, 0)[:, None, :])
-        inner = np.sqrt(dist2) if eps is None else psi_eps(eps, 0.5 * dist2)
+        if eps is None:
+            inner = np.sqrt(dist2)
+        else:
+            inner = _psi(consts.take(rows, 0).T[:, :, None], 0.5 * dist2, prime=False)[0]
         return ts + np.exp(k_hat.take(rows)[:, None] * ts) * inner
 
     return objective
@@ -196,35 +245,43 @@ def _flow_objective(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[
 
 def tataru_batch(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[SpacePoint],
                  kappas: Sequence[float | None] | None = None,
-                 eps: float | None = None) -> list[TataruResult]:
+                 eps: float | Sequence[float] | None = None) -> list[TataruResult]:
     """Tataru distances (smoothed by eps unless None) from pis[i] to mus[i].
 
     ``kappas[i]`` overrides the space's kappa for instance i (None keeps it).
+    ``eps`` is None, one value for all instances or one value per instance.
     The search interval [0, T_cap] with T_cap = d(pi, mu) + 1 (d_eps for the
     smoothed variant) is exhaustive: the objective at t = 0 equals that
     distance and exceeds it for t > T_cap since the objective dominates t.
-    Instances are minimized in blocks of at most BLOCK_ELEMENTS grid points
-    times coordinates (at least one instance); each result is the same, bit
-    for bit, whatever block it lands in.
+    The grid runs on chunks of instances and the zoom on blocks of them (see
+    BLOCK_ELEMENTS); each result is the same, bit for bit, whatever chunk and
+    block it lands in.
     """
-    if eps is not None and eps <= 0:
-        raise ValueError("eps must be positive")
     pis, mus = list(pis), list(mus)
     kappas = [None] * len(pis) if kappas is None else list(kappas)
     if not len(pis) == len(mus) == len(kappas):
         raise ValueError("pis, mus and kappas must have the same length")
+    if eps is not None:
+        eps = [float(eps)] * len(pis) if np.ndim(eps) == 0 else [float(e) for e in eps]
+        if len(eps) != len(pis):
+            raise ValueError("eps must be one value or one per instance")
+        if not all(e > 0 for e in eps):  # also rejects NaN
+            raise ValueError("eps must be positive")
     # the distances also check that every point belongs to the space
     if eps is None:
         t_caps = [space.distance(p, m) + 1.0 for p, m in zip(pis, mus)]
     else:
-        t_caps = [d_eps(space, eps, p, m) + 1.0 for p, m in zip(pis, mus)]
+        t_caps = [d_eps(space, e, p, m) + 1.0 for e, p, m in zip(eps, pis, mus)]
     kappa_hats = [min(space.kappa if k is None else k, 0.0) for k in kappas]
-    block = max(1, BLOCK_ELEMENTS // (GRID_POINTS * space.size))
+    cap = max(BLOCK_ELEMENTS, GRID_POINTS * space.size)
+    chunk = cap // (GRID_POINTS * space.size)
+    block = cap // (3 * ZOOM_POINTS * space.size)
     results: list[TataruResult] = []
     for lo in range(0, len(pis), block):
         hi = lo + block
-        objective = _flow_objective(space, pis[lo:hi], mus[lo:hi], kappa_hats[lo:hi], eps)
-        results += _minimize(objective, np.array(t_caps[lo:hi]))
+        objective = _flow_objective(space, pis[lo:hi], mus[lo:hi], kappa_hats[lo:hi],
+                                    None if eps is None else eps[lo:hi])
+        results += _minimize(objective, np.array(t_caps[lo:hi]), chunk=chunk)
     return results
 
 

@@ -144,7 +144,7 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
     """
     if space.kind != "euclidean" or space.size != 1:
         raise ValueError("resolvent solver requires the one-dimensional euclidean space")
-    if lam <= 0:
+    if not lam > 0:  # also rejects NaN
         raise ValueError("lam must be positive")
     if method not in ("howard", "value"):
         raise ValueError(f"unknown method {method!r}")

@@ -7,7 +7,14 @@ import pytest
 import hjflow.cli as cli
 from hjflow.cli import main, run_experiment
 from hjflow.config import ConfigError, config_from_dict, default_config, load_config
+from hjflow.cylinders import affine_phi
+from hjflow.evi import evi_residual
+from hjflow.hamiltonians import build_chain_pair, build_cyl_pair, build_tataru_pair
+from hjflow.laplace import HCurve
 from hjflow.reporting import CSV_HEADER, Report, write_csv, write_json
+from hjflow.spaces import euclidean_space, quadratic_potential
+from hjflow.tataru import psi_eps, psi_eps_prime, tataru_batch
+from hjflow.viscosity import solve_resolvent
 
 TINY = {
     "schema": 1,
@@ -240,3 +247,33 @@ def test_cli_seed_flag_is_validated(tmp_path, capsys):
     code = main(["evi-check", "--seed", "-1", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "config error: seed" in capsys.readouterr().err
+
+
+
+_SPACE = euclidean_space(quadratic_potential(1.0))
+_P, _Q = _SPACE.point([0.0]), _SPACE.point([1.0])
+_CHAIN = {"a": 1.0, "b": 1.0, "c": 0.0, "eps": 0.1, "m": 2, "n": 2, "rho": _P, "mu": _Q}
+# one call per library entry point with a positivity guard, NaN in the guarded
+# argument and valid values elsewhere
+NAN_CALLS = {
+    "psi_eps.eps": lambda: psi_eps(NAN, 1.0),
+    "psi_eps_prime.eps": lambda: psi_eps_prime(NAN, 1.0),
+    "tataru_batch.eps": lambda: tataru_batch(_SPACE, [_P], [_Q], eps=NAN),
+    "tataru_batch.eps[i]": lambda: tataru_batch(_SPACE, [_P, _P], [_Q, _Q], eps=[0.1, NAN]),
+    "HCurve.eps": lambda: HCurve(_SPACE, NAN, _P, _Q),
+    "evi_residual.delta": lambda: evi_residual(_SPACE, _P, _Q, 0.5, NAN),
+    "solve_resolvent.lam": lambda: solve_resolvent(_SPACE, NAN, lambda x: 0.0 * x),
+    "build_cyl_pair.a": lambda: build_cyl_pair(_SPACE, "dagger", NAN, affine_phi([1.0]),
+                                               _P, [_Q]),
+    "build_tataru_pair.a": lambda: build_tataru_pair(_SPACE, "dagger", NAN, 1.0, 0.0, _P, _Q),
+    "build_tataru_pair.b": lambda: build_tataru_pair(_SPACE, "dagger", 1.0, NAN, 0.0, _P, _Q),
+    "build_chain_pair.a": lambda: build_chain_pair(_SPACE, 2, "dagger", {**_CHAIN, "a": NAN}),
+    "build_chain_pair.b": lambda: build_chain_pair(_SPACE, 4, "dagger", {**_CHAIN, "b": NAN}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_library_positivity_guards_reject_nan(name):
+    # the guards read ``not x > 0``: ``x <= 0`` is False for NaN and let it through
+    with pytest.raises(ValueError, match="positive"):
+        NAN_CALLS[name]()

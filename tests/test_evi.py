@@ -9,6 +9,7 @@ from hjflow.evi import (
     evi_residual,
     run_evi_suite,
     slope_decay_violation,
+    suite_time_horizon,
 )
 
 
@@ -123,3 +124,36 @@ def test_suite_all_pass(ou, quartic, double_well, rng):
 def test_suite_on_quantile_space(quantile_ou, rng):
     rep = run_evi_suite(quantile_ou, rng, instances=10)
     assert all(r[5] for r in rep.rows)
+
+
+def per_check_suite_rows(space, rng, instances, delta=1e-4):
+    """Oracle: run_evi_suite's rows from the public per-check functions, each
+    evaluating its own flows, as the suite did before it shared them."""
+    tol_evi, tol_other = 10 * delta, 1e-3
+    t_max = suite_time_horizon(space)
+    rows = []
+    for i in range(instances):
+        x = space.sample(rng)
+        rho = space.sample(rng)
+        t = float(rng.uniform(0.0, min(t_max, 5.0)))
+        times = np.linspace(0.0, t_max, 9)[1:]
+        res = evi_residual(space, x, rho, t, delta)
+        rows.append(("evi_residual", i, res, tol_evi, res - tol_evi, res <= tol_evi))
+        traj = space.flow_trajectory(x, np.linspace(0.0, 1.0, 2001))
+        for name, v in (("contraction", contraction_violation(space, x, rho, times)),
+                        ("energy_identity", energy_identity_residual(space, traj)),
+                        ("slope_decay", slope_decay_violation(space, x, times)),
+                        ("distance_growth", distance_growth_violation(space, x, rho, times)),
+                        ("damped_distance_bound",
+                         damped_distance_bound_violation(space, x, rho, times))):
+            rows.append((name, i, v, tol_other, v - tol_other, v <= tol_other))
+    return rows
+
+
+@pytest.mark.parametrize("space_name", ["ou", "quartic", "double_well", "quantile_ou"])
+def test_suite_rows_equal_the_per_check_functions(space_name, request):
+    # the suite evaluates each flow at ``times`` and the growth bound once per
+    # instance; every row must keep the bits of the separate checks
+    space = request.getfixturevalue(space_name)
+    rep = run_evi_suite(space, np.random.default_rng(41), instances=6)
+    assert list(rep.rows) == per_check_suite_rows(space, np.random.default_rng(41), 6)

@@ -154,6 +154,41 @@ def test_flow_values_broadcast_with_quantile_guard():
     assert np.all(np.diff(got, axis=-1) >= 0)
 
 
+@pytest.mark.parametrize("t_max, repairs", [(1.0, False), (40.0, True)])
+def test_flow_values_repairs_quantile_order_only_where_broken(t_max, repairs):
+    # near the wells at +-sqrt(0.5) rounding puts neighbours out of order,
+    # at short times it does not; the checked guard equals the unconditional one
+    pot = double_well_potential(-0.5)
+    space = quantile_space(pot, grid_size=64)
+    rng = np.random.default_rng(0)
+    starts = np.stack([space.sample(rng).values for _ in range(3)])
+    times = np.tile(np.linspace(0.0, t_max, 9), (3, 1))
+    raw = pot.flow(starts, times)
+    assert (not np.all(raw[..., 1:] >= raw[..., :-1])) == repairs
+    assert np.array_equal(space.flow_values(starts, times), np.maximum.accumulate(raw, axis=-1))
+
+
+OLD_FLOWS = {
+    # the closed forms as single expressions, before they were written into one buffer
+    "quartic": lambda x0, t: x0[..., None, :] / np.sqrt(
+        1.0 + 2.0 * (t[..., :, None] * np.square(x0)[..., None, :])),
+    "double_well": lambda x0, t: x0[..., None, :] / np.sqrt(
+        np.exp(2.0 * -0.5 * t[..., :, None])
+        + np.square(x0[..., None, :]) * np.expm1(2.0 * -0.5 * t[..., :, None]) / -0.5),
+}
+
+
+@pytest.mark.parametrize("form", sorted(OLD_FLOWS))
+def test_one_buffer_flows_equal_the_closed_form_expressions(form):
+    pot = make_potential(form, -0.5 if form == "double_well" else None)
+    rng = np.random.default_rng(23)
+    starts = rng.uniform(-3.0, 3.0, size=(5, 64))
+    starts[1, :7] = 0.0
+    times = np.sort(rng.uniform(0.0, 50.0, size=(5, 33)), axis=1)
+    for x0, t in ((starts, times), (starts[0], times[0]), (starts[0], times)):
+        assert np.array_equal(pot.flow(x0, t), OLD_FLOWS[form](x0, t))
+
+
 def test_flow_trajectory_examples(ou):
     single = ou.flow_trajectory(ou.point([2]), [0.0])
     assert len(single.points) == 1

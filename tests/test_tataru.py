@@ -19,10 +19,13 @@ from hjflow.spaces import (
 from hjflow.tataru import (
     GRID_POINTS,
     VALUE_TOL,
+    ZOOM_POINTS,
+    _flow_objective,
     _minimize,
     d_eps,
     logsumexp,
     psi_eps,
+    psi_eps_and_prime,
     psi_eps_prime,
     tataru,
     tataru_batch,
@@ -379,7 +382,7 @@ SUITE_CONFIGS = {
     # blocks of 10 instances: 13 full blocks and one of 2
     "quartic_3d": {"space": {"potential": "quartic", "size": 3, "sample_radius": 1.5},
                    "tataru": {"instances": 12, "pi": [0.0, 0.5, -1.0], "mu": [1.0, 2.0, 3.0]}},
-    # one instance per block
+    # grid chunks of one instance, zoom blocks of five
     "double_well_quantile": {"space": {"kind": "quantile", "potential": "double_well",
                                        "kappa": -0.5, "size": 64},
                              "tataru": {"instances": 2, "pi": _QUANTILE_PI,
@@ -429,4 +432,108 @@ def test_tataru_batch_rejects_mismatched_inputs(ou):
         tataru_batch(ou, [p([0])], [p([1]), p([2])])
     with pytest.raises(ValueError, match="positive"):
         tataru_batch(ou, [p([0])], [p([1])], eps=0.0)
+    with pytest.raises(ValueError, match="one per instance"):
+        tataru_batch(ou, [p([0]), p([1])], [p([1]), p([2])], eps=[0.1, 0.2, 0.3])
     assert tataru_batch(ou, [], []) == []
+
+
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for res, alone in zip(got, want):
+        assert res.value == alone.value
+        assert np.array_equal(res.minimizers, alone.minimizers)
+        assert res.t_cap == alone.t_cap
+        assert res.grid_points == alone.grid_points
+
+
+QUANTILE_64 = quantile_space(double_well_potential(-0.5), grid_size=64)
+
+
+@pytest.mark.parametrize("eps_mode", ["none", "one", "each"])
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_tataru_batch_on_quantile_space_matches_single_calls(eps_mode, chunk, monkeypatch):
+    # chunk 1: the 2**14 default, grid chunks of one instance and zoom blocks
+    # of 5, so 7 instances zoom as 5 + 2; chunk 3: grid chunks of 3 + 3 + 1 in
+    # one zoom block of 15
+    space = QUANTILE_64
+    if chunk > 1:
+        monkeypatch.setattr(TATARU_MODULE, "BLOCK_ELEMENTS", chunk * GRID_POINTS * space.size)
+    cap = max(TATARU_MODULE.BLOCK_ELEMENTS, GRID_POINTS * space.size)
+    assert cap // (GRID_POINTS * space.size) == chunk
+    assert cap // (3 * ZOOM_POINTS * space.size) == (5 if chunk == 1 else 15)
+    rng = np.random.default_rng(31)
+    n = 7
+    mus = [space.sample(rng) for _ in range(n)]
+    # odd instances put pi on the flow of mu, where d^2/2 falls below eps and
+    # psi_eps takes its quadratic branch
+    pis = [space.flow(mu, float(rng.uniform(0.5, 3.0))) if i % 2 else space.sample(rng)
+           for i, mu in enumerate(mus)]
+    kappas = [None if i % 3 else float(rng.uniform(-1.0, 0.5)) for i in range(n)]
+    eps = {"none": [None] * n, "one": [0.2] * n,
+           "each": rng.uniform(0.05, 0.7, size=n).tolist()}[eps_mode]
+    arg = {"none": None, "one": 0.2, "each": eps}[eps_mode]
+    batch = tataru_batch(space, pis, mus, kappas, eps=arg)
+    singles = [tataru(space, pi, mu, k) if e is None else tataru_eps(space, e, pi, mu, k)
+               for pi, mu, k, e in zip(pis, mus, kappas, eps)]
+    assert_same_results(batch, singles)
+
+
+@pytest.mark.parametrize("eps", [None, (0.05, 0.3, 0.7, 0.3, 0.05)])
+def test_minimize_grid_chunks_match_one_grid_call(eps):
+    space = QUANTILE_64
+    rng = np.random.default_rng(8)
+    n = 5
+    mus = [space.sample(rng) for _ in range(n)]
+    pis = [space.flow(mu, float(rng.uniform(0.5, 3.0))) if i % 2 else space.sample(rng)
+           for i, mu in enumerate(mus)]
+    kappa_hats = [space.kappa_hat] * n
+    objective = _flow_objective(space, pis, mus, kappa_hats, eps)
+    t_caps = np.array([space.distance(p, m) + 1.0 for p, m in zip(pis, mus)])
+    # reference: every instance minimized alone, with an objective of its own
+    alone = [_minimize(_flow_objective(space, pis[i:i + 1], mus[i:i + 1], kappa_hats[i:i + 1],
+                                       None if eps is None else eps[i:i + 1]), t_caps[i:i + 1])[0]
+             for i in range(n)]
+    assert all(np.isfinite(res.value) and res.minimizers.size for res in alone)
+    for chunk in (None, 1, 2, n):
+        assert_same_results(_minimize(objective, t_caps, chunk=chunk), alone)
+
+
+def test_psi_eps_and_prime_equal_both_functions():
+    rng = np.random.default_rng(12)
+    for eps in (1e-4, 0.05, 0.5, 3.0):
+        r = np.concatenate((rng.uniform(0.0, 2.0 * eps, 500), rng.uniform(0.0, 10.0, 500),
+                            [0.0, eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)]))
+        for arg in (r, r.reshape(4, -1), float(r[3]), eps):
+            value, prime = psi_eps_and_prime(eps, arg)
+            assert np.array_equal(value, psi_eps(eps, arg))
+            assert np.array_equal(prime, psi_eps_prime(eps, arg))
+    with pytest.raises(ValueError, match="positive"):
+        psi_eps_and_prime(0.0, 1.0)
+    with pytest.raises(ValueError, match="r >= 0"):
+        psi_eps_and_prime(0.5, -1.0)
+
+
+def test_flow_objective_with_eps_per_instance_equals_scalar_psi():
+    # each row takes the bits of psi_eps with its own eps on its quadratic
+    # branch, where the scalar cube sqrt(2 eps)**3 counts.  Half the eps
+    # values are ones whose cube a vectorized array power misses by an ulp
+    # (about 5 % of them where numpy uses SIMD pow).  Short times keep t + psi
+    # from rounding such a difference away.
+    space = QUANTILE_64
+    rng = np.random.default_rng(9)
+    cands = rng.uniform(0.05, 0.7, size=2000)
+    roots = np.sqrt(2.0 * cands)
+    off = cands[roots**3 != np.array([root**3 for root in roots])][:8]
+    eps = off.tolist() + cands[-8:].tolist()
+    n = len(eps)
+    mus = [space.sample(rng) for _ in range(n)]
+    pis = [space.flow(mu, float(rng.uniform(1e-3, 1e-2))) for mu in mus]
+    objective = _flow_objective(space, pis, mus, [space.kappa_hat] * n, eps)
+    rows = np.concatenate((np.arange(n), [3, 0]))
+    ts = np.tile(np.linspace(0.0, 0.02, 257), (rows.size, 1))
+    got = objective(rows, ts)
+    for k, i in enumerate(rows):
+        dist2 = space.sq_dist(space.flow_curve(mus[i]).values_at(ts[k]), pis[i].values)
+        assert np.all(0.5 * dist2 <= eps[i])
+        want = ts[k] + np.exp(space.kappa_hat * ts[k]) * psi_eps(eps[i], 0.5 * dist2)
+        assert np.array_equal(got[k], want)

@@ -9,13 +9,13 @@ number of policy steps and the solver's certified error bound
 ||T u - u|| / (1 - beta), which is far below the discretization error.
 """
 
-import csv
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from hjflow.reporting import write_table
 from hjflow.spaces import euclidean_space, quadratic_potential
 from hjflow.viscosity import solve_resolvent
 
@@ -36,12 +36,8 @@ def main(out_path: str | Path = "out/resolvent_accuracy.csv") -> int:
         print(f"dt=lam/{factor:<4d} policy steps={sol.iterations:<3d} "
               f"certified={sol.error_bound:.1e} "
               f"abs={abs_err:.3e} rel={rel_err:.3e} ({rows[-1][-1]:.2f}s)")
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("dt_factor", "dt", "policy_steps", "certified_error_bound",
-                         "abs_error", "rel_error", "seconds"))
-        writer.writerows(rows)
+    write_table(out_path, ("dt_factor", "dt", "policy_steps", "certified_error_bound",
+                           "abs_error", "rel_error", "seconds"), rows)
     print(f"wrote {out_path}")
     return 0
 

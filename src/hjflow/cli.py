@@ -76,7 +76,8 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     print(f"tataru value: {res.value:.12g}  minimizers: "
           + ", ".join(f"{t:.12g}" for t in res.minimizers))
     if cfg.tataru.dump_objective and out_dir is not None:
-        objective = _flow_objective(space, [pi], [mu], [space.kappa_hat], eps=None)
+        objective = _flow_objective(space, pi.values[None], mu.values[None],
+                                    [space.kappa_hat], eps=None)
         ts = np.linspace(0.0, res.t_cap, res.grid_points)
         obj = objective([0], ts[None, :])[0]
         write_table(out_dir / "tataru_objective.csv", ("t", "objective"),
@@ -87,7 +88,7 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     triples = []
 
     def ask(pi, mu, kappa=None) -> int:
-        triples.append((pi, mu, kappa))
+        triples.append((pi.values, mu.values, kappa))
         return len(triples) - 1
 
     n = cfg.tataru.instances
@@ -142,14 +143,14 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
 
     # constant-exponent instance: exact at every m when the damping is trivial
     if space.kappa_hat == 0.0:
-        crit = space.rest_point()
+        crit = space.rest_point().values
         target = psi_eps(lc.epsilon, 0.0)
         for m in (1, 10, 100, 1000):
             val = lambda_continuous(space, lc.epsilon, m, crit, crit)
             err = abs(val.neg_log - target)
             rep.add("constant_exact", m, val.neg_log, target, err - 1e-10, err <= 1e-10)
 
-    curve_rows = varadhan_error_curve(space, lc.epsilon, pi, mu, lc.m_list)
+    curve_rows = varadhan_error_curve(space, lc.epsilon, pi.values, mu.values, lc.m_list)
     target = tataru_eps(space, lc.epsilon, pi, mu).value
     if out_dir is not None:
         write_table(out_dir / "laplace_converge_curve.csv",
@@ -163,10 +164,10 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     rep.add("varadhan_monotone", f"{curve_rows[0][0]}->{curve_rows[-1][0]}",
             final_err, first_err, final_err - first_err, final_err < first_err)
 
-    ref = lambda_continuous(space, lc.epsilon, lc.refine_m, pi, mu)
+    ref = lambda_continuous(space, lc.epsilon, lc.refine_m, pi.values, mu.values)
     prev = None
     for n in lc.refine_n:
-        dv = lambda_discrete(space, lc.epsilon, lc.refine_m, int(n), pi, mu)
+        dv = lambda_discrete(space, lc.epsilon, lc.refine_m, int(n), pi.values, mu.values)
         gap = abs(dv.log_value - ref.log_value)
         if prev is None:
             rep.add("riemann_refinement", n, gap, np.inf, -1.0, True)
@@ -174,14 +175,14 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
             rep.add("riemann_refinement", n, gap, prev, gap - prev, gap < prev)
         prev = gap
 
-    tm = tilted_measure(space, lc.concentration_epsilon, lc.concentration_m, pi, mu)
+    tm = tilted_measure(space, lc.concentration_epsilon, lc.concentration_m, pi.values, mu.values)
     res = tataru_eps(space, lc.concentration_epsilon, pi, mu)
     mass = max(tm.mass_within(float(t), lc.concentration_window) for t in res.minimizers)
     rep.add("tilt_concentration", lc.concentration_m, mass, lc.concentration_mass,
             lc.concentration_mass - mass, mass >= lc.concentration_mass)
 
     # mean exponent under the tilted measure approaches its value at the minimizer
-    hcurve = HCurve(space, lc.concentration_epsilon, pi, mu)
+    hcurve = HCurve(space, lc.concentration_epsilon, pi.values, mu.values)
     mean_h = tm.expectation(hcurve.h(tm.atoms))
     h_star = float(hcurve.h(res.minimizers[:1])[0])
     gap = abs(mean_h - h_star)
@@ -284,7 +285,7 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         w = rng.uniform(0.05, 0.5, size=k)
         c = float(rng.uniform(0.0, 0.5))
         base = space.point([rng.uniform(-1.5, 1.5)])
-        anchors = [space.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
+        anchors = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
         for side, name in (("dagger", "subsolution"), ("ddagger", "supersolution")):
             pair = build_cyl_pair(space, side, a, affine_phi(w, c), base, anchors)
             check = check_viscosity(sol.u, pair, h, lam, tol)

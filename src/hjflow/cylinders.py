@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .spaces import SpacePoint
 from .tataru import logsumexp, psi_eps_and_prime
 
 
@@ -170,7 +169,8 @@ def affine_phi(weights: Sequence[float], const: float = 0.0) -> Affine:
 
 @dataclass(frozen=True)
 class CylindricalTestFunction:
-    """Base function on the half-squared distances d^2(., anchors)/2."""
+    """Base function on the half-squared distances d^2(., anchors)/2; anchors are
+    coordinate rows."""
 
     base: CylNode
     anchors: tuple
@@ -194,9 +194,9 @@ class CylindricalTestFunction:
         return self.base.bounded()
 
 
-def truncate_cylinder(phi0: CylindricalTestFunction, a: float, rho: SpacePoint,
+def truncate_cylinder(phi0: CylindricalTestFunction, a: float, rho: np.ndarray,
                       n: int) -> CylindricalTestFunction:
-    """Bounded composite iota_n(a r0 + phi0(r)) with the quadratic anchor first.
+    """Bounded composite iota_n(a r0 + phi0(r)) with the quadratic anchor row rho first.
 
     Below the knee (inner value <= n) the composite and its partials agree
     with a r0 + phi0, so the pair built from it matches the unbounded one

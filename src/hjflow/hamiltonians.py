@@ -19,8 +19,10 @@ subtracted off-diagonal products) are written out as such.  Families:
 
 ``f`` and ``g`` take coordinate rows x (..., size), checked once by
 ``ModelSpace.rows``, and return values (...): one pass through the combinator
-tree for the cylindrical pairs, one ``tataru_batch`` call at levels 4 to 6, a
-loop over rows at levels 2 and 3.
+tree for the cylindrical pairs, one ``action_terms`` broadcast over (rows,
+atoms) at level 2, one ``tataru_batch`` call at levels 4 to 6, a loop over rows
+at level 3 only.  Anchor sets are rows too; base points and flow anchors are
+points, read once when a pair is built.
 
 Exponential damping factors use kappa_hat = min(kappa, 0); the quadratic
 correction -kappa/2 d^2 uses kappa itself.
@@ -42,7 +44,7 @@ from .cylinders import (
 )
 from .laplace import HCurve, discrete_exp_log_weights, lambda_continuous
 from .spaces import ModelSpace, SpacePoint
-from .tataru import logsumexp, tataru_batch
+from .tataru import _psi, _psi_consts, logsumexp, tataru_batch
 
 CHAIN_LEVELS = (2, 3, 4, 5, 6)
 
@@ -80,18 +82,11 @@ def _dist(space: ModelSpace, x: np.ndarray, p: SpacePoint) -> np.ndarray:
     return np.sqrt(space.sq_dist(x, p.values))
 
 
-def _points(space: ModelSpace, x: np.ndarray) -> list:
-    return [space.point(v) for v in x.reshape(-1, space.size)]
-
-
 def _cylinder(space: ModelSpace, phi: CylNode, anchors):
     """(anchor energies, at) with at(x) = (phi(r), grad phi(r), d) for the rows x,
     d = d(x, anchors) and r = d^2/2; grad phi is checked for the positivity class.
 
-    ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``,
-    or k points."""
-    if not isinstance(anchors, np.ndarray):
-        anchors = [p.values for p in anchors]
+    ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``."""
     anchor_vals = space.rows(anchors)
     cyl = CylindricalTestFunction(base=phi, anchors=tuple(anchor_vals))
 
@@ -190,16 +185,17 @@ def _ladder_f(space: ModelSpace, sigma: float, a: float, b: float, c: float,
     return f
 
 
-def _tataru_rows(space: ModelSpace, x: np.ndarray, flow_anchor: SpacePoint,
-                 eps: float | None):
-    """(points, Tataru results) of the rows x against ``flow_anchor``, from one
-    ``tataru_batch`` call; smoothed by eps unless it is None."""
-    pts = _points(space, x)
-    return pts, tataru_batch(space, pts, [flow_anchor] * len(pts), eps=eps)
+def _tataru_results(space: ModelSpace, x: np.ndarray, anchor: np.ndarray,
+                    eps: float | None):
+    """(rows (N, size) of x, the anchor row broadcast to them, their Tataru
+    results against the anchor), from one ``tataru_batch`` call."""
+    rows = x.reshape(-1, space.size)
+    anchors = np.broadcast_to(anchor, rows.shape)
+    return rows, anchors, tataru_batch(space, rows, anchors, eps=eps)
 
 
-def _tataru_value(space: ModelSpace, flow_anchor: SpacePoint, eps: float | None):
-    return lambda x: np.reshape([r.value for r in _tataru_rows(space, x, flow_anchor, eps)[1]],
+def _tataru_value(space: ModelSpace, anchor: np.ndarray, eps: float | None):
+    return lambda x: np.reshape([r.value for r in _tataru_results(space, x, anchor, eps)[2]],
                                 x.shape[:-1])
 
 
@@ -215,10 +211,10 @@ def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float
     sigma = side_sign(side)
     if not (a > 0 and b > 0):  # also rejects NaN
         raise ValueError("a and b must be positive")
-    space.flow_curve(flow_anchor)  # fail at build time on an anchor outside the space
+    anchor = space._vals(flow_anchor)  # fail at build time on an anchor outside the space
     g = _closed_g(space, sigma, a, b, base_point)
     return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,
-                                        _tataru_value(space, flow_anchor, eps)),
+                                        _tataru_value(space, anchor, eps)),
                  lambda x: g(x, b))
 
 
@@ -234,16 +230,23 @@ def _require(params: dict, level: int, *names):
     return [params[name] for name in names]
 
 
-def _max_flow_action(space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint,
-                     ts: np.ndarray) -> float:
-    """Max over the minimizer set ts of d_{T,eps}(pi, mu) of the flow action
+def _max_flow_action(space: ModelSpace, eps, pis: np.ndarray, mus: np.ndarray,
+                     results: list) -> np.ndarray:
+    """Max over the minimizer set of each Tataru result of the flow action
     exp(kappa_hat t) [(E(mu(t)) - E(pi)) psi_eps'(d^2/2) - kappa_hat/2 psi_eps(d^2/2)]
-    with d = d(pi, mu(t))."""
-    h, damping, psi_p, flow_e = HCurve(space, eps, pi, mu).action_terms(ts)
-    # h = damping * d_eps along the flow, so -kappa_hat/2 h is the
+    with d = d(pi, mu(t)), for rows pis, mus (N, size) and eps one value or one per
+    row.  Minimizer sets are padded to the widest with their own entries: no max moves."""
+    width = max(r.minimizers.size for r in results)
+    ts = np.array([np.resize(r.minimizers, width) for r in results])
+    vals = space.flow_values(mus, ts)
+    consts = np.reshape([_psi_consts(e) for e in np.broadcast_to(eps, len(results))], (-1, 3))
+    psi, psi_p = _psi(consts.T[..., None], 0.5 * space.sq_dist(vals, pis[:, None, :]))
+    damping = np.exp(space.kappa_hat * ts)
+    # damping * psi_eps = h along the flow, so -kappa_hat/2 h is the
     # damped-distance correction of the flow action
-    return float(np.max(damping * (flow_e - space.energy(pi)) * psi_p
-                        - 0.5 * space.kappa_hat * h))
+    action = (damping * (space.energies(vals) - space.energies(pis)[:, None]) * psi_p
+              - 0.5 * space.kappa_hat * (damping * psi))
+    return action.max(axis=1)
 
 
 def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> HamiltonianPair:
@@ -253,7 +256,8 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     exp(-m h) with the (1/m v h)-regularized damping term; level 4 replaces the
     integral by the smoothed Tataru distance and a sup over its minimizer set;
     levels 5 and 6 are the Tataru pair (closed-form g) with the smoothed resp.
-    exact Tataru distance in f.
+    exact Tataru distance in f.  Level 3 loops over the rows, one adaptive
+    quadrature each, because their panel sets are ragged.
     """
     if level not in CHAIN_LEVELS:
         raise ValueError(f"level must be one of {CHAIN_LEVELS}")
@@ -267,53 +271,53 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
         eps = _require(params, level, "eps")[0] if level == 5 else None
         return build_tataru_pair(space, side, a, b, c, base_point, flow_anchor, eps)
     closed_g = _closed_g(space, sigma, a, b, base_point)
-    space.flow_curve(flow_anchor)  # fail at build time on an anchor outside the space
+    anchor = space._vals(flow_anchor)  # fail at build time on an anchor outside the space
 
     if level == 4:
         eps = _require(params, level, "eps")[0]
 
         def g4(x):
-            pts, res = _tataru_rows(space, x, flow_anchor, eps)
-            action = [_max_flow_action(space, eps, pt, flow_anchor, r.minimizers)
-                      for pt, r in zip(pts, res)]
-            return closed_g(x, b * np.reshape(action, x.shape[:-1]))
+            rows, anchors, res = _tataru_results(space, x, anchor, eps)
+            action = _max_flow_action(space, eps, rows, anchors, res)
+            return closed_g(x, b * action.reshape(x.shape[:-1]))
 
         return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,
-                                            _tataru_value(space, flow_anchor, eps)), g4)
+                                            _tataru_value(space, anchor, eps)), g4)
 
     eps, m = _require(params, level, "eps", "m")
     m = int(m)
+
+    def tilted(x, log_lam, tilt, terms):
+        """(-log Lambda / m, b times the tilted flow action) at the rows x, as (..., 2)."""
+        h, damping, psi_p, flow_e = terms
+        gap = flow_e - space.energies(x)[..., None]
+        term_energy = b * np.vecdot(tilt, psi_p * damping * gap)
+        term_reg = -0.5 * b * space.kappa_hat * np.vecdot(tilt, np.maximum(1.0 / m, h))
+        return np.stack((-log_lam / m, term_energy + term_reg), axis=-1)
+
     if level == 2:
         n = int(_require(params, level, "n")[0])
         atoms, log_w = discrete_exp_log_weights(m + 1, n)
 
-        def tilt_data(pt: SpacePoint):
-            terms = HCurve(space, eps, pt, flow_anchor).action_terms(atoms)
+        def ladder_terms(x):
+            terms = HCurve(space, eps, x, anchor).action_terms(atoms)
             log_contrib = log_w - m * terms[0]
-            log_lam = float(logsumexp(log_contrib))
-            return log_lam, np.exp(log_contrib - log_lam), terms
+            log_lam = logsumexp(log_contrib, axis=-1)
+            return tilted(x, log_lam, np.exp(log_contrib - log_lam[..., None]), terms)
 
     else:
         rel_tol = params.get("quad_rel_tol", 1e-10)
 
-        def tilt_data(pt: SpacePoint):
-            lam = lambda_continuous(space, eps, m, pt, flow_anchor, rel_tol=rel_tol)
-            terms = HCurve(space, eps, pt, flow_anchor).action_terms(lam.nodes)
-            return lam.log_value, lam.tilted_weights(), terms
+        def ladder_terms(x):
+            out = []
+            for row in x.reshape(-1, space.size):
+                lam = lambda_continuous(space, eps, m, row, anchor, rel_tol=rel_tol)
+                terms = HCurve(space, eps, row, anchor).action_terms(lam.nodes)
+                out.append(tilted(row, lam.log_value, lam.tilted_weights(), terms))
+            return np.reshape(out, (*x.shape[:-1], 2))
 
-    def per_point(x):
-        """(-log Lambda / m, b times the tilted flow action) at each row of x."""
-        out = []
-        for pt in _points(space, x):
-            log_lam, tilt, (h, damping, psi_p, flow_e) = tilt_data(pt)
-            gap = flow_e - space.energy(pt)
-            term_energy = b * float(np.dot(tilt, psi_p * damping * gap))
-            term_reg = -0.5 * b * space.kappa_hat * float(np.dot(tilt, np.maximum(1.0 / m, h)))
-            out.append((-log_lam / m, term_energy + term_reg))
-        return np.reshape(out, (*x.shape[:-1], 2))
-
-    f = _ladder_f(space, sigma, a, b, c, base_point, lambda x: per_point(x)[..., 0])
-    return _pair(space, side, f, lambda x: closed_g(x, per_point(x)[..., 1]))
+    f = _ladder_f(space, sigma, a, b, c, base_point, lambda x: ladder_terms(x)[..., 0])
+    return _pair(space, side, f, lambda x: closed_g(x, ladder_terms(x)[..., 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +353,10 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
 
     ``1to2``: g of the generic cylindrical pair on the explicit composite is
     dominated by the level-2 g.  ``4to5``: the flow-action expression at the
-    minimizer set stays below 1; all samples are drawn first and minimized by
-    one ``tataru_batch`` call, each with its own eps.  ``0to1``: bounded and
-    unbounded pairs agree below the truncation knee.
+    minimizer set stays below 1; all samples are drawn first, then minimized by
+    one ``tataru_batch`` call and maximized by one ``_max_flow_action`` call,
+    each with its own eps.  ``0to1``: bounded and unbounded pairs agree below
+    the truncation knee.
     """
     rows = []
     if link == "1to2":
@@ -378,17 +383,15 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             rows.append(("chain-1to2", i, g1, g2, violation, violation <= tol))
     elif link == "4to5":
         tol = 1e-6 if tol is None else tol
-        # all samples first, then one minimization over them, each with its eps
-        epss, mus, pis = [], [], []
-        for _ in range(samples):
-            epss.append(rng.uniform(0.05, 0.7))
-            mus.append(space.sample(rng))
-            pis.append(space.sample(rng))
-        results = tataru_batch(space, pis, mus, eps=epss)
-        for i, (eps, mu, pi, res) in enumerate(zip(epss, mus, pis, results)):
-            lhs = _max_flow_action(space, eps, pi, mu, res.minimizers)
-            violation = lhs - 1.0
-            rows.append(("chain-4to5", i, lhs, 1.0, violation, violation <= tol))
+        # all samples first, then one minimization and one flow action over them
+        draws = [(rng.uniform(0.05, 0.7), space.sample(rng).values, space.sample(rng).values)
+                 for _ in range(samples)]
+        if draws:
+            epss, mus, pis = zip(*draws)
+            pis, mus = space.rows(pis), space.rows(mus)
+            lhs = _max_flow_action(space, epss, pis, mus, tataru_batch(space, pis, mus, eps=epss))
+            rows = [("chain-4to5", i, v, 1.0, v - 1.0, v - 1.0 <= tol)
+                    for i, v in enumerate(lhs.tolist())]
     elif link == "0to1":
         tol = 1e-9 if tol is None else tol
         for i in range(samples):
@@ -397,14 +400,14 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             weights = rng.uniform(0.1, 1.0, size=k)
             const = rng.uniform(0.0, 0.5)
             rho = space.sample(rng)
-            mus = [space.sample(rng) for _ in range(k)]
+            mus = [space.sample(rng).values for _ in range(k)]
             pi = space.sample(rng)
             phi0 = affine_phi(weights, const)
             pair1 = build_cyl_pair(space, "dagger", a, phi0, rho, mus)
             inner_value = pair1.f(pi.values)  # equals a r0 + phi0(r) at pi
             n = int(np.ceil(inner_value)) + 1
             cyl_fun = CylindricalTestFunction(base=phi0, anchors=tuple(mus))
-            truncated = truncate_cylinder(cyl_fun, a, rho, n)
+            truncated = truncate_cylinder(cyl_fun, a, rho.values, n)
             pair0 = build_h0_pair(space, "dagger", truncated.base, truncated.anchors)
             g0 = pair0.g(pi.values)
             g1 = pair1.g(pi.values)

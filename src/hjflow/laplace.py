@@ -2,7 +2,8 @@
 
 Everything is accumulated in log space: the quantities of interest are the
 normalized exponents -(1/m) log Lambda, and raw Lambda values underflow double
-precision already for moderate m.
+precision already for moderate m.  pi and mu are coordinate rows, checked by
+``ModelSpace.rows``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import ModelSpace, SpacePoint
-from .tataru import d_eps, logsumexp, psi_eps, psi_eps_and_prime
+from .spaces import FlowCurve, ModelSpace
+from .tataru import logsumexp, psi_eps, psi_eps_and_prime, tataru_batch
 
 _GL15 = np.polynomial.legendre.leggauss(15)
 _GL7 = np.polynomial.legendre.leggauss(7)
@@ -87,20 +88,24 @@ class HCurve:
 
     Bundles the flow curve of the anchor mu with the squared distances that
     the Laplace integrands need (``h``) and with the flow-action terms of the
-    Hamiltonian ladder (``action_terms``).
+    Hamiltonian ladder (``action_terms``).  ``pi`` holds rows (..., size) and
+    ``mu`` is one row (size,); the flow of mu is evaluated once per call and
+    every row of pi is measured against it, so T times give values (..., T).
     """
 
-    def __init__(self, space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint):
+    def __init__(self, space: ModelSpace, eps: float, pi, mu):
         if not eps > 0:  # also rejects NaN
             raise ValueError("eps must be positive")
         self.space = space
         self.eps = eps
-        self.pi = pi
-        self.mu = mu
-        self.curve = space.flow_curve(mu)
+        self.pi = space.rows(pi)
+        self.mu = space.rows(mu)
+        if self.mu.ndim != 1:
+            raise ValueError("mu must be one row")
+        self.curve = FlowCurve(space, self.mu)
 
     def _half_dist2(self, vals: np.ndarray) -> np.ndarray:
-        return 0.5 * self.space.sq_dist(vals, self.pi.values)
+        return 0.5 * self.space.sq_dist(vals, self.pi[..., None, :])
 
     def damping(self, ts) -> np.ndarray:
         return np.exp(self.space.kappa_hat * np.asarray(ts, dtype=float))
@@ -115,8 +120,10 @@ class HCurve:
         damping = self.damping(ts)
         return damping * psi, damping, psi_p, self.space.energies(vals)
 
-    def t_cap(self) -> float:
-        return d_eps(self.space, self.eps, self.pi, self.mu) + 1.0
+    def t_cap(self) -> np.ndarray:
+        """d_eps(pi, mu) + 1, with d^2 by libm pow as ``d_eps`` squares d with ``**``."""
+        d = np.sqrt(self.space.sq_dist(self.pi, self.mu))
+        return psi_eps(self.eps, 0.5 * np.float_power(d, 2)) + 1.0
 
 
 @dataclass(frozen=True)
@@ -145,8 +152,7 @@ class LaplaceValue:
         return np.exp(self.log_contrib - self.log_value)
 
 
-def lambda_discrete(space: ModelSpace, eps: float, m: int, n: int,
-                    pi: SpacePoint, mu: SpacePoint) -> LaplaceValue:
+def lambda_discrete(space: ModelSpace, eps: float, m: int, n: int, pi, mu) -> LaplaceValue:
     """Riemann-sum Laplace integral of exp(-m h) against the discrete
     exponential measure of rate m + 1."""
     if m < 1 or n < 1:
@@ -222,8 +228,7 @@ def _adaptive_log_quadrature(log_f, a: float, b: float, rel_tol: float = 1e-10,
     return log_total, nodes[order], contribs[order], len(store)
 
 
-def lambda_continuous(space: ModelSpace, eps: float, m: int,
-                      pi: SpacePoint, mu: SpacePoint,
+def lambda_continuous(space: ModelSpace, eps: float, m: int, pi, mu,
                       rel_tol: float = 1e-10) -> LaplaceValue:
     """Laplace integral of exp(-m h) against the exponential law of rate m + 1.
 
@@ -236,7 +241,7 @@ def lambda_continuous(space: ModelSpace, eps: float, m: int,
     if m < 1:
         raise ValueError("m must be >= 1")
     hcurve = HCurve(space, eps, pi, mu)
-    t_quad = hcurve.t_cap() + 5.0 / (m + 1)
+    t_quad = float(hcurve.t_cap()) + 5.0 / (m + 1)
     log_rate = math.log(m + 1.0)
 
     def log_f(ts):
@@ -254,15 +259,13 @@ def lambda_continuous(space: ModelSpace, eps: float, m: int,
                         tail_log_bound=-(m + 1.0) * t_quad, panels=n_panels)
 
 
-def varadhan_error_curve(space: ModelSpace, eps: float, pi: SpacePoint,
-                         mu: SpacePoint, m_list) -> list[tuple[int, float]]:
+def varadhan_error_curve(space: ModelSpace, eps: float, pi, mu,
+                         m_list) -> list[tuple[int, float]]:
     """|-(1/m) log Lambda_{eps,m} - d_{T,eps}| for each m; the Laplace-limit gap."""
-    from .tataru import tataru_eps
-
     m_list = list(m_list)
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be increasing")
-    target = tataru_eps(space, eps, pi, mu).value
+    target = tataru_batch(space, [pi], [mu], eps=eps)[0].value
     out = []
     for m in m_list:
         val = lambda_continuous(space, eps, int(m), pi, mu)
@@ -270,8 +273,7 @@ def varadhan_error_curve(space: ModelSpace, eps: float, pi: SpacePoint,
     return out
 
 
-def tilted_measure(space: ModelSpace, eps: float, m: int,
-                   pi: SpacePoint, mu: SpacePoint) -> DiscreteMeasure:
+def tilted_measure(space: ModelSpace, eps: float, m: int, pi, mu) -> DiscreteMeasure:
     """Probability measure with density proportional to exp(-m h) against the
     rate-(m+1) exponential law, on the quadrature grid; concentrates on the
     minimizers of t + h(t) as m grows."""

@@ -7,14 +7,15 @@ at mu and kappa_hat = min(kappa, 0).  The smoothed variant replaces d by
 objective differentiable in the squared distance.
 
 ``tataru_batch`` minimizes over t in [0, T_cap] for many (pi, mu, kappa, eps)
-instances at once: one coarse-grid objective call per chunk of instances, of
-which only the three best grid brackets of every instance are kept, then,
-per block of instances, a bracket zoom with one objective call per step for
-all brackets of the block and one call for the refined values.  Chunks and
-blocks are sized by BLOCK_ELEMENTS, so a 64-point quantile space, whose grid
-fills a chunk with one instance, still zooms five instances together.
-``tataru`` and ``tataru_eps`` are its one-instance case, so every instance
-gets the same numbers alone or in a batch.
+instances at once, pi and mu given as coordinate rows: one coarse-grid
+objective call per chunk of instances, of which only the three best grid
+brackets of every instance are kept, then, per block of instances, a bracket
+zoom with one objective call per step for all brackets of the block and one
+call for the refined values.  Chunks and blocks are sized by BLOCK_ELEMENTS,
+so a 64-point quantile space, whose grid fills a chunk with one instance,
+still zooms five instances together.  ``tataru`` and ``tataru_eps`` are its
+one-instance case on points, so every instance gets the same numbers alone
+or in a batch.
 """
 
 from __future__ import annotations
@@ -127,10 +128,6 @@ class TataruResult:
     t_cap: float
     grid_points: int
 
-    @property
-    def minimizer(self) -> float:
-        return float(self.minimizers[0])
-
 
 def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
           tol: float = 1e-11) -> np.ndarray:
@@ -220,20 +217,18 @@ def _minimize(objective, t_caps: np.ndarray, grid_points: int = GRID_POINTS,
     return results
 
 
-def _flow_objective(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[SpacePoint],
+def _flow_objective(space: ModelSpace, pis: np.ndarray, mus: np.ndarray,
                     kappa_hats: Sequence[float], eps: Sequence[float] | None):
     """objective(rows, ts): t + exp(kappa_hat t) d(pi, mu(t)), or psi_eps(d^2/2)
     with eps[i] for instance i unless eps is None, for the instances ``rows`` at
-    the times ts of shape (len(rows), T)."""
-    pvals = np.array([p.values for p in pis])
-    starts = np.array([m.values for m in mus])
+    the times ts of shape (len(rows), T); pis and mus are coordinate rows (N, size)."""
     k_hat = np.array(kappa_hats, dtype=float)
     if eps is not None:
         consts = np.array([_psi_consts(e) for e in eps])  # (instances, 3)
 
     def objective(rows, ts):
-        dist2 = space.sq_dist(space.flow_values(starts.take(rows, 0), ts),
-                              pvals.take(rows, 0)[:, None, :])
+        dist2 = space.sq_dist(space.flow_values(mus.take(rows, 0), ts),
+                              pis.take(rows, 0)[:, None, :])
         if eps is None:
             inner = np.sqrt(dist2)
         else:
@@ -243,11 +238,11 @@ def _flow_objective(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[
     return objective
 
 
-def tataru_batch(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[SpacePoint],
-                 kappas: Sequence[float | None] | None = None,
+def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | None = None,
                  eps: float | Sequence[float] | None = None) -> list[TataruResult]:
-    """Tataru distances (smoothed by eps unless None) from pis[i] to mus[i].
+    """Tataru distances (smoothed by eps unless None) from the rows pis[i] to mus[i].
 
+    ``pis`` and ``mus`` are coordinate rows (N, size), checked by ``ModelSpace.rows``.
     ``kappas[i]`` overrides the space's kappa for instance i (None keeps it).
     ``eps`` is None, one value for all instances or one value per instance.
     The search interval [0, T_cap] with T_cap = d(pi, mu) + 1 (d_eps for the
@@ -257,41 +252,41 @@ def tataru_batch(space: ModelSpace, pis: Sequence[SpacePoint], mus: Sequence[Spa
     BLOCK_ELEMENTS); each result is the same, bit for bit, whatever chunk and
     block it lands in.
     """
-    pis, mus = list(pis), list(mus)
-    kappas = [None] * len(pis) if kappas is None else list(kappas)
-    if not len(pis) == len(mus) == len(kappas):
+    pis, mus = space.rows(pis), space.rows(mus)
+    n = len(pis)
+    kappas = [None] * n if kappas is None else list(kappas)
+    if not (pis.ndim == 2 and pis.shape == mus.shape and len(kappas) == n):
         raise ValueError("pis, mus and kappas must have the same length")
+    t_caps = np.sqrt(space.sq_dist(pis, mus))
     if eps is not None:
-        eps = [float(eps)] * len(pis) if np.ndim(eps) == 0 else [float(e) for e in eps]
-        if len(eps) != len(pis):
+        eps = [float(eps)] * n if np.ndim(eps) == 0 else [float(e) for e in eps]
+        if len(eps) != n:
             raise ValueError("eps must be one value or one per instance")
-        if not all(e > 0 for e in eps):  # also rejects NaN
-            raise ValueError("eps must be positive")
-    # the distances also check that every point belongs to the space
-    if eps is None:
-        t_caps = [space.distance(p, m) + 1.0 for p, m in zip(pis, mus)]
-    else:
-        t_caps = [d_eps(space, e, p, m) + 1.0 for e, p, m in zip(eps, pis, mus)]
+        consts = np.reshape([_psi_consts(e) for e in eps], (n, 3)).T
+        # d^2 by libm pow, as ``d_eps`` squares the float distance with ``**``
+        t_caps = _psi(consts, 0.5 * np.float_power(t_caps, 2), prime=False)[0]
+    t_caps = t_caps + 1.0
     kappa_hats = [min(space.kappa if k is None else k, 0.0) for k in kappas]
     cap = max(BLOCK_ELEMENTS, GRID_POINTS * space.size)
     chunk = cap // (GRID_POINTS * space.size)
     block = cap // (3 * ZOOM_POINTS * space.size)
     results: list[TataruResult] = []
-    for lo in range(0, len(pis), block):
+    for lo in range(0, n, block):
         hi = lo + block
         objective = _flow_objective(space, pis[lo:hi], mus[lo:hi], kappa_hats[lo:hi],
                                     None if eps is None else eps[lo:hi])
-        results += _minimize(objective, np.array(t_caps[lo:hi]), chunk=chunk)
+        results += _minimize(objective, t_caps[lo:hi], chunk=chunk)
     return results
 
 
 def tataru(space: ModelSpace, pi: SpacePoint, mu: SpacePoint,
            kappa_override: float | None = None) -> TataruResult:
     """Tataru distance from pi to mu (flowing mu), with optional kappa override."""
-    return tataru_batch(space, [pi], [mu], [kappa_override])[0]
+    return tataru_batch(space, [space._vals(pi)], [space._vals(mu)], [kappa_override])[0]
 
 
 def tataru_eps(space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint,
                kappa_override: float | None = None) -> TataruResult:
     """Smoothed Tataru distance; its minimizer set is the argmin set Xi(pi)."""
-    return tataru_batch(space, [pi], [mu], [kappa_override], eps=eps)[0]
+    return tataru_batch(space, [space._vals(pi)], [space._vals(mu)], [kappa_override],
+                        eps=eps)[0]

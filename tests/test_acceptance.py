@@ -176,16 +176,15 @@ def test_criterion_05_smoothed_tataru_convergence(ou):
 
 def test_criterion_06_laplace_varadhan(ou):
     crit = ou.rest_point()
-    worst_const = max(abs(lambda_continuous(ou, 0.5, m, crit, crit).neg_log
+    worst_const = max(abs(lambda_continuous(ou, 0.5, m, crit.values, crit.values).neg_log
                           - psi_eps(0.5, 0.0)) for m in (1, 10, 100, 1000, 10000))
     const_ok = worst_const <= 1e-10
 
-    p = ou.point
-    curve = varadhan_error_curve(ou, 0.1, p([0]), p([3]), [10, 100, 1000, 10000])
+    curve = varadhan_error_curve(ou, 0.1, [0.0], [3.0], [10, 100, 1000, 10000])
     final_ok = curve[-1][1] < 0.05 and curve[-1][1] < curve[0][1]
 
-    ref = lambda_continuous(ou, 0.1, 20, p([0]), p([3]))
-    gaps = [abs(lambda_discrete(ou, 0.1, 20, n, p([0]), p([3])).log_value
+    ref = lambda_continuous(ou, 0.1, 20, [0.0], [3.0])
+    gaps = [abs(lambda_discrete(ou, 0.1, 20, n, [0.0], [3.0]).log_value
                 - ref.log_value) for n in (10, 40, 160)]
     refine_ok = gaps[0] > gaps[1] > gaps[2]
     ok = const_ok and final_ok and refine_ok
@@ -195,8 +194,7 @@ def test_criterion_06_laplace_varadhan(ou):
 
 
 def test_criterion_07_tilted_concentration(ou):
-    p = ou.point
-    tm = tilted_measure(ou, 1e-3, 1000, p([0]), p([3]))
+    tm = tilted_measure(ou, 1e-3, 1000, [0.0], [3.0])
     mass = tm.mass_within(np.log(3), 0.1)
     verdict(7, "tilted-measure concentration", mass >= 0.95,
             f"mass within 0.1 of ln 3 at m=1000: {mass:.4f}")
@@ -265,7 +263,7 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
         w = rng.uniform(0.05, 0.5, size=k)
         c = float(rng.uniform(0.0, 0.5))
         base = ou.point([rng.uniform(-1.5, 1.5)])
-        anchors = [ou.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
+        anchors = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
         if side == "dagger":
             return build_cyl_pair(ou, "dagger", a, affine_phi(w, c), base, anchors)
         return build_cyl_pair(ou, "ddagger", a, affine_phi(w, c), base, anchors)
@@ -283,11 +281,11 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
     zeros_h = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     x0 = float(xs[len(xs) // 2 + 11])
     fail_pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), ou.point([x0]),
-                               [ou.point([x0])])
+                               [[x0]])
     fail_sub = check_viscosity(GridFunction(xs, np.ones_like(xs)), fail_pair,
                                zeros_h, 1.0, tol)
     fail_pair_d = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), ou.point([x0]),
-                                 [ou.point([x0])])
+                                 [[x0]])
     fail_sup = check_viscosity(GridFunction(xs, -np.ones_like(xs)), fail_pair_d,
                                zeros_h, 1.0, tol)
     designed_ok = (not fail_sub.passed) and (not fail_sup.passed)

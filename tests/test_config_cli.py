@@ -258,13 +258,14 @@ _CHAIN = {"a": 1.0, "b": 1.0, "c": 0.0, "eps": 0.1, "m": 2, "n": 2, "rho": _P, "
 NAN_CALLS = {
     "psi_eps.eps": lambda: psi_eps(NAN, 1.0),
     "psi_eps_prime.eps": lambda: psi_eps_prime(NAN, 1.0),
-    "tataru_batch.eps": lambda: tataru_batch(_SPACE, [_P], [_Q], eps=NAN),
-    "tataru_batch.eps[i]": lambda: tataru_batch(_SPACE, [_P, _P], [_Q, _Q], eps=[0.1, NAN]),
-    "HCurve.eps": lambda: HCurve(_SPACE, NAN, _P, _Q),
+    "tataru_batch.eps": lambda: tataru_batch(_SPACE, [_P.values], [_Q.values], eps=NAN),
+    "tataru_batch.eps[i]": lambda: tataru_batch(_SPACE, [_P.values, _P.values],
+                                                [_Q.values, _Q.values], eps=[0.1, NAN]),
+    "HCurve.eps": lambda: HCurve(_SPACE, NAN, _P.values, _Q.values),
     "evi_residual.delta": lambda: evi_residual(_SPACE, _P, _Q, 0.5, NAN),
     "solve_resolvent.lam": lambda: solve_resolvent(_SPACE, NAN, lambda x: 0.0 * x),
     "build_cyl_pair.a": lambda: build_cyl_pair(_SPACE, "dagger", NAN, affine_phi([1.0]),
-                                               _P, [_Q]),
+                                               _P, [_Q.values]),
     "build_tataru_pair.a": lambda: build_tataru_pair(_SPACE, "dagger", NAN, 1.0, 0.0, _P, _Q),
     "build_tataru_pair.b": lambda: build_tataru_pair(_SPACE, "dagger", 1.0, NAN, 0.0, _P, _Q),
     "build_chain_pair.a": lambda: build_chain_pair(_SPACE, 2, "dagger", {**_CHAIN, "a": NAN}),

@@ -34,8 +34,7 @@ def five_term_g_dagger(space, a, weights, const, rho, mus, pi):
 
 
 def test_cyl_dagger_hand_example(ou):
-    pair = build_cyl_pair(ou, "dagger", 1.0, identity_phi(), ou.point([0]),
-                          [ou.point([0])])
+    pair = build_cyl_pair(ou, "dagger", 1.0, identity_phi(), ou.point([0]), [[0.0]])
     pi = ou.point([1])
     assert pair.f(pi.values) == pytest.approx(1.0)
     assert pair.g(pi.values) == pytest.approx(0.0, abs=1e-14)
@@ -43,7 +42,7 @@ def test_cyl_dagger_hand_example(ou):
 
 def test_cyl_dagger_degenerate(ou):
     crit = ou.rest_point()
-    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([1.0], 0.3), crit, [crit])
+    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([1.0], 0.3), crit, [crit.values])
     assert pair.f(crit.values) == pytest.approx(0.3)  # phi(0)
     assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
 
@@ -57,23 +56,23 @@ def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
         rho = quartic.sample(rng)
         mus = [quartic.sample(rng) for _ in range(k)]
         pi = quartic.sample(rng)
-        pair = build_cyl_pair(quartic, "dagger", a, affine_phi(weights, const), rho, mus)
+        pair = build_cyl_pair(quartic, "dagger", a, affine_phi(weights, const), rho,
+                              [mu.values for mu in mus])
         oracle = five_term_g_dagger(quartic, a, weights, const, rho, mus, pi)
         assert pair.g(pi.values) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_cyl_dagger_rejects_bad_inputs(ou):
     with pytest.raises(ValueError, match="positive"):
-        build_cyl_pair(ou, "dagger", 0.0, identity_phi(), ou.point([0]), [ou.point([0])])
-    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([-1.0]), ou.point([0]),
-                          [ou.point([0])])
+        build_cyl_pair(ou, "dagger", 0.0, identity_phi(), ou.point([0]), [[0.0]])
+    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([-1.0]), ou.point([0]), [[0.0]])
     with pytest.raises(ValueError, match="not in class T"):
         pair.f(ou.point([1]).values)
 
 
 def test_cyl_ddagger_hand_example(ou):
     crit = ou.rest_point()
-    pair = build_cyl_pair(ou, "ddagger", 1.0, identity_phi(), crit, [crit])
+    pair = build_cyl_pair(ou, "ddagger", 1.0, identity_phi(), crit, [crit.values])
     assert pair.f(crit.values) == pytest.approx(0.0)
     assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
     mu = ou.point([1])
@@ -90,7 +89,8 @@ def test_cyl_ddagger_below_dagger_style_bound(ou, rng):
         gamma = ou.sample(rng)
         pis = [ou.sample(rng) for _ in range(2)]
         mu = ou.sample(rng)
-        pair = build_cyl_pair(ou, "ddagger", a, affine_phi(weights), gamma, pis)
+        pair = build_cyl_pair(ou, "ddagger", a, affine_phi(weights), gamma,
+                              [p.values for p in pis])
         e_mu = ou.energy(mu)
         d0 = ou.distance(mu, gamma)
         upper = a * (e_mu - ou.energy(gamma) + 0.5 * ou.kappa * d0**2) + 0.5 * a**2 * d0**2
@@ -107,12 +107,12 @@ def test_h0_pair_examples(ou, rng):
     crit = ou.rest_point()
     phi = Iota(2, affine_phi([1.0]))
     for side, sign in (("dagger", 1.0), ("ddagger", -1.0)):
-        pair = build_h0_pair(ou, side, phi, [crit])
+        pair = build_h0_pair(ou, side, phi, [crit.values])
         assert pair.f(crit.values) == pytest.approx(sign * 0.0)
         assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
 
     # overlap with the quadratic-free cylindrical pair below the knee
-    pair0 = build_h0_pair(ou, "dagger", phi, [crit])
+    pair0 = build_h0_pair(ou, "dagger", phi, [crit.values])
     for _ in range(10):
         pi = ou.point([rng.uniform(-1.8, 1.8)])  # half squared distance <= 1.62 < 2
         r = 0.5 * ou.distance(pi, crit) ** 2
@@ -125,7 +125,7 @@ def test_h0_pair_examples(ou, rng):
 
 def test_h0_requires_bounded(ou):
     with pytest.raises(ValueError, match="class T_b"):
-        build_h0_pair(ou, "dagger", identity_phi(), [ou.point([0])])
+        build_h0_pair(ou, "dagger", identity_phi(), [[0.0]])
 
 
 def test_h0_ddagger_below_cauchy_schwarz_bound(ou, rng):
@@ -134,7 +134,7 @@ def test_h0_ddagger_below_cauchy_schwarz_bound(ou, rng):
     weights = np.array([0.7, 0.9])
     phi = Iota(4, affine_phi(weights))
     anchors = [ou.sample(rng), ou.sample(rng)]
-    pair = build_h0_pair(ou, "ddagger", phi, anchors)
+    pair = build_h0_pair(ou, "ddagger", phi, [a.values for a in anchors])
     for _ in range(10):
         mu = ou.sample(rng)
         dists = np.array([ou.distance(mu, a) for a in anchors])
@@ -207,7 +207,7 @@ def test_composite_phi_is_one_array_node(ou, n):
 def test_ddagger_f_bounded_above(ou, rng):
     c = 0.4
     pair = build_cyl_pair(ou, "ddagger", 0.8, affine_phi([0.5], c), ou.sample(rng),
-                          [ou.sample(rng)])
+                          [ou.sample(rng).values])
     for _ in range(20):
         assert pair.f(ou.sample(rng).values) <= -c + 1e-12
 
@@ -338,8 +338,7 @@ def test_chain_1to2_degenerate_sample(ou):
     crit = ou.rest_point()
     b, c, eps, m, n = 0.7, 0.1, 0.3, 5, 2
     phi, ts = composite_phi_for_push(ou, eps, b, c, m, n)
-    anchors = [ou.point(v) for v in ou.flow_curve(crit).values_at(ts)]
-    pair1 = build_cyl_pair(ou, "dagger", 1.0, phi, crit, anchors)
+    pair1 = build_cyl_pair(ou, "dagger", 1.0, phi, crit, ou.flow_curve(crit).values_at(ts))
     pair2 = build_chain_pair(ou, 2, "dagger",
                              dict(a=1.0, b=b, c=c, eps=eps, m=m, n=n, rho=crit, mu=crit))
     g1, g2 = pair1.g(crit.values), pair2.g(crit.values)
@@ -367,7 +366,7 @@ def test_dagger_f_bounded_below(ou, rng):
         c = float(rng.uniform(-1, 1))
         weights = rng.uniform(0.1, 1.0, size=2)
         pair = build_cyl_pair(ou, "dagger", a, affine_phi(weights, c), ou.sample(rng),
-                              [ou.sample(rng), ou.sample(rng)])
+                              [ou.sample(rng).values, ou.sample(rng).values])
         for _ in range(20):
             assert pair.f(ou.sample(rng).values) >= c - 1e-12
 

@@ -57,7 +57,7 @@ def test_discrete_exp_measure_normalized(m, n):
 def test_lambda_discrete_constant_exponent(ou):
     crit = ou.rest_point()
     for m in (1, 5, 50, 700):
-        val = lambda_discrete(ou, 0.5, m, 3, crit, crit)
+        val = lambda_discrete(ou, 0.5, m, 3, crit.values, crit.values)
         assert val.neg_log == pytest.approx(0.375, abs=1e-12)
 
 
@@ -68,21 +68,21 @@ def test_lambda_discrete_zero_exponent_shim(ou, monkeypatch):
             return np.zeros(np.atleast_1d(ts).size)
 
     monkeypatch.setattr(laplace, "HCurve", ZeroH)
-    val = lambda_discrete(ou, 0.5, 9, 4, ou.point([1.0]), ou.point([-2.0]))
+    val = lambda_discrete(ou, 0.5, 9, 4, [1.0], [-2.0])
     assert val.log_value == pytest.approx(0.0, abs=1e-12)
     assert val.value == pytest.approx(1.0)
 
 
 def test_lambda_discrete_tracks_smoothed_distance(ou):
     p = ou.point
-    val = lambda_discrete(ou, 0.1, 50, 40, p([0]), p([3]))
+    val = lambda_discrete(ou, 0.1, 50, 40, [0.0], [3.0])
     target = tataru_eps(ou, 0.1, p([0]), p([3])).value
     assert abs(val.neg_log - target) <= 0.15
 
 
 def test_lambda_underflow_never_returns_zero(ou):
     p = ou.point
-    val = lambda_discrete(ou, 0.1, 2000, 10, p([0]), p([3]))
+    val = lambda_discrete(ou, 0.1, 2000, 10, [0.0], [3.0])
     assert np.isfinite(val.log_value)
     with pytest.raises(ValueError, match="log_value"):
         _ = val.value
@@ -91,16 +91,16 @@ def test_lambda_underflow_never_returns_zero(ou):
 def test_lambda_continuous_constant_pullout(ou):
     crit = ou.rest_point()
     for m in (1, 10, 1000):
-        val = lambda_continuous(ou, 0.5, m, crit, crit)
+        val = lambda_continuous(ou, 0.5, m, crit.values, crit.values)
         assert val.neg_log == pytest.approx(psi_eps(0.5, 0.0), abs=1e-12)
 
 
 def test_riemann_refinement_converges(ou):
     p = ou.point
-    ref = lambda_continuous(ou, 0.1, 20, p([0]), p([3]))
+    ref = lambda_continuous(ou, 0.1, 20, [0.0], [3.0])
     gaps = []
     for n in (10, 40, 160):
-        dv = lambda_discrete(ou, 0.1, 20, n, p([0]), p([3]))
+        dv = lambda_discrete(ou, 0.1, 20, n, [0.0], [3.0])
         gaps.append(abs(dv.log_value - ref.log_value))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -108,7 +108,7 @@ def test_riemann_refinement_converges(ou):
 def test_neg_log_error_decreases_in_m(ou):
     p = ou.point
     target = tataru_eps(ou, 0.1, p([0]), p([3])).value
-    errs = [abs(lambda_continuous(ou, 0.1, m, p([0]), p([3])).neg_log - target)
+    errs = [abs(lambda_continuous(ou, 0.1, m, [0.0], [3.0]).neg_log - target)
             for m in (10, 100, 1000)]
     assert errs[0] > errs[1] > errs[2]
 
@@ -120,7 +120,7 @@ def test_laplace_sandwich(ou, rng):
     eps, m, n = 0.2, 25, 12
     for _ in range(5):
         pi, mu = ou.sample(rng), ou.sample(rng)
-        val = lambda_discrete(ou, eps, m, n, pi, mu)
+        val = lambda_discrete(ou, eps, m, n, pi.values, mu.values)
         atoms = discrete_exp_measure(m + 1, n).atoms
         curve = ou.flow_curve(mu)
         diffs = curve.values_at(atoms) - pi.values[None, :]
@@ -135,19 +135,19 @@ def test_laplace_sandwich(ou, rng):
 
 def test_varadhan_error_curve_constant(ou):
     crit = ou.rest_point()
-    rows = varadhan_error_curve(ou, 0.5, crit, crit, [1, 10, 100])
+    rows = varadhan_error_curve(ou, 0.5, crit.values, crit.values, [1, 10, 100])
     assert all(err <= 1e-10 for _, err in rows)
 
 
 def test_varadhan_error_curve_requires_increasing_m(ou):
     with pytest.raises(ValueError, match="increasing"):
-        varadhan_error_curve(ou, 0.5, ou.point([0]), ou.point([1]), [10, 10])
+        varadhan_error_curve(ou, 0.5, [0.0], [1.0], [10, 10])
 
 
 def test_varadhan_error_curve_decreasing_random(ou, rng):
     for _ in range(2):
         pi, mu = ou.sample(rng), ou.sample(rng)
-        rows = varadhan_error_curve(ou, 0.1, pi, mu, [10, 10000])
+        rows = varadhan_error_curve(ou, 0.1, pi.values, mu.values, [10, 10000])
         assert rows[-1][1] < rows[0][1]
 
 
@@ -156,7 +156,7 @@ def test_tilted_measure_constant_tilt_is_base_measure(ou):
     # discretization of the exponential law of rate m + 1
     crit = ou.rest_point()
     m = 40
-    tm = tilted_measure(ou, 0.5, m, crit, crit)
+    tm = tilted_measure(ou, 0.5, m, crit.values, crit.values)
     assert tm.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert tm.expectation(tm.atoms) == pytest.approx(1.0 / (m + 1), abs=1e-9)
     # Laplace transform of the exponential law, exact to quadrature tolerance
@@ -167,7 +167,7 @@ def test_tilted_measure_constant_tilt_is_base_measure(ou):
 
 def test_tilted_measure_concentrates(ou):
     p = ou.point
-    tm = tilted_measure(ou, 1e-3, 1000, p([0]), p([3]))
+    tm = tilted_measure(ou, 1e-3, 1000, [0.0], [3.0])
     assert tm.mass_within(np.log(3), 0.1) >= 0.95
     assert tm.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -181,7 +181,7 @@ def test_tilted_mean_weight_converges(ou):
     curve = ou.flow_curve(mu)
 
     def mean_h(m):
-        tm = tilted_measure(ou, eps, m, pi, mu)
+        tm = tilted_measure(ou, eps, m, pi.values, mu.values)
         diffs = curve.values_at(tm.atoms) - pi.values[None, :]
         h = np.exp(ou.kappa_hat * tm.atoms) * psi_eps(eps, 0.5 * np.sum(diffs**2, axis=1))
         return tm.expectation(h)
@@ -205,9 +205,9 @@ def test_quadrature_nonconvergence_reports_tolerance():
 def test_laplace_rejects_bad_parameters(ou):
     p = ou.point
     with pytest.raises(ValueError):
-        lambda_discrete(ou, 0.1, 0, 5, p([0]), p([1]))
+        lambda_discrete(ou, 0.1, 0, 5, [0.0], [1.0])
     with pytest.raises(ValueError):
-        lambda_continuous(ou, 0.1, 0, p([0]), p([1]))
+        lambda_continuous(ou, 0.1, 0, [0.0], [1.0])
     with pytest.raises(ValueError):
         discrete_exp_measure(0, 5)
 
@@ -234,7 +234,7 @@ def test_batched_panels_match_one_panel_at_a_time(request, space_name, m):
     space = request.getfixturevalue(space_name)
     rng = np.random.default_rng(m)
     pi, mu = space.sample(rng), space.sample(rng)
-    hcurve = HCurve(space, 0.1, pi, mu)
+    hcurve = HCurve(space, 0.1, pi.values, mu.values)
 
     def log_f(ts):
         return math.log(m + 1.0) - (m + 1.0) * ts - m * hcurve.h(ts)

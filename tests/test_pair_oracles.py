@@ -38,7 +38,12 @@ from hjflow.cylinders import (
     Iota,
     affine_phi,
 )
-from hjflow.laplace import _adaptive_log_quadrature, discrete_exp_log_weights
+from hjflow.laplace import (
+    HCurve,
+    _adaptive_log_quadrature,
+    discrete_exp_log_weights,
+    lambda_continuous,
+)
 from hjflow.spaces import (
     ModelSpace,
     SpacePoint,
@@ -47,7 +52,7 @@ from hjflow.spaces import (
     quantile_space,
     quartic_potential,
 )
-from hjflow.tataru import d_eps, psi_eps, psi_eps_prime, tataru, tataru_eps
+from hjflow.tataru import d_eps, psi_eps, psi_eps_prime, tataru, tataru_batch, tataru_eps
 from hjflow.viscosity import GridFunction, ViscosityReport, check_viscosity, make_grid
 
 # ---------------------------------------------------------------------------
@@ -637,7 +642,7 @@ def test_cyl_pair_matches_mirrored_builders(space):
         old = {"dagger": build_cyl_dagger(space, a, phi, base, anchors),
                "ddagger": build_cyl_ddagger(space, a, phi, base, anchors)}
         for side in SIDES:
-            pair = new.build_cyl_pair(space, side, a, phi, base, anchors)
+            pair = new.build_cyl_pair(space, side, a, phi, base, _rows(anchors))
             assert pair.side == side
             for fn in ("f", "g"):
                 want = [getattr(old[side], fn)(pt) for pt in pts]
@@ -655,7 +660,7 @@ def test_h0_pair_matches_both_branches(space):
         pts = [space.sample(rng, radius=3.0) for _ in range(3)]
         for side in SIDES:
             old = build_h0_pair(space, side, phi, anchors)
-            pair = new.build_h0_pair(space, side, phi, anchors)
+            pair = new.build_h0_pair(space, side, phi, _rows(anchors))
             for fn in ("f", "g"):
                 want = [getattr(old, fn)(pt) for pt in pts]
                 _assert_batch(getattr(pair, fn)(_rows(pts)), want, exact)
@@ -701,7 +706,7 @@ def test_ladder_matches_hand_copied_flow_action(space, level):
                   "m": int(rng.integers(1, 41)), "n": int(rng.integers(1, 6)),
                   "quad_rel_tol": 1e-6,
                   keys[0]: space.sample(rng), keys[1]: space.sample(rng)}
-        pts = [space.sample(rng), space.sample(rng)]
+        pts = [space.sample(rng) for _ in range(4)]
         old = build_chain_pair(space, level, side, params)
         pair = new.build_chain_pair(space, level, side, params)
         for fn in ("f", "g"):
@@ -718,8 +723,8 @@ def test_pairs_map_rows_to_values(space):
     base, anchor = space.sample(rng), space.sample(rng)
     params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2,
               "rho": base, "mu": anchor}
-    pairs = [new.build_cyl_pair(space, "dagger", 0.7, affine_phi([0.4]), base, [anchor]),
-             new.build_h0_pair(space, "ddagger", Iota(2, affine_phi([0.4])), [anchor]),
+    pairs = [new.build_cyl_pair(space, "dagger", 0.7, affine_phi([0.4]), base, _rows([anchor])),
+             new.build_h0_pair(space, "ddagger", Iota(2, affine_phi([0.4])), _rows([anchor])),
              *(new.build_chain_pair(space, level, "dagger", params) for level in (2, 4, 6))]
     x = _rows([space.sample(rng) for _ in range(6)])
     bad = x.copy()
@@ -736,6 +741,46 @@ def test_pairs_map_rows_to_values(space):
             if space.kind == "quantile":
                 with pytest.raises(ValueError, match="nondecreasing"):
                     fn(x[:, ::-1])
+
+
+def test_rows_are_never_turned_back_into_points(space, monkeypatch):
+    """Below the pair API everything runs on rows: with ``ModelSpace.point``
+    raising, the f and g of ladder levels 2 to 6, ``tataru_batch``,
+    ``HCurve.action_terms`` and ``lambda_continuous`` run on (N, size) and
+    (2, 3, size) rows and give the values they give without the patch."""
+    rng = np.random.default_rng(609)
+    x = _rows([space.sample(rng) for _ in range(6)])
+    anchor = space.sample(rng)
+    params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2, "quad_rel_tol": 1e-6,
+              "rho": space.sample(rng), "mu": anchor}
+    pairs = [new.build_chain_pair(space, level, "dagger", params) for level in CHAIN_LEVELS]
+    ts = np.linspace(0.0, 2.0, 7)
+
+    def below_pairs():
+        return [
+            [r.value for r in tataru_batch(space, x, x[::-1], eps=0.2)],
+            HCurve(space, 0.2, x.reshape(2, 3, space.size), anchor.values).action_terms(ts),
+            lambda_continuous(space, 0.2, 5, x[0], anchor.values, rel_tol=1e-6).log_value,
+        ]
+
+    want = [(pair.f(x), pair.g(x)) for pair in pairs]
+    want_below = below_pairs()
+
+    def no_points(self, vals):
+        raise AssertionError("a coordinate row was turned back into a point")
+
+    monkeypatch.setattr(ModelSpace, "point", no_points)
+    with pytest.raises(AssertionError, match="turned back"):
+        space.sample(rng)
+    for pair, values in zip(pairs, want):
+        for fn, value in zip((pair.f, pair.g), values):
+            assert np.array_equal(fn(x), value)
+            assert np.array_equal(fn(x.reshape(2, 3, space.size)), value.reshape(2, 3))
+    values, terms, log_lam = below_pairs()
+    assert values == want_below[0]
+    assert terms[0].shape == terms[2].shape == (2, 3, ts.size)
+    assert all(np.array_equal(got, want) for got, want in zip(terms, want_below[1]))
+    assert log_lam == want_below[2]
 
 
 def test_class_check_rejects_exactly_the_bad_rows():
@@ -820,7 +865,7 @@ def test_check_viscosity_matches_sub_and_super_checks(request, space_name):
         gap_tol = (1e-6, 1e-2, 0.3)[i % 3]
         for side, old_check in (("dagger", check_subsolution),
                                 ("ddagger", check_supersolution)):
-            pair = new.build_cyl_pair(space, side, a, phi, base, anchors)
+            pair = new.build_cyl_pair(space, side, a, phi, base, _rows(anchors))
             rep = check_viscosity(u, pair, h, lam, tol, gap_tol)
             for old in (old_check(space, u, pair, h, lam, tol, gap_tol),
                         per_point_check_viscosity(space, u, pair, h, lam, tol, gap_tol)):

@@ -417,7 +417,7 @@ def test_tataru_batch_matches_single_calls(eps, monkeypatch):
     mus = [space.sample(rng) for _ in range(23)]
     kappas = [None if i % 3 else float(rng.uniform(-1.0, 1.0)) for i in range(23)]
     monkeypatch.setattr(TATARU_MODULE, "BLOCK_ELEMENTS", 4 * GRID_POINTS * space.size)
-    batch = tataru_batch(space, pis, mus, kappas, eps=eps)
+    batch = tataru_batch(space, _rows(pis), _rows(mus), kappas, eps=eps)
     for pi, mu, kappa, res in zip(pis, mus, kappas, batch):
         alone = (tataru(space, pi, mu, kappa) if eps is None
                  else tataru_eps(space, eps, pi, mu, kappa))
@@ -427,14 +427,17 @@ def test_tataru_batch_matches_single_calls(eps, monkeypatch):
 
 
 def test_tataru_batch_rejects_mismatched_inputs(ou):
-    p = ou.point
     with pytest.raises(ValueError, match="same length"):
-        tataru_batch(ou, [p([0])], [p([1]), p([2])])
+        tataru_batch(ou, [[0.0]], [[1.0], [2.0]])
     with pytest.raises(ValueError, match="positive"):
-        tataru_batch(ou, [p([0])], [p([1])], eps=0.0)
+        tataru_batch(ou, [[0.0]], [[1.0]], eps=0.0)
     with pytest.raises(ValueError, match="one per instance"):
-        tataru_batch(ou, [p([0]), p([1])], [p([1]), p([2])], eps=[0.1, 0.2, 0.3])
-    assert tataru_batch(ou, [], []) == []
+        tataru_batch(ou, [[0.0], [1.0]], [[1.0], [2.0]], eps=[0.1, 0.2, 0.3])
+    assert tataru_batch(ou, np.empty((0, 1)), np.empty((0, 1))) == []
+
+
+def _rows(pts) -> np.ndarray:
+    return np.stack([p.values for p in pts])
 
 
 def assert_same_results(got, want):
@@ -472,7 +475,7 @@ def test_tataru_batch_on_quantile_space_matches_single_calls(eps_mode, chunk, mo
     eps = {"none": [None] * n, "one": [0.2] * n,
            "each": rng.uniform(0.05, 0.7, size=n).tolist()}[eps_mode]
     arg = {"none": None, "one": 0.2, "each": eps}[eps_mode]
-    batch = tataru_batch(space, pis, mus, kappas, eps=arg)
+    batch = tataru_batch(space, _rows(pis), _rows(mus), kappas, eps=arg)
     singles = [tataru(space, pi, mu, k) if e is None else tataru_eps(space, e, pi, mu, k)
                for pi, mu, k, e in zip(pis, mus, kappas, eps)]
     assert_same_results(batch, singles)
@@ -487,8 +490,9 @@ def test_minimize_grid_chunks_match_one_grid_call(eps):
     pis = [space.flow(mu, float(rng.uniform(0.5, 3.0))) if i % 2 else space.sample(rng)
            for i, mu in enumerate(mus)]
     kappa_hats = [space.kappa_hat] * n
-    objective = _flow_objective(space, pis, mus, kappa_hats, eps)
     t_caps = np.array([space.distance(p, m) + 1.0 for p, m in zip(pis, mus)])
+    pis, mus = _rows(pis), _rows(mus)
+    objective = _flow_objective(space, pis, mus, kappa_hats, eps)
     # reference: every instance minimized alone, with an objective of its own
     alone = [_minimize(_flow_objective(space, pis[i:i + 1], mus[i:i + 1], kappa_hats[i:i + 1],
                                        None if eps is None else eps[i:i + 1]), t_caps[i:i + 1])[0]
@@ -528,7 +532,7 @@ def test_flow_objective_with_eps_per_instance_equals_scalar_psi():
     n = len(eps)
     mus = [space.sample(rng) for _ in range(n)]
     pis = [space.flow(mu, float(rng.uniform(1e-3, 1e-2))) for mu in mus]
-    objective = _flow_objective(space, pis, mus, [space.kappa_hat] * n, eps)
+    objective = _flow_objective(space, _rows(pis), _rows(mus), [space.kappa_hat] * n, eps)
     rows = np.concatenate((np.arange(n), [3, 0]))
     ts = np.tile(np.linspace(0.0, 0.02, 257), (rows.size, 1))
     got = objective(rows, ts)

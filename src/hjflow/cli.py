@@ -150,15 +150,15 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
             err = abs(val.neg_log - target)
             rep.add("constant_exact", m, val.neg_log, target, err - 1e-10, err <= 1e-10)
 
-    curve_rows = varadhan_error_curve(space, lc.epsilon, pi.values, mu.values, lc.m_list)
-    target = tataru_eps(space, lc.epsilon, pi, mu).value
+    target, curve_rows = varadhan_error_curve(space, lc.epsilon, pi.values, mu.values,
+                                              lc.m_list)
     if out_dir is not None:
         write_table(out_dir / "laplace_converge_curve.csv",
                     ("m", "n", "neg_log", "target", "abs_error"),
-                    ((m, "inf", fmt17(target + err), fmt17(target), fmt17(err))
-                     for m, err in curve_rows))
-    final_err = curve_rows[-1][1]
-    first_err = curve_rows[0][1]
+                    ((m, "inf", fmt17(neg_log), fmt17(target), fmt17(err))
+                     for m, neg_log, err in curve_rows))
+    final_err = curve_rows[-1][2]
+    first_err = curve_rows[0][2]
     rep.add("varadhan_final_error", curve_rows[-1][0], final_err, 0.05,
             final_err - 0.05, final_err < 0.05)
     rep.add("varadhan_monotone", f"{curve_rows[0][0]}->{curve_rows[-1][0]}",

@@ -36,20 +36,9 @@ def evi_residual(space: ModelSpace, x: SpacePoint, rho: SpacePoint,
     return float(lhs - rhs)
 
 
-def _times(times) -> np.ndarray:
-    return np.asarray(list(times), dtype=float)
-
-
-def contraction_violation(space: ModelSpace, x: SpacePoint, y: SpacePoint,
-                          times) -> float:
-    """max over times of d(x(t), y(t)) - exp(-kappa t) d(x, y)."""
-    ts = _times(times)
-    return _contraction(space, x, y, ts, space.flow_curve(x).values_at(ts),
-                        space.flow_curve(y).values_at(ts))
-
-
 def _contraction(space, x, y, ts, cx, cy) -> float:
-    """contraction_violation from the flows cx of x and cy of y at ts."""
+    """max over ts of d(x(t), y(t)) - exp(-kappa t) d(x, y), from the flows cx of x
+    and cy of y at ts."""
     dists = np.sqrt(space.sq_dist(cx, cy))
     bound = np.exp(-space.kappa * ts) * space.distance(x, y)
     return float(np.max(dists - bound))
@@ -63,14 +52,8 @@ def energy_identity_residual(space: ModelSpace, traj: FlowTrajectory) -> float:
     return abs(traj.energies[-1] - traj.energies[0] + dissipated)
 
 
-def slope_decay_violation(space: ModelSpace, x: SpacePoint, times) -> float:
-    """max over times of I(x(t)) - I(x) exp(-2 kappa t)."""
-    ts = _times(times)
-    return _slope_decay(space, x, ts, space.flow_curve(x).values_at(ts))
-
-
 def _slope_decay(space, x, ts, cx) -> float:
-    """slope_decay_violation from the flow cx of x at ts."""
+    """max over ts of I(x(t)) - I(x) exp(-2 kappa t), from the flow cx of x at ts."""
     info = space.sq_slopes(cx)
     bound = space.information(x) * np.exp(-2.0 * space.kappa * ts)
     return float(np.max(info - bound))
@@ -89,20 +72,10 @@ def _growth_rhs(space: ModelSpace, pi: SpacePoint, mu: SpacePoint, ts: np.ndarra
     return 0.5 * d0_sq + ts * e_gap + 0.5 * ts**2 * info
 
 
-def distance_growth_violation(space: ModelSpace, pi: SpacePoint, mu: SpacePoint,
-                              times) -> float:
-    """max over times of LHS - RHS of the integrated growth inequality.
-
-    For kappa != 0 the left side is exp(kappa t) d^2(pi, mu(t)) / 2; for
-    kappa = 0 it is d^2(pi, mu(t)) / 2.
-    """
-    ts = _times(times)
-    return _distance_growth(space, pi, ts, space.flow_curve(mu).values_at(ts),
-                            _growth_rhs(space, pi, mu, ts))
-
-
 def _distance_growth(space, pi, ts, cmu, rhs) -> float:
-    """distance_growth_violation from the flow cmu of mu at ts and the growth rhs."""
+    """max over ts of LHS - rhs of the integrated growth inequality, from the flow
+    cmu of mu at ts; the left side is exp(kappa t) d^2(pi, mu(t)) / 2, without the
+    exponential for kappa = 0."""
     half_sq = 0.5 * space.sq_dist(cmu, pi.values)
     if space.kappa != 0.0:
         lhs = np.exp(space.kappa * ts) * half_sq
@@ -111,20 +84,10 @@ def _distance_growth(space, pi, ts, cmu, rhs) -> float:
     return float(np.max(lhs - rhs))
 
 
-def damped_distance_bound_violation(space: ModelSpace, pi: SpacePoint, mu: SpacePoint,
-                                    times, eps_list=(None, 0.1, 1.0)) -> float:
-    """Violation of the damped modified-distance bound along the flow.
-
-    Checks exp(kappa_hat t) d_eps(pi, mu(t)) <= sqrt(2 RHS(t)) + sqrt(2 eps)
-    where RHS is the integrated growth bound; eps None means the plain metric.
-    """
-    ts = _times(times)
-    return _damped_distance_bound(space, pi, ts, space.flow_curve(mu).values_at(ts),
-                                  _growth_rhs(space, pi, mu, ts), eps_list)
-
-
 def _damped_distance_bound(space, pi, ts, cmu, growth_rhs, eps_list) -> float:
-    """damped_distance_bound_violation from the flow cmu of mu at ts and the growth rhs."""
+    """max over ts and eps of exp(kappa_hat t) d_eps(pi, mu(t)) - sqrt(2 RHS) - sqrt(2 eps),
+    from the flow cmu of mu at ts, with RHS = max(growth_rhs, 0); eps None means the
+    plain metric."""
     dist2 = space.sq_dist(cmu, pi.values)
     rhs = np.sqrt(2.0 * np.maximum(growth_rhs, 0.0))
     damping = np.exp(space.kappa_hat * ts)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import FlowCurve, ModelSpace
-from .tataru import logsumexp, psi_eps, psi_eps_and_prime, tataru_batch
+from .tataru import _psi_consts, _t_cap, logsumexp, psi_eps, psi_eps_and_prime, tataru_batch
 
 _GL15 = np.polynomial.legendre.leggauss(15)
 _GL7 = np.polynomial.legendre.leggauss(7)
@@ -71,18 +71,6 @@ def discrete_exp_log_weights(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return atoms, log_w
 
 
-def discrete_exp_measure(m: int, n: int) -> DiscreteMeasure:
-    """Geometric approximation of the exponential law of rate m.
-
-    Atoms i/n for i = 1..n^2 with weights proportional to exp(-m i / n),
-    normalized in log space.
-    """
-    atoms, log_w = discrete_exp_log_weights(m, n)
-    weights = np.exp(log_w)
-    weights = weights / weights.sum()
-    return DiscreteMeasure(atoms=atoms, weights=weights)
-
-
 class HCurve:
     """Evaluator of h(t) = exp(kappa_hat t) psi_eps(d^2(pi, mu(t)) / 2).
 
@@ -121,9 +109,8 @@ class HCurve:
         return damping * psi, damping, psi_p, self.space.energies(vals)
 
     def t_cap(self) -> np.ndarray:
-        """d_eps(pi, mu) + 1, with d^2 by libm pow as ``d_eps`` squares d with ``**``."""
-        d = np.sqrt(self.space.sq_dist(self.pi, self.mu))
-        return psi_eps(self.eps, 0.5 * np.float_power(d, 2)) + 1.0
+        """d_eps(pi, mu) + 1, the search cap of the smoothed Tataru distance."""
+        return _t_cap(self.space, self.pi, self.mu, _psi_consts(self.eps))
 
 
 @dataclass(frozen=True)
@@ -260,17 +247,18 @@ def lambda_continuous(space: ModelSpace, eps: float, m: int, pi, mu,
 
 
 def varadhan_error_curve(space: ModelSpace, eps: float, pi, mu,
-                         m_list) -> list[tuple[int, float]]:
-    """|-(1/m) log Lambda_{eps,m} - d_{T,eps}| for each m; the Laplace-limit gap."""
+                         m_list) -> tuple[float, list[tuple[int, float, float]]]:
+    """The target d_{T,eps}(pi, mu) and, for each m, the row (m, -(1/m) log Lambda_{eps,m},
+    |-(1/m) log Lambda_{eps,m} - d_{T,eps}|), whose last entry is the Laplace-limit gap."""
     m_list = list(m_list)
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be increasing")
     target = tataru_batch(space, [pi], [mu], eps=eps)[0].value
     out = []
     for m in m_list:
-        val = lambda_continuous(space, eps, int(m), pi, mu)
-        out.append((int(m), abs(val.neg_log - target)))
-    return out
+        neg_log = lambda_continuous(space, eps, int(m), pi, mu).neg_log
+        out.append((int(m), neg_log, abs(neg_log - target)))
+    return target, out
 
 
 def tilted_measure(space: ModelSpace, eps: float, m: int, pi, mu) -> DiscreteMeasure:

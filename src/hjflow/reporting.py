@@ -51,15 +51,12 @@ class Report:
     config_echo: dict = field(default_factory=dict)
     version: str = ""
 
-    def add(self, *args) -> None:
-        if len(args) == 1 and isinstance(args[0], CheckRow):
-            self.rows.append(args[0])
-        else:
-            self.rows.append(row(*args))
+    def add(self, check: str, instance, value: float, bound: float, violation: float,
+            passed: bool) -> None:
+        self.rows.append(row(check, instance, value, bound, violation, passed))
 
     def extend_tuples(self, tuples) -> None:
-        for t in tuples:
-            self.add(row(*t))
+        self.rows.extend(row(*t) for t in tuples)
 
     @property
     def passed(self) -> bool:

@@ -255,7 +255,7 @@ class FlowTrajectory:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Bundle of metric, geodesics, energy, slope and gradient flow.
+    """Bundle of metric, energy, slope and gradient flow.
 
     ``kind`` is ``"euclidean"`` or ``"quantile"``; ``size`` is the coordinate
     dimension resp. the quantile grid size N.  Immutable and safe to share.
@@ -335,15 +335,10 @@ class ModelSpace:
         grads = self.potential.dv(vals)
         return self.weight * np.vecdot(grads, grads)
 
-    # -- metric and geodesics ------------------------------------------------
+    # -- metric ---------------------------------------------------------------
 
     def distance(self, x: SpacePoint, y: SpacePoint) -> float:
         return float(np.sqrt(self.sq_dist(self._vals(x), self._vals(y))))
-
-    def geodesic_point(self, x: SpacePoint, y: SpacePoint, t: float) -> SpacePoint:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("parameter out of range")
-        return self.point((1.0 - t) * self._vals(x) + t * self._vals(y))
 
     # -- energy, slope, information ------------------------------------------
 

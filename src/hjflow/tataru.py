@@ -129,6 +129,16 @@ class TataruResult:
     grid_points: int
 
 
+def _t_cap(space: ModelSpace, pis: np.ndarray, mus: np.ndarray, consts) -> np.ndarray:
+    """T_cap of the rows pis and mus: d(pi, mu) + 1 for consts None, else
+    d_eps(pi, mu) + 1 for the psi constants ``consts`` (see ``_psi``), with d^2
+    by libm pow, as ``d_eps`` squares the float distance with ``**``."""
+    d = np.sqrt(space.sq_dist(pis, mus))
+    if consts is not None:
+        d = _psi(consts, 0.5 * np.float_power(d, 2), prime=False)[0]
+    return d + 1.0
+
+
 def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
           tol: float = 1e-11) -> np.ndarray:
     """Bracket zoom on all brackets [a[k], b[k]] at once; returns the midpoints.
@@ -257,15 +267,13 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
     kappas = [None] * n if kappas is None else list(kappas)
     if not (pis.ndim == 2 and pis.shape == mus.shape and len(kappas) == n):
         raise ValueError("pis, mus and kappas must have the same length")
-    t_caps = np.sqrt(space.sq_dist(pis, mus))
+    consts = None
     if eps is not None:
         eps = [float(eps)] * n if np.ndim(eps) == 0 else [float(e) for e in eps]
         if len(eps) != n:
             raise ValueError("eps must be one value or one per instance")
         consts = np.reshape([_psi_consts(e) for e in eps], (n, 3)).T
-        # d^2 by libm pow, as ``d_eps`` squares the float distance with ``**``
-        t_caps = _psi(consts, 0.5 * np.float_power(t_caps, 2), prime=False)[0]
-    t_caps = t_caps + 1.0
+    t_caps = _t_cap(space, pis, mus, consts)
     kappa_hats = [min(space.kappa if k is None else k, 0.0) for k in kappas]
     cap = max(BLOCK_ELEMENTS, GRID_POINTS * space.size)
     chunk = cap // (GRID_POINTS * space.size)

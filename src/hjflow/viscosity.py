@@ -19,7 +19,7 @@ shares its read-only arrays; each policy step then assembles I - beta P as one
 CSR matrix for the sparse LU solve.
 The answer carries a checked certificate: since T is a beta-contraction,
 ||u - u*|| <= ||T u - u|| / (1 - beta), and the solve raises unless that bound
-is within ``tol``.  Value iteration on the same operator is kept as an oracle.
+is within ``tol``.
 
 ``check_viscosity`` then tests the defining inequality of a sub- resp.
 supersolution at the near-maximizers resp. near-minimizers of u - f for a
@@ -68,9 +68,9 @@ class GridFunction:
 class ResolventSolution:
     """Solver output.
 
-    ``iterations`` counts policy steps (Howard) or sweeps (value iteration),
-    ``final_increment`` is the sup-norm change of u in the last of them and
-    ``bellman_residual`` is ||T u - u|| at the returned u.
+    ``iterations`` counts policy steps, ``final_increment`` is the sup-norm
+    change of u in the last of them and ``bellman_residual`` is ||T u - u|| at
+    the returned u.
     """
 
     u: GridFunction
@@ -122,15 +122,12 @@ def _scheme(potential, box: float, dt: float, dx: float, control_bound: float,
 def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0,
                     dt: float | None = None, dx: float = 1.0 / 200.0,
                     n_controls: int = 129, tol: float = 1e-10,
-                    max_iter: int = 200000, method: str = "howard") -> ResolventSolution:
+                    max_iter: int = 200000) -> ResolventSolution:
     """Solve the discounted control problem of the module docstring.
 
-    The default ``method="howard"`` runs policy iteration and raises
-    ``RuntimeError`` unless the Bellman-residual certificate
-    ||T u - u|| / (1 - beta) <= tol holds, so ``tol`` bounds the error against
-    the exact fixed point.  ``method="value"`` is the value-iteration oracle:
-    it stops once a sweep changes u by at most ``tol``, which leaves an error
-    of up to tol / (1 - beta).
+    Runs policy iteration and raises ``RuntimeError`` unless the
+    Bellman-residual certificate ||T u - u|| / (1 - beta) <= tol holds, so
+    ``tol`` bounds the error against the exact fixed point.
 
     Parameters
     ----------
@@ -140,14 +137,12 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
         it is called once, on the read-only grid of the shared scheme
     control_bound : controls range over [-U, U] with 129 candidates by default
     dt : semi-Lagrangian step, defaults to lam/50; must satisfy dt < lam
-    max_iter : cap on policy steps (Howard) or sweeps (value iteration)
+    max_iter : cap on policy steps
     """
     if space.kind != "euclidean" or space.size != 1:
         raise ValueError("resolvent solver requires the one-dimensional euclidean space")
     if not lam > 0:  # also rejects NaN
         raise ValueError("lam must be positive")
-    if method not in ("howard", "value"):
-        raise ValueError(f"unknown method {method!r}")
     dt = lam / 50.0 if dt is None else dt
     if dt >= lam:
         raise ValueError("time step too large (requires dt < lam)")
@@ -163,14 +158,10 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
         return reward + beta * (w0 * u[idx] + w1 * u[idx + 1])
 
     sup_h = float(np.max(np.abs(hv)))
-    if method == "value":
-        u, iterations, increment = _value_iteration(q_values, hv, beta, tol, max_iter)
-        q = q_values(u)
-    else:
-        u, iterations, increment, q = _policy_iteration(
-            q_values, hv, idx, w0, w1, reward, beta, sup_h, max_iter)
+    u, iterations, increment, q = _policy_iteration(
+        q_values, hv, idx, w0, w1, reward, beta, sup_h, max_iter)
     residual = float(np.max(np.abs(np.max(q, axis=1) - u)))
-    if method == "howard" and residual / (1.0 - beta) > tol:
+    if residual / (1.0 - beta) > tol:
         raise RuntimeError(
             f"policy iteration certificate failed: Bellman residual {residual:.3e} "
             f"/ (1 - beta) = {residual / (1.0 - beta):.3e} > tol {tol:.3e}"
@@ -181,27 +172,6 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
                              final_increment=increment,
                              contraction_factor=beta, dt=dt, dx=dx,
                              fixed_point_tol=tol, bellman_residual=residual)
-
-
-def _value_iteration(q_values, u, beta, tol, max_iter):
-    """Sweep u <- max_c q(u) until a sweep moves u by at most tol."""
-    last_increment = np.inf
-    for iterations in range(1, max_iter + 1):
-        u_new = np.max(q_values(u), axis=1)
-        increment = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        if increment > beta * last_increment + 1e-12:
-            raise RuntimeError(
-                f"value iteration lost the contraction bound at step {iterations}: "
-                f"{increment:.3e} > {beta:.4f} * {last_increment:.3e}"
-            )
-        last_increment = increment
-        if increment <= tol:
-            return u, iterations, last_increment
-    raise RuntimeError(
-        f"value iteration did not converge in {max_iter} steps; "
-        f"residual {last_increment:.3e}"
-    )
 
 
 def _policy_matrix(idx, w0, w1, beta):

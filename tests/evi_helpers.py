@@ -1,0 +1,57 @@
+"""Test-only one-call forms of the flow estimates of ``hjflow.evi``.
+
+Each helper evaluates the flows it needs at the given times and passes them to
+the kernel that ``run_evi_suite`` uses, so a check here and a suite row read the
+same numbers.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hjflow.evi import (
+    _contraction,
+    _damped_distance_bound,
+    _distance_growth,
+    _growth_rhs,
+    _slope_decay,
+)
+
+
+def _times(times) -> np.ndarray:
+    return np.asarray(list(times), dtype=float)
+
+
+def contraction_violation(space, x, y, times) -> float:
+    """max over times of d(x(t), y(t)) - exp(-kappa t) d(x, y)."""
+    ts = _times(times)
+    return _contraction(space, x, y, ts, space.flow_curve(x).values_at(ts),
+                        space.flow_curve(y).values_at(ts))
+
+
+def slope_decay_violation(space, x, times) -> float:
+    """max over times of I(x(t)) - I(x) exp(-2 kappa t)."""
+    ts = _times(times)
+    return _slope_decay(space, x, ts, space.flow_curve(x).values_at(ts))
+
+
+def distance_growth_violation(space, pi, mu, times) -> float:
+    """max over times of LHS - RHS of the integrated growth inequality.
+
+    For kappa != 0 the left side is exp(kappa t) d^2(pi, mu(t)) / 2; for
+    kappa = 0 it is d^2(pi, mu(t)) / 2.
+    """
+    ts = _times(times)
+    return _distance_growth(space, pi, ts, space.flow_curve(mu).values_at(ts),
+                            _growth_rhs(space, pi, mu, ts))
+
+
+def damped_distance_bound_violation(space, pi, mu, times, eps_list=(None, 0.1, 1.0)) -> float:
+    """Violation of the damped modified-distance bound along the flow.
+
+    Checks exp(kappa_hat t) d_eps(pi, mu(t)) <= sqrt(2 RHS(t)) + sqrt(2 eps)
+    where RHS is the integrated growth bound; eps None means the plain metric.
+    """
+    ts = _times(times)
+    return _damped_distance_bound(space, pi, ts, space.flow_curve(mu).values_at(ts),
+                                  _growth_rhs(space, pi, mu, ts), eps_list)

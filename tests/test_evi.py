@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from hjflow.evi import (
-    contraction_violation,
-    damped_distance_bound_violation,
-    distance_growth_violation,
     energy_identity_residual,
     evi_residual,
     run_evi_suite,
-    slope_decay_violation,
     suite_time_horizon,
+)
+
+from evi_helpers import (
+    contraction_violation,
+    damped_distance_bound_violation,
+    distance_growth_violation,
+    slope_decay_violation,
 )
 
 

@@ -1,4 +1,6 @@
+import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,17 +9,20 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import hjflow.laplace as laplace
+from hjflow.cli import run_laplace
+from hjflow.config import default_config
 from hjflow.laplace import (
     DiscreteMeasure,
     HCurve,
     _adaptive_log_quadrature,
     _panels,
-    discrete_exp_measure,
+    discrete_exp_log_weights,
     lambda_continuous,
     lambda_discrete,
     tilted_measure,
     varadhan_error_curve,
 )
+from hjflow.reporting import fmt17
 from hjflow.tataru import psi_eps, tataru_eps
 
 
@@ -29,6 +34,18 @@ def test_discrete_measure_validation():
         DiscreteMeasure(atoms=[1.0, 0.5], weights=[0.5, 0.5])
     with pytest.raises(ValueError, match="nonnegative"):
         DiscreteMeasure(atoms=[0.5], weights=[-1.0])
+
+
+def discrete_exp_measure(m, n):
+    """Geometric approximation of the exponential law of rate m.
+
+    Atoms i/n for i = 1..n^2 with weights proportional to exp(-m i / n),
+    normalized in log space.
+    """
+    atoms, log_w = discrete_exp_log_weights(m, n)
+    weights = np.exp(log_w)
+    weights = weights / weights.sum()
+    return DiscreteMeasure(atoms=atoms, weights=weights)
 
 
 def test_discrete_exp_measure_single_atom():
@@ -135,8 +152,8 @@ def test_laplace_sandwich(ou, rng):
 
 def test_varadhan_error_curve_constant(ou):
     crit = ou.rest_point()
-    rows = varadhan_error_curve(ou, 0.5, crit.values, crit.values, [1, 10, 100])
-    assert all(err <= 1e-10 for _, err in rows)
+    _, rows = varadhan_error_curve(ou, 0.5, crit.values, crit.values, [1, 10, 100])
+    assert all(err <= 1e-10 for _, _, err in rows)
 
 
 def test_varadhan_error_curve_requires_increasing_m(ou):
@@ -147,8 +164,32 @@ def test_varadhan_error_curve_requires_increasing_m(ou):
 def test_varadhan_error_curve_decreasing_random(ou, rng):
     for _ in range(2):
         pi, mu = ou.sample(rng), ou.sample(rng)
-        rows = varadhan_error_curve(ou, 0.1, pi.values, mu.values, [10, 10000])
-        assert rows[-1][1] < rows[0][1]
+        _, rows = varadhan_error_curve(ou, 0.1, pi.values, mu.values, [10, 10000])
+        assert rows[-1][2] < rows[0][2]
+
+
+def test_run_laplace_curve_writes_computed_neg_log_from_one_minimization(tmp_path,
+                                                                         monkeypatch):
+    cfg = default_config()
+    lc = cfg.laplace
+    space = cfg.space.build()
+    tataru_module = sys.modules["hjflow.tataru"]
+    flow_objective = tataru_module._flow_objective
+    minimized = []
+
+    def counted(space, pis, mus, kappa_hats, eps):
+        minimized.append((pis.tolist(), mus.tolist(), eps))
+        return flow_objective(space, pis, mus, kappa_hats, eps)
+
+    monkeypatch.setattr(tataru_module, "_flow_objective", counted)
+    run_laplace(cfg, tmp_path)
+    assert minimized.count(([list(lc.pi)], [list(lc.mu)], [lc.epsilon])) == 1
+    with open(tmp_path / "laplace_converge_curve.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["m"]) for r in rows] == list(lc.m_list)
+    for r, m in zip(rows, lc.m_list):
+        val = lambda_continuous(space, lc.epsilon, m, lc.pi, lc.mu)
+        assert r["neg_log"] == fmt17(val.neg_log)
 
 
 def test_tilted_measure_constant_tilt_is_base_measure(ou):

@@ -68,9 +68,50 @@ def test_monotone_in_h(ou):
     assert np.all(s1.u.values <= s2.u.values + 1e-9)
 
 
+def value_iteration(space, lam, h, control_bound=2.0, dt=None, dx=1.0 / 200.0,
+                    n_controls=129, tol=1e-10, max_iter=200000):
+    """Value iteration on the solver's scheme, the oracle for Howard's answer.
+
+    Sweeps u <- max_c Q(u) from u = h until a sweep moves u by at most tol,
+    which leaves an error of up to tol / (1 - beta), and raises if a sweep
+    breaks the beta-contraction of the increments.
+    """
+    dt = lam / 50.0 if dt is None else dt
+    xs, controls, idx, w0, w1 = viscosity._scheme(space.potential, space.box, dt, dx,
+                                                  control_bound, n_controls)
+    hv = np.asarray(h(xs), dtype=float)
+    reward = dt * (hv[:, None] / lam - 0.5 * controls[None, :] ** 2)
+    beta = 1.0 - dt / lam
+
+    def q_values(u):
+        return reward + beta * (w0 * u[idx] + w1 * u[idx + 1])
+
+    u, last_increment = hv, np.inf
+    for iterations in range(1, max_iter + 1):
+        u_new = np.max(q_values(u), axis=1)
+        increment = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        if increment > beta * last_increment + 1e-12:
+            raise RuntimeError(
+                f"value iteration lost the contraction bound at step {iterations}: "
+                f"{increment:.3e} > {beta:.4f} * {last_increment:.3e}"
+            )
+        last_increment = increment
+        if increment <= tol:
+            assert float(np.max(np.abs(u))) <= float(np.max(np.abs(hv))) + 1e-6
+            residual = float(np.max(np.abs(np.max(q_values(u), axis=1) - u)))
+            return viscosity.ResolventSolution(
+                u=GridFunction(xs, u), iterations=iterations, final_increment=increment,
+                contraction_factor=beta, dt=dt, dx=dx, fixed_point_tol=tol,
+                bellman_residual=residual)
+    raise RuntimeError(
+        f"value iteration did not converge in {max_iter} steps; "
+        f"residual {last_increment:.3e}"
+    )
+
+
 def test_solver_contraction_metadata(ou):
-    sol = solve_resolvent(ou, 1.0, smooth_h, dt=1.0 / 100.0, dx=1.0 / 100.0,
-                          method="value")
+    sol = value_iteration(ou, 1.0, smooth_h, dt=1.0 / 100.0, dx=1.0 / 100.0)
     assert sol.final_increment <= 1e-10
     assert sol.contraction_factor == pytest.approx(1 - sol.dt / 1.0)
     assert sol.iterations > 10
@@ -227,17 +268,12 @@ def test_grid_function_copies_the_callers_arrays():
 
 def test_solver_nonconvergence_error(ou):
     with pytest.raises(RuntimeError, match="did not converge"):
-        solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=3, method="value")
+        value_iteration(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=3)
 
 
 def test_policy_iteration_step_cap(ou):
     with pytest.raises(RuntimeError, match="did not converge"):
         solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=1)
-
-
-def test_unknown_method(ou):
-    with pytest.raises(ValueError, match="unknown method"):
-        solve_resolvent(ou, 1.0, smooth_h, method="newton")
 
 
 def _random_bounded_grid_h(seed):
@@ -263,7 +299,7 @@ def test_policy_iteration_matches_value_iteration(request, potential, family,
     h, tol = H_FAMILIES[family], 1e-10
     kwargs = dict(dt=1.0 / dt_factor, dx=0.1, n_controls=n_controls, tol=tol)
     howard = solve_resolvent(space, 1.0, h, **kwargs)
-    oracle = solve_resolvent(space, 1.0, h, method="value", **kwargs)
+    oracle = value_iteration(space, 1.0, h, **kwargs)
     assert howard.error_bound <= tol
     # VI stops with error up to beta tol / (1 - beta); Howard's is certified <= tol
     gap = np.max(np.abs(howard.u.values - oracle.u.values))

@@ -56,6 +56,30 @@ def test_time_step_too_large(ou):
         solve_resolvent(ou, 1.0, smooth_h, dt=1.5)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+def test_rejects_bad_dt(ou, dt):
+    with pytest.raises(ValueError, match="dt must satisfy 0 < dt < lam"):
+        solve_resolvent(ou, 1.0, smooth_h, dt=dt, dx=0.1)
+
+
+@pytest.mark.parametrize("dx", [20.0, 0.0, -0.1, float("nan"), float("inf")])
+def test_rejects_bad_dx(ou, dx):
+    with pytest.raises(ValueError, match="dx must be positive and at most space.box"):
+        solve_resolvent(ou, 1.0, smooth_h, dx=dx)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+def test_rejects_bad_tol(ou, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_resolvent(ou, 1.0, smooth_h, dx=0.1, tol=tol)
+
+
+@pytest.mark.parametrize("bound", [0.0, -2.0, float("nan"), float("inf")])
+def test_rejects_bad_control_bound(ou, bound):
+    with pytest.raises(ValueError, match="control_bound must be finite and positive"):
+        solve_resolvent(ou, 1.0, smooth_h, dx=0.1, control_bound=bound)
+
+
 def test_requires_one_dimensional_euclidean(quantile_ou):
     with pytest.raises(ValueError, match="one-dimensional"):
         solve_resolvent(quantile_ou, 1.0, smooth_h)
@@ -357,13 +381,96 @@ def oracle_howard(space, lam, h, control_bound=2.0, dt=None, dx=1.0 / 200.0,
     raise RuntimeError("oracle did not converge")
 
 
+def dense_policy_matrix(idx, w0, w1, beta):
+    """I - beta P as a dense array, entry by entry as both solvers form it."""
+    rows = np.arange(idx.size)
+    matrix = np.eye(idx.size)
+    matrix[rows, idx] -= beta * w0
+    matrix[rows, idx + 1] -= beta * w1
+    return matrix
+
+
+def longdouble_solve(matrix, rhs):
+    """Gaussian elimination with partial pivoting in np.longdouble."""
+    a, b = matrix.astype(np.longdouble), rhs.astype(np.longdouble)
+    n = b.size
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, p]], b[[k, p]] = a[[p, k]], b[[p, k]]
+        f = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k:] -= f[:, None] * a[k, k:]
+        b[k + 1:] -= f * b[k]
+    x = np.zeros(n, dtype=np.longdouble)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
+    return x
+
+
+def _band(idx):
+    """(kl, ku) of I - beta P for feet idx, by the rule of ``_policy_solve``."""
+    rows = np.arange(idx.size)
+    return max(0, int(np.max(rows - idx))), max(0, int(np.max(idx + 1 - rows)))
+
+
+def forward_error_ratio(u, idx, w0, w1, beta, rhs):
+    """||u - u*|| over (band + 2) eps ||u*|| (1 + beta) / (1 - beta), u* the
+    long-double solution of the policy system and band = kl + ku its bandwidth.
+
+    A backward-stable LU of a band matrix has a backward error of order
+    band * eps, and ||I - beta P|| ||(I - beta P)^-1|| <= (1 + beta) / (1 - beta),
+    so a float64 solve by a stable LU reads below 1: at most 0.11 for the banded
+    LU and 0.009 for SuperLU on ``ORACLE_CASES``.
+    """
+    exact = longdouble_solve(dense_policy_matrix(idx, w0, w1, beta), rhs)
+    band = sum(_band(idx))
+    bound = ((band + 2) * np.finfo(float).eps * float(np.max(np.abs(exact)))
+             * (1.0 + beta) / (1.0 - beta))
+    return float(np.max(np.abs(u - exact))) / bound
+
+
+def solve_both(space, h, **kwargs):
+    """``solve_resolvent`` and ``oracle_howard`` on one case, each with the last
+    linear system it solved: the new solver's (idx, w0, w1, beta, rhs) and the
+    oracle's (sparse matrix, rhs)."""
+    policy_solve, sparse_lu = viscosity._policy_solve, spsolve
+    new_systems, oracle_systems = [], []
+
+    def record_policy_solve(*system):
+        new_systems.append(system)
+        return policy_solve(*system)
+
+    def record_sparse(matrix, rhs):
+        oracle_systems.append((matrix, rhs))
+        return sparse_lu(matrix, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(viscosity, "_policy_solve", record_policy_solve)
+        patch.setitem(globals(), "spsolve", record_sparse)
+        sol = solve_resolvent(space, 1.0, h, **kwargs)
+        oracle = oracle_howard(space, 1.0, h, **kwargs)
+    return sol, new_systems[-1], oracle, oracle_systems[-1]
+
+
 def assert_matches_oracle(space, h, **kwargs):
-    sol = solve_resolvent(space, 1.0, h, **kwargs)
-    u, iterations, increment, residual = oracle_howard(space, 1.0, h, **kwargs)
-    assert np.array_equal(sol.u.values, u)
+    """Howard's solve against the sparse-LU oracle.
+
+    Both must take the same number of policy steps to the same final policy,
+    whose transition matrix and rewards agree bit for bit.  On a band up to
+    ``_MAX_BAND`` the values differ only by roundoff, so each must lie within
+    ``forward_error_ratio``'s bound of the long-double solution of that policy's
+    system; on a wider band both solve it by the same sparse LU, bit for bit.
+    """
+    sol, system, (u, iterations, _, residual), (matrix, rhs) = solve_both(
+        space, h, **kwargs)
     assert sol.iterations == iterations
-    assert sol.final_increment == increment
-    assert sol.bellman_residual == residual
+    idx, w0, w1, beta, new_rhs = system
+    assert np.array_equal(new_rhs, rhs)
+    assert np.array_equal(dense_policy_matrix(idx, w0, w1, beta), matrix.toarray())
+    assert forward_error_ratio(sol.u.values, *system) <= 1.0
+    assert forward_error_ratio(u, *system) <= 1.0
+    if sum(_band(idx)) > viscosity._MAX_BAND:
+        assert np.array_equal(sol.u.values, u)
+        assert sol.bellman_residual == residual
 
 
 ORACLE_CASES = [
@@ -376,8 +483,107 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("potential,family,dt_factor,n_controls,dx", ORACLE_CASES)
 def test_howard_matches_oracle_bit_for_bit(request, potential, family, dt_factor,
                                            n_controls, dx):
+    # bit for bit in the policy; the values within a stated forward-error bound
     assert_matches_oracle(request.getfixturevalue(potential), H_FAMILIES[family],
                           dt=1.0 / dt_factor, dx=dx, n_controls=n_controls)
+
+
+@pytest.mark.parametrize("potential,family", [("ou", "fourier"), ("quartic", "random"),
+                                              ("double_well", "linear_clip")])
+def test_forward_error_bound_catches_wrong_solves(request, potential, family):
+    sol, system, _, _ = solve_both(request.getfixturevalue(potential),
+                                   H_FAMILIES[family], dt=0.02, dx=0.1, n_controls=33)
+    idx, w0, w1, beta, rhs = system
+    assert forward_error_ratio(sol.u.values, *system) <= 1.0
+    # a float32 solve of the same system
+    matrix = dense_policy_matrix(idx, w0, w1, beta)
+    u32 = np.linalg.solve(matrix.astype(np.float32), rhs.astype(np.float32))
+    assert forward_error_ratio(u32.astype(float), *system) > 1.0
+    # w0 and w1 swapped on the one row where the swap moves the row the most
+    k = int(np.argmax(np.abs((w0 - w1) * np.diff(sol.u.values)[idx])))
+    swapped0, swapped1 = w0.copy(), w1.copy()
+    swapped0[k], swapped1[k] = w1[k], w0[k]
+    u_swapped = viscosity._policy_solve(idx, swapped0, swapped1, beta, rhs)
+    assert forward_error_ratio(u_swapped, *system) > 1.0
+
+
+def _random_policy(rng, n, low, high):
+    """Feet idx = clip(i + offset, 0, n - 2), offsets in [low, high], random weights."""
+    rows = np.arange(n)
+    idx = np.clip(rows + rng.integers(low, high + 1, size=n), 0, n - 2)
+    w1 = rng.uniform(0.0, 1.0, size=n)
+    return idx, 1.0 - w1, w1
+
+
+@pytest.mark.parametrize("case", ["diagonal_feet", "clipped_edges", "tridiagonal",
+                                  "feet_left", "feet_right", "wide"])
+def test_banded_solve_matches_dense_solve(rng, case):
+    n, beta = 12, 0.97
+    rows = np.arange(n)
+    if case == "diagonal_feet":
+        # even rows have the foot cell's left end on the diagonal, odd rows its right end
+        idx = np.clip(np.where(rows % 2 == 0, rows, rows - 1), 0, n - 2)
+        w1 = rng.uniform(0.0, 1.0, size=n)
+        w0 = 1.0 - w1
+    elif case == "clipped_edges":
+        # feet clipped to the box: cell 0 with all weight on x_0, cell n - 2 on x_{n-1}
+        idx = np.where(rows < n // 2, 0, n - 2)
+        w0 = (rows < n // 2).astype(float)
+        w1 = 1.0 - w0
+    else:
+        low, high = {"tridiagonal": (0, 0), "feet_left": (-4, -1),
+                     "feet_right": (0, 5), "wide": (-7, 7)}[case]
+        idx, w0, w1 = _random_policy(rng, n, low, high)
+    kl, ku = _band(idx)
+    # idx lies in [0, n - 2], so row 0 gives ku >= 1 and row n - 1 gives kl >= 1:
+    # kl = ku = 1 is the narrowest band, and a one-sided policy keeps the other side at 1
+    assert kl >= 1 and ku >= 1
+    if case == "tridiagonal":
+        assert (kl, ku) == (1, 1)
+    elif case == "feet_left":
+        assert ku == 1 and kl > 1
+    elif case == "feet_right":
+        assert kl == 1 and ku > 1
+    rhs = rng.uniform(-1.0, 1.0, size=n)
+    u = viscosity._policy_solve(idx, w0, w1, beta, rhs)
+    dense = np.linalg.solve(dense_policy_matrix(idx, w0, w1, beta), rhs)
+    assert np.allclose(u, dense, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("band, solver", [(viscosity._MAX_BAND, "dgbsv"),
+                                          (viscosity._MAX_BAND + 1, "spsolve")])
+def test_policy_solve_picks_banded_lu_up_to_max_band(rng, band, solver):
+    n, beta = 150, 0.97
+    rows = np.arange(n)
+    # feet on the row's own cell (kl = ku = 1), except row 100 with its foot kl
+    # cells to the left and row 20 with its right end ku cells to the right
+    kl = band // 2
+    ku = band - kl
+    idx = np.minimum(rows, n - 2)
+    idx[100], idx[20] = 100 - kl, 20 + ku - 1
+    assert _band(idx) == (kl, ku)
+    w1 = rng.uniform(0.0, 1.0, size=n)
+    rhs = rng.uniform(-1.0, 1.0, size=n)
+    called = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("dgbsv", "spsolve"):
+            def record(*args, _name=name, _f=getattr(viscosity, name), **kwargs):
+                called.append(_name)
+                return _f(*args, **kwargs)
+            patch.setattr(viscosity, name, record)
+        u = viscosity._policy_solve(idx, 1.0 - w1, w1, beta, rhs)
+    assert called == [solver]
+    dense = np.linalg.solve(dense_policy_matrix(idx, 1.0 - w1, w1, beta), rhs)
+    assert np.allclose(u, dense, rtol=0.0, atol=1e-12)
+
+
+def test_banded_solve_reports_a_singular_system():
+    # beta = 1 with every foot on its own grid point makes every row of I - P zero
+    n = 6
+    idx = np.minimum(np.arange(n), n - 2)
+    w0 = (np.arange(n) < n - 1).astype(float)
+    with pytest.raises(RuntimeError, match="dgbsv info"):
+        viscosity._policy_solve(idx, w0, 1.0 - w0, 1.0, np.ones(n))
 
 
 def test_scheme_cache_keys_on_every_input(ou, quartic):

@@ -10,11 +10,9 @@ sub/supersolution and comparison-principle checks.
 __version__ = "0.1.0"
 
 from .spaces import (
-    EuclideanPoint,
     FlowTrajectory,
     ModelSpace,
     Potential,
-    QuantilePoint,
     double_well_potential,
     euclidean_space,
     make_potential,
@@ -22,17 +20,14 @@ from .spaces import (
     quantile_space,
     quartic_potential,
 )
-from .tataru import TataruResult, d_eps, psi_eps, psi_eps_prime, tataru, tataru_eps
+from .tataru import TataruResult, psi_eps, psi_eps_prime, tataru_batch
 
 __all__ = [
-    "EuclideanPoint",
     "FlowTrajectory",
     "ModelSpace",
     "Potential",
-    "QuantilePoint",
     "TataruResult",
     "__version__",
-    "d_eps",
     "double_well_potential",
     "euclidean_space",
     "make_potential",
@@ -41,6 +36,5 @@ __all__ = [
     "quadratic_potential",
     "quantile_space",
     "quartic_potential",
-    "tataru",
-    "tataru_eps",
+    "tataru_batch",
 ]

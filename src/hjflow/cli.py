@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, default_config, load_config, validate
+from .config import ConfigError, ExperimentConfig, _finite, default_config, load_config, validate
 from .cylinders import affine_phi
 from .evi import run_evi_suite
 from .hamiltonians import build_chain_pair, build_cyl_pair, chain_inequality_report, side_sign
 from .laplace import HCurve, lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
 from .reporting import Report, fmt17, write_csv, write_json, write_table
-from .tataru import _flow_objective, psi_eps, tataru, tataru_batch, tataru_eps
+from .tataru import _flow_objective, psi_eps, tataru_batch
 from .viscosity import check_viscosity, comparison_gap, solve_resolvent
 
 SUITE_IDS = {
@@ -54,13 +54,23 @@ def run_evi(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     rep = _report("evi-check", cfg)
     suite = run_evi_suite(space, rng, instances=cfg.evi.instances, delta=cfg.evi.delta)
     rep.extend_tuples(suite.rows)
+    if suite.worst_case is not None:
+        # replays the worst evi_residual row: evi_residual(space, x, rho, t, delta)
+        x, t, rho = suite.worst_case
+        rep.diagnostics["worst_evi_residual"] = {
+            "residual": suite.max_residual, "x": x.tolist(), "t": t, "rho": rho.tolist()}
     return rep
 
 
-def _config_point(space, values, path: str):
+def _config_point(space, values, path: str) -> np.ndarray:
+    """The config list ``values`` of finite numbers as one coordinate row of ``space``."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(path, f"must be a list of numbers (space.size is {space.size})")
+    for value in values:
+        _finite(value, path)
     try:
-        return space.point(np.asarray(values, dtype=float))
-    except (TypeError, ValueError) as exc:
+        return space.rows(values)
+    except ValueError as exc:
         raise ConfigError(path, f"{exc} (space.size is {space.size})") from exc
 
 
@@ -72,12 +82,11 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
 
     pi = _config_point(space, cfg.tataru.pi, "tataru.pi")
     mu = _config_point(space, cfg.tataru.mu, "tataru.mu")
-    res = tataru(space, pi, mu)
+    res = tataru_batch(space, [pi], [mu])[0]
     print(f"tataru value: {res.value:.12g}  minimizers: "
           + ", ".join(f"{t:.12g}" for t in res.minimizers))
     if cfg.tataru.dump_objective and out_dir is not None:
-        objective = _flow_objective(space, pi.values[None], mu.values[None],
-                                    [space.kappa_hat], eps=None)
+        objective = _flow_objective(space, pi[None], mu[None], [space.kappa_hat], None)
         ts = np.linspace(0.0, res.t_cap, res.grid_points)
         obj = objective([0], ts[None, :])[0]
         write_table(out_dir / "tataru_objective.csv", ("t", "objective"),
@@ -88,7 +97,7 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     triples = []
 
     def ask(pi, mu, kappa=None) -> int:
-        triples.append((pi.values, mu.values, kappa))
+        triples.append((pi, mu, kappa))
         return len(triples) - 1
 
     n = cfg.tataru.instances
@@ -96,13 +105,14 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     for _ in range(n):
         mu1, nu1 = space.sample(rng), space.sample(rng)
         mu2, nu2 = space.sample(rng), space.sample(rng)
-        bound = space.distance(mu1, mu2) + space.distance(nu1, nu2)
+        bound = float(np.sqrt(space.sq_dist(mu1, mu2)) + np.sqrt(space.sq_dist(nu1, nu2)))
         lipschitz.append((ask(mu1, nu1), ask(mu2, nu2), bound))
     flow_lipschitz = []
     for _ in range(n):
         nu, nu_hat = space.sample(rng), space.sample(rng)
         base = ask(nu, nu_hat)
-        moved = [(r, ask(space.flow(nu, r), nu_hat)) for r in (1e-3, 1e-2, 1e-1)]
+        curve = space.flow_curve(nu)
+        moved = [(r, ask(curve.values_at([r])[0], nu_hat)) for r in (1e-3, 1e-2, 1e-1)]
         flow_lipschitz.append((base, moved))
     triangle = []
     for _ in range(n):
@@ -143,15 +153,14 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
 
     # constant-exponent instance: exact at every m when the damping is trivial
     if space.kappa_hat == 0.0:
-        crit = space.rest_point().values
+        crit = np.zeros(space.size)
         target = psi_eps(lc.epsilon, 0.0)
         for m in (1, 10, 100, 1000):
             val = lambda_continuous(space, lc.epsilon, m, crit, crit)
             err = abs(val.neg_log - target)
             rep.add("constant_exact", m, val.neg_log, target, err - 1e-10, err <= 1e-10)
 
-    target, curve_rows = varadhan_error_curve(space, lc.epsilon, pi.values, mu.values,
-                                              lc.m_list)
+    target, curve_rows = varadhan_error_curve(space, lc.epsilon, pi, mu, lc.m_list)
     if out_dir is not None:
         write_table(out_dir / "laplace_converge_curve.csv",
                     ("m", "n", "neg_log", "target", "abs_error"),
@@ -164,10 +173,10 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     rep.add("varadhan_monotone", f"{curve_rows[0][0]}->{curve_rows[-1][0]}",
             final_err, first_err, final_err - first_err, final_err < first_err)
 
-    ref = lambda_continuous(space, lc.epsilon, lc.refine_m, pi.values, mu.values)
+    ref = lambda_continuous(space, lc.epsilon, lc.refine_m, pi, mu)
     prev = None
     for n in lc.refine_n:
-        dv = lambda_discrete(space, lc.epsilon, lc.refine_m, int(n), pi.values, mu.values)
+        dv = lambda_discrete(space, lc.epsilon, lc.refine_m, int(n), pi, mu)
         gap = abs(dv.log_value - ref.log_value)
         if prev is None:
             rep.add("riemann_refinement", n, gap, np.inf, -1.0, True)
@@ -175,14 +184,14 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
             rep.add("riemann_refinement", n, gap, prev, gap - prev, gap < prev)
         prev = gap
 
-    tm = tilted_measure(space, lc.concentration_epsilon, lc.concentration_m, pi.values, mu.values)
-    res = tataru_eps(space, lc.concentration_epsilon, pi, mu)
+    tm = tilted_measure(space, lc.concentration_epsilon, lc.concentration_m, pi, mu)
+    res = tataru_batch(space, [pi], [mu], eps=lc.concentration_epsilon)[0]
     mass = max(tm.mass_within(float(t), lc.concentration_window) for t in res.minimizers)
     rep.add("tilt_concentration", lc.concentration_m, mass, lc.concentration_mass,
             lc.concentration_mass - mass, mass >= lc.concentration_mass)
 
     # mean exponent under the tilted measure approaches its value at the minimizer
-    hcurve = HCurve(space, lc.concentration_epsilon, pi.values, mu.values)
+    hcurve = HCurve(space, lc.concentration_epsilon, pi, mu)
     mean_h = tm.expectation(hcurve.h(tm.atoms))
     h_star = float(hcurve.h(res.minimizers[:1])[0])
     gap = abs(mean_h - h_star)
@@ -205,9 +214,9 @@ def run_ham_chain(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         rho, mu, pi = space.sample(rng), space.sample(rng), space.sample(rng)
         p5 = build_chain_pair(space, 5, "dagger", dict(a=a, b=b, c=c, eps=eps, rho=rho, mu=mu))
         p6 = build_chain_pair(space, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
-        g5, g6 = p5.g(pi.values), p6.g(pi.values)
+        g5, g6 = p5.g(pi), p6.g(pi)
         rep.add("g5_equals_g6", i, g5, g6, 0.0 if g5 == g6 else 1.0, g5 == g6)
-        f_gap = abs(p5.f(pi.values) - p6.f(pi.values))
+        f_gap = abs(p5.f(pi) - p6.f(pi))
         bound = b * np.sqrt(2 * eps)
         rep.add("f5_f6_gap", i, f_gap, bound, f_gap - bound, f_gap <= bound + 1e-12)
     print(f"ham-chain link {cfg.ham_chain.link}: max violation {chain.max_violation:.3e}")
@@ -284,7 +293,7 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         k = int(rng.integers(1, 3))
         w = rng.uniform(0.05, 0.5, size=k)
         c = float(rng.uniform(0.0, 0.5))
-        base = space.point([rng.uniform(-1.5, 1.5)])
+        base = [rng.uniform(-1.5, 1.5)]
         anchors = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
         for side, name in (("dagger", "subsolution"), ("ddagger", "supersolution")):
             pair = build_cyl_pair(space, side, a, affine_phi(w, c), base, anchors)

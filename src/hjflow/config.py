@@ -140,8 +140,12 @@ def _build_section(name: str, cls, data: dict):
 
 
 def _finite(value, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(path, "must be a finite number")
 
 

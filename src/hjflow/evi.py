@@ -3,7 +3,8 @@
 Each check returns a signed violation (positive means the inequality failed by
 that much); suites sample random instances and collect worst cases.  The upper
 right time derivative is realized as a forward finite difference with a small
-step delta, so residuals of exact-equality instances sit at O(delta).
+step delta, so residuals of exact-equality instances sit at O(delta).  Points
+are coordinate rows (size,).
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import FlowTrajectory, ModelSpace, SpacePoint
+from .spaces import FlowTrajectory, ModelSpace
 from .tataru import psi_eps
 
 
-def evi_residual(space: ModelSpace, x: SpacePoint, rho: SpacePoint,
-                 t: float, delta: float) -> float:
+def evi_residual(space: ModelSpace, x, rho, t: float, delta: float) -> float:
     """Forward-difference EVI residual L - R at time t along the flow from x.
 
     L approximates the upper right derivative of d^2(x(.), rho)/2 with step
@@ -29,10 +29,11 @@ def evi_residual(space: ModelSpace, x: SpacePoint, rho: SpacePoint,
         raise ValueError("delta must be positive")
     if t < 0:
         raise ValueError("negative time")
+    rho = space._row(rho)
     vals = space.flow_curve(x).values_at([t, t + delta])
-    half_sq = 0.5 * space.sq_dist(vals, rho.values)
+    half_sq = 0.5 * space.sq_dist(vals, rho)
     lhs = (half_sq[1] - half_sq[0]) / delta
-    rhs = space.energy(rho) - space.energies(vals[0]) - space.kappa * half_sq[0]
+    rhs = space.energies(rho) - space.energies(vals[0]) - space.kappa * half_sq[0]
     return float(lhs - rhs)
 
 
@@ -40,7 +41,7 @@ def _contraction(space, x, y, ts, cx, cy) -> float:
     """max over ts of d(x(t), y(t)) - exp(-kappa t) d(x, y), from the flows cx of x
     and cy of y at ts."""
     dists = np.sqrt(space.sq_dist(cx, cy))
-    bound = np.exp(-space.kappa * ts) * space.distance(x, y)
+    bound = np.exp(-space.kappa * ts) * np.sqrt(space.sq_dist(x, y))
     return float(np.max(dists - bound))
 
 
@@ -55,16 +56,16 @@ def energy_identity_residual(space: ModelSpace, traj: FlowTrajectory) -> float:
 def _slope_decay(space, x, ts, cx) -> float:
     """max over ts of I(x(t)) - I(x) exp(-2 kappa t), from the flow cx of x at ts."""
     info = space.sq_slopes(cx)
-    bound = space.information(x) * np.exp(-2.0 * space.kappa * ts)
+    bound = space.sq_slopes(x) * np.exp(-2.0 * space.kappa * ts)
     return float(np.max(info - bound))
 
 
-def _growth_rhs(space: ModelSpace, pi: SpacePoint, mu: SpacePoint, ts: np.ndarray) -> np.ndarray:
+def _growth_rhs(space: ModelSpace, pi, mu, ts: np.ndarray) -> np.ndarray:
     """Right side of the integrated distance-growth inequality."""
     kappa = space.kappa
-    d0_sq = space.sq_dist(pi.values, mu.values)
-    e_gap = space.energy(pi) - space.energy(mu)
-    info = space.information(mu)
+    d0_sq = space.sq_dist(pi, mu)
+    e_gap = space.energies(pi) - space.energies(mu)
+    info = space.sq_slopes(mu)
     if kappa != 0.0:
         ekt = np.exp(kappa * ts)
         return (0.5 * d0_sq + (ekt - 1.0) / kappa * e_gap
@@ -76,7 +77,7 @@ def _distance_growth(space, pi, ts, cmu, rhs) -> float:
     """max over ts of LHS - rhs of the integrated growth inequality, from the flow
     cmu of mu at ts; the left side is exp(kappa t) d^2(pi, mu(t)) / 2, without the
     exponential for kappa = 0."""
-    half_sq = 0.5 * space.sq_dist(cmu, pi.values)
+    half_sq = 0.5 * space.sq_dist(cmu, pi)
     if space.kappa != 0.0:
         lhs = np.exp(space.kappa * ts) * half_sq
     else:
@@ -88,7 +89,7 @@ def _damped_distance_bound(space, pi, ts, cmu, growth_rhs, eps_list) -> float:
     """max over ts and eps of exp(kappa_hat t) d_eps(pi, mu(t)) - sqrt(2 RHS) - sqrt(2 eps),
     from the flow cmu of mu at ts, with RHS = max(growth_rhs, 0); eps None means the
     plain metric."""
-    dist2 = space.sq_dist(cmu, pi.values)
+    dist2 = space.sq_dist(cmu, pi)
     rhs = np.sqrt(2.0 * np.maximum(growth_rhs, 0.0))
     damping = np.exp(space.kappa_hat * ts)
     worst = -math.inf

@@ -21,8 +21,8 @@ subtracted off-diagonal products) are written out as such.  Families:
 ``ModelSpace.rows``, and return values (...): one pass through the combinator
 tree for the cylindrical pairs, one ``action_terms`` broadcast over (rows,
 atoms) at level 2, one ``tataru_batch`` call at levels 4 to 6, a loop over rows
-at level 3 only.  Anchor sets are rows too; base points and flow anchors are
-points, read once when a pair is built.
+at level 3 only.  Anchor sets, base points and flow anchors are rows too,
+checked once when a pair is built.
 
 Exponential damping factors use kappa_hat = min(kappa, 0); the quadratic
 correction -kappa/2 d^2 uses kappa itself.
@@ -43,7 +43,7 @@ from .cylinders import (
     truncate_cylinder,
 )
 from .laplace import HCurve, discrete_exp_log_weights, lambda_continuous
-from .spaces import ModelSpace, SpacePoint
+from .spaces import ModelSpace
 from .tataru import _psi, _psi_consts, logsumexp, tataru_batch
 
 CHAIN_LEVELS = (2, 3, 4, 5, 6)
@@ -78,16 +78,17 @@ def _square(x):
     return np.float_power(x, 2)
 
 
-def _dist(space: ModelSpace, x: np.ndarray, p: SpacePoint) -> np.ndarray:
-    return np.sqrt(space.sq_dist(x, p.values))
+def _dist(space: ModelSpace, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return np.sqrt(space.sq_dist(x, p))
 
 
 def _cylinder(space: ModelSpace, phi: CylNode, anchors):
     """(anchor energies, at) with at(x) = (phi(r), grad phi(r), d) for the rows x,
     d = d(x, anchors) and r = d^2/2; grad phi is checked for the positivity class.
 
-    ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``."""
-    anchor_vals = space.rows(anchors)
+    ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``
+    and copied, as ``ModelSpace._row`` copies base points."""
+    anchor_vals = space.rows(anchors).copy()
     cyl = CylindricalTestFunction(base=phi, anchors=tuple(anchor_vals))
 
     def at(x: np.ndarray):
@@ -103,14 +104,15 @@ def _cylinder(space: ModelSpace, phi: CylNode, anchors):
 # ---------------------------------------------------------------------------
 
 
-def build_cyl_pair(space: ModelSpace, side: str, a: float, phi: CylNode, base: SpacePoint,
+def build_cyl_pair(space: ModelSpace, side: str, a: float, phi: CylNode, base,
                    anchors) -> HamiltonianPair:
     """f = sigma [a/2 d^2(., base) + phi(d^2(., anchors)/2)] with the five-term g."""
     sigma = side_sign(side)
     if not a > 0:  # also rejects NaN
         raise ValueError("a must be positive")
     anchor_e, at = _cylinder(space, phi, anchors)
-    e_base = space.energy(base)
+    base = space._row(base)
+    e_base = space.energies(base)
     kappa = space.kappa
 
     def f(x):
@@ -158,14 +160,14 @@ def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> Hamilt
 # ---------------------------------------------------------------------------
 
 
-def _closed_g(space: ModelSpace, sigma: float, a: float, b: float, base_point: SpacePoint):
+def _closed_g(space: ModelSpace, sigma: float, a: float, b: float, base_point: np.ndarray):
     """g(x, slot): the closed-form g with ``slot`` = b times the flow action.
 
     The flow action is 1 for the exact Tataru distance (levels 5 and 6) and
     the tilted resp. maximal flow action at levels 2 to 4.
     """
     kappa = space.kappa
-    e_base = space.energy(base_point)
+    e_base = space.energies(base_point)
 
     def g(x: np.ndarray, slot) -> np.ndarray:
         d0 = _dist(space, x, base_point)
@@ -178,7 +180,7 @@ def _closed_g(space: ModelSpace, sigma: float, a: float, b: float, base_point: S
 
 
 def _ladder_f(space: ModelSpace, sigma: float, a: float, b: float, c: float,
-              base_point: SpacePoint, value):
+              base_point: np.ndarray, value):
     """f = sigma (a/2 d^2(., base) + b value) + c."""
     def f(x):
         return sigma * (0.5 * a * _square(_dist(space, x, base_point)) + b * value(x)) + c
@@ -200,18 +202,17 @@ def _tataru_value(space: ModelSpace, anchor: np.ndarray, eps: float | None):
 
 
 def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float,
-                      base_point: SpacePoint, flow_anchor: SpacePoint,
-                      eps: float | None = None) -> HamiltonianPair:
+                      base_point, flow_anchor, eps: float | None = None) -> HamiltonianPair:
     """f = sigma (a/2 d^2 + b d_T) + c with the closed-form g.
 
-    ``base_point`` anchors the quadratic; ``flow_anchor`` is the point whose
+    ``base_point`` anchors the quadratic; ``flow_anchor`` is the row whose
     gradient flow enters the Tataru minimization, smoothed by ``eps`` unless
     it is None.
     """
     sigma = side_sign(side)
     if not (a > 0 and b > 0):  # also rejects NaN
         raise ValueError("a and b must be positive")
-    anchor = space._vals(flow_anchor)  # fail at build time on an anchor outside the space
+    base_point, anchor = space._row(base_point), space._row(flow_anchor)
     g = _closed_g(space, sigma, a, b, base_point)
     return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,
                                         _tataru_value(space, anchor, eps)),
@@ -270,8 +271,8 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     if level >= 5:
         eps = _require(params, level, "eps")[0] if level == 5 else None
         return build_tataru_pair(space, side, a, b, c, base_point, flow_anchor, eps)
+    base_point, anchor = space._row(base_point), space._row(flow_anchor)
     closed_g = _closed_g(space, sigma, a, b, base_point)
-    anchor = space._vals(flow_anchor)  # fail at build time on an anchor outside the space
 
     if level == 4:
         eps = _require(params, level, "eps")[0]
@@ -377,14 +378,14 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             pair2 = build_chain_pair(space, 2, "dagger",
                                      {"a": a, "b": b, "c": c, "eps": eps,
                                       "m": m, "n": n, "rho": rho, "mu": mu})
-            g1 = pair1.g(pi.values)
-            g2 = pair2.g(pi.values)
+            g1 = pair1.g(pi)
+            g2 = pair2.g(pi)
             violation = g1 - g2
             rows.append(("chain-1to2", i, g1, g2, violation, violation <= tol))
     elif link == "4to5":
         tol = 1e-6 if tol is None else tol
         # all samples first, then one minimization and one flow action over them
-        draws = [(rng.uniform(0.05, 0.7), space.sample(rng).values, space.sample(rng).values)
+        draws = [(rng.uniform(0.05, 0.7), space.sample(rng), space.sample(rng))
                  for _ in range(samples)]
         if draws:
             epss, mus, pis = zip(*draws)
@@ -400,17 +401,17 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             weights = rng.uniform(0.1, 1.0, size=k)
             const = rng.uniform(0.0, 0.5)
             rho = space.sample(rng)
-            mus = [space.sample(rng).values for _ in range(k)]
+            mus = [space.sample(rng) for _ in range(k)]
             pi = space.sample(rng)
             phi0 = affine_phi(weights, const)
             pair1 = build_cyl_pair(space, "dagger", a, phi0, rho, mus)
-            inner_value = pair1.f(pi.values)  # equals a r0 + phi0(r) at pi
+            inner_value = pair1.f(pi)  # equals a r0 + phi0(r) at pi
             n = int(np.ceil(inner_value)) + 1
             cyl_fun = CylindricalTestFunction(base=phi0, anchors=tuple(mus))
-            truncated = truncate_cylinder(cyl_fun, a, rho.values, n)
+            truncated = truncate_cylinder(cyl_fun, a, rho, n)
             pair0 = build_h0_pair(space, "dagger", truncated.base, truncated.anchors)
-            g0 = pair0.g(pi.values)
-            g1 = pair1.g(pi.values)
+            g0 = pair0.g(pi)
+            g1 = pair1.g(pi)
             violation = abs(g0 - g1)
             rows.append(("chain-0to1", i, g0, g1, violation, violation <= tol))
     else:

@@ -44,12 +44,14 @@ def row(check: str, instance, value: float, bound: float, violation: float,
 
 @dataclass
 class Report:
-    """Per-suite report: rows plus config echo and tool version."""
+    """Per-suite report: rows plus config echo, tool version and the JSON-only
+    diagnostics (kept out of the CSV, so reruns stay byte-identical)."""
 
     name: str
     rows: list = field(default_factory=list)
     config_echo: dict = field(default_factory=dict)
     version: str = ""
+    diagnostics: dict = field(default_factory=dict)
 
     def add(self, check: str, instance, value: float, bound: float, violation: float,
             passed: bool) -> None:
@@ -104,6 +106,7 @@ def write_json(report: Report, path: str | Path) -> Path:
         "version": report.version,
         "config": report.config_echo,
         "summary": report.summary(),
+        "diagnostics": report.diagnostics,
         "rows": [
             {
                 "check": r.check,

@@ -12,9 +12,10 @@ inequality with parameter kappa = inf V'' holds exactly, which is what makes
 these spaces usable as ground truth for everything built on top.  Every
 potential here solves that ODE in closed form; no flow is integrated numerically.
 
-Every metric and energy reduction lives in ``ModelSpace``: the row kernels
-``sq_dist``, ``energies`` and ``sq_slopes`` broadcast over coordinate rows, and
-``distance``, ``energy``, ``slope`` and ``information`` are their one-row case.
+Points are coordinate rows: arrays whose last axis holds the ``size``
+coordinates, checked by ``ModelSpace.rows``.  Every metric and energy reduction
+lives in ``ModelSpace``: the row kernels ``sq_dist``, ``energies`` and
+``sq_slopes`` broadcast over coordinate rows.
 The polynomial potentials evaluate V and V' as Horner products of ``np.square``
 and multiplication, never libm ``pow``: those kernels run on every flow sample
 that feeds an energy or a slope, and ``pow`` costs several times as much per
@@ -24,7 +25,7 @@ element at no better accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,21 +138,6 @@ def make_potential(form: str, kappa: float | None = None) -> Potential:
     raise ValueError(f"unknown potential form {form!r}")
 
 
-# ---------------------------------------------------------------------------
-# points
-# ---------------------------------------------------------------------------
-
-
-def _clean_values(vals) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(vals, dtype=float)).copy()
-    if arr.ndim != 1:
-        raise ValueError("point coordinates must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("point coordinates must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
 def _ordered(rows: np.ndarray) -> np.ndarray:
     """Quantile rows (..., n), checked nondecreasing along the last axis."""
     gaps = np.diff(rows, axis=-1)
@@ -161,45 +147,6 @@ def _ordered(rows: np.ndarray) -> np.ndarray:
         # repair float-level order noise; anything larger raised above
         rows = np.maximum.accumulate(rows, axis=-1)
     return rows
-
-
-@dataclass(frozen=True, eq=False)
-class EuclideanPoint:
-    """Element of the Euclidean model space."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _clean_values(self.coords))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.coords
-
-    def __repr__(self) -> str:
-        return f"EuclideanPoint({np.array2string(self.coords, precision=6)})"
-
-
-@dataclass(frozen=True, eq=False)
-class QuantilePoint:
-    """Quantile vector of a probability measure on the line; nondecreasing."""
-
-    quantiles: np.ndarray
-
-    def __post_init__(self):
-        arr = _ordered(_clean_values(self.quantiles))
-        arr.setflags(write=False)
-        object.__setattr__(self, "quantiles", arr)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.quantiles
-
-    def __repr__(self) -> str:
-        return f"QuantilePoint({np.array2string(self.quantiles, precision=6)})"
-
-
-SpacePoint = Union[EuclideanPoint, QuantilePoint]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +163,7 @@ class FlowCurve:
 
     def __init__(self, space: "ModelSpace", start: np.ndarray):
         self._space = space
-        self._y0 = np.asarray(start, dtype=float)
+        self._y0 = start
 
     def values_at(self, times) -> np.ndarray:
         """Points along the curve; shape (len(times), n)."""
@@ -225,15 +172,12 @@ class FlowCurve:
             raise ValueError("negative time")
         return self._space.flow_values(self._y0, ts)
 
-    def value_at(self, t: float) -> np.ndarray:
-        return self.values_at([t])[0]
-
 
 @dataclass(frozen=True)
 class FlowTrajectory:
     """Flow samples, shape (len(times), n), with the matching energies and slopes."""
 
-    start: SpacePoint
+    start: np.ndarray
     times: np.ndarray
     values: np.ndarray
     energies: np.ndarray
@@ -242,10 +186,6 @@ class FlowTrajectory:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-
-    @property
-    def points(self) -> tuple:
-        return tuple(type(self.start)(v) for v in self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +228,9 @@ class ModelSpace:
         """Coordinate weight of the metric: 1 (euclidean) or 1/N (quantile)."""
         return 1.0 if self.kind == "euclidean" else 1.0 / self.size
 
-    def point(self, vals) -> SpacePoint:
-        if self.kind == "euclidean":
-            p = EuclideanPoint(vals)
-        else:
-            p = QuantilePoint(vals)
-        if p.values.size != self.size:
-            raise ValueError("incompatible points")
-        return p
-
     def rows(self, vals) -> np.ndarray:
-        """Coordinate rows (..., size) that pass the checks of ``point`` row by row:
-        the size, finite values and, for quantiles, the order (float noise repaired)."""
+        """Coordinate rows (..., size), checked: the size, finite values and, for
+        quantiles, the order (float noise repaired)."""
         arr = np.asarray(vals, dtype=float)
         if arr.ndim == 0 or arr.shape[-1] != self.size:
             raise ValueError("incompatible points")
@@ -307,18 +238,16 @@ class ModelSpace:
             raise ValueError("point coordinates must be finite")
         return _ordered(arr) if self.kind == "quantile" else arr
 
-    def _vals(self, p: SpacePoint) -> np.ndarray:
-        expected = EuclideanPoint if self.kind == "euclidean" else QuantilePoint
-        if not isinstance(p, expected) or p.values.size != self.size:
+    def _row(self, vals) -> np.ndarray:
+        """One coordinate row (size,), checked as ``rows`` checks it; a copy, so
+        the pair or flow curve that holds it does not see the caller's later writes."""
+        arr = self.rows(vals)
+        if arr.ndim != 1:
             raise ValueError("incompatible points")
-        return p.values
-
-    def rest_point(self) -> SpacePoint:
-        """The critical point of V at the origin (V'(0) = 0 for all forms)."""
-        return self.point(np.zeros(self.size))
+        return arr.copy()
 
     # -- row kernels: metric, energy and slope --------------------------------
-    # The last axis holds the coordinates and leading axes broadcast; no point
+    # The last axis holds the coordinates and leading axes broadcast; no row
     # checks.  vecdot gives each row the same bits as a one-row call.
 
     def sq_dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,29 +264,12 @@ class ModelSpace:
         grads = self.potential.dv(vals)
         return self.weight * np.vecdot(grads, grads)
 
-    # -- metric ---------------------------------------------------------------
-
-    def distance(self, x: SpacePoint, y: SpacePoint) -> float:
-        return float(np.sqrt(self.sq_dist(self._vals(x), self._vals(y))))
-
-    # -- energy, slope, information ------------------------------------------
-
-    def energy(self, x: SpacePoint) -> float:
-        return float(self.energies(self._vals(x)))
-
-    def slope(self, x: SpacePoint) -> float:
-        return float(np.sqrt(self.sq_slopes(self._vals(x))))
-
-    def information(self, x: SpacePoint) -> float:
-        """Squared slope; drives the energy dissipation identity."""
-        return float(self.sq_slopes(self._vals(x)))
-
     # -- gradient flow --------------------------------------------------------
 
     def flow_values(self, starts: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Flow from the start values (..., n) at the times (..., T) >= 0; (..., T, n).
 
-        No point checks: callers pass validated coordinates.  In quantile
+        No row checks: callers pass validated coordinates.  In quantile
         coordinates a guard keeps each flowed vector nondecreasing despite
         rounding: it checks the order first and runs ``np.maximum.accumulate``
         on the last axis, in place, only when some neighbour pair is out of
@@ -369,29 +281,26 @@ class ModelSpace:
             np.maximum.accumulate(out, axis=-1, out=out)
         return out
 
-    def flow_curve(self, x: SpacePoint) -> FlowCurve:
-        return FlowCurve(self, self._vals(x))
+    def flow_curve(self, x) -> FlowCurve:
+        return FlowCurve(self, self._row(x))
 
-    def flow(self, x: SpacePoint, t: float) -> SpacePoint:
-        return self.point(self.flow_curve(x).value_at(float(t)))
-
-    def flow_trajectory(self, x: SpacePoint, times: Sequence[float]) -> FlowTrajectory:
+    def flow_trajectory(self, x, times: Sequence[float]) -> FlowTrajectory:
         ts = np.asarray(list(times), dtype=float)
         if ts.size == 0:
             raise ValueError("trajectory needs at least one time")
-        vals = self.flow_curve(x).values_at(ts)
+        x = self._row(x)
+        vals = FlowCurve(self, x).values_at(ts)
         return FlowTrajectory(start=x, times=ts, values=vals, energies=self.energies(vals),
                               slopes=np.sqrt(self.sq_slopes(vals)))
 
     # -- sampling --------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, radius: float | None = None) -> SpacePoint:
+    def sample(self, rng: np.random.Generator, radius: float | None = None) -> np.ndarray:
+        """A uniform draw in [-r, r]^size, sorted for quantiles: a checked row."""
         r = self.sample_radius if radius is None else radius
         r = min(r, self.box)
         vals = rng.uniform(-r, r, size=self.size)
-        if self.kind == "quantile":
-            vals = np.sort(vals)
-        return self.point(vals)
+        return np.sort(vals) if self.kind == "quantile" else vals
 
 
 def euclidean_space(potential: Potential, dim: int = 1, **kw) -> ModelSpace:

@@ -13,9 +13,9 @@ brackets of every instance are kept, then, per block of instances, a bracket
 zoom with one objective call per step for all brackets of the block and one
 call for the refined values.  Chunks and blocks are sized by BLOCK_ELEMENTS,
 so a 64-point quantile space, whose grid fills a chunk with one instance,
-still zooms five instances together.  ``tataru`` and ``tataru_eps`` are its
-one-instance case on points, so every instance gets the same numbers alone
-or in a batch.
+still zooms five instances together.  It is the one entry point: a single
+distance is a batch of one, and every instance gets the same numbers alone or
+in a batch.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spaces import ModelSpace, SpacePoint
+from .spaces import ModelSpace
 
 GRID_POINTS = 512
 ZOOM_POINTS = 33
@@ -114,11 +114,6 @@ def psi_eps_and_prime(eps: float, r) -> tuple[np.ndarray, np.ndarray]:
     return _psi(_psi_consts(eps), _psi_r(r))
 
 
-def d_eps(space: ModelSpace, eps: float, x: SpacePoint, y: SpacePoint) -> float:
-    """Modified distance psi_eps(d^2/2); satisfies d <= d_eps <= max(sqrt(2 eps), d)."""
-    return float(psi_eps(eps, 0.5 * space.distance(x, y) ** 2))
-
-
 @dataclass(frozen=True)
 class TataruResult:
     """Value and minimizer set of the time minimization."""
@@ -131,8 +126,8 @@ class TataruResult:
 
 def _t_cap(space: ModelSpace, pis: np.ndarray, mus: np.ndarray, consts) -> np.ndarray:
     """T_cap of the rows pis and mus: d(pi, mu) + 1 for consts None, else
-    d_eps(pi, mu) + 1 for the psi constants ``consts`` (see ``_psi``), with d^2
-    by libm pow, as ``d_eps`` squares the float distance with ``**``."""
+    psi_eps(d^2/2) + 1 for the psi constants ``consts`` (see ``_psi``), with d^2
+    by libm pow, as the float distance is squared with ``**``."""
     d = np.sqrt(space.sq_dist(pis, mus))
     if consts is not None:
         d = _psi(consts, 0.5 * np.float_power(d, 2), prime=False)[0]
@@ -228,18 +223,17 @@ def _minimize(objective, t_caps: np.ndarray, grid_points: int = GRID_POINTS,
 
 
 def _flow_objective(space: ModelSpace, pis: np.ndarray, mus: np.ndarray,
-                    kappa_hats: Sequence[float], eps: Sequence[float] | None):
+                    kappa_hats: Sequence[float], consts: np.ndarray | None):
     """objective(rows, ts): t + exp(kappa_hat t) d(pi, mu(t)), or psi_eps(d^2/2)
-    with eps[i] for instance i unless eps is None, for the instances ``rows`` at
-    the times ts of shape (len(rows), T); pis and mus are coordinate rows (N, size)."""
+    with the psi constants consts[i] (N, 3) of ``_psi_consts`` for instance i
+    unless consts is None, for the instances ``rows`` at the times ts of shape
+    (len(rows), T); pis and mus are coordinate rows (N, size)."""
     k_hat = np.array(kappa_hats, dtype=float)
-    if eps is not None:
-        consts = np.array([_psi_consts(e) for e in eps])  # (instances, 3)
 
     def objective(rows, ts):
         dist2 = space.sq_dist(space.flow_values(mus.take(rows, 0), ts),
                               pis.take(rows, 0)[:, None, :])
-        if eps is None:
+        if consts is None:
             inner = np.sqrt(dist2)
         else:
             inner = _psi(consts.take(rows, 0).T[:, :, None], 0.5 * dist2, prime=False)[0]
@@ -272,8 +266,8 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
         eps = [float(eps)] * n if np.ndim(eps) == 0 else [float(e) for e in eps]
         if len(eps) != n:
             raise ValueError("eps must be one value or one per instance")
-        consts = np.reshape([_psi_consts(e) for e in eps], (n, 3)).T
-    t_caps = _t_cap(space, pis, mus, consts)
+        consts = np.reshape([_psi_consts(e) for e in eps], (n, 3))
+    t_caps = _t_cap(space, pis, mus, None if consts is None else consts.T)
     kappa_hats = [min(space.kappa if k is None else k, 0.0) for k in kappas]
     cap = max(BLOCK_ELEMENTS, GRID_POINTS * space.size)
     chunk = cap // (GRID_POINTS * space.size)
@@ -282,19 +276,6 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
     for lo in range(0, n, block):
         hi = lo + block
         objective = _flow_objective(space, pis[lo:hi], mus[lo:hi], kappa_hats[lo:hi],
-                                    None if eps is None else eps[lo:hi])
+                                    None if consts is None else consts[lo:hi])
         results += _minimize(objective, t_caps[lo:hi], chunk=chunk)
     return results
-
-
-def tataru(space: ModelSpace, pi: SpacePoint, mu: SpacePoint,
-           kappa_override: float | None = None) -> TataruResult:
-    """Tataru distance from pi to mu (flowing mu), with optional kappa override."""
-    return tataru_batch(space, [space._vals(pi)], [space._vals(mu)], [kappa_override])[0]
-
-
-def tataru_eps(space: ModelSpace, eps: float, pi: SpacePoint, mu: SpacePoint,
-               kappa_override: float | None = None) -> TataruResult:
-    """Smoothed Tataru distance; its minimizer set is the argmin set Xi(pi)."""
-    return tataru_batch(space, [space._vals(pi)], [space._vals(mu)], [kappa_override],
-                        eps=eps)[0]

@@ -1,8 +1,8 @@
 """Test-only one-call forms of the flow estimates of ``hjflow.evi``.
 
-Each helper evaluates the flows it needs at the given times and passes them to
-the kernel that ``run_evi_suite`` uses, so a check here and a suite row read the
-same numbers.
+Each helper checks its coordinate rows, evaluates the flows it needs at the
+given times and passes them to the kernel that ``run_evi_suite`` uses, so a
+check here and a suite row read the same numbers.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ def _times(times) -> np.ndarray:
 def contraction_violation(space, x, y, times) -> float:
     """max over times of d(x(t), y(t)) - exp(-kappa t) d(x, y)."""
     ts = _times(times)
+    x, y = space.rows(x), space.rows(y)
     return _contraction(space, x, y, ts, space.flow_curve(x).values_at(ts),
                         space.flow_curve(y).values_at(ts))
 
@@ -32,6 +33,7 @@ def contraction_violation(space, x, y, times) -> float:
 def slope_decay_violation(space, x, times) -> float:
     """max over times of I(x(t)) - I(x) exp(-2 kappa t)."""
     ts = _times(times)
+    x = space.rows(x)
     return _slope_decay(space, x, ts, space.flow_curve(x).values_at(ts))
 
 
@@ -42,6 +44,7 @@ def distance_growth_violation(space, pi, mu, times) -> float:
     kappa = 0 it is d^2(pi, mu(t)) / 2.
     """
     ts = _times(times)
+    pi, mu = space.rows(pi), space.rows(mu)
     return _distance_growth(space, pi, ts, space.flow_curve(mu).values_at(ts),
                             _growth_rhs(space, pi, mu, ts))
 
@@ -53,5 +56,6 @@ def damped_distance_bound_violation(space, pi, mu, times, eps_list=(None, 0.1, 1
     where RHS is the integrated growth bound; eps None means the plain metric.
     """
     ts = _times(times)
+    pi, mu = space.rows(pi), space.rows(mu)
     return _damped_distance_bound(space, pi, ts, space.flow_curve(mu).values_at(ts),
                                   _growth_rhs(space, pi, mu, ts), eps_list)

@@ -1,0 +1,51 @@
+"""Test-only one-row forms of the row kernels of ``hjflow.spaces`` and of
+``hjflow.tataru.tataru_batch``.
+
+Each takes single coordinate rows (size,), checked by ``ModelSpace.rows``, and
+keeps the arithmetic of the package's former one-point API: distances, energies
+and slopes are floats of the row kernels, ``d_eps`` squares the float distance
+with ``**``, and ``tataru``/``tataru_eps`` are batches of one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hjflow.tataru import TataruResult, psi_eps, tataru_batch
+
+
+def distance(space, x, y) -> float:
+    return float(np.sqrt(space.sq_dist(space.rows(x), space.rows(y))))
+
+
+def energy(space, x) -> float:
+    return float(space.energies(space.rows(x)))
+
+
+def slope(space, x) -> float:
+    return float(np.sqrt(space.sq_slopes(space.rows(x))))
+
+
+def information(space, x) -> float:
+    """Squared slope; drives the energy dissipation identity."""
+    return float(space.sq_slopes(space.rows(x)))
+
+
+def flow(space, x, t: float) -> np.ndarray:
+    """The row reached from x after time t along the gradient flow."""
+    return space.flow_curve(x).values_at([float(t)])[0]
+
+
+def d_eps(space, eps: float, x, y) -> float:
+    """Modified distance psi_eps(d^2/2); satisfies d <= d_eps <= max(sqrt(2 eps), d)."""
+    return float(psi_eps(eps, 0.5 * distance(space, x, y) ** 2))
+
+
+def tataru(space, pi, mu, kappa_override: float | None = None) -> TataruResult:
+    """Tataru distance from pi to mu (flowing mu), with optional kappa override."""
+    return tataru_batch(space, [pi], [mu], [kappa_override])[0]
+
+
+def tataru_eps(space, eps: float, pi, mu, kappa_override: float | None = None) -> TataruResult:
+    """Smoothed Tataru distance; its minimizer set is the argmin set Xi(pi)."""
+    return tataru_batch(space, [pi], [mu], [kappa_override], eps=eps)[0]

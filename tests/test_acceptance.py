@@ -30,7 +30,7 @@ from hjflow.spaces import (
     quantile_space,
     quartic_potential,
 )
-from hjflow.tataru import psi_eps, psi_eps_prime, tataru, tataru_eps
+from hjflow.tataru import psi_eps, psi_eps_prime
 from hjflow.viscosity import (
     GridFunction,
     check_viscosity,
@@ -39,6 +39,7 @@ from hjflow.viscosity import (
 )
 
 from evi_helpers import contraction_violation, slope_decay_violation
+from row_helpers import distance, flow, tataru, tataru_eps
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -111,9 +112,8 @@ def test_criterion_03_psi_eps():
 
 
 def test_criterion_04_tataru_values_and_properties(ou):
-    p = ou.point
-    v1 = tataru(ou, p([0]), p([1])).value
-    v3 = tataru(ou, p([0]), p([3])).value
+    v1 = tataru(ou, np.array([0]), np.array([1])).value
+    v3 = tataru(ou, np.array([0]), np.array([3])).value
     values_ok = abs(v1 - 1.0) <= 1e-6 and abs(v3 - (1 + np.log(3))) <= 1e-6
 
     rng = np.random.default_rng(104)
@@ -122,7 +122,7 @@ def test_criterion_04_tataru_values_and_properties(ou):
     for _ in range(500):
         m1, n1, m2, n2 = (ou.sample(rng) for _ in range(4))
         lhs = tataru(ou, m1, n1).value - tataru(ou, m2, n2).value
-        worst = max(worst, lhs - ou.distance(m1, m2) - ou.distance(n1, n2))
+        worst = max(worst, lhs - distance(ou, m1, m2) - distance(ou, n1, n2))
     lipschitz_ok = worst <= tol
 
     worst = -np.inf
@@ -130,7 +130,7 @@ def test_criterion_04_tataru_values_and_properties(ou):
         nu, nu_hat = ou.sample(rng), ou.sample(rng)
         base = tataru(ou, nu, nu_hat).value
         for r in (1e-3, 1e-2, 1e-1):
-            worst = max(worst, (tataru(ou, ou.flow(nu, r), nu_hat).value - base) / r)
+            worst = max(worst, (tataru(ou, flow(ou, nu, r), nu_hat).value - base) / r)
     flow_ok = worst <= 1 + 1e-6
 
     worst = -np.inf
@@ -172,8 +172,8 @@ def test_criterion_05_smoothed_tataru_convergence(ou):
 
 
 def test_criterion_06_laplace_varadhan(ou):
-    crit = ou.rest_point()
-    worst_const = max(abs(lambda_continuous(ou, 0.5, m, crit.values, crit.values).neg_log
+    crit = np.zeros(ou.size)
+    worst_const = max(abs(lambda_continuous(ou, 0.5, m, crit, crit).neg_log
                           - psi_eps(0.5, 0.0)) for m in (1, 10, 100, 1000, 10000))
     const_ok = worst_const <= 1e-10
 
@@ -221,8 +221,8 @@ def test_criterion_10_level56_identity(ou):
         rho, mu, pi = ou.sample(rng), ou.sample(rng), ou.sample(rng)
         p5 = build_chain_pair(ou, 5, "dagger", dict(a=a, b=b, c=c, eps=eps, rho=rho, mu=mu))
         p6 = build_chain_pair(ou, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
-        g_ok &= p5.g(pi.values) == p6.g(pi.values)
-        f_ok &= abs(p5.f(pi.values) - p6.f(pi.values)) <= b * np.sqrt(2 * eps) + 1e-12
+        g_ok &= p5.g(pi) == p6.g(pi)
+        f_ok &= abs(p5.f(pi) - p6.f(pi)) <= b * np.sqrt(2 * eps) + 1e-12
     verdict(10, "levels 5/6 share g, f gap bounded", g_ok and f_ok,
             f"g bit-identical: {g_ok}, f gap within b sqrt(2 eps): {f_ok}")
 
@@ -259,7 +259,7 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
         k = int(rng.integers(1, 3))
         w = rng.uniform(0.05, 0.5, size=k)
         c = float(rng.uniform(0.0, 0.5))
-        base = ou.point([rng.uniform(-1.5, 1.5)])
+        base = np.array([rng.uniform(-1.5, 1.5)])
         anchors = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
         if side == "dagger":
             return build_cyl_pair(ou, "dagger", a, affine_phi(w, c), base, anchors)
@@ -277,11 +277,11 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
     xs = sol.u.xs
     zeros_h = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     x0 = float(xs[len(xs) // 2 + 11])
-    fail_pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), ou.point([x0]),
+    fail_pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), np.array([x0]),
                                [[x0]])
     fail_sub = check_viscosity(GridFunction(xs, np.ones_like(xs)), fail_pair,
                                zeros_h, 1.0, tol)
-    fail_pair_d = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), ou.point([x0]),
+    fail_pair_d = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), np.array([x0]),
                                  [[x0]])
     fail_sup = check_viscosity(GridFunction(xs, -np.ones_like(xs)), fail_pair_d,
                                zeros_h, 1.0, tol)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hjflow.cli as cli
@@ -234,6 +235,19 @@ NAN = float("nan")
     ("resolvent", {"resolvent": {"h_param": NAN}}, "resolvent.h_param"),
     ("tataru", {"tataru": {"dump_objective": "x"}}, "tataru.dump_objective"),
     ("evi-check", {"out": 5}, "out"),
+    # a config point is a list of finite numbers, one per coordinate: no
+    # scalar, no bool (which would run as 1.0) and no nested list
+    ("tataru", {"tataru": {"pi": 0.0}}, "tataru.pi"),
+    ("tataru", {"tataru": {"pi": [True]}}, "tataru.pi"),
+    ("tataru", {"tataru": {"mu": [[3.0]]}}, "tataru.mu"),
+    ("laplace-converge", {"laplace": {"pi": 0.0}}, "laplace.pi"),
+    ("laplace-converge", {"laplace": {"mu": [False]}}, "laplace.mu"),
+    ("laplace-converge", {"laplace": {"pi": [[0.0]]}}, "laplace.pi"),
+    ("tataru", {"tataru": {"pi": []}}, "tataru.pi"),
+    ("tataru", {"tataru": {"mu": [NAN]}}, "tataru.mu"),
+    # an integer beyond the float range is not finite either
+    ("tataru", {"tataru": {"pi": [10**400]}}, "tataru.pi"),
+    ("evi-check", {"space": {"kappa": 10**400}}, "space.kappa"),
 ])
 def test_config_probe_errors(tmp_path, capsys, command, data, path):
     cfg_path = tmp_path / "bad.json"
@@ -251,21 +265,20 @@ def test_cli_seed_flag_is_validated(tmp_path, capsys):
 
 
 _SPACE = euclidean_space(quadratic_potential(1.0))
-_P, _Q = _SPACE.point([0.0]), _SPACE.point([1.0])
+_P, _Q = np.array([0.0]), np.array([1.0])
 _CHAIN = {"a": 1.0, "b": 1.0, "c": 0.0, "eps": 0.1, "m": 2, "n": 2, "rho": _P, "mu": _Q}
 # one call per library entry point with a positivity guard, NaN in the guarded
 # argument and valid values elsewhere
 NAN_CALLS = {
     "psi_eps.eps": lambda: psi_eps(NAN, 1.0),
     "psi_eps_prime.eps": lambda: psi_eps_prime(NAN, 1.0),
-    "tataru_batch.eps": lambda: tataru_batch(_SPACE, [_P.values], [_Q.values], eps=NAN),
-    "tataru_batch.eps[i]": lambda: tataru_batch(_SPACE, [_P.values, _P.values],
-                                                [_Q.values, _Q.values], eps=[0.1, NAN]),
-    "HCurve.eps": lambda: HCurve(_SPACE, NAN, _P.values, _Q.values),
+    "tataru_batch.eps": lambda: tataru_batch(_SPACE, [_P], [_Q], eps=NAN),
+    "tataru_batch.eps[i]": lambda: tataru_batch(_SPACE, [_P, _P], [_Q, _Q], eps=[0.1, NAN]),
+    "HCurve.eps": lambda: HCurve(_SPACE, NAN, _P, _Q),
     "evi_residual.delta": lambda: evi_residual(_SPACE, _P, _Q, 0.5, NAN),
     "solve_resolvent.lam": lambda: solve_resolvent(_SPACE, NAN, lambda x: 0.0 * x),
     "build_cyl_pair.a": lambda: build_cyl_pair(_SPACE, "dagger", NAN, affine_phi([1.0]),
-                                               _P, [_Q.values]),
+                                               _P, [_Q]),
     "build_tataru_pair.a": lambda: build_tataru_pair(_SPACE, "dagger", NAN, 1.0, 0.0, _P, _Q),
     "build_tataru_pair.b": lambda: build_tataru_pair(_SPACE, "dagger", 1.0, NAN, 0.0, _P, _Q),
     "build_chain_pair.a": lambda: build_chain_pair(_SPACE, 2, "dagger", {**_CHAIN, "a": NAN}),

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from hjflow.cli import main
+from hjflow.config import load_config
 from hjflow.evi import (
     energy_identity_residual,
     evi_residual,
@@ -17,12 +21,12 @@ from evi_helpers import (
 
 
 def test_evi_residual_quadratic_equality(ou):
-    res = evi_residual(ou, ou.point([1]), ou.point([0.5]), 0.2, 1e-4)
+    res = evi_residual(ou, np.array([1]), np.array([0.5]), 0.2, 1e-4)
     assert abs(res) <= 1e-3
 
 
 def test_evi_residual_stationary(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     assert evi_residual(ou, crit, crit, 0.7, 1e-4) == 0.0
 
 
@@ -35,13 +39,13 @@ def test_evi_residual_quartic(quartic, rng):
 
 def test_evi_residual_rejects_bad_delta(ou):
     with pytest.raises(ValueError):
-        evi_residual(ou, ou.point([1]), ou.point([0]), 0.1, 0.0)
+        evi_residual(ou, np.array([1]), np.array([0]), 0.1, 0.0)
 
 
 def test_contraction_quadratic_exact(ou):
-    v = contraction_violation(ou, ou.point([1]), ou.point([-1]), [0.1, 0.5, 2.0, 5.0])
+    v = contraction_violation(ou, np.array([1]), np.array([-1]), [0.1, 0.5, 2.0, 5.0])
     assert abs(v) <= 1e-9  # exact equality for the linear drift
-    x = ou.point([0.3])
+    x = np.array([0.3])
     assert contraction_violation(ou, x, x, [0.5, 1.0]) <= 1e-15
 
 
@@ -52,31 +56,31 @@ def test_contraction_quartic(quartic, rng):
 
 
 def test_energy_identity_stationary(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     traj = ou.flow_trajectory(crit, np.linspace(0, 1, 11))
     assert energy_identity_residual(ou, traj) == 0.0
 
 
 def test_energy_identity_quadratic(ou):
-    traj = ou.flow_trajectory(ou.point([1]), np.linspace(0, 1, 1001))
+    traj = ou.flow_trajectory(np.array([1]), np.linspace(0, 1, 1001))
     # closed forms: E = exp(-2t)/2, I = exp(-2t), integral (1 - e^-2)/2
     assert energy_identity_residual(ou, traj) <= 1e-6
 
 
 def test_energy_identity_quartic(quartic):
-    traj = quartic.flow_trajectory(quartic.point([1.2]), np.linspace(0, 1, 2001))
+    traj = quartic.flow_trajectory(np.array([1.2]), np.linspace(0, 1, 2001))
     assert energy_identity_residual(quartic, traj) <= 1e-4
 
 
 def test_energy_identity_needs_two_samples(ou):
-    traj = ou.flow_trajectory(ou.point([1]), [0.0])
+    traj = ou.flow_trajectory(np.array([1]), [0.0])
     with pytest.raises(ValueError):
         energy_identity_residual(ou, traj)
 
 
 def test_slope_decay_quadratic_exact(ou):
-    assert abs(slope_decay_violation(ou, ou.point([1]), [0.3, 1.0, 4.0])) <= 1e-9
-    crit = ou.rest_point()
+    assert abs(slope_decay_violation(ou, np.array([1]), [0.3, 1.0, 4.0])) <= 1e-9
+    crit = np.zeros(ou.size)
     assert slope_decay_violation(ou, crit, [1.0]) == 0.0
 
 
@@ -86,12 +90,12 @@ def test_slope_decay_quartic(quartic, rng):
 
 
 def test_distance_growth_trivial(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     assert distance_growth_violation(ou, crit, crit, [0.5, 1.0]) == 0.0
 
 
 def test_distance_growth_quadratic(ou):
-    v = distance_growth_violation(ou, ou.point([0]), ou.point([1]),
+    v = distance_growth_violation(ou, np.array([0]), np.array([1]),
                                   np.linspace(0.1, 5.0, 25))
     assert v <= 1e-6
 
@@ -160,3 +164,25 @@ def test_suite_rows_equal_the_per_check_functions(space_name, request):
     space = request.getfixturevalue(space_name)
     rep = run_evi_suite(space, np.random.default_rng(41), instances=6)
     assert list(rep.rows) == per_check_suite_rows(space, np.random.default_rng(41), 6)
+
+
+@pytest.mark.parametrize("space", [
+    {},
+    {"kind": "quantile", "size": 8, "potential": "double_well", "kappa": -0.5},
+], ids=["default", "double_well_quantile"])
+def test_json_worst_case_replays_the_worst_evi_residual_row(tmp_path, space):
+    # the JSON report names the instance behind the largest evi_residual row as
+    # plain lists; evi_residual on them gives that row's value bit for bit
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 5, "space": space, "evi": {"instances": 7}}))
+    out = tmp_path / "out"
+    assert main(["evi-check", "--config", str(cfg_path), "--out", str(out),
+                 "--format", "json"]) == 0
+    data = json.loads((out / "evi_check.json").read_text())
+    worst = data["diagnostics"]["worst_evi_residual"]
+    assert sorted(worst) == ["residual", "rho", "t", "x"]
+    values = [r["value"] for r in data["rows"] if r["check"] == "evi_residual"]
+    assert len(values) == 7 and worst["residual"] == max(values)
+    cfg = load_config(cfg_path)
+    replay = evi_residual(cfg.space.build(), worst["x"], worst["rho"], worst["t"], cfg.evi.delta)
+    assert replay == worst["residual"]

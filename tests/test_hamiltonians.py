@@ -11,22 +11,23 @@ from hjflow.hamiltonians import (
     composite_phi_for_push,
 )
 from hjflow.spaces import double_well_potential, euclidean_space
-from hjflow.tataru import psi_eps, tataru_eps
+from hjflow.tataru import psi_eps, psi_eps_prime
 
 from cylinder_helpers import finite_difference_grad, identity_phi
+from row_helpers import distance, energy, flow, tataru_eps
 
 
 def five_term_g_dagger(space, a, weights, const, rho, mus, pi):
     """Independent re-evaluation of the upper-bound g for an affine base."""
     kappa = space.kappa
-    d0 = space.distance(pi, rho)
-    e_pi = space.energy(pi)
-    total = a * (space.energy(rho) - e_pi - 0.5 * kappa * d0**2)
+    d0 = distance(space, pi, rho)
+    e_pi = energy(space, pi)
+    total = a * (energy(space, rho) - e_pi - 0.5 * kappa * d0**2)
     total += 0.5 * a**2 * d0**2
     cross = 0.0
     for w, mu in zip(weights, mus):
-        di = space.distance(pi, mu)
-        total += w * (space.energy(mu) - e_pi - 0.5 * kappa * di**2)
+        di = distance(space, pi, mu)
+        total += w * (energy(space, mu) - e_pi - 0.5 * kappa * di**2)
         cross += w * di
     total += 0.5 * cross**2
     total += a * d0 * cross
@@ -34,17 +35,17 @@ def five_term_g_dagger(space, a, weights, const, rho, mus, pi):
 
 
 def test_cyl_dagger_hand_example(ou):
-    pair = build_cyl_pair(ou, "dagger", 1.0, identity_phi(), ou.point([0]), [[0.0]])
-    pi = ou.point([1])
-    assert pair.f(pi.values) == pytest.approx(1.0)
-    assert pair.g(pi.values) == pytest.approx(0.0, abs=1e-14)
+    pair = build_cyl_pair(ou, "dagger", 1.0, identity_phi(), np.array([0]), [[0.0]])
+    pi = np.array([1])
+    assert pair.f(pi) == pytest.approx(1.0)
+    assert pair.g(pi) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cyl_dagger_degenerate(ou):
-    crit = ou.rest_point()
-    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([1.0], 0.3), crit, [crit.values])
-    assert pair.f(crit.values) == pytest.approx(0.3)  # phi(0)
-    assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
+    crit = np.zeros(ou.size)
+    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([1.0], 0.3), crit, [crit])
+    assert pair.f(crit) == pytest.approx(0.3)  # phi(0)
+    assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
@@ -56,28 +57,27 @@ def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
         rho = quartic.sample(rng)
         mus = [quartic.sample(rng) for _ in range(k)]
         pi = quartic.sample(rng)
-        pair = build_cyl_pair(quartic, "dagger", a, affine_phi(weights, const), rho,
-                              [mu.values for mu in mus])
+        pair = build_cyl_pair(quartic, "dagger", a, affine_phi(weights, const), rho, mus)
         oracle = five_term_g_dagger(quartic, a, weights, const, rho, mus, pi)
-        assert pair.g(pi.values) == pytest.approx(oracle, abs=1e-12)
+        assert pair.g(pi) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_cyl_dagger_rejects_bad_inputs(ou):
     with pytest.raises(ValueError, match="positive"):
-        build_cyl_pair(ou, "dagger", 0.0, identity_phi(), ou.point([0]), [[0.0]])
-    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([-1.0]), ou.point([0]), [[0.0]])
+        build_cyl_pair(ou, "dagger", 0.0, identity_phi(), np.array([0]), [[0.0]])
+    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([-1.0]), np.array([0]), [[0.0]])
     with pytest.raises(ValueError, match="not in class T"):
-        pair.f(ou.point([1]).values)
+        pair.f([1])
 
 
 def test_cyl_ddagger_hand_example(ou):
-    crit = ou.rest_point()
-    pair = build_cyl_pair(ou, "ddagger", 1.0, identity_phi(), crit, [crit.values])
-    assert pair.f(crit.values) == pytest.approx(0.0)
-    assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
-    mu = ou.point([1])
-    assert pair.f(mu.values) == pytest.approx(-1.0)
-    assert pair.g(mu.values) == pytest.approx(1.0, abs=1e-14)
+    crit = np.zeros(ou.size)
+    pair = build_cyl_pair(ou, "ddagger", 1.0, identity_phi(), crit, [crit])
+    assert pair.f(crit) == pytest.approx(0.0)
+    assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
+    mu = np.array([1])
+    assert pair.f(mu) == pytest.approx(-1.0)
+    assert pair.g(mu) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_cyl_ddagger_below_dagger_style_bound(ou, rng):
@@ -89,38 +89,37 @@ def test_cyl_ddagger_below_dagger_style_bound(ou, rng):
         gamma = ou.sample(rng)
         pis = [ou.sample(rng) for _ in range(2)]
         mu = ou.sample(rng)
-        pair = build_cyl_pair(ou, "ddagger", a, affine_phi(weights), gamma,
-                              [p.values for p in pis])
-        e_mu = ou.energy(mu)
-        d0 = ou.distance(mu, gamma)
-        upper = a * (e_mu - ou.energy(gamma) + 0.5 * ou.kappa * d0**2) + 0.5 * a**2 * d0**2
+        pair = build_cyl_pair(ou, "ddagger", a, affine_phi(weights), gamma, pis)
+        e_mu = energy(ou, mu)
+        d0 = distance(ou, mu, gamma)
+        upper = a * (e_mu - energy(ou, gamma) + 0.5 * ou.kappa * d0**2) + 0.5 * a**2 * d0**2
         cross = 0.0
         for w, p in zip(weights, pis):
-            di = ou.distance(mu, p)
-            upper += w * (e_mu - ou.energy(p) + 0.5 * ou.kappa * di**2)
+            di = distance(ou, mu, p)
+            upper += w * (e_mu - energy(ou, p) + 0.5 * ou.kappa * di**2)
             cross += w * di
         upper += 0.5 * cross**2 + a * d0 * cross
-        assert pair.g(mu.values) <= upper + 1e-12
+        assert pair.g(mu) <= upper + 1e-12
 
 
 def test_h0_pair_examples(ou, rng):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     phi = Iota(2, affine_phi([1.0]))
     for side, sign in (("dagger", 1.0), ("ddagger", -1.0)):
-        pair = build_h0_pair(ou, side, phi, [crit.values])
-        assert pair.f(crit.values) == pytest.approx(sign * 0.0)
-        assert pair.g(crit.values) == pytest.approx(0.0, abs=1e-14)
+        pair = build_h0_pair(ou, side, phi, [crit])
+        assert pair.f(crit) == pytest.approx(sign * 0.0)
+        assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
 
     # overlap with the quadratic-free cylindrical pair below the knee
-    pair0 = build_h0_pair(ou, "dagger", phi, [crit.values])
+    pair0 = build_h0_pair(ou, "dagger", phi, [crit])
     for _ in range(10):
-        pi = ou.point([rng.uniform(-1.8, 1.8)])  # half squared distance <= 1.62 < 2
-        r = 0.5 * ou.distance(pi, crit) ** 2
+        pi = np.array([rng.uniform(-1.8, 1.8)])  # half squared distance <= 1.62 < 2
+        r = 0.5 * distance(ou, pi, crit) ** 2
         assert r < 2
         # below the knee iota is the identity, so g matches the affine base
-        direct = (1.0 * (ou.energy(crit) - ou.energy(pi) - 0.5 * ou.kappa * 2 * r)
+        direct = (1.0 * (energy(ou, crit) - energy(ou, pi) - 0.5 * ou.kappa * 2 * r)
                   + 0.5 * (np.sqrt(2 * r)) ** 2)
-        assert pair0.g(pi.values) == pytest.approx(direct, abs=1e-12)
+        assert pair0.g(pi) == pytest.approx(direct, abs=1e-12)
 
 
 def test_h0_requires_bounded(ou):
@@ -134,19 +133,19 @@ def test_h0_ddagger_below_cauchy_schwarz_bound(ou, rng):
     weights = np.array([0.7, 0.9])
     phi = Iota(4, affine_phi(weights))
     anchors = [ou.sample(rng), ou.sample(rng)]
-    pair = build_h0_pair(ou, "ddagger", phi, [a.values for a in anchors])
+    pair = build_h0_pair(ou, "ddagger", phi, anchors)
     for _ in range(10):
         mu = ou.sample(rng)
-        dists = np.array([ou.distance(mu, a) for a in anchors])
+        dists = np.array([distance(ou, mu, a) for a in anchors])
         r = 0.5 * dists**2
         grad = CylindricalTestFunction(base=phi, anchors=tuple(anchors)).base_value_and_grad(r)[1]
-        e_mu = ou.energy(mu)
+        e_mu = energy(ou, mu)
         energy_terms = sum(
-            g * (e_mu - ou.energy(a) + 0.5 * ou.kappa * d**2)
+            g * (e_mu - energy(ou, a) + 0.5 * ou.kappa * d**2)
             for g, a, d in zip(grad, anchors, dists)
         )
         upper = energy_terms + 0.5 * float(np.dot(grad, dists)) ** 2
-        assert pair.g(mu.values) <= upper + 1e-12
+        assert pair.g(mu) <= upper + 1e-12
 
 
 def test_composite_phi_partials_match_finite_differences(ou, rng):
@@ -207,70 +206,88 @@ def test_composite_phi_is_one_array_node(ou, n):
 def test_ddagger_f_bounded_above(ou, rng):
     c = 0.4
     pair = build_cyl_pair(ou, "ddagger", 0.8, affine_phi([0.5], c), ou.sample(rng),
-                          [ou.sample(rng).values])
+                          [ou.sample(rng)])
     for _ in range(20):
-        assert pair.f(ou.sample(rng).values) <= -c + 1e-12
+        assert pair.f(ou.sample(rng)) <= -c + 1e-12
 
 
 def test_tataru_pair_examples(ou):
-    pair = build_tataru_pair(ou, "dagger", 1.0, 1.0, 0.0, ou.point([0]), ou.point([1]))
-    assert pair.f(ou.point([0]).values) == pytest.approx(1.0, abs=1e-9)
-    assert pair.g(ou.point([0]).values) == pytest.approx(1.5)
-    crit = ou.rest_point()
+    pair = build_tataru_pair(ou, "dagger", 1.0, 1.0, 0.0, np.array([0]), np.array([1]))
+    assert pair.f([0]) == pytest.approx(1.0, abs=1e-9)
+    assert pair.g([0]) == pytest.approx(1.5)
+    crit = np.zeros(ou.size)
     pair2 = build_tataru_pair(ou, "dagger", 1.0, 0.5, 0.7, crit, crit)
-    assert pair2.f(crit.values) == pytest.approx(0.7)
-    assert pair2.g(crit.values) == pytest.approx(0.5 + 0.125)
+    assert pair2.f(crit) == pytest.approx(0.7)
+    assert pair2.g(crit) == pytest.approx(0.5 + 0.125)
     with pytest.raises(ValueError, match="positive"):
         build_tataru_pair(ou, "dagger", 1.0, 0.0, 0.0, crit, crit)
 
 
+def test_pairs_and_curves_keep_their_rows_when_the_caller_writes_to_them(quartic, rng):
+    # builders and flow curves hold copies of the rows they are given
+    base, anchor = quartic.sample(rng), quartic.sample(rng)
+    anchors = np.stack([quartic.sample(rng) for _ in range(2)])
+    params = dict(a=0.7, b=0.4, c=0.1, eps=0.2, m=5, n=2, rho=base, mu=anchor)
+    pairs = [build_cyl_pair(quartic, "dagger", 0.7, affine_phi([0.4, 0.3]), base, anchors),
+             build_h0_pair(quartic, "ddagger", Iota(2, affine_phi([0.4, 0.3])), anchors),
+             *(build_chain_pair(quartic, level, "dagger", params) for level in (2, 4, 5))]
+    curve = quartic.flow_curve(anchor)
+    x = np.stack([quartic.sample(rng) for _ in range(3)])
+    before = [(pair.f(x), pair.g(x)) for pair in pairs], curve.values_at([0.0, 0.5])
+    for row in (base, anchor, anchors):
+        row += 1.0
+    after = [(pair.f(x), pair.g(x)) for pair in pairs], curve.values_at([0.0, 0.5])
+    for (f0, g0), (f1, g1) in zip(before[0], after[0]):
+        assert np.array_equal(f0, f1) and np.array_equal(g0, g1)
+    assert np.array_equal(before[1], after[1])
+
+
 def test_tataru_pair_lipschitz_on_box(ou, rng):
     a, b = 0.8, 0.6
-    pair = build_tataru_pair(ou, "dagger", a, b, 0.0, ou.point([0.5]), ou.point([-1.0]))
+    pair = build_tataru_pair(ou, "dagger", a, b, 0.0, np.array([0.5]), np.array([-1.0]))
     diam = 2 * ou.box
     const = a * diam + b + a * diam
     for _ in range(20):
         x, y = ou.sample(rng), ou.sample(rng)
-        lhs = abs(pair.f(x.values) - pair.f(y.values))
-        assert lhs <= const * ou.distance(x, y) + 1e-9
+        lhs = abs(pair.f(x) - pair.f(y))
+        assert lhs <= const * distance(ou, x, y) + 1e-9
 
 
 def test_tataru_pair_ddagger_mirror(ou):
-    crit = ou.rest_point()
-    pair = build_tataru_pair(ou, "ddagger", 1.0, 1.0, 0.0, crit, ou.point([1]))
-    mu = ou.point([0])
+    crit = np.zeros(ou.size)
+    pair = build_tataru_pair(ou, "ddagger", 1.0, 1.0, 0.0, crit, np.array([1]))
+    mu = np.array([0])
     # f = -1/2 d^2(mu, crit) - b d_T(mu, anchor) + 0 with d_T((0), (1)) = 1
-    assert pair.f(mu.values) == pytest.approx(-1.0, abs=1e-9)
-    assert pair.g(mu.values) == pytest.approx(-1.0 - 0.5)
+    assert pair.f(mu) == pytest.approx(-1.0, abs=1e-9)
+    assert pair.g(mu) == pytest.approx(-1.0 - 0.5)
 
 
 def test_chain_level2_constant_instance(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     pair = build_chain_pair(ou, 2, "dagger",
                             dict(a=1.0, b=1.0, c=0.25, eps=0.5, m=7, n=3,
                                  rho=crit, mu=crit))
-    assert pair.f(crit.values) == pytest.approx(0.25 + psi_eps(0.5, 0.0), abs=1e-12)
+    assert pair.f(crit) == pytest.approx(0.25 + psi_eps(0.5, 0.0), abs=1e-12)
 
 
 def test_chain_level4_sup_at_minimizer(ou):
-    p = ou.point
     eps = 1e-3
     pair = build_chain_pair(ou, 4, "dagger",
-                            dict(a=1.0, b=1.0, c=0.0, eps=eps, rho=p([0]), mu=p([3])))
-    pi = p([0])
-    res = tataru_eps(ou, eps, pi, p([3]))
+                            dict(a=1.0, b=1.0, c=0.0, eps=eps, rho=np.array([0]),
+                                 mu=np.array([3])))
+    pi = np.array([0])
+    res = tataru_eps(ou, eps, pi, np.array([3]))
     assert res.minimizers.size == 1
     assert res.minimizers[0] == pytest.approx(np.log(3), abs=1e-2)
     # kappa_hat = 0: sup term reduces to the energy gap at t*, scaled by psi'
     t_star = float(res.minimizers[0])
-    flow_val = ou.flow(p([3]), t_star)
-    gap = ou.energy(flow_val) - ou.energy(pi)
-    dist2 = ou.distance(pi, flow_val) ** 2
-    from hjflow.tataru import psi_eps_prime
+    flow_val = flow(ou, np.array([3]), t_star)
+    gap = energy(ou, flow_val) - energy(ou, pi)
+    dist2 = distance(ou, pi, flow_val) ** 2
     expected_sup = gap * psi_eps_prime(eps, 0.5 * dist2)
     # pi = rho: the quadratic, cross and energy-gap terms vanish, b^2/2 stays
     base = 0.5
-    assert pair.g(pi.values) == pytest.approx(base + expected_sup, abs=1e-6)
+    assert pair.g(pi) == pytest.approx(base + expected_sup, abs=1e-6)
 
 
 def test_chain_level5_level6_identity(ou, rng):
@@ -281,12 +298,12 @@ def test_chain_level5_level6_identity(ou, rng):
         rho, mu, pi = ou.sample(rng), ou.sample(rng), ou.sample(rng)
         p5 = build_chain_pair(ou, 5, "dagger", dict(a=a, b=b, c=c, eps=eps, rho=rho, mu=mu))
         p6 = build_chain_pair(ou, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
-        assert p5.g(pi.values) == p6.g(pi.values)  # bit-identical shared closed form
-        assert abs(p5.f(pi.values) - p6.f(pi.values)) <= b * np.sqrt(2 * eps) + 1e-12
+        assert p5.g(pi) == p6.g(pi)  # bit-identical shared closed form
+        assert abs(p5.f(pi) - p6.f(pi)) <= b * np.sqrt(2 * eps) + 1e-12
 
 
 def test_chain_missing_parameter(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     with pytest.raises(ValueError, match="missing parameter 'n' for level 2"):
         build_chain_pair(ou, 2, "dagger", dict(a=1, b=1, c=0, eps=0.1, m=3,
                                                rho=crit, mu=crit))
@@ -297,13 +314,13 @@ def test_chain_missing_parameter(ou):
 
 
 def test_chain_ddagger_requires_its_anchors(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     with pytest.raises(ValueError, match="missing parameter 'gamma'"):
         build_chain_pair(ou, 5, "ddagger", dict(a=1, b=1, c=0, eps=0.1,
                                                 rho=crit, mu=crit))
     pair = build_chain_pair(ou, 5, "ddagger", dict(a=1, b=1, c=0, eps=0.1,
                                                    gamma=crit, pi=crit))
-    assert pair.g(crit.values) == pytest.approx(-1.0 - 0.5)
+    assert pair.g(crit) == pytest.approx(-1.0 - 0.5)
 
 
 def test_chain_inequality_links(ou, rng):
@@ -335,28 +352,28 @@ def test_chain_1to2_holds_on_double_well_probe_instances():
 
 
 def test_chain_1to2_degenerate_sample(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     b, c, eps, m, n = 0.7, 0.1, 0.3, 5, 2
     phi, ts = composite_phi_for_push(ou, eps, b, c, m, n)
     pair1 = build_cyl_pair(ou, "dagger", 1.0, phi, crit, ou.flow_curve(crit).values_at(ts))
     pair2 = build_chain_pair(ou, 2, "dagger",
                              dict(a=1.0, b=b, c=c, eps=eps, m=m, n=n, rho=crit, mu=crit))
-    g1, g2 = pair1.g(crit.values), pair2.g(crit.values)
+    g1, g2 = pair1.g(crit), pair2.g(crit)
     assert np.isfinite(g1) and np.isfinite(g2)
     assert g1 <= g2 + 1e-12
-    assert pair1.f(crit.values) == pytest.approx(pair2.f(crit.values), abs=1e-12)
+    assert pair1.f(crit) == pytest.approx(pair2.f(crit), abs=1e-12)
 
 
 def test_pair_evaluations_deterministic(ou, rng):
-    pair = build_tataru_pair(ou, "dagger", 0.9, 0.8, 0.1, ou.point([0.3]), ou.point([-0.7]))
-    x = ou.point([1.234])
-    assert pair.f(x.values) == pair.f(x.values)
-    assert pair.g(x.values) == pair.g(x.values)
+    pair = build_tataru_pair(ou, "dagger", 0.9, 0.8, 0.1, np.array([0.3]), np.array([-0.7]))
+    x = np.array([1.234])
+    assert pair.f(x) == pair.f(x)
+    assert pair.g(x) == pair.g(x)
     pair2 = build_chain_pair(ou, 3, "dagger",
                              dict(a=0.9, b=0.8, c=0.1, eps=0.2, m=9,
-                                  rho=ou.point([0.3]), mu=ou.point([-0.7])))
-    assert pair2.f(x.values) == pair2.f(x.values)
-    assert pair2.g(x.values) == pair2.g(x.values)
+                                  rho=np.array([0.3]), mu=np.array([-0.7])))
+    assert pair2.f(x) == pair2.f(x)
+    assert pair2.g(x) == pair2.g(x)
 
 
 def test_dagger_f_bounded_below(ou, rng):
@@ -366,9 +383,9 @@ def test_dagger_f_bounded_below(ou, rng):
         c = float(rng.uniform(-1, 1))
         weights = rng.uniform(0.1, 1.0, size=2)
         pair = build_cyl_pair(ou, "dagger", a, affine_phi(weights, c), ou.sample(rng),
-                              [ou.sample(rng).values, ou.sample(rng).values])
+                              [ou.sample(rng), ou.sample(rng)])
         for _ in range(20):
-            assert pair.f(ou.sample(rng).values) >= c - 1e-12
+            assert pair.f(ou.sample(rng)) >= c - 1e-12
 
 
 def test_chain_end_to_end_limit(ou):
@@ -379,17 +396,16 @@ def test_chain_end_to_end_limit(ou):
     general (0.5 on this instance), so level 2 does NOT converge to level 5;
     the ladder gives convergence to 4 plus the 4 -> 5 inequality.
     """
-    p = ou.point
-    params = dict(a=0.8, b=1.1, c=0.0, eps=1e-3, rho=p([0.0]), mu=p([3.0]))
-    pi = p([0.0])
+    params = dict(a=0.8, b=1.1, c=0.0, eps=1e-3, rho=np.array([0.0]), mu=np.array([3.0]))
+    pi = np.array([0.0])
     p4 = build_chain_pair(ou, 4, "dagger", params)
     p5 = build_chain_pair(ou, 5, "dagger", params)
-    g4, g5 = p4.g(pi.values), p5.g(pi.values)
+    g4, g5 = p4.g(pi), p5.g(pi)
     assert g4 <= g5 + 1e-12
     gaps = []
     for n in (4, 8, 16):
         p2 = build_chain_pair(ou, 2, "dagger", {**params, "m": n * n, "n": n})
-        gaps.append(abs(p2.g(pi.values) - g4))
+        gaps.append(abs(p2.g(pi) - g4))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 0.05
     # and the 4 -> 5 gap on this instance is genuinely positive (about b/2)
@@ -397,14 +413,13 @@ def test_chain_end_to_end_limit(ou):
 
 
 def test_level2_level3_agree_for_large_n(ou):
-    p = ou.point
-    params = dict(a=0.7, b=0.9, c=0.2, eps=0.15, m=12, rho=p([0.4]), mu=p([2.0]))
+    params = dict(a=0.7, b=0.9, c=0.2, eps=0.15, m=12, rho=np.array([0.4]), mu=np.array([2.0]))
     pair3 = build_chain_pair(ou, 3, "dagger", params)
-    pi = p([-0.5])
+    pi = np.array([-0.5])
     gaps = []
     for n in (5, 20, 80):
         pair2 = build_chain_pair(ou, 2, "dagger", {**params, "n": n})
-        gaps.append(abs(pair2.f(pi.values) - pair3.f(pi.values)))
+        gaps.append(abs(pair2.f(pi) - pair3.f(pi)))
     assert gaps[0] > gaps[1] > gaps[2]
     # the Riemann-sum gap decays like (m+1)/(2n)
     assert gaps[2] < 0.01

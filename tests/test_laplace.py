@@ -23,7 +23,9 @@ from hjflow.laplace import (
     varadhan_error_curve,
 )
 from hjflow.reporting import fmt17
-from hjflow.tataru import psi_eps, tataru_eps
+from hjflow.tataru import _psi_consts, psi_eps
+
+from row_helpers import tataru_eps
 
 
 def test_discrete_measure_validation():
@@ -72,9 +74,9 @@ def test_discrete_exp_measure_normalized(m, n):
 
 
 def test_lambda_discrete_constant_exponent(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     for m in (1, 5, 50, 700):
-        val = lambda_discrete(ou, 0.5, m, 3, crit.values, crit.values)
+        val = lambda_discrete(ou, 0.5, m, 3, crit, crit)
         assert val.neg_log == pytest.approx(0.375, abs=1e-12)
 
 
@@ -91,14 +93,12 @@ def test_lambda_discrete_zero_exponent_shim(ou, monkeypatch):
 
 
 def test_lambda_discrete_tracks_smoothed_distance(ou):
-    p = ou.point
     val = lambda_discrete(ou, 0.1, 50, 40, [0.0], [3.0])
-    target = tataru_eps(ou, 0.1, p([0]), p([3])).value
+    target = tataru_eps(ou, 0.1, np.array([0]), np.array([3])).value
     assert abs(val.neg_log - target) <= 0.15
 
 
 def test_lambda_underflow_never_returns_zero(ou):
-    p = ou.point
     val = lambda_discrete(ou, 0.1, 2000, 10, [0.0], [3.0])
     assert np.isfinite(val.log_value)
     with pytest.raises(ValueError, match="log_value"):
@@ -106,14 +106,13 @@ def test_lambda_underflow_never_returns_zero(ou):
 
 
 def test_lambda_continuous_constant_pullout(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     for m in (1, 10, 1000):
-        val = lambda_continuous(ou, 0.5, m, crit.values, crit.values)
+        val = lambda_continuous(ou, 0.5, m, crit, crit)
         assert val.neg_log == pytest.approx(psi_eps(0.5, 0.0), abs=1e-12)
 
 
 def test_riemann_refinement_converges(ou):
-    p = ou.point
     ref = lambda_continuous(ou, 0.1, 20, [0.0], [3.0])
     gaps = []
     for n in (10, 40, 160):
@@ -123,8 +122,7 @@ def test_riemann_refinement_converges(ou):
 
 
 def test_neg_log_error_decreases_in_m(ou):
-    p = ou.point
-    target = tataru_eps(ou, 0.1, p([0]), p([3])).value
+    target = tataru_eps(ou, 0.1, np.array([0]), np.array([3])).value
     errs = [abs(lambda_continuous(ou, 0.1, m, [0.0], [3.0]).neg_log - target)
             for m in (10, 100, 1000)]
     assert errs[0] > errs[1] > errs[2]
@@ -133,14 +131,13 @@ def test_neg_log_error_decreases_in_m(ou):
 def test_laplace_sandwich(ou, rng):
     """Two-sided bracket: the normalized exponent sits between the minimum of
     t + h(t) minus the normalization slack and any probed value plus O(1/m)."""
-    p = ou.point
     eps, m, n = 0.2, 25, 12
     for _ in range(5):
         pi, mu = ou.sample(rng), ou.sample(rng)
-        val = lambda_discrete(ou, eps, m, n, pi.values, mu.values)
+        val = lambda_discrete(ou, eps, m, n, pi, mu)
         atoms = discrete_exp_measure(m + 1, n).atoms
         curve = ou.flow_curve(mu)
-        diffs = curve.values_at(atoms) - pi.values[None, :]
+        diffs = curve.values_at(atoms) - pi[None, :]
         h = np.exp(ou.kappa_hat * atoms) * psi_eps(eps, 0.5 * np.sum(diffs**2, axis=1))
         v_star = tataru_eps(ou, eps, pi, mu).value
         slack = (logsumexp(-atoms) - logsumexp(-(m + 1) * atoms)) / m
@@ -151,8 +148,8 @@ def test_laplace_sandwich(ou, rng):
 
 
 def test_varadhan_error_curve_constant(ou):
-    crit = ou.rest_point()
-    _, rows = varadhan_error_curve(ou, 0.5, crit.values, crit.values, [1, 10, 100])
+    crit = np.zeros(ou.size)
+    _, rows = varadhan_error_curve(ou, 0.5, crit, crit, [1, 10, 100])
     assert all(err <= 1e-10 for _, _, err in rows)
 
 
@@ -164,7 +161,7 @@ def test_varadhan_error_curve_requires_increasing_m(ou):
 def test_varadhan_error_curve_decreasing_random(ou, rng):
     for _ in range(2):
         pi, mu = ou.sample(rng), ou.sample(rng)
-        _, rows = varadhan_error_curve(ou, 0.1, pi.values, mu.values, [10, 10000])
+        _, rows = varadhan_error_curve(ou, 0.1, pi, mu, [10, 10000])
         assert rows[-1][2] < rows[0][2]
 
 
@@ -177,13 +174,14 @@ def test_run_laplace_curve_writes_computed_neg_log_from_one_minimization(tmp_pat
     flow_objective = tataru_module._flow_objective
     minimized = []
 
-    def counted(space, pis, mus, kappa_hats, eps):
-        minimized.append((pis.tolist(), mus.tolist(), eps))
-        return flow_objective(space, pis, mus, kappa_hats, eps)
+    def counted(space, pis, mus, kappa_hats, consts):
+        minimized.append((pis.tolist(), mus.tolist(), None if consts is None else consts.tolist()))
+        return flow_objective(space, pis, mus, kappa_hats, consts)
 
     monkeypatch.setattr(tataru_module, "_flow_objective", counted)
     run_laplace(cfg, tmp_path)
-    assert minimized.count(([list(lc.pi)], [list(lc.mu)], [lc.epsilon])) == 1
+    psi_consts = [list(_psi_consts(lc.epsilon))]
+    assert minimized.count(([list(lc.pi)], [list(lc.mu)], psi_consts)) == 1
     with open(tmp_path / "laplace_converge_curve.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["m"]) for r in rows] == list(lc.m_list)
@@ -195,9 +193,9 @@ def test_run_laplace_curve_writes_computed_neg_log_from_one_minimization(tmp_pat
 def test_tilted_measure_constant_tilt_is_base_measure(ou):
     # constant exponent cancels: the tilted measure is the quadrature
     # discretization of the exponential law of rate m + 1
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     m = 40
-    tm = tilted_measure(ou, 0.5, m, crit.values, crit.values)
+    tm = tilted_measure(ou, 0.5, m, crit, crit)
     assert tm.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert tm.expectation(tm.atoms) == pytest.approx(1.0 / (m + 1), abs=1e-9)
     # Laplace transform of the exponential law, exact to quadrature tolerance
@@ -207,27 +205,25 @@ def test_tilted_measure_constant_tilt_is_base_measure(ou):
 
 
 def test_tilted_measure_concentrates(ou):
-    p = ou.point
     tm = tilted_measure(ou, 1e-3, 1000, [0.0], [3.0])
     assert tm.mass_within(np.log(3), 0.1) >= 0.95
     assert tm.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tilted_mean_weight_converges(ou):
-    p = ou.point
     eps = 1e-3
-    pi, mu = p([0]), p([3])
+    pi, mu = np.array([0]), np.array([3])
     res = tataru_eps(ou, eps, pi, mu)
     t_star = float(res.minimizers[0])
     curve = ou.flow_curve(mu)
 
     def mean_h(m):
-        tm = tilted_measure(ou, eps, m, pi.values, mu.values)
-        diffs = curve.values_at(tm.atoms) - pi.values[None, :]
+        tm = tilted_measure(ou, eps, m, pi, mu)
+        diffs = curve.values_at(tm.atoms) - pi[None, :]
         h = np.exp(ou.kappa_hat * tm.atoms) * psi_eps(eps, 0.5 * np.sum(diffs**2, axis=1))
         return tm.expectation(h)
 
-    dstar = curve.value_at(t_star) - pi.values
+    dstar = curve.values_at([t_star])[0] - pi
     h_star = float(psi_eps(eps, 0.5 * float(np.dot(dstar, dstar))))
     gaps = [abs(mean_h(m) - h_star) for m in (50, 500, 5000)]
     assert gaps[2] < gaps[0]
@@ -244,7 +240,6 @@ def test_quadrature_nonconvergence_reports_tolerance():
 
 
 def test_laplace_rejects_bad_parameters(ou):
-    p = ou.point
     with pytest.raises(ValueError):
         lambda_discrete(ou, 0.1, 0, 5, [0.0], [1.0])
     with pytest.raises(ValueError):
@@ -275,7 +270,7 @@ def test_batched_panels_match_one_panel_at_a_time(request, space_name, m):
     space = request.getfixturevalue(space_name)
     rng = np.random.default_rng(m)
     pi, mu = space.sample(rng), space.sample(rng)
-    hcurve = HCurve(space, 0.1, pi.values, mu.values)
+    hcurve = HCurve(space, 0.1, pi, mu)
 
     def log_f(ts):
         return math.log(m + 1.0) - (m + 1.0) * ts - m * hcurve.h(ts)

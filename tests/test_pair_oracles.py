@@ -6,8 +6,9 @@ The hand-mirrored dagger/ddagger builders, the ladder with its own copy of the
 flow action, the 4to5 loop, the separate sub/supersolution checks, the
 viscosity check that evaluated f and g one grid point at a time and the
 composite as a combinator tree (``SumExpNegLog`` over ``Affine(Psi(Coord(i)))``)
-are kept here verbatim; the oracles take points, and the pairs they drive take
-the point's ``values``.  The array node ``SoftminPsi`` must match the tree bit
+are kept here verbatim, except that the oracles take one coordinate row at a
+time and evaluate distances, energies and Tataru distances by the one-row
+helpers of ``row_helpers``.  The array node ``SoftminPsi`` must match the tree bit
 for bit on every space.  The current pairs, evaluated on a batch of coordinate
 rows, must reproduce the oracles' per-point values bit for bit, with two
 stated exceptions:
@@ -29,6 +30,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import hjflow.spaces
 from hjflow import hamiltonians as new
 from hjflow.cylinders import (
     Affine,
@@ -46,14 +48,15 @@ from hjflow.laplace import (
 )
 from hjflow.spaces import (
     ModelSpace,
-    SpacePoint,
     double_well_potential,
     euclidean_space,
     quantile_space,
     quartic_potential,
 )
-from hjflow.tataru import d_eps, psi_eps, psi_eps_prime, tataru, tataru_batch, tataru_eps
+from hjflow.tataru import psi_eps, psi_eps_prime, tataru_batch
 from hjflow.viscosity import GridFunction, ViscosityReport, check_viscosity, make_grid
+
+from row_helpers import d_eps, distance, energy, tataru, tataru_eps
 
 # ---------------------------------------------------------------------------
 # oracles, verbatim
@@ -67,8 +70,8 @@ class HamiltonianPair:
     family: str
     side: str
     params: dict = field(repr=False)
-    f: Callable[[SpacePoint], float] = field(repr=False)
-    g: Callable[[SpacePoint], float] = field(repr=False)
+    f: Callable[[np.ndarray], float] = field(repr=False)
+    g: Callable[[np.ndarray], float] = field(repr=False)
 
 
 def _kappas(space: ModelSpace, kappa_override: float | None = None) -> tuple[float, float]:
@@ -78,17 +81,17 @@ def _kappas(space: ModelSpace, kappa_override: float | None = None) -> tuple[flo
 
 
 def _anchor_data(space: ModelSpace, anchors) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.stack([a.values for a in anchors])
-    energies = np.array([space.energy(a) for a in anchors])
+    vals = np.stack(anchors)
+    energies = np.array([energy(space, a) for a in anchors])
     return vals, energies
 
 
-def _anchor_dists(space: ModelSpace, anchor_vals: np.ndarray, pt: SpacePoint) -> np.ndarray:
-    diffs = anchor_vals - pt.values[None, :]
+def _anchor_dists(space: ModelSpace, anchor_vals: np.ndarray, pt: np.ndarray) -> np.ndarray:
+    diffs = anchor_vals - pt[None, :]
     return np.sqrt(space.weight * np.sum(diffs * diffs, axis=1))
 
 
-def build_cyl_dagger(space: ModelSpace, a: float, phi: CylNode, rho: SpacePoint,
+def build_cyl_dagger(space: ModelSpace, a: float, phi: CylNode, rho: np.ndarray,
                      mus) -> HamiltonianPair:
     """Upper-bound pair on cylinders f = a/2 d^2(., rho) + phi(d^2(., mus)/2)."""
     if a <= 0:
@@ -96,19 +99,19 @@ def build_cyl_dagger(space: ModelSpace, a: float, phi: CylNode, rho: SpacePoint,
     mus = tuple(mus)
     cyl = CylindricalTestFunction(base=phi, anchors=mus)
     anchor_vals, anchor_e = _anchor_data(space, mus)
-    e_rho = space.energy(rho)
+    e_rho = energy(space, rho)
     kappa, _ = _kappas(space)
 
-    def f(pi: SpacePoint) -> float:
+    def f(pi: np.ndarray) -> float:
         r = 0.5 * _anchor_dists(space, anchor_vals, pi) ** 2
         v, _ = cyl.base_value_and_grad(r)
-        return 0.5 * a * space.distance(pi, rho) ** 2 + v
+        return 0.5 * a * distance(space, pi, rho) ** 2 + v
 
-    def g(pi: SpacePoint) -> float:
+    def g(pi: np.ndarray) -> float:
         dists = _anchor_dists(space, anchor_vals, pi)
         _, grad = cyl.base_value_and_grad(0.5 * dists**2)
-        d0 = space.distance(pi, rho)
-        e_pi = space.energy(pi)
+        d0 = distance(space, pi, rho)
+        e_pi = energy(space, pi)
         cross = float(np.dot(grad, dists))
         out = a * (e_rho - e_pi - 0.5 * kappa * d0**2) + 0.5 * a**2 * d0**2
         out += float(np.dot(grad, anchor_e - e_pi - 0.5 * kappa * dists**2))
@@ -119,7 +122,7 @@ def build_cyl_dagger(space: ModelSpace, a: float, phi: CylNode, rho: SpacePoint,
     return HamiltonianPair(family="cyl", side="dagger", params=params, f=f, g=g)
 
 
-def build_cyl_ddagger(space: ModelSpace, a: float, phi: CylNode, gamma: SpacePoint,
+def build_cyl_ddagger(space: ModelSpace, a: float, phi: CylNode, gamma: np.ndarray,
                       pis) -> HamiltonianPair:
     """Lower-bound mirror with the subtracted square and cross terms."""
     if a <= 0:
@@ -127,19 +130,19 @@ def build_cyl_ddagger(space: ModelSpace, a: float, phi: CylNode, gamma: SpacePoi
     pis = tuple(pis)
     cyl = CylindricalTestFunction(base=phi, anchors=pis)
     anchor_vals, anchor_e = _anchor_data(space, pis)
-    e_gamma = space.energy(gamma)
+    e_gamma = energy(space, gamma)
     kappa, _ = _kappas(space)
 
-    def f(mu: SpacePoint) -> float:
+    def f(mu: np.ndarray) -> float:
         r = 0.5 * _anchor_dists(space, anchor_vals, mu) ** 2
         v, _ = cyl.base_value_and_grad(r)
-        return -0.5 * a * space.distance(mu, gamma) ** 2 - v
+        return -0.5 * a * distance(space, mu, gamma) ** 2 - v
 
-    def g(mu: SpacePoint) -> float:
+    def g(mu: np.ndarray) -> float:
         dists = _anchor_dists(space, anchor_vals, mu)
         _, grad = cyl.base_value_and_grad(0.5 * dists**2)
-        d0 = space.distance(mu, gamma)
-        e_mu = space.energy(mu)
+        d0 = distance(space, mu, gamma)
+        e_mu = energy(space, mu)
         cross = float(np.dot(grad, dists))
         out = a * (e_mu - e_gamma + 0.5 * kappa * d0**2) + 0.5 * a**2 * d0**2
         out += float(np.dot(grad, e_mu - anchor_e + 0.5 * kappa * dists**2))
@@ -160,29 +163,29 @@ def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> Hamilt
     kappa, _ = _kappas(space)
 
     if side == "dagger":
-        def f(pi: SpacePoint) -> float:
+        def f(pi: np.ndarray) -> float:
             r = 0.5 * _anchor_dists(space, anchor_vals, pi) ** 2
             v, _ = cyl.base_value_and_grad(r)
             return v
 
-        def g(pi: SpacePoint) -> float:
+        def g(pi: np.ndarray) -> float:
             dists = _anchor_dists(space, anchor_vals, pi)
             _, grad = cyl.base_value_and_grad(0.5 * dists**2)
-            e_pi = space.energy(pi)
+            e_pi = energy(space, pi)
             cross = float(np.dot(grad, dists))
             out = float(np.dot(grad, anchor_e - e_pi - 0.5 * kappa * dists**2))
             return out + 0.5 * cross**2
 
     elif side == "ddagger":
-        def f(mu: SpacePoint) -> float:
+        def f(mu: np.ndarray) -> float:
             r = 0.5 * _anchor_dists(space, anchor_vals, mu) ** 2
             v, _ = cyl.base_value_and_grad(r)
             return -v
 
-        def g(mu: SpacePoint) -> float:
+        def g(mu: np.ndarray) -> float:
             dists = _anchor_dists(space, anchor_vals, mu)
             _, grad = cyl.base_value_and_grad(0.5 * dists**2)
-            e_mu = space.energy(mu)
+            e_mu = energy(space, mu)
             prods = grad * dists
             s1 = float(np.dot(prods, prods))
             s = float(prods.sum())
@@ -198,23 +201,23 @@ def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> Hamilt
 
 
 def _tataru_g_dagger(space, a, b, rho, e_rho, kappa):
-    def g(pi: SpacePoint) -> float:
-        d0 = space.distance(pi, rho)
-        return (a * (e_rho - space.energy(pi)) - 0.5 * a * kappa * d0**2
+    def g(pi: np.ndarray) -> float:
+        d0 = distance(space, pi, rho)
+        return (a * (e_rho - energy(space, pi)) - 0.5 * a * kappa * d0**2
                 + b + 0.5 * a**2 * d0**2 + a * b * d0 + 0.5 * b**2)
     return g
 
 
 def _tataru_g_ddagger(space, a, b, gamma, e_gamma, kappa):
-    def g(mu: SpacePoint) -> float:
-        d0 = space.distance(mu, gamma)
-        return (a * (space.energy(mu) - e_gamma) + 0.5 * a * kappa * d0**2
+    def g(mu: np.ndarray) -> float:
+        d0 = distance(space, mu, gamma)
+        return (a * (energy(space, mu) - e_gamma) + 0.5 * a * kappa * d0**2
                 - b + 0.5 * a**2 * d0**2 - a * b * d0 - 0.5 * b**2)
     return g
 
 
 def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float,
-                      base_point: SpacePoint, flow_anchor: SpacePoint,
+                      base_point: np.ndarray, flow_anchor: np.ndarray,
                       kappa_override: float | None = None) -> HamiltonianPair:
     """f = +-(a/2 d^2 + b d_T) + c with the closed-form g.
 
@@ -225,18 +228,18 @@ def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float
         raise ValueError("a and b must be positive")
     kappa, _ = _kappas(space, kappa_override)
     space.flow_curve(flow_anchor)  # fail at build time on an anchor outside the space
-    e_base = space.energy(base_point)
+    e_base = energy(space, base_point)
 
-    def d_t(pt: SpacePoint) -> float:
+    def d_t(pt: np.ndarray) -> float:
         return tataru(space, pt, flow_anchor, kappa_override).value
 
     if side == "dagger":
-        def f(pi: SpacePoint) -> float:
-            return 0.5 * a * space.distance(pi, base_point) ** 2 + b * d_t(pi) + c
+        def f(pi: np.ndarray) -> float:
+            return 0.5 * a * distance(space, pi, base_point) ** 2 + b * d_t(pi) + c
         g = _tataru_g_dagger(space, a, b, base_point, e_base, kappa)
     elif side == "ddagger":
-        def f(mu: SpacePoint) -> float:
-            return -0.5 * a * space.distance(mu, base_point) ** 2 - b * d_t(mu) + c
+        def f(mu: np.ndarray) -> float:
+            return -0.5 * a * distance(space, mu, base_point) ** 2 - b * d_t(mu) + c
         g = _tataru_g_ddagger(space, a, b, base_point, e_base, kappa)
     else:
         raise ValueError(f"unknown side {side!r}")
@@ -273,23 +276,23 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     kappa, kappa_hat = _kappas(space)
-    e_base = space.energy(base_point)
+    e_base = energy(space, base_point)
     curve = space.flow_curve(flow_anchor)
 
-    def quad_prefix(pt: SpacePoint) -> float:
+    def quad_prefix(pt: np.ndarray) -> float:
         """All g terms except the +-b flow-action slot."""
-        d0 = space.distance(pt, base_point)
-        e_pt = space.energy(pt)
+        d0 = distance(space, pt, base_point)
+        e_pt = energy(space, pt)
         if side == "dagger":
             return (a * (e_base - e_pt) - 0.5 * a * kappa * d0**2
                     + 0.5 * a**2 * d0**2 + a * b * d0 + 0.5 * b**2)
         return (a * (e_pt - e_base) + 0.5 * a * kappa * d0**2
                 + 0.5 * a**2 * d0**2 - a * b * d0 - 0.5 * b**2)
 
-    def flow_pieces(pt: SpacePoint, ts: np.ndarray, eps: float):
+    def flow_pieces(pt: np.ndarray, ts: np.ndarray, eps: float):
         """(h, damping, psi', flow energies) along the anchor flow at times ts."""
         vals = curve.values_at(ts)
-        diffs = vals - pt.values[None, :]
+        diffs = vals - pt[None, :]
         dist2 = space.weight * np.sum(diffs * diffs, axis=1)
         damping = np.exp(kappa_hat * np.asarray(ts, dtype=float))
         h = damping * psi_eps(eps, 0.5 * dist2)
@@ -305,7 +308,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
             n = int(_require(params, level, "n")[0])
             atoms, log_w = discrete_exp_log_weights(m + 1, n)
 
-            def tilt_data(pt: SpacePoint):
+            def tilt_data(pt: np.ndarray):
                 h, damping, psi_p, flow_e = flow_pieces(pt, atoms, eps)
                 log_contrib = log_w - m * h
                 log_lam = float(logsumexp(log_contrib))
@@ -315,7 +318,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
             rel_tol = params.get("quad_rel_tol", 1e-10)
             log_rate = np.log(m + 1.0)
 
-            def tilt_data(pt: SpacePoint):
+            def tilt_data(pt: np.ndarray):
                 t_quad = d_eps(space, eps, pt, flow_anchor) + 1.0 + 5.0 / (m + 1)
 
                 def log_f(ts):
@@ -333,14 +336,14 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
                 h, damping, psi_p, flow_e = flow_pieces(pt, nodes, eps)
                 return log_lam, np.exp(log_contrib - log_lam), h, damping, psi_p, flow_e
 
-        def f(pt: SpacePoint) -> float:
+        def f(pt: np.ndarray) -> float:
             log_lam = tilt_data(pt)[0]
-            return sign * (0.5 * a * space.distance(pt, base_point) ** 2
+            return sign * (0.5 * a * distance(space, pt, base_point) ** 2
                            + b * (-log_lam / m)) + c
 
-        def g(pt: SpacePoint) -> float:
+        def g(pt: np.ndarray) -> float:
             _, tilt, h, damping, psi_p, flow_e = tilt_data(pt)
-            gap = flow_e - space.energy(pt)
+            gap = flow_e - energy(space, pt)
             term_energy = b * float(np.dot(tilt, psi_p * damping * gap))
             term_reg = -0.5 * b * kappa_hat * float(np.dot(tilt, np.maximum(1.0 / m, h)))
             return quad_prefix(pt) + sign * (term_energy + term_reg)
@@ -351,15 +354,15 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     if level == 4:
         eps = _require(params, level, "eps")[0]
 
-        def f(pt: SpacePoint) -> float:
+        def f(pt: np.ndarray) -> float:
             value = tataru_eps(space, eps, pt, flow_anchor).value
-            return sign * (0.5 * a * space.distance(pt, base_point) ** 2
+            return sign * (0.5 * a * distance(space, pt, base_point) ** 2
                            + b * value) + c
 
-        def g(pt: SpacePoint) -> float:
+        def g(pt: np.ndarray) -> float:
             ts = tataru_eps(space, eps, pt, flow_anchor).minimizers
             h, damping, psi_p, flow_e = flow_pieces(pt, ts, eps)
-            gap = flow_e - space.energy(pt)
+            gap = flow_e - energy(space, pt)
             # h = damping * d_eps along the flow, so -kappa_hat/2 h is the
             # damped-distance correction of the flow action
             expr = damping * gap * psi_p - 0.5 * kappa_hat * h
@@ -370,12 +373,12 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     # levels 5 and 6: closed-form g, shared bit for bit
     eps = _require(params, level, "eps")[0] if level == 5 else None
 
-    def f(pt: SpacePoint) -> float:
+    def f(pt: np.ndarray) -> float:
         if eps is None:
             value = tataru(space, pt, flow_anchor).value
         else:
             value = tataru_eps(space, eps, pt, flow_anchor).value
-        return sign * (0.5 * a * space.distance(pt, base_point) ** 2 + b * value) + c
+        return sign * (0.5 * a * distance(space, pt, base_point) ** 2 + b * value) + c
 
     if side == "dagger":
         g = _tataru_g_dagger(space, a, b, base_point, e_base, kappa)
@@ -464,11 +467,11 @@ def old_4to5_rows(space: ModelSpace, samples: int, rng: np.random.Generator,
         pi = space.sample(rng)
         curve = space.flow_curve(mu)
         res = tataru_eps(space, eps, pi, mu)
-        e_pi = space.energy(pi)
+        e_pi = energy(space, pi)
         lhs_best = -np.inf
         for t in res.minimizers:
-            vals = curve.value_at(float(t))
-            dist2 = space.weight * float(np.dot(vals - pi.values, vals - pi.values))
+            vals = curve.values_at([float(t)])[0]
+            dist2 = space.weight * float(np.dot(vals - pi, vals - pi))
             damping = float(np.exp(kappa_hat * t))
             flow_e = space.weight * float(np.sum(space.potential.v(vals)))
             lhs = (damping * (flow_e - e_pi) * psi_eps_prime(eps, 0.5 * dist2)
@@ -493,7 +496,7 @@ class OldViscosityReport:
 def _pair_on_grid(space: ModelSpace, pair: HamiltonianPair, xs: np.ndarray,
                   which: str) -> np.ndarray:
     fn = pair.f if which == "f" else pair.g
-    return np.array([fn(space.point([x]).values) for x in xs])
+    return np.array([fn([x]) for x in xs])
 
 
 def check_subsolution(space: ModelSpace, u: GridFunction, pair: HamiltonianPair,
@@ -514,7 +517,7 @@ def check_subsolution(space: ModelSpace, u: GridFunction, pair: HamiltonianPair,
     cand = np.flatnonzero(s >= top - gap_tol)
     hv = np.asarray(h(xs), dtype=float)
     slacks = np.array([
-        u.values[i] - lam * pair.g(space.point([xs[i]]).values) - hv[i] for i in cand
+        u.values[i] - lam * pair.g(np.array([xs[i]])) - hv[i] for i in cand
     ])
     best = int(np.argmin(slacks))
     slack = float(slacks[best])
@@ -537,7 +540,7 @@ def check_supersolution(space: ModelSpace, v: GridFunction, pair: HamiltonianPai
     cand = np.flatnonzero(s <= bottom + gap_tol)
     hv = np.asarray(h(xs), dtype=float)
     slacks = np.array([
-        v.values[i] - lam * pair.g(space.point([xs[i]]).values) - hv[i] for i in cand
+        v.values[i] - lam * pair.g(np.array([xs[i]])) - hv[i] for i in cand
     ])
     best = int(np.argmax(slacks))
     slack = float(slacks[best])
@@ -561,11 +564,11 @@ def per_point_check_viscosity(space: ModelSpace, u: GridFunction, pair, h, lam: 
     """
     sigma = new.side_sign(pair.side)
     xs = u.xs
-    s = sigma * (u.values - np.array([pair.f(space.point([x]).values) for x in xs]))
+    s = sigma * (u.values - np.array([pair.f([x]) for x in xs]))
     cand = np.flatnonzero(s >= float(np.max(s)) - gap_tol)
     hv = np.asarray(h(xs), dtype=float)
     slacks = np.array([
-        u.values[i] - lam * pair.g(space.point([xs[i]]).values) - hv[i] for i in cand
+        u.values[i] - lam * pair.g(np.array([xs[i]])) - hv[i] for i in cand
     ])
     slack = float(slacks[np.argmin(sigma * slacks)])
     return ViscosityReport(side=pair.side, optimizers=xs[cand], slack=slack, tol=tol,
@@ -614,10 +617,6 @@ def _assert_rounding(new_value: float, old_value: float) -> None:
     assert new_value == pytest.approx(old_value, rel=ROUNDING, abs=ROUNDING)
 
 
-def _rows(pts) -> np.ndarray:
-    return np.stack([p.values for p in pts])
-
-
 def _assert_batch(got: np.ndarray, want: list, exact: bool) -> None:
     """Values of a batch of rows against the oracle's per-point values."""
     assert got.shape == (len(want),)
@@ -642,11 +641,11 @@ def test_cyl_pair_matches_mirrored_builders(space):
         old = {"dagger": build_cyl_dagger(space, a, phi, base, anchors),
                "ddagger": build_cyl_ddagger(space, a, phi, base, anchors)}
         for side in SIDES:
-            pair = new.build_cyl_pair(space, side, a, phi, base, _rows(anchors))
+            pair = new.build_cyl_pair(space, side, a, phi, base, np.stack(anchors))
             assert pair.side == side
             for fn in ("f", "g"):
                 want = [getattr(old[side], fn)(pt) for pt in pts]
-                _assert_batch(getattr(pair, fn)(_rows(pts)), want, exact)
+                _assert_batch(getattr(pair, fn)(np.stack(pts)), want, exact)
 
 
 def test_h0_pair_matches_both_branches(space):
@@ -660,10 +659,10 @@ def test_h0_pair_matches_both_branches(space):
         pts = [space.sample(rng, radius=3.0) for _ in range(3)]
         for side in SIDES:
             old = build_h0_pair(space, side, phi, anchors)
-            pair = new.build_h0_pair(space, side, phi, _rows(anchors))
+            pair = new.build_h0_pair(space, side, phi, np.stack(anchors))
             for fn in ("f", "g"):
                 want = [getattr(old, fn)(pt) for pt in pts]
-                _assert_batch(getattr(pair, fn)(_rows(pts)), want, exact)
+                _assert_batch(getattr(pair, fn)(np.stack(pts)), want, exact)
 
 
 def test_tataru_pairs_match_closed_form_oracle(space):
@@ -687,8 +686,8 @@ def test_tataru_pairs_match_closed_form_oracle(space):
         else:
             old = build_chain_pair(space, level, side, params)
             pair = new.build_chain_pair(space, level, side, params)
-        _assert_batch(pair.f(_rows(pts)), [old.f(pt) for pt in pts], exact=True)
-        _assert_batch(pair.g(_rows(pts)), [old.g(pt) for pt in pts], exact=False)
+        _assert_batch(pair.f(np.stack(pts)), [old.f(pt) for pt in pts], exact=True)
+        _assert_batch(pair.g(np.stack(pts)), [old.g(pt) for pt in pts], exact=False)
 
 
 @pytest.mark.parametrize("level", (2, 3, 4))
@@ -711,7 +710,7 @@ def test_ladder_matches_hand_copied_flow_action(space, level):
         pair = new.build_chain_pair(space, level, side, params)
         for fn in ("f", "g"):
             want = [getattr(old, fn)(pt) for pt in pts]
-            _assert_batch(getattr(pair, fn)(_rows(pts)), want,
+            _assert_batch(getattr(pair, fn)(np.stack(pts)), want,
                           exact or (fn == "f" and level == 4))
 
 
@@ -723,10 +722,10 @@ def test_pairs_map_rows_to_values(space):
     base, anchor = space.sample(rng), space.sample(rng)
     params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2,
               "rho": base, "mu": anchor}
-    pairs = [new.build_cyl_pair(space, "dagger", 0.7, affine_phi([0.4]), base, _rows([anchor])),
-             new.build_h0_pair(space, "ddagger", Iota(2, affine_phi([0.4])), _rows([anchor])),
+    pairs = [new.build_cyl_pair(space, "dagger", 0.7, affine_phi([0.4]), base, [anchor]),
+             new.build_h0_pair(space, "ddagger", Iota(2, affine_phi([0.4])), [anchor]),
              *(new.build_chain_pair(space, level, "dagger", params) for level in (2, 4, 6))]
-    x = _rows([space.sample(rng) for _ in range(6)])
+    x = np.stack([space.sample(rng) for _ in range(6)])
     bad = x.copy()
     bad[3, 0] = np.nan
     for pair in pairs:
@@ -743,44 +742,35 @@ def test_pairs_map_rows_to_values(space):
                     fn(x[:, ::-1])
 
 
-def test_rows_are_never_turned_back_into_points(space, monkeypatch):
-    """Below the pair API everything runs on rows: with ``ModelSpace.point``
-    raising, the f and g of ladder levels 2 to 6, ``tataru_batch``,
-    ``HCurve.action_terms`` and ``lambda_continuous`` run on (N, size) and
-    (2, 3, size) rows and give the values they give without the patch."""
+def test_rows_are_never_turned_back_into_points(space):
+    """Rows are the only representation: ``hjflow.spaces`` has no point type to
+    turn them into, ``sample`` draws a row, and the f and g of ladder levels 2
+    to 6, ``tataru_batch``, ``HCurve.action_terms`` and ``lambda_continuous``
+    run on (N, size) and (2, 3, size) rows, the second giving the values of the
+    first in its shape."""
+    for name in ("EuclideanPoint", "QuantilePoint", "SpacePoint"):
+        assert not hasattr(hjflow.spaces, name)
+    assert not hasattr(ModelSpace, "point")
     rng = np.random.default_rng(609)
-    x = _rows([space.sample(rng) for _ in range(6)])
+    x = np.stack([space.sample(rng) for _ in range(6)])
+    assert type(x[0]) is np.ndarray and x.shape == (6, space.size)
     anchor = space.sample(rng)
     params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2, "quad_rel_tol": 1e-6,
               "rho": space.sample(rng), "mu": anchor}
-    pairs = [new.build_chain_pair(space, level, "dagger", params) for level in CHAIN_LEVELS]
-    ts = np.linspace(0.0, 2.0, 7)
-
-    def below_pairs():
-        return [
-            [r.value for r in tataru_batch(space, x, x[::-1], eps=0.2)],
-            HCurve(space, 0.2, x.reshape(2, 3, space.size), anchor.values).action_terms(ts),
-            lambda_continuous(space, 0.2, 5, x[0], anchor.values, rel_tol=1e-6).log_value,
-        ]
-
-    want = [(pair.f(x), pair.g(x)) for pair in pairs]
-    want_below = below_pairs()
-
-    def no_points(self, vals):
-        raise AssertionError("a coordinate row was turned back into a point")
-
-    monkeypatch.setattr(ModelSpace, "point", no_points)
-    with pytest.raises(AssertionError, match="turned back"):
-        space.sample(rng)
-    for pair, values in zip(pairs, want):
-        for fn, value in zip((pair.f, pair.g), values):
-            assert np.array_equal(fn(x), value)
+    for level in CHAIN_LEVELS:
+        pair = new.build_chain_pair(space, level, "dagger", params)
+        for fn in (pair.f, pair.g):
+            value = fn(x)
+            assert value.shape == (6,) and np.all(np.isfinite(value))
             assert np.array_equal(fn(x.reshape(2, 3, space.size)), value.reshape(2, 3))
-    values, terms, log_lam = below_pairs()
-    assert values == want_below[0]
+    values = [r.value for r in tataru_batch(space, x, x[::-1], eps=0.2)]
+    assert len(values) == 6 and np.all(np.isfinite(values))
+    ts = np.linspace(0.0, 2.0, 7)
+    terms = HCurve(space, 0.2, x.reshape(2, 3, space.size), anchor).action_terms(ts)
+    flat = HCurve(space, 0.2, x, anchor).action_terms(ts)
     assert terms[0].shape == terms[2].shape == (2, 3, ts.size)
-    assert all(np.array_equal(got, want) for got, want in zip(terms, want_below[1]))
-    assert log_lam == want_below[2]
+    assert all(np.array_equal(got, want.reshape(got.shape)) for got, want in zip(terms, flat))
+    assert np.isfinite(lambda_continuous(space, 0.2, 5, x[0], anchor, rel_tol=1e-6).log_value)
 
 
 def test_class_check_rejects_exactly_the_bad_rows():
@@ -859,13 +849,13 @@ def test_check_viscosity_matches_sub_and_super_checks(request, space_name):
         a = float(rng.uniform(0.1, 0.6))
         k = int(rng.integers(1, 3))
         phi = affine_phi(rng.uniform(0.05, 0.5, size=k), float(rng.uniform(0.0, 0.5)))
-        base = space.point([rng.uniform(-1.5, 1.5)])
-        anchors = [space.point([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
+        base = np.array([rng.uniform(-1.5, 1.5)])
+        anchors = [np.array([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
         lam, tol = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 0.5))
         gap_tol = (1e-6, 1e-2, 0.3)[i % 3]
         for side, old_check in (("dagger", check_subsolution),
                                 ("ddagger", check_supersolution)):
-            pair = new.build_cyl_pair(space, side, a, phi, base, _rows(anchors))
+            pair = new.build_cyl_pair(space, side, a, phi, base, np.stack(anchors))
             rep = check_viscosity(u, pair, h, lam, tol, gap_tol)
             for old in (old_check(space, u, pair, h, lam, tol, gap_tol),
                         per_point_check_viscosity(space, u, pair, h, lam, tol, gap_tol)):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from hjflow.spaces import (
-    EuclideanPoint,
-    QuantilePoint,
     double_well_potential,
     euclidean_space,
     make_potential,
@@ -17,32 +15,70 @@ from hjflow.spaces import (
     quartic_potential,
 )
 
+from row_helpers import distance, energy, flow, information, slope
+
 
 def test_distance_examples(ou, quantile_ou):
-    assert ou.distance(ou.point([0]), ou.point([2])) == 2.0
-    x = ou.point([1.3])
-    assert ou.distance(x, x) == 0.0
+    assert distance(ou, np.array([0]), np.array([2])) == 2.0
+    x = np.array([1.3])
+    assert distance(ou, x, x) == 0.0
     q2 = quantile_space(quadratic_potential(1.0), grid_size=2)
-    assert q2.distance(q2.point([0, 0]), q2.point([1, 1])) == pytest.approx(1.0)
+    assert distance(q2, np.array([0, 0]), np.array([1, 1])) == pytest.approx(1.0)
 
 
 def test_distance_incompatible_points(ou, quantile_ou):
-    with pytest.raises(ValueError, match="incompatible points"):
-        ou.distance(ou.point([0]), quantile_ou.point(np.zeros(8)))
+    # rows of another space's size; the size is all a row carries, so a 1-d
+    # euclidean row passes on a 1-point quantile space
+    for space, row in ((ou, np.zeros(8)), (quantile_ou, [0.0]), (ou, 0.0)):
+        with pytest.raises(ValueError, match="incompatible points"):
+            space.rows(row)
     two_d = euclidean_space(quadratic_potential(1.0), dim=2)
     with pytest.raises(ValueError, match="incompatible points"):
-        two_d.distance(two_d.point([0, 0]), ou.point([0]))
+        distance(two_d, [0.0, 0.0], [0.0])
+    # builders and flows take one row, not a stack of them
+    with pytest.raises(ValueError, match="incompatible points"):
+        ou.flow_curve([[0.0]])
+    assert two_d.rows(np.zeros((3, 2))).shape == (3, 2)
 
 
 def test_quantile_point_must_be_nondecreasing():
-    QuantilePoint([0.0, 0.0, 1.0])
+    q3 = quantile_space(quadratic_potential(1.0), grid_size=3)
+    q3.rows([0.0, 0.0, 1.0])
+    q2 = quantile_space(quadratic_potential(1.0), grid_size=2)
     with pytest.raises(ValueError, match="nondecreasing"):
-        QuantilePoint([1.0, 0.0])
+        q2.rows([1.0, 0.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        q2.rows([[0.0, 1.0], [1.0, 0.0]])
+    # order noise at float level is repaired, not rejected
+    assert np.array_equal(q2.rows([1.0, 1.0 - 1e-12]), [1.0, 1.0])
 
 
-def test_point_coordinates_must_be_finite():
+def test_point_coordinates_must_be_finite(ou):
     with pytest.raises(ValueError, match="finite"):
-        EuclideanPoint([np.inf])
+        ou.rows([np.inf])
+    with pytest.raises(ValueError, match="finite"):
+        ou.rows([[0.0], [np.nan]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: euclidean_space(quadratic_potential(1.0)),
+    lambda: euclidean_space(quartic_potential(), dim=3, box=1.0),
+    lambda: quantile_space(double_well_potential(-0.5), grid_size=64),
+])
+def test_sample_returns_the_drawn_row(make):
+    # the draw of the former point path: uniform in [-r, r] with r clipped to
+    # the box, sorted on quantile spaces, from the same generator state
+    space = make()
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    for radius in (None, 0.5, 10.0, None):
+        got = space.sample(rng, radius)
+        r = min(space.sample_radius if radius is None else radius, space.box)
+        want = twin.uniform(-r, r, size=space.size)
+        if space.kind == "quantile":
+            want = np.sort(want)
+        assert got.shape == (space.size,)
+        assert np.array_equal(got, want)
+        assert np.array_equal(space.rows(got), got)
 
 
 def geodesic_point(space, x, y, t):
@@ -50,51 +86,51 @@ def geodesic_point(space, x, y, t):
     interpolate linearly in both geometries."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("parameter out of range")
-    return space.point((1.0 - t) * space._vals(x) + t * space._vals(y))
+    return space.rows((1.0 - t) * space.rows(x) + t * space.rows(y))
 
 
 def test_geodesic_examples(ou):
-    x, y = ou.point([0]), ou.point([2])
-    assert ou.distance(geodesic_point(ou, x, y, 0.0), x) == 0.0
-    assert ou.distance(geodesic_point(ou, x, y, 1.0), y) == 0.0
-    assert geodesic_point(ou, x, y, 0.5).values[0] == pytest.approx(1.0)
+    x, y = np.array([0]), np.array([2])
+    assert distance(ou, geodesic_point(ou, x, y, 0.0), x) == 0.0
+    assert distance(ou, geodesic_point(ou, x, y, 1.0), y) == 0.0
+    assert geodesic_point(ou, x, y, 0.5)[0] == pytest.approx(1.0)
     q2 = quantile_space(quadratic_potential(1.0), grid_size=2)
-    mid = geodesic_point(q2, q2.point([0, 0]), q2.point([2, 4]), 0.25)
-    assert np.allclose(mid.values, [0.5, 1.0])
+    mid = geodesic_point(q2, np.array([0, 0]), np.array([2, 4]), 0.25)
+    assert np.allclose(mid, [0.5, 1.0])
 
 
 def test_geodesic_parameter_out_of_range(ou):
     with pytest.raises(ValueError, match="parameter out of range"):
-        geodesic_point(ou, ou.point([0]), ou.point([1]), 1.5)
+        geodesic_point(ou, np.array([0]), np.array([1]), 1.5)
 
 
 def test_energy_and_slope_examples(ou):
-    x = ou.point([3])
-    assert (ou.energy(x), ou.slope(x)) == (4.5, 3.0)
-    assert ou.slope(ou.rest_point()) == 0.0
+    x = np.array([3])
+    assert (energy(ou, x), slope(ou, x)) == (4.5, 3.0)
+    assert slope(ou, np.zeros(ou.size)) == 0.0
     q2 = quantile_space(quadratic_potential(1.0), grid_size=2)
-    y = q2.point([1, 3])
-    assert q2.energy(y) == pytest.approx(2.5)
-    assert q2.slope(y) == pytest.approx(np.sqrt(5))
-    assert q2.information(q2.point([1, 3])) == pytest.approx(5.0)
+    y = np.array([1, 3])
+    assert energy(q2, y) == pytest.approx(2.5)
+    assert slope(q2, y) == pytest.approx(np.sqrt(5))
+    assert information(q2, np.array([1, 3])) == pytest.approx(5.0)
 
 
 def test_flow_examples(ou):
-    moved = ou.flow(ou.point([1]), np.log(2))
-    assert moved.values[0] == pytest.approx(0.5, abs=1e-14)
-    x = ou.point([0.7])
-    assert ou.distance(ou.flow(x, 0.0), x) == 0.0
+    moved = flow(ou, np.array([1]), np.log(2))
+    assert moved[0] == pytest.approx(0.5, abs=1e-14)
+    x = np.array([0.7])
+    assert distance(ou, flow(ou, x, 0.0), x) == 0.0
     with pytest.raises(ValueError, match="negative time"):
-        ou.flow(x, -0.1)
+        flow(ou, x, -0.1)
 
 
 @pytest.mark.parametrize("make", [quartic_potential, lambda: double_well_potential(-0.5)])
 def test_flow_semigroup(make):
     space = euclidean_space(make())
-    x = space.point([1.2])
-    one = space.flow(space.flow(x, 0.4), 0.9)
-    both = space.flow(x, 1.3)
-    assert space.distance(one, both) <= 1e-7
+    x = np.array([1.2])
+    one = flow(space, flow(space, x, 0.4), 0.9)
+    both = flow(space, x, 1.3)
+    assert distance(space, one, both) <= 1e-7
 
 
 def test_flow_quartic_closed_form():
@@ -102,7 +138,7 @@ def test_flow_quartic_closed_form():
     space = euclidean_space(quartic_potential())
     x0 = 1.4
     for t in (0.3, 1.0, 4.0):
-        got = space.flow(space.point([x0]), t).values[0]
+        got = flow(space, np.array([x0]), t)[0]
         assert got == pytest.approx(x0 / np.sqrt(1 + 2 * x0**2 * t), abs=1e-9)
 
 
@@ -130,7 +166,7 @@ def test_closed_form_flow_matches_rk45(make):
     x = space.sample(rng)
     vals = space.flow_curve(x).values_at(ts)
     assert np.all(np.diff(vals, axis=1) >= 0)
-    assert np.all(np.diff(pot.flow(x.values, ts), axis=1) >= -1e-14)
+    assert np.all(np.diff(pot.flow(x, ts), axis=1) >= -1e-14)
 
 
 @pytest.mark.parametrize("make", [lambda: quadratic_potential(0.7), quartic_potential,
@@ -156,7 +192,7 @@ def test_flow_values_broadcast_with_quantile_guard():
     rng = np.random.default_rng(17)
     points = [space.sample(rng) for _ in range(4)]
     times = np.sort(rng.uniform(0.0, 20.0, size=(4, 11)), axis=1)
-    got = space.flow_values(np.stack([p.values for p in points]), times)
+    got = space.flow_values(np.stack(points), times)
     want = np.stack([space.flow_curve(p).values_at(t) for p, t in zip(points, times)])
     assert np.array_equal(got, want)
     assert np.all(np.diff(got, axis=-1) >= 0)
@@ -169,7 +205,7 @@ def test_flow_values_repairs_quantile_order_only_where_broken(t_max, repairs):
     pot = double_well_potential(-0.5)
     space = quantile_space(pot, grid_size=64)
     rng = np.random.default_rng(0)
-    starts = np.stack([space.sample(rng).values for _ in range(3)])
+    starts = np.stack([space.sample(rng) for _ in range(3)])
     times = np.tile(np.linspace(0.0, t_max, 9), (3, 1))
     raw = pot.flow(starts, times)
     assert (not np.all(raw[..., 1:] >= raw[..., :-1])) == repairs
@@ -198,16 +234,17 @@ def test_one_buffer_flows_equal_the_closed_form_expressions(form):
 
 
 def test_flow_trajectory_examples(ou):
-    single = ou.flow_trajectory(ou.point([2]), [0.0])
-    assert len(single.points) == 1
-    assert single.points[0].values[0] == 2.0
+    single = ou.flow_trajectory(np.array([2]), [0.0])
+    assert single.values.shape == (1, 1)
+    assert single.values[0][0] == 2.0
+    assert np.array_equal(single.start, [2.0])
 
-    traj = ou.flow_trajectory(ou.point([1]), [0.0, 1.0, 2.0])
+    traj = ou.flow_trajectory(np.array([1]), [0.0, 1.0, 2.0])
     assert np.allclose(traj.energies, [0.5, np.exp(-2) / 2, np.exp(-4) / 2])
     assert np.allclose(traj.slopes, [1.0, np.exp(-1), np.exp(-2)])
 
     with pytest.raises(ValueError):
-        ou.flow_trajectory(ou.point([1]), [0.5, 0.2])
+        ou.flow_trajectory(np.array([1]), [0.5, 0.2])
 
 
 @pytest.mark.parametrize("make", [
@@ -219,11 +256,12 @@ def test_flow_trajectory_matches_per_point_kernels(make, rng):
     space = make()
     x = space.sample(rng)
     traj = space.flow_trajectory(x, np.linspace(0.0, 2.0, 201))
-    points = traj.points
-    assert len(points) == 201 and type(points[0]) is type(x)
-    assert np.array_equal(points[0].values, x.values)
-    assert np.array_equal(traj.energies, [space.energy(p) for p in points])
-    assert np.array_equal(traj.slopes, [space.slope(p) for p in points])
+    points = traj.values
+    assert points.shape == (201, space.size)
+    assert np.array_equal(traj.start, x)
+    assert np.array_equal(points[0], x)
+    assert np.array_equal(traj.energies, [energy(space, p) for p in points])
+    assert np.array_equal(traj.slopes, [slope(space, p) for p in points])
 
     # the row kernels broadcast over leading axes, and each row gets the bits
     # of the one-row kernels
@@ -232,13 +270,13 @@ def test_flow_trajectory_matches_per_point_kernels(make, rng):
             for _ in range(2))
     for rows, others in ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b), (a, b[0, 0])):
         assert rows.shape in ((space.size,), (51, space.size), (3, 51, space.size))
-        pa = [space.point(v) for v in rows.reshape(-1, space.size)]
-        pb = [space.point(v) for v in np.broadcast_to(others, rows.shape).reshape(-1, space.size)]
+        pa = list(rows.reshape(-1, space.size))
+        pb = list(np.broadcast_to(others, rows.shape).reshape(-1, space.size))
         dists = np.sqrt(space.sq_dist(rows, others))
         assert dists.shape == rows.shape[:-1]
-        assert np.array_equal(dists.ravel(), [space.distance(p, q) for p, q in zip(pa, pb)])
-        assert np.array_equal(space.energies(rows).ravel(), [space.energy(p) for p in pa])
-        assert np.array_equal(space.sq_slopes(rows).ravel(), [space.information(p) for p in pa])
+        assert np.array_equal(dists.ravel(), [distance(space, p, q) for p, q in zip(pa, pb)])
+        assert np.array_equal(space.energies(rows).ravel(), [energy(space, p) for p in pa])
+        assert np.array_equal(space.sq_slopes(rows).ravel(), [information(space, p) for p in pa])
 
 
 def test_trajectory_energies_nonincreasing(double_well, rng):
@@ -251,7 +289,7 @@ def test_triangle_inequality_random_triples(ou, quantile_ou, rng):
     for space in (ou, quantile_ou):
         for _ in range(1000):
             x, y, z = (space.sample(rng) for _ in range(3))
-            assert space.distance(x, z) <= space.distance(x, y) + space.distance(y, z) + 1e-12
+            assert distance(space, x, z) <= distance(space, x, y) + distance(space, y, z) + 1e-12
 
 
 def test_geodesic_constant_speed(ou, quantile_ou, rng):
@@ -259,9 +297,9 @@ def test_geodesic_constant_speed(ou, quantile_ou, rng):
         for _ in range(200):
             x, y = space.sample(rng), space.sample(rng)
             s, t = sorted(rng.uniform(0, 1, size=2))
-            lhs = space.distance(geodesic_point(space, x, y, s),
-                                 geodesic_point(space, x, y, t))
-            assert abs(lhs - (t - s) * space.distance(x, y)) <= 1e-12
+            lhs = distance(space, geodesic_point(space, x, y, s),
+                           geodesic_point(space, x, y, t))
+            assert abs(lhs - (t - s) * distance(space, x, y)) <= 1e-12
 
 
 def test_quantile_monotonicity_preserved(rng):
@@ -269,7 +307,7 @@ def test_quantile_monotonicity_preserved(rng):
     x = space.sample(rng)
     y = space.sample(rng)
     for t in (0.25, 0.75):
-        assert np.all(np.diff(geodesic_point(space, x, y, t).values) >= 0)
+        assert np.all(np.diff(geodesic_point(space, x, y, t)) >= 0)
     vals = space.flow_curve(x).values_at(np.linspace(0, 2, 20))
     assert np.all(np.diff(vals, axis=1) >= 0)
 
@@ -335,7 +373,7 @@ def test_potential_kernels_exact_and_pow_free(form, kappa, monkeypatch, rng):
     space = quantile_space(pot, grid_size=16, sample_radius=3.0)
     x = space.sample(rng)
     ts = np.linspace(0.0, 2.0, 21)
-    vals = space.flow_values(x.values, ts)
+    vals = space.flow_values(x, ts)
     traj = space.flow_trajectory(x, ts)
     assert np.array_equal(traj.values, vals)
     assert np.array_equal(traj.energies, space.energies(vals))
@@ -348,7 +386,7 @@ def test_double_well_requires_negative_kappa():
 
 
 def test_energy_dissipation_identity(quartic):
-    x = quartic.point([1.1])
+    x = np.array([1.1])
     traj = quartic.flow_trajectory(x, np.linspace(0.0, 1.0, 4001))
     drop = traj.energies[-1] - traj.energies[0]
     assert drop <= 0
@@ -359,13 +397,13 @@ def test_energy_dissipation_identity(quartic):
 @settings(max_examples=50, deadline=None)
 def test_distance_symmetry_hypothesis(a, b):
     space = euclidean_space(quadratic_potential(1.0))
-    x, y = space.point([a]), space.point([b])
-    assert space.distance(x, y) == space.distance(y, x)
-    assert space.distance(x, y) >= 0
+    x, y = np.array([a]), np.array([b])
+    assert distance(space, x, y) == distance(space, y, x)
+    assert distance(space, x, y) >= 0
 
 
 def test_sample_stays_in_radius(ou, quantile_ou, rng):
     for space in (ou, quantile_ou):
         for _ in range(50):
             p = space.sample(rng)
-            assert np.all(np.abs(p.values) <= space.sample_radius + 1e-12)
+            assert np.all(np.abs(p) <= space.sample_radius + 1e-12)

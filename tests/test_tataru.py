@@ -1,11 +1,10 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
+import hjflow.tataru as TATARU_MODULE
 from hjflow import cli
 from hjflow.config import config_from_dict
 from hjflow.reporting import Report
@@ -22,18 +21,15 @@ from hjflow.tataru import (
     ZOOM_POINTS,
     _flow_objective,
     _minimize,
-    d_eps,
+    _psi_consts,
     logsumexp,
     psi_eps,
     psi_eps_and_prime,
     psi_eps_prime,
-    tataru,
     tataru_batch,
-    tataru_eps,
 )
 
-# the package re-exports the function ``tataru`` under the module's name
-TATARU_MODULE = sys.modules["hjflow.tataru"]
+from row_helpers import d_eps, distance, flow, tataru, tataru_eps
 
 
 def test_logsumexp_matches_scipy():
@@ -63,7 +59,7 @@ def golden_oracle(space, pi, mu, eps, t_cap, grid_points=GRID_POINTS):
     curve = space.flow_curve(mu)
 
     def objective(t):
-        diff = curve.value_at(t) - pi.values
+        diff = curve.values_at([t])[0] - pi
         dist2 = space.weight * float(np.dot(diff, diff))
         inner = np.sqrt(dist2) if eps is None else float(psi_eps(eps, 0.5 * dist2))
         return t + float(np.exp(space.kappa_hat * t)) * inner
@@ -155,28 +151,26 @@ def test_psi_derivative_matches_finite_difference():
 
 
 def test_d_eps_examples(ou, rng):
-    p = ou.point
-    assert d_eps(ou, 0.5, p([0]), p([2])) == pytest.approx(2.0)
-    x = p([1.0])
+    assert d_eps(ou, 0.5, np.array([0]), np.array([2])) == pytest.approx(2.0)
+    x = np.array([1.0])
     assert d_eps(ou, 0.5, x, x) == pytest.approx(0.375)
     for eps in (1e-4, 1e-2):
         for _ in range(100):
             x, y = ou.sample(rng), ou.sample(rng)
-            d = ou.distance(x, y)
+            d = distance(ou, x, y)
             de = d_eps(ou, eps, x, y)
             assert d - 1e-12 <= de <= max(np.sqrt(2 * eps), d) + 1e-12
             assert abs(de - d) <= np.sqrt(2 * eps) + 1e-12
 
 
 def test_tataru_ou_values(ou):
-    p = ou.point
-    r1 = tataru(ou, p([0]), p([1]))
+    r1 = tataru(ou, np.array([0]), np.array([1]))
     assert r1.value == pytest.approx(1.0, abs=1e-9)
     assert r1.minimizers[0] == pytest.approx(0.0, abs=1e-9)
-    r3 = tataru(ou, p([0]), p([3]))
+    r3 = tataru(ou, np.array([0]), np.array([3]))
     assert r3.value == pytest.approx(1.0 + np.log(3), abs=1e-9)
     assert r3.minimizers[0] == pytest.approx(np.log(3), abs=1e-6)
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     r0 = tataru(ou, crit, crit)
     assert r0.value == 0.0
     assert r0.minimizers[0] == 0.0
@@ -188,29 +182,28 @@ def test_tataru_minimizers_achieve_value(ou, rng):
         res = tataru(ou, pi, mu)
         curve = ou.flow_curve(mu)
         for t in res.minimizers:
-            diff = curve.value_at(float(t)) - pi.values
+            diff = curve.values_at([float(t)])[0] - pi
             obj = t + np.exp(ou.kappa_hat * t) * np.sqrt(float(np.dot(diff, diff)))
             assert obj <= res.value + 1e-9
         # grid values dominate the reported value
         ts = np.linspace(0, res.t_cap, 64)
-        diffs = curve.values_at(ts) - pi.values[None, :]
+        diffs = curve.values_at(ts) - pi[None, :]
         objs = ts + np.exp(ou.kappa_hat * ts) * np.sqrt(np.sum(diffs**2, axis=1))
         assert res.value <= np.min(objs) + 1e-9
 
 
 def test_tataru_eps_examples(ou):
-    crit = ou.rest_point()
+    crit = np.zeros(ou.size)
     res = tataru_eps(ou, 0.5, crit, crit)
     assert res.value == pytest.approx(0.375, abs=1e-12)
     assert res.minimizers[0] == pytest.approx(0.0, abs=1e-9)
-    p = ou.point
-    res3 = tataru_eps(ou, 1e-4, p([0]), p([3]))
+    res3 = tataru_eps(ou, 1e-4, np.array([0]), np.array([3]))
     assert abs(res3.value - (1 + np.log(3))) <= 2e-2
 
 
 def test_tataru_eps_rejects_bad_eps(ou):
     with pytest.raises(ValueError):
-        tataru_eps(ou, 0.0, ou.point([0]), ou.point([1]))
+        tataru_eps(ou, 0.0, np.array([0]), np.array([1]))
 
 
 def test_smoothed_convergence_bound(ou, quantile_ou, rng):
@@ -226,7 +219,7 @@ def test_lipschitz_in_both_arguments(ou, rng):
     for _ in range(50):
         mu, nu, mu2, nu2 = (ou.sample(rng) for _ in range(4))
         lhs = tataru(ou, mu, nu).value - tataru(ou, mu2, nu2).value
-        assert lhs <= ou.distance(mu, mu2) + ou.distance(nu, nu2) + 1e-6
+        assert lhs <= distance(ou, mu, mu2) + distance(ou, nu, nu2) + 1e-6
 
 
 def test_flow_lipschitz(ou, double_well, rng):
@@ -235,7 +228,7 @@ def test_flow_lipschitz(ou, double_well, rng):
             nu, nu_hat = space.sample(rng), space.sample(rng)
             base = tataru(space, nu, nu_hat).value
             for r in (1e-3, 1e-2, 1e-1):
-                moved = space.flow(nu, r)
+                moved = flow(space, nu, r)
                 assert (tataru(space, moved, nu_hat).value - base) / r <= 1 + 1e-6
 
 
@@ -260,8 +253,8 @@ def test_kappa_monotonicity(ou, rng):
 def test_tataru_double_well_multiwell_minimizers(double_well):
     # flow from a symmetric start stays near the saddle; the objective is
     # still well behaved and the minimizer set is found on the grid
-    pi = double_well.point([1.0])
-    mu = double_well.point([-1.0])
+    pi = np.array([1.0])
+    mu = np.array([-1.0])
     res = tataru(double_well, pi, mu)
     assert res.value > 0
     assert res.minimizers.size >= 1
@@ -347,14 +340,14 @@ def per_instance_rows(cfg) -> list:
         mu1, nu1 = space.sample(rng), space.sample(rng)
         mu2, nu2 = space.sample(rng), space.sample(rng)
         lhs = tataru(space, mu1, nu1).value - tataru(space, mu2, nu2).value
-        bound = space.distance(mu1, mu2) + space.distance(nu1, nu2)
+        bound = distance(space, mu1, mu2) + distance(space, nu1, nu2)
         rep.add("lipschitz", i, lhs, bound + tol, lhs - bound - tol, lhs <= bound + tol)
     for i in range(n):
         nu, nu_hat = space.sample(rng), space.sample(rng)
         base = tataru(space, nu, nu_hat).value
         worst = -np.inf
         for r in (1e-3, 1e-2, 1e-1):
-            moved = space.flow(nu, r)
+            moved = flow(space, nu, r)
             rate = (tataru(space, moved, nu_hat).value - base) / r
             worst = max(worst, rate)
         rep.add("flow_lipschitz", i, worst, 1.0 + tol, worst - 1.0 - tol, worst <= 1.0 + tol)
@@ -417,7 +410,7 @@ def test_tataru_batch_matches_single_calls(eps, monkeypatch):
     mus = [space.sample(rng) for _ in range(23)]
     kappas = [None if i % 3 else float(rng.uniform(-1.0, 1.0)) for i in range(23)]
     monkeypatch.setattr(TATARU_MODULE, "BLOCK_ELEMENTS", 4 * GRID_POINTS * space.size)
-    batch = tataru_batch(space, _rows(pis), _rows(mus), kappas, eps=eps)
+    batch = tataru_batch(space, np.stack(pis), np.stack(mus), kappas, eps=eps)
     for pi, mu, kappa, res in zip(pis, mus, kappas, batch):
         alone = (tataru(space, pi, mu, kappa) if eps is None
                  else tataru_eps(space, eps, pi, mu, kappa))
@@ -434,10 +427,6 @@ def test_tataru_batch_rejects_mismatched_inputs(ou):
     with pytest.raises(ValueError, match="one per instance"):
         tataru_batch(ou, [[0.0], [1.0]], [[1.0], [2.0]], eps=[0.1, 0.2, 0.3])
     assert tataru_batch(ou, np.empty((0, 1)), np.empty((0, 1))) == []
-
-
-def _rows(pts) -> np.ndarray:
-    return np.stack([p.values for p in pts])
 
 
 def assert_same_results(got, want):
@@ -469,13 +458,13 @@ def test_tataru_batch_on_quantile_space_matches_single_calls(eps_mode, chunk, mo
     mus = [space.sample(rng) for _ in range(n)]
     # odd instances put pi on the flow of mu, where d^2/2 falls below eps and
     # psi_eps takes its quadratic branch
-    pis = [space.flow(mu, float(rng.uniform(0.5, 3.0))) if i % 2 else space.sample(rng)
+    pis = [flow(space, mu, float(rng.uniform(0.5, 3.0))) if i % 2 else space.sample(rng)
            for i, mu in enumerate(mus)]
     kappas = [None if i % 3 else float(rng.uniform(-1.0, 0.5)) for i in range(n)]
     eps = {"none": [None] * n, "one": [0.2] * n,
            "each": rng.uniform(0.05, 0.7, size=n).tolist()}[eps_mode]
     arg = {"none": None, "one": 0.2, "each": eps}[eps_mode]
-    batch = tataru_batch(space, _rows(pis), _rows(mus), kappas, eps=arg)
+    batch = tataru_batch(space, np.stack(pis), np.stack(mus), kappas, eps=arg)
     singles = [tataru(space, pi, mu, k) if e is None else tataru_eps(space, e, pi, mu, k)
                for pi, mu, k, e in zip(pis, mus, kappas, eps)]
     assert_same_results(batch, singles)
@@ -487,15 +476,17 @@ def test_minimize_grid_chunks_match_one_grid_call(eps):
     rng = np.random.default_rng(8)
     n = 5
     mus = [space.sample(rng) for _ in range(n)]
-    pis = [space.flow(mu, float(rng.uniform(0.5, 3.0))) if i % 2 else space.sample(rng)
+    pis = [flow(space, mu, float(rng.uniform(0.5, 3.0))) if i % 2 else space.sample(rng)
            for i, mu in enumerate(mus)]
     kappa_hats = [space.kappa_hat] * n
-    t_caps = np.array([space.distance(p, m) + 1.0 for p, m in zip(pis, mus)])
-    pis, mus = _rows(pis), _rows(mus)
-    objective = _flow_objective(space, pis, mus, kappa_hats, eps)
+    t_caps = np.array([distance(space, p, m) + 1.0 for p, m in zip(pis, mus)])
+    pis, mus = np.stack(pis), np.stack(mus)
+    consts = None if eps is None else np.array([_psi_consts(e) for e in eps])
+    objective = _flow_objective(space, pis, mus, kappa_hats, consts)
     # reference: every instance minimized alone, with an objective of its own
     alone = [_minimize(_flow_objective(space, pis[i:i + 1], mus[i:i + 1], kappa_hats[i:i + 1],
-                                       None if eps is None else eps[i:i + 1]), t_caps[i:i + 1])[0]
+                                       None if eps is None else consts[i:i + 1]),
+                       t_caps[i:i + 1])[0]
              for i in range(n)]
     assert all(np.isfinite(res.value) and res.minimizers.size for res in alone)
     for chunk in (None, 1, 2, n):
@@ -531,13 +522,14 @@ def test_flow_objective_with_eps_per_instance_equals_scalar_psi():
     eps = off.tolist() + cands[-8:].tolist()
     n = len(eps)
     mus = [space.sample(rng) for _ in range(n)]
-    pis = [space.flow(mu, float(rng.uniform(1e-3, 1e-2))) for mu in mus]
-    objective = _flow_objective(space, _rows(pis), _rows(mus), [space.kappa_hat] * n, eps)
+    pis = [flow(space, mu, float(rng.uniform(1e-3, 1e-2))) for mu in mus]
+    consts = np.array([_psi_consts(e) for e in eps])
+    objective = _flow_objective(space, np.stack(pis), np.stack(mus), [space.kappa_hat] * n, consts)
     rows = np.concatenate((np.arange(n), [3, 0]))
     ts = np.tile(np.linspace(0.0, 0.02, 257), (rows.size, 1))
     got = objective(rows, ts)
     for k, i in enumerate(rows):
-        dist2 = space.sq_dist(space.flow_curve(mus[i]).values_at(ts[k]), pis[i].values)
+        dist2 = space.sq_dist(space.flow_curve(mus[i]).values_at(ts[k]), pis[i])
         assert np.all(0.5 * dist2 <= eps[i])
         want = ts[k] + np.exp(space.kappa_hat * ts[k]) * psi_eps(eps[i], 0.5 * dist2)
         assert np.array_equal(got[k], want)

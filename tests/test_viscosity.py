@@ -148,14 +148,14 @@ def test_value_function_is_subsolution(ou, value_function, rng):
         a = float(rng.uniform(0.1, 0.6))
         k = int(rng.integers(1, 3))
         w = rng.uniform(0.05, 0.5, size=k)
-        rho = ou.point([rng.uniform(-1.5, 1.5)])
+        rho = np.array([rng.uniform(-1.5, 1.5)])
         mus = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
         pair = build_cyl_pair(ou, "dagger", a, affine_phi(w, float(rng.uniform(0, 0.5))),
                               rho, mus)
         rep = check_viscosity(sol.u, pair, smooth_h, 1.0, tol)
         assert rep.passed, rep
         # every reported optimizer is within gap_tol of sup (u - f), recomputed here
-        s = sol.u.values - np.array([pair.f(ou.point([x]).values) for x in sol.u.xs])
+        s = sol.u.values - np.array([pair.f([x]) for x in sol.u.xs])
         at = np.searchsorted(sol.u.xs, rep.optimizers)
         assert np.array_equal(sol.u.xs[at], rep.optimizers)
         assert np.all(s[at] >= s.max() - 1e-6)
@@ -167,7 +167,7 @@ def test_value_function_is_supersolution(ou, value_function, rng):
     for _ in range(10):
         a = float(rng.uniform(0.1, 0.6))
         w = rng.uniform(0.05, 0.5, size=1)
-        gamma = ou.point([rng.uniform(-1.5, 1.5)])
+        gamma = np.array([rng.uniform(-1.5, 1.5)])
         pis = [[rng.uniform(-1.5, 1.5)]]
         pair = build_cyl_pair(ou, "ddagger", a, affine_phi(w), gamma, pis)
         rep = check_viscosity(sol.u, pair, smooth_h, 1.0, tol)
@@ -178,7 +178,7 @@ def test_designed_subsolution_failure(ou, value_function):
     xs = value_function.u.xs
     ones = GridFunction(xs, np.ones_like(xs))
     x0 = float(xs[len(xs) // 2 + 7])
-    pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), ou.point([x0]),
+    pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), np.array([x0]),
                           [[x0]])
     rep = check_viscosity(ones, pair, lambda x: np.zeros_like(np.asarray(x)),
                           1.0, tol=5 * value_function.dx)
@@ -190,7 +190,7 @@ def test_designed_supersolution_failure(ou, value_function):
     xs = value_function.u.xs
     minus = GridFunction(xs, -np.ones_like(xs))
     x0 = float(xs[len(xs) // 2 - 5])
-    pair = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), ou.point([x0]),
+    pair = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), np.array([x0]),
                           [[x0]])
     rep = check_viscosity(minus, pair, lambda x: np.zeros_like(np.asarray(x)),
                           1.0, tol=5 * value_function.dx)
@@ -206,11 +206,11 @@ def test_min_h_is_subsolution_where_g_nonnegative(ou, value_function, rng):
     for _ in range(10):
         a = float(rng.uniform(0.1, 0.6))
         w = rng.uniform(0.05, 0.5, size=1)
-        rho = ou.point([rng.uniform(-1.5, 1.5)])
+        rho = np.array([rng.uniform(-1.5, 1.5)])
         mus = [[rng.uniform(-1.5, 1.5)]]
         pair = build_cyl_pair(ou, "dagger", a, affine_phi(w), rho, mus)
         rep = check_viscosity(umin, pair, smooth_h, 1.0, tol=1e-9)
-        g_at_opt = min(pair.g(ou.point([x]).values) for x in rep.optimizers)
+        g_at_opt = min(pair.g([x]) for x in rep.optimizers)
         if g_at_opt >= 0:
             checked += 1
             assert rep.passed
@@ -222,7 +222,7 @@ def test_min_h_is_subsolution_where_g_nonnegative(ou, value_function, rng):
 def test_supersolution_shift_invariance(ou, value_function, rng):
     sol = value_function
     shifted = GridFunction(sol.u.xs, sol.u.values + 0.8)
-    pair = build_cyl_pair(ou, "ddagger", 0.4, affine_phi([0.2]), ou.point([0.5]),
+    pair = build_cyl_pair(ou, "ddagger", 0.4, affine_phi([0.2]), np.array([0.5]),
                           [[-0.5]])
     rep = check_viscosity(shifted, pair, smooth_h, 1.0, tol=5 * sol.dx)
     assert rep.passed
@@ -230,12 +230,12 @@ def test_supersolution_shift_invariance(ou, value_function, rng):
 
 def test_check_rejects_wrong_side(ou, value_function):
     # the check takes its side from the pair, so only an unknown side is wrong
-    pair = build_cyl_pair(ou, "dagger", 0.4, affine_phi([0.2]), ou.point([0]), [[0.0]])
+    pair = build_cyl_pair(ou, "dagger", 0.4, affine_phi([0.2]), np.array([0]), [[0.0]])
     wrong = HamiltonianPair(side="up", f=pair.f, g=pair.g)
     with pytest.raises(ValueError, match="unknown side 'up'"):
         check_viscosity(value_function.u, wrong, smooth_h, 1.0, 0.01)
     with pytest.raises(ValueError, match="unknown side 'up'"):
-        build_cyl_pair(ou, "up", 0.4, affine_phi([0.2]), ou.point([0]), [[0.0]])
+        build_cyl_pair(ou, "up", 0.4, affine_phi([0.2]), np.array([0]), [[0.0]])
 
 
 def test_comparison_same_h(ou):

@@ -156,8 +156,9 @@ def _positive_finite(value, path: str) -> None:
 
 
 def _integer(value, path: str, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(path, f"must be an integer >= {low}")
+    """An int in [low, 2**63 - 1]: numpy takes every count, size and seed as int64."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < 2**63:
+        raise ConfigError(path, f"must be an integer in [{low}, 2**63 - 1]")
 
 
 def _integer_list(values, path: str) -> None:

@@ -73,18 +73,9 @@ def _pair(space: ModelSpace, side: str, f, g) -> HamiltonianPair:
                            g=lambda x: g(space.rows(x)))
 
 
-def _square(x):
-    """x**2 by libm pow, as floats square; numpy's x * x differs in the last bit at times."""
-    return np.float_power(x, 2)
-
-
-def _dist(space: ModelSpace, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return np.sqrt(space.sq_dist(x, p))
-
-
 def _cylinder(space: ModelSpace, phi: CylNode, anchors):
-    """(anchor energies, at) with at(x) = (phi(r), grad phi(r), d) for the rows x,
-    d = d(x, anchors) and r = d^2/2; grad phi is checked for the positivity class.
+    """(anchor energies, at) with at(x) = (phi(r), grad phi(r), d^2) for the rows x,
+    d^2 = sq_dist(x, anchors) and r = d^2/2; grad phi is checked for the positivity class.
 
     ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``
     and copied, as ``ModelSpace._row`` copies base points."""
@@ -92,9 +83,9 @@ def _cylinder(space: ModelSpace, phi: CylNode, anchors):
     cyl = CylindricalTestFunction(base=phi, anchors=tuple(anchor_vals))
 
     def at(x: np.ndarray):
-        dists = np.sqrt(space.sq_dist(anchor_vals, x[..., None, :]))
-        v, grad = cyl.base_value_and_grad(0.5 * dists**2)
-        return v, grad, dists
+        sq = space.sq_dist(anchor_vals, x[..., None, :])
+        v, grad = cyl.base_value_and_grad(0.5 * sq)
+        return v, grad, sq
 
     return space.energies(anchor_vals), at
 
@@ -116,15 +107,14 @@ def build_cyl_pair(space: ModelSpace, side: str, a: float, phi: CylNode, base,
     kappa = space.kappa
 
     def f(x):
-        return sigma * (0.5 * a * _square(_dist(space, x, base)) + at(x)[0])
+        return sigma * (0.5 * a * space.sq_dist(x, base) + at(x)[0])
 
     def g(x):
-        _, grad, dists = at(x)
-        d0 = _dist(space, x, base)
-        d0sq, e, cross = _square(d0), space.energies(x), np.vecdot(grad, dists)
-        out = sigma * a * (e_base - e - 0.5 * kappa * d0sq) + 0.5 * a**2 * d0sq
-        out += sigma * np.vecdot(grad, anchor_e - e[..., None] - 0.5 * kappa * dists**2)
-        return out + sigma * (0.5 * _square(cross) + a * d0 * cross)
+        _, grad, sq = at(x)
+        d0sq, e, cross = space.sq_dist(x, base), space.energies(x), np.vecdot(grad, np.sqrt(sq))
+        out = sigma * a * (e_base - e - 0.5 * kappa * d0sq) + 0.5 * a * a * d0sq
+        out += sigma * np.vecdot(grad, anchor_e - e[..., None] - 0.5 * kappa * sq)
+        return out + sigma * (0.5 * cross * cross + a * np.sqrt(d0sq) * cross)
 
     return _pair(space, side, f, g)
 
@@ -143,14 +133,15 @@ def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> Hamilt
     kappa = space.kappa
 
     def g(x):
-        _, grad, dists = at(x)
+        _, grad, sq = at(x)
         e = space.energies(x)
-        out = sigma * np.vecdot(grad, anchor_e - e[..., None] - 0.5 * kappa * dists**2)
+        out = sigma * np.vecdot(grad, anchor_e - e[..., None] - 0.5 * kappa * sq)
+        prods = grad * np.sqrt(sq)
+        s = prods.sum(axis=-1)
         if sigma > 0:
-            return out + 0.5 * _square(np.vecdot(grad, dists))
+            return out + 0.5 * s * s
         # 1/2 sum_i p_i^2 - 1/2 sum_{i != j} p_i p_j  ==  s1 - s^2 / 2
-        prods = grad * dists
-        return out + np.vecdot(prods, prods) - 0.5 * _square(prods.sum(axis=-1))
+        return out + np.vecdot(prods, prods) - 0.5 * s * s
 
     return _pair(space, side, lambda x: sigma * at(x)[0], g)
 
@@ -170,10 +161,9 @@ def _closed_g(space: ModelSpace, sigma: float, a: float, b: float, base_point: n
     e_base = space.energies(base_point)
 
     def g(x: np.ndarray, slot) -> np.ndarray:
-        d0 = _dist(space, x, base_point)
-        d0sq = _square(d0)
+        d0sq = space.sq_dist(x, base_point)
         return (sigma * a * (e_base - space.energies(x)) - sigma * 0.5 * a * kappa * d0sq
-                + 0.5 * a**2 * d0sq + sigma * a * b * d0 + sigma * 0.5 * b**2
+                + 0.5 * a * a * d0sq + sigma * a * b * np.sqrt(d0sq) + sigma * 0.5 * b * b
                 + sigma * slot)
 
     return g
@@ -183,7 +173,7 @@ def _ladder_f(space: ModelSpace, sigma: float, a: float, b: float, c: float,
               base_point: np.ndarray, value):
     """f = sigma (a/2 d^2(., base) + b value) + c."""
     def f(x):
-        return sigma * (0.5 * a * _square(_dist(space, x, base_point)) + b * value(x)) + c
+        return sigma * (0.5 * a * space.sq_dist(x, base_point) + b * value(x)) + c
     return f
 
 
@@ -240,8 +230,8 @@ def _max_flow_action(space: ModelSpace, eps, pis: np.ndarray, mus: np.ndarray,
     width = max(r.minimizers.size for r in results)
     ts = np.array([np.resize(r.minimizers, width) for r in results])
     vals = space.flow_values(mus, ts)
-    consts = np.reshape([_psi_consts(e) for e in np.broadcast_to(eps, len(results))], (-1, 3))
-    psi, psi_p = _psi(consts.T[..., None], 0.5 * space.sq_dist(vals, pis[:, None, :]))
+    consts = np.stack(_psi_consts(np.broadcast_to(eps, len(results))))
+    psi, psi_p = _psi(consts[..., None], 0.5 * space.sq_dist(vals, pis[:, None, :]))
     damping = np.exp(space.kappa_hat * ts)
     # damping * psi_eps = h along the flow, so -kappa_hat/2 h is the
     # damped-distance correction of the flow action

@@ -175,13 +175,13 @@ class FlowCurve:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """Flow samples, shape (len(times), n), with the matching energies and slopes."""
+    """Flow samples, shape (len(times), n), with the matching energies and squared slopes."""
 
     start: np.ndarray
     times: np.ndarray
     values: np.ndarray
     energies: np.ndarray
-    slopes: np.ndarray
+    sq_slopes: np.ndarray
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -291,7 +291,7 @@ class ModelSpace:
         x = self._row(x)
         vals = FlowCurve(self, x).values_at(ts)
         return FlowTrajectory(start=x, times=ts, values=vals, energies=self.energies(vals),
-                              slopes=np.sqrt(self.sq_slopes(vals)))
+                              sq_slopes=self.sq_slopes(vals))
 
     # -- sampling --------------------------------------------------------------
 

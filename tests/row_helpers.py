@@ -1,10 +1,10 @@
 """Test-only one-row forms of the row kernels of ``hjflow.spaces`` and of
 ``hjflow.tataru.tataru_batch``.
 
-Each takes single coordinate rows (size,), checked by ``ModelSpace.rows``, and
-keeps the arithmetic of the package's former one-point API: distances, energies
-and slopes are floats of the row kernels, ``d_eps`` squares the float distance
-with ``**``, and ``tataru``/``tataru_eps`` are batches of one.
+Each takes single coordinate rows (size,), checked by ``ModelSpace.rows``:
+distances, energies and slopes are floats of the row kernels, ``d_eps`` is
+psi_eps of half of ``sq_dist``, as ``tataru._t_cap`` takes it, and
+``tataru``/``tataru_eps`` are batches of one.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def flow(space, x, t: float) -> np.ndarray:
 
 def d_eps(space, eps: float, x, y) -> float:
     """Modified distance psi_eps(d^2/2); satisfies d <= d_eps <= max(sqrt(2 eps), d)."""
-    return float(psi_eps(eps, 0.5 * distance(space, x, y) ** 2))
+    return float(psi_eps(eps, 0.5 * space.sq_dist(space.rows(x), space.rows(y))))
 
 
 def tataru(space, pi, mu, kappa_override: float | None = None) -> TataruResult:

@@ -248,6 +248,11 @@ NAN = float("nan")
     # an integer beyond the float range is not finite either
     ("tataru", {"tataru": {"pi": [10**400]}}, "tataru.pi"),
     ("evi-check", {"space": {"kappa": 10**400}}, "space.kappa"),
+    # nor is an integer field beyond int64, which numpy could not take
+    ("evi-check", {"space": {"size": 10**400}}, "space.size"),
+    ("evi-check", {"seed": 2**63}, "seed"),
+    ("ham-chain", {"ham_chain": {"samples": 2**64}}, "ham_chain.samples"),
+    ("laplace-converge", {"laplace": {"m_list": [10, 10**400]}}, "laplace.m_list"),
 ])
 def test_config_probe_errors(tmp_path, capsys, command, data, path):
     cfg_path = tmp_path / "bad.json"

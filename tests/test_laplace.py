@@ -25,6 +25,7 @@ from hjflow.laplace import (
 from hjflow.reporting import fmt17
 from hjflow.tataru import _psi_consts, psi_eps
 
+from precision_helpers import assert_t_cap, old_psi_consts, old_t_cap
 from row_helpers import tataru_eps
 
 
@@ -180,7 +181,7 @@ def test_run_laplace_curve_writes_computed_neg_log_from_one_minimization(tmp_pat
 
     monkeypatch.setattr(tataru_module, "_flow_objective", counted)
     run_laplace(cfg, tmp_path)
-    psi_consts = [list(_psi_consts(lc.epsilon))]
+    psi_consts = np.stack(_psi_consts([lc.epsilon]), axis=-1).tolist()
     assert minimized.count(([list(lc.pi)], [list(lc.mu)], psi_consts)) == 1
     with open(tmp_path / "laplace_converge_curve.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -188,6 +189,18 @@ def test_run_laplace_curve_writes_computed_neg_log_from_one_minimization(tmp_pat
     for r, m in zip(rows, lc.m_list):
         val = lambda_continuous(space, lc.epsilon, m, lc.pi, lc.mu)
         assert r["neg_log"] == fmt17(val.neg_log)
+
+
+def test_hcurve_t_cap_no_worse_than_squaring_the_distance_back(ou, quantile_ou):
+    # the quadrature cap d_eps + 1 of lambda_continuous
+    rng = np.random.default_rng(23)
+    for space in (ou, quantile_ou):
+        rows = [(space.sample(rng), space.sample(rng)) for _ in range(300)]
+        sq = np.array([space.sq_dist(pi, mu) for pi, mu in rows])
+        eps = 0.5 * sq * np.exp(rng.uniform(-1.0, 1.0, sq.size))
+        new = [HCurve(space, e, pi, mu).t_cap() for e, (pi, mu) in zip(eps, rows)]
+        old = [old_t_cap(space, pi, mu, old_psi_consts(e)) for e, (pi, mu) in zip(eps, rows)]
+        assert_t_cap(new, old, sq, eps)
 
 
 def test_tilted_measure_constant_tilt_is_base_measure(ou):

@@ -8,17 +8,17 @@ viscosity check that evaluated f and g one grid point at a time and the
 composite as a combinator tree (``SumExpNegLog`` over ``Affine(Psi(Coord(i)))``)
 are kept here verbatim, except that the oracles take one coordinate row at a
 time and evaluate distances, energies and Tataru distances by the one-row
-helpers of ``row_helpers``.  The array node ``SoftminPsi`` must match the tree bit
-for bit on every space.  The current pairs, evaluated on a batch of coordinate
-rows, must reproduce the oracles' per-point values bit for bit, with two
-stated exceptions:
+helpers of ``row_helpers``.  Where the arithmetic is the same, the current code
+must match them bit for bit: the array node ``SoftminPsi`` against the tree,
+the 4to5 rows, the 1to2 rows and the viscosity checks.
 
-* the closed-form g of the Tataru pair (levels 5 and 6) adds the b term last
-  now, as the ladder always did, so it agrees to rounding of a six-term sum;
-* on spaces with more than one coordinate the flow-action terms take the
-  squared distance to the flow as a dot product per row (``np.vecdot``, the
-  bits of ``distance`` and of the 4to5 rows) where the ladder summed the
-  products, so levels 2 to 4 agree to rounding there.
+The pair values f and g are composites whose arithmetic changed: the oracles
+square the float distance (d0**2, dists**2, cross**2), the pairs take d^2 from
+``sq_dist`` and square by x * x, and on spaces with more than one coordinate
+the oracles' flow actions sum the products where the pairs reduce by
+``np.vecdot``.  So both the oracle and the current values are held to the
+composite rule of ``precision_helpers``: within PAIR_TERMS eps times the sum
+of the magnitudes of their terms of a long double reference.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ from hjflow.spaces import (
 from hjflow.tataru import psi_eps, psi_eps_prime, tataru_batch
 from hjflow.viscosity import GridFunction, ViscosityReport, check_viscosity, make_grid
 
+import precision_helpers as ld
+from precision_helpers import LD, assert_kernel_no_worse, assert_within_terms, pow_free
 from row_helpers import d_eps, distance, energy, tataru, tataru_eps
 
 # ---------------------------------------------------------------------------
@@ -609,60 +611,182 @@ def _random_phi(rng: np.random.Generator, k: int) -> CylNode:
                   const=float(rng.uniform(-0.5, 0.5)))
 
 
-# where the order of a sum or product changed: 64 units in the last place
-ROUNDING = 64 * np.finfo(float).eps
+# ---------------------------------------------------------------------------
+# long double references of the pair values
+# ---------------------------------------------------------------------------
+# Each reference evaluates a pair's formula at the double rows x with d^2,
+# energies, psi_eps and phi in long double, and returns (f, f_terms, g,
+# g_terms) with the sums of the magnitudes of their terms.  What comes out of a
+# minimization or a quadrature (Tataru values and minimizers, quadrature nodes
+# and weights) and the flow samples are double inputs that the oracles and the
+# current code share.
+
+# the seeded instances below read at most 2.7, for the oracles and the pairs alike
+PAIR_TERMS = 4.0
 
 
-def _assert_rounding(new_value: float, old_value: float) -> None:
-    assert new_value == pytest.approx(old_value, rel=ROUNDING, abs=ROUNDING)
+def _ld_phi(node: CylNode, r: np.ndarray):
+    """(value, partials, value magnitude, partials magnitude) of a tree of
+    Coord, Affine, Psi and Iota nodes at the long double rows r."""
+    if isinstance(node, Coord):
+        grad = np.zeros(r.shape, LD)
+        grad[..., node.index] = 1
+        return r[..., node.index], grad, r[..., node.index], grad
+    if isinstance(node, Affine):
+        const = np.full(r.shape[:-1], LD(node.const))
+        out = [const, np.zeros(r.shape, LD), np.abs(const), np.zeros(r.shape, LD)]
+        for w, child in node.terms:
+            out = [acc + LD(w) * part for acc, part in zip(out, _ld_phi(child, r))]
+        return tuple(out)
+    v, g, v_mag, g_mag = _ld_phi(node.child, r)
+    if isinstance(node, Psi):
+        value, prime = ld.psi(node.eps, v)
+        return value, prime[..., None] * g, value, prime[..., None] * g_mag
+    # Iota: 1 - s cancels near the upper knee, so an error in v counts in full
+    s = np.clip((v - node.n) / 2, 0, 1)
+    value = np.where(v <= node.n, v, node.n + 2 * s - s * s)
+    prime_mag = 1 - s + np.where((s > 0) & (s < 1), v_mag / 2, 0)
+    return value, (1 - s)[..., None] * g, v_mag, prime_mag[..., None] * g_mag
 
 
-def _assert_batch(got: np.ndarray, want: list, exact: bool) -> None:
-    """Values of a batch of rows against the oracle's per-point values."""
-    assert got.shape == (len(want),)
-    for got_i, want_i in zip(got, want):
-        if exact:
-            assert got_i == want_i
-        else:
-            _assert_rounding(got_i, want_i)
+def _ld_cylinder(space: ModelSpace, phi: CylNode, anchors, x: np.ndarray):
+    """(phi, its magnitude, grad phi, its magnitude, d, the anchor energy terms
+    E_anchor - E - kappa/2 d^2, their magnitudes) at the rows x."""
+    anchors = np.stack(anchors)
+    sq = ld.sq_dist(space, anchors, x[..., None, :])
+    v, grad, v_mag, g_mag = _ld_phi(phi, sq / 2)
+    (e, e_mag), (e_a, ea_mag) = ld.energies(space, x), ld.energies(space, anchors)
+    kappa = LD(space.kappa)
+    terms = e_a - e[..., None] - kappa / 2 * sq
+    terms_mag = ea_mag + e_mag[..., None] + abs(kappa) / 2 * sq
+    return v, v_mag, grad, g_mag, np.sqrt(sq), terms, terms_mag
+
+
+def ref_cyl(space: ModelSpace, side: str, a: float, phi: CylNode, base, anchors, x):
+    """f = sigma [a/2 d0^2 + phi(d^2/2)] and the five-term g."""
+    sigma, a = LD(new.side_sign(side)), LD(a)
+    v, v_mag, grad, g_mag, d, terms, terms_mag = _ld_cylinder(space, phi, anchors, x)
+    s0 = ld.sq_dist(space, x, base)
+    (e, e_mag), (e_b, eb_mag) = ld.energies(space, x), ld.energies(space, base)
+    kappa, d0 = LD(space.kappa), np.sqrt(s0)
+    cross, cross_mag = np.sum(grad * d, axis=-1), np.sum(g_mag * d, axis=-1)
+    g = (sigma * a * (e_b - e - kappa / 2 * s0) + a * a / 2 * s0
+         + sigma * np.sum(grad * terms, axis=-1) + sigma * (cross * cross / 2 + a * d0 * cross))
+    g_terms = (a * (eb_mag + e_mag + abs(kappa) / 2 * s0) + a * a / 2 * s0
+               + np.sum(g_mag * terms_mag, axis=-1) + cross_mag**2 / 2 + a * d0 * cross_mag)
+    return sigma * (a / 2 * s0 + v), a / 2 * s0 + v_mag, g, g_terms
+
+
+def ref_h0(space: ModelSpace, side: str, phi: CylNode, anchors, x):
+    """f = sigma phi(d^2/2) and g of the bounded cylinder pair."""
+    v, v_mag, grad, g_mag, d, terms, terms_mag = _ld_cylinder(space, phi, anchors, x)
+    g_terms = np.sum(g_mag * terms_mag, axis=-1)
+    p, p_mag = grad * d, g_mag * d
+    if side == "dagger":
+        g = np.sum(grad * terms, axis=-1) + np.sum(p, axis=-1) ** 2 / 2
+        return v, v_mag, g, g_terms + np.sum(p_mag, axis=-1) ** 2 / 2
+    g = -np.sum(grad * terms, axis=-1) + np.sum(p * p, axis=-1) - np.sum(p, axis=-1) ** 2 / 2
+    return -v, v_mag, g, g_terms + np.sum(p_mag * p_mag, axis=-1) + np.sum(p_mag, axis=-1) ** 2 / 2
+
+
+def ref_ladder(space: ModelSpace, side: str, a: float, b: float, c: float, base, x,
+               value, value_mag, slot, slot_mag):
+    """f = sigma (a/2 d0^2 + b value) + c and the closed-form g with the flow-action
+    slot sigma slot; value and slot with the magnitudes of their terms."""
+    sigma, a, b = LD(new.side_sign(side)), LD(a), LD(b)
+    s0 = ld.sq_dist(space, x, base)
+    (e, e_mag), (e_b, eb_mag) = ld.energies(space, x), ld.energies(space, base)
+    kappa, d0 = LD(space.kappa), np.sqrt(s0)
+    g = (sigma * a * (e_b - e) - sigma * a * kappa / 2 * s0 + a * a / 2 * s0
+         + sigma * a * b * d0 + sigma * b * b / 2 + sigma * slot)
+    g_terms = (a * (eb_mag + e_mag) + a * abs(kappa) / 2 * s0 + a * a / 2 * s0
+               + a * b * d0 + b * b / 2 + slot_mag)
+    return sigma * (a / 2 * s0 + b * value) + LD(c), a / 2 * s0 + b * value_mag + abs(c), g, g_terms
+
+
+def _ld_flow_terms(space: ModelSpace, eps: float, row, anchor, ts):
+    """(h, damping psi_eps', energy gap and its magnitude) along the flow of
+    anchor at the times ts, measured against the row."""
+    vals = space.flow_curve(anchor).values_at(ts)
+    psi, prime = ld.psi(eps, ld.sq_dist(space, vals, row) / 2)
+    damping = np.exp(LD(space.kappa_hat) * np.asarray(ts, dtype=LD))
+    (e_f, ef_mag), (e, e_mag) = ld.energies(space, vals), ld.energies(space, row)
+    return damping * psi, damping * prime, e_f - e, ef_mag + e_mag
+
+
+def ref_max_action(space: ModelSpace, eps: float, b: float, row, anchor, minimizers):
+    """(b max flow action over the minimizers, its magnitude) at level 4."""
+    h, dprime, gap, gap_mag = _ld_flow_terms(space, eps, row, anchor, minimizers)
+    k_hat = LD(space.kappa_hat)
+    return (b * np.max(dprime * gap - k_hat / 2 * h),
+            b * np.max(dprime * gap_mag + abs(k_hat) / 2 * h))
+
+
+def ref_tilted(space: ModelSpace, eps: float, m: int, b: float, row, anchor, nodes, log_w):
+    """(-log Lambda / m, b tilted flow action) with their magnitudes, as
+    (value, magnitude, slot, magnitude), for the log contributions log_w - m h
+    at the nodes.  An error in a log contribution moves its softmin weight by
+    that much relatively, hence the factor 1 + |exponent| in the magnitudes."""
+    h, dprime, gap, gap_mag = _ld_flow_terms(space, eps, row, anchor, nodes)
+    log_c = np.asarray(log_w, dtype=LD) - m * h
+    top = np.max(log_c)
+    log_lam = top + np.log(np.sum(np.exp(log_c - top)))
+    tilt = np.exp(log_c - log_lam)
+    cond = tilt * (1 + np.abs(log_c) + abs(log_lam))
+    k_hat, reg = LD(space.kappa_hat), np.maximum(LD(1) / m, h)
+    slot = b * np.sum(tilt * dprime * gap) - b * k_hat / 2 * np.sum(tilt * reg)
+    slot_mag = b * np.sum(cond * dprime * gap_mag) + b * abs(k_hat) / 2 * np.sum(cond * reg)
+    value_mag = (abs(log_lam) + np.max(np.abs(log_w) + m * h)) / m
+    return -log_lam / m, value_mag, slot, slot_mag
+
+
+def _assert_pairs(ref, old, pair, pts) -> None:
+    """f and g of the oracle, point by point, and of the current pair, on the
+    rows pts at once, within PAIR_TERMS eps terms of the reference (f, f_terms,
+    g, g_terms)."""
+    f_ref, f_terms, g_ref, g_terms = ref
+    for fn, want, terms in (("f", f_ref, f_terms), ("g", g_ref, g_terms)):
+        got = getattr(pair, fn)(pts)
+        assert got.shape == (len(pts),)
+        assert_within_terms(got, want, terms, PAIR_TERMS)
+        assert_within_terms([getattr(old, fn)(pt) for pt in pts], want, terms, PAIR_TERMS)
 
 
 def test_cyl_pair_matches_mirrored_builders(space):
     rng = np.random.default_rng(601)
-    # the oracle sums d * d, the builders reduce by vecdot: same bits on one coordinate
-    exact = space.size == 1
     for _ in range(INSTANCES):
         a = float(rng.uniform(0.2, 1.5))
         k = int(rng.integers(1, 4))
         phi = _random_phi(rng, k)
         base = space.sample(rng)
         anchors = [space.sample(rng) for _ in range(k)]
-        pts = (space.sample(rng), base, anchors[0])
+        pts = np.stack((space.sample(rng), base, anchors[0]))
         old = {"dagger": build_cyl_dagger(space, a, phi, base, anchors),
                "ddagger": build_cyl_ddagger(space, a, phi, base, anchors)}
         for side in SIDES:
             pair = new.build_cyl_pair(space, side, a, phi, base, np.stack(anchors))
             assert pair.side == side
-            for fn in ("f", "g"):
-                want = [getattr(old[side], fn)(pt) for pt in pts]
-                _assert_batch(getattr(pair, fn)(np.stack(pts)), want, exact)
+            _assert_pairs(ref_cyl(space, side, a, phi, base, anchors, pts),
+                          old[side], pair, pts)
 
 
 def test_h0_pair_matches_both_branches(space):
     rng = np.random.default_rng(602)
-    exact = space.size == 1
     for _ in range(INSTANCES):
         k = int(rng.integers(1, 4))
         phi = Iota(int(rng.integers(1, 4)), affine_phi(rng.uniform(0.1, 1.0, size=k)))
         anchors = [space.sample(rng) for _ in range(k)]
         # reaches past the knee now and then, in some rows of a batch only
-        pts = [space.sample(rng, radius=3.0) for _ in range(3)]
+        pts = np.stack([space.sample(rng, radius=3.0) for _ in range(3)])
         for side in SIDES:
-            old = build_h0_pair(space, side, phi, anchors)
-            pair = new.build_h0_pair(space, side, phi, np.stack(anchors))
-            for fn in ("f", "g"):
-                want = [getattr(old, fn)(pt) for pt in pts]
-                _assert_batch(getattr(pair, fn)(np.stack(pts)), want, exact)
+            _assert_pairs(ref_h0(space, side, phi, anchors, pts),
+                          build_h0_pair(space, side, phi, anchors),
+                          new.build_h0_pair(space, side, phi, np.stack(anchors)), pts)
+
+
+def _tataru_values(space: ModelSpace, pts, anchor, eps):
+    """The shared Tataru results of the rows pts against the anchor row."""
+    return tataru_batch(space, pts, np.broadcast_to(anchor, pts.shape), eps=eps)
 
 
 def test_tataru_pairs_match_closed_form_oracle(space):
@@ -673,27 +797,52 @@ def test_tataru_pairs_match_closed_form_oracle(space):
         c = float(rng.uniform(-1.0, 1.0))
         eps = float(rng.uniform(1e-4, 0.5))
         base, anchor = space.sample(rng), space.sample(rng)
-        pts = [space.sample(rng), space.sample(rng)]
+        pts = np.stack([space.sample(rng), space.sample(rng)])
         keys = ("rho", "mu") if side == "dagger" else ("gamma", "pi")
         params = {"a": a, "b": b, "c": c, "eps": eps, keys[0]: base, keys[1]: anchor}
         level = (4, 5, 6)[i % 3]  # 4: the Tataru pair itself, exact or at eps = 1e-3
         if level == 4 and (i // 3) % 2:
-            old = build_chain_pair(space, 5, side, {**params, "eps": 1e-3})
-            pair = new.build_tataru_pair(space, side, a, b, c, base, anchor, eps=1e-3)
+            eps = 1e-3
+            old = build_chain_pair(space, 5, side, {**params, "eps": eps})
+            pair = new.build_tataru_pair(space, side, a, b, c, base, anchor, eps=eps)
         elif level == 4:
+            eps = None
             old = build_tataru_pair(space, side, a, b, c, base, anchor)
             pair = new.build_tataru_pair(space, side, a, b, c, base, anchor)
         else:
+            eps = eps if level == 5 else None
             old = build_chain_pair(space, level, side, params)
             pair = new.build_chain_pair(space, level, side, params)
-        _assert_batch(pair.f(np.stack(pts)), [old.f(pt) for pt in pts], exact=True)
-        _assert_batch(pair.g(np.stack(pts)), [old.g(pt) for pt in pts], exact=False)
+        values = np.array([r.value for r in _tataru_values(space, pts, anchor, eps)])
+        _assert_pairs(ref_ladder(space, side, a, b, c, base, pts, values, np.abs(values),
+                                 LD(b), LD(b)), old, pair, pts)
+
+
+def _ladder_leaves(space: ModelSpace, level: int, params: dict, anchor, pts) -> np.ndarray:
+    """(value, magnitude, slot, magnitude) of the ladder at level 2, 3 or 4 in
+    long double, each of shape (len(pts),)."""
+    eps, b = params["eps"], params["b"]
+    out = []
+    if level == 4:
+        for row, res in zip(pts, _tataru_values(space, pts, anchor, eps)):
+            out.append((res.value, abs(res.value),
+                        *ref_max_action(space, eps, b, row, anchor, res.minimizers)))
+        return np.array(out, dtype=LD).T
+    m = params["m"]
+    for row in pts:
+        if level == 2:
+            nodes, log_w = discrete_exp_log_weights(m + 1, params["n"])
+        else:  # the quadrature's nodes and the log weights of its contributions
+            lam = lambda_continuous(space, eps, m, row, anchor, rel_tol=params["quad_rel_tol"])
+            nodes = lam.nodes
+            log_w = lam.log_contrib + m * HCurve(space, eps, row, anchor).h(nodes)
+        out.append(ref_tilted(space, eps, m, b, row, anchor, nodes, log_w))
+    return np.array(out, dtype=LD).T
 
 
 @pytest.mark.parametrize("level", (2, 3, 4))
 def test_ladder_matches_hand_copied_flow_action(space, level):
     rng = np.random.default_rng(604 + level)
-    exact = space.size == 1
     # the quadrature of level 3 is the slow part; a looser tolerance keeps it
     # cheap and is the same for the oracle and the current code
     instances = INSTANCES if level != 3 else INSTANCES // 4
@@ -705,13 +854,11 @@ def test_ladder_matches_hand_copied_flow_action(space, level):
                   "m": int(rng.integers(1, 41)), "n": int(rng.integers(1, 6)),
                   "quad_rel_tol": 1e-6,
                   keys[0]: space.sample(rng), keys[1]: space.sample(rng)}
-        pts = [space.sample(rng) for _ in range(4)]
-        old = build_chain_pair(space, level, side, params)
-        pair = new.build_chain_pair(space, level, side, params)
-        for fn in ("f", "g"):
-            want = [getattr(old, fn)(pt) for pt in pts]
-            _assert_batch(getattr(pair, fn)(np.stack(pts)), want,
-                          exact or (fn == "f" and level == 4))
+        pts = np.stack([space.sample(rng) for _ in range(4)])
+        ref = ref_ladder(space, side, params["a"], params["b"], params["c"], params[keys[0]],
+                         pts, *_ladder_leaves(space, level, params, params[keys[1]], pts))
+        _assert_pairs(ref, build_chain_pair(space, level, side, params),
+                      new.build_chain_pair(space, level, side, params), pts)
 
 
 def test_pairs_map_rows_to_values(space):
@@ -740,6 +887,43 @@ def test_pairs_map_rows_to_values(space):
             if space.kind == "quantile":
                 with pytest.raises(ValueError, match="nondecreasing"):
                     fn(x[:, ::-1])
+
+
+def test_pair_distances_no_worse_than_squaring_the_distance_back(space):
+    # d0^2 is f of a cylinder pair with a = 2 and no anchors, r = d^2/2 is f of
+    # a bounded identity cylinder; both against their input sq_dist, which the
+    # pairs took the square root of and squared back
+    rng = np.random.default_rng(610)
+    x = np.stack([space.sample(rng) for _ in range(2000)])
+    base = space.sample(rng)
+    sq = space.sq_dist(x, base)
+    no_anchors = np.empty((0, space.size))
+    d0sq = new.build_cyl_pair(space, "dagger", 2.0, affine_phi([]), base, no_anchors).f(x)
+    assert_kernel_no_worse(d0sq, np.float_power(np.sqrt(sq), 2), sq.astype(LD))
+    r = new.build_h0_pair(space, "dagger", Iota(100, affine_phi([1.0])), base[None]).f(x)
+    assert_kernel_no_worse(r, 0.5 * np.sqrt(sq) ** 2, sq.astype(LD) / 2)
+
+
+def test_pairs_call_no_libm_pow(space, monkeypatch):
+    """f and g of every pair family, built on and evaluated at NoPow rows."""
+    rng = np.random.default_rng(611)
+    x = np.stack([space.sample(rng) for _ in range(3)])
+    base, anchor = space.sample(rng), space.sample(rng)
+    phi = Affine(terms=((0.4, Psi(0.2, Coord(0))), (0.3, Coord(1))), const=0.1)
+    want = []
+    for guarded in (False, True):
+        if guarded:
+            x, base, anchor = pow_free(monkeypatch, x, base, anchor)
+        params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2,
+                  "quad_rel_tol": 1e-6, "rho": base, "mu": anchor, "gamma": base, "pi": anchor}
+        pairs = [pair for side in SIDES for pair in (
+            new.build_cyl_pair(space, side, 0.7, phi, base, np.stack((anchor, base))),
+            new.build_h0_pair(space, side, Iota(2, phi), np.stack((anchor, base))),
+            *(new.build_chain_pair(space, level, side, params) for level in CHAIN_LEVELS))]
+        values = [fn(x) for pair in pairs for fn in (pair.f, pair.g)]
+        if guarded:
+            assert all(np.array_equal(got, was) for got, was in zip(values, want))
+        want = values
 
 
 def test_rows_are_never_turned_back_into_points(space):

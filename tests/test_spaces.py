@@ -15,6 +15,7 @@ from hjflow.spaces import (
     quartic_potential,
 )
 
+from precision_helpers import LD, NoPow, assert_kernel_no_worse, pow_free
 from row_helpers import distance, energy, flow, information, slope
 
 
@@ -241,7 +242,7 @@ def test_flow_trajectory_examples(ou):
 
     traj = ou.flow_trajectory(np.array([1]), [0.0, 1.0, 2.0])
     assert np.allclose(traj.energies, [0.5, np.exp(-2) / 2, np.exp(-4) / 2])
-    assert np.allclose(traj.slopes, [1.0, np.exp(-1), np.exp(-2)])
+    assert np.allclose(traj.sq_slopes, [1.0, np.exp(-2), np.exp(-4)])
 
     with pytest.raises(ValueError):
         ou.flow_trajectory(np.array([1]), [0.5, 0.2])
@@ -261,7 +262,7 @@ def test_flow_trajectory_matches_per_point_kernels(make, rng):
     assert np.array_equal(traj.start, x)
     assert np.array_equal(points[0], x)
     assert np.array_equal(traj.energies, [energy(space, p) for p in points])
-    assert np.array_equal(traj.slopes, [slope(space, p) for p in points])
+    assert np.array_equal(traj.sq_slopes, [information(space, p) for p in points])
 
     # the row kernels broadcast over leading axes, and each row gets the bits
     # of the one-row kernels
@@ -326,15 +327,6 @@ def test_potential_convexity_bound(form, kappa):
     assert np.allclose(pot.d2v(xs), second, rtol=0, atol=1e-4)
 
 
-class _NoPow(np.ndarray):
-    """Array whose ufuncs refuse power and float_power however they are spelled."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        assert ufunc not in (np.power, np.float_power), f"{ufunc.__name__} called"
-        out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
-        return out.view(_NoPow)
-
-
 def _exact_terms(form, kappa, x):
     """The terms of V, V' and V'' at the float x, each an exact Fraction."""
     x = Fraction(x)
@@ -358,26 +350,32 @@ def test_potential_kernels_exact_and_pow_free(form, kappa, monkeypatch, rng):
     xs = np.concatenate([np.linspace(-5, 5, 2001), roots, -roots])
     eps = Fraction(np.finfo(float).eps)
     for i, kernel in enumerate((pot.v, pot.dv, pot.d2v)):
-        got = np.asarray(kernel(xs.view(_NoPow)))
+        got = np.asarray(kernel(xs.view(NoPow)))
         assert got.shape == xs.shape
         for x, y in zip(xs, got):
             terms = _exact_terms(form, kappa, x)[i]
             assert abs(Fraction(y) - sum(terms)) <= 2 * eps * sum(abs(t) for t in terms)
 
     # the row kernels and the flow built on them call no libm pow either
-    def refuse(*args, **kwargs):
-        raise AssertionError("libm pow called")
-
-    monkeypatch.setattr(np, "power", refuse)
-    monkeypatch.setattr(np, "float_power", refuse)
     space = quantile_space(pot, grid_size=16, sample_radius=3.0)
-    x = space.sample(rng)
-    ts = np.linspace(0.0, 2.0, 21)
+    x, ts = pow_free(monkeypatch, space.sample(rng), np.linspace(0.0, 2.0, 21))
     vals = space.flow_values(x, ts)
     traj = space.flow_trajectory(x, ts)
     assert np.array_equal(traj.values, vals)
     assert np.array_equal(traj.energies, space.energies(vals))
-    assert np.array_equal(traj.slopes, np.sqrt(space.sq_slopes(vals)))
+    assert np.array_equal(traj.sq_slopes, space.sq_slopes(vals))
+
+
+@pytest.mark.parametrize("form,kappa", [("quadratic", 2.5), ("quartic", None),
+                                        ("double_well", -0.5)])
+def test_trajectory_sq_slopes_no_worse_than_squaring_the_slope_back(form, kappa, rng):
+    # against the trajectory's input sq_slopes; the oracle is the former
+    # square root that the energy identity squared back
+    space = quantile_space(make_potential(form, kappa), grid_size=16, sample_radius=3.0)
+    for _ in range(20):
+        traj = space.flow_trajectory(space.sample(rng), np.linspace(0.0, 2.0, 201))
+        sq = space.sq_slopes(traj.values)
+        assert_kernel_no_worse(traj.sq_slopes, np.sqrt(sq) ** 2, sq.astype(LD))
 
 
 def test_double_well_requires_negative_kappa():
@@ -390,7 +388,7 @@ def test_energy_dissipation_identity(quartic):
     traj = quartic.flow_trajectory(x, np.linspace(0.0, 1.0, 4001))
     drop = traj.energies[-1] - traj.energies[0]
     assert drop <= 0
-    assert abs(drop + np.trapezoid(traj.slopes**2, traj.times)) <= 1e-6
+    assert abs(drop + np.trapezoid(traj.sq_slopes, traj.times)) <= 1e-6
 
 
 @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))

@@ -22,6 +22,7 @@ from hjflow.tataru import (
     _flow_objective,
     _minimize,
     _psi_consts,
+    _t_cap,
     logsumexp,
     psi_eps,
     psi_eps_and_prime,
@@ -29,6 +30,8 @@ from hjflow.tataru import (
     tataru_batch,
 )
 
+import precision_helpers as ld
+from precision_helpers import assert_kernel_no_worse, pow_free
 from row_helpers import d_eps, distance, flow, tataru, tataru_eps
 
 
@@ -481,7 +484,7 @@ def test_minimize_grid_chunks_match_one_grid_call(eps):
     kappa_hats = [space.kappa_hat] * n
     t_caps = np.array([distance(space, p, m) + 1.0 for p, m in zip(pis, mus)])
     pis, mus = np.stack(pis), np.stack(mus)
-    consts = None if eps is None else np.array([_psi_consts(e) for e in eps])
+    consts = None if eps is None else np.stack(_psi_consts(eps), axis=-1)
     objective = _flow_objective(space, pis, mus, kappa_hats, consts)
     # reference: every instance minimized alone, with an objective of its own
     alone = [_minimize(_flow_objective(space, pis[i:i + 1], mus[i:i + 1], kappa_hats[i:i + 1],
@@ -510,20 +513,15 @@ def test_psi_eps_and_prime_equal_both_functions():
 
 def test_flow_objective_with_eps_per_instance_equals_scalar_psi():
     # each row takes the bits of psi_eps with its own eps on its quadratic
-    # branch, where the scalar cube sqrt(2 eps)**3 counts.  Half the eps
-    # values are ones whose cube a vectorized array power misses by an ulp
-    # (about 5 % of them where numpy uses SIMD pow).  Short times keep t + psi
-    # from rounding such a difference away.
+    # branch, where the cube (2 eps)^{3/2} counts; short times keep t + psi
+    # from rounding a difference away
     space = QUANTILE_64
     rng = np.random.default_rng(9)
-    cands = rng.uniform(0.05, 0.7, size=2000)
-    roots = np.sqrt(2.0 * cands)
-    off = cands[roots**3 != np.array([root**3 for root in roots])][:8]
-    eps = off.tolist() + cands[-8:].tolist()
+    eps = rng.uniform(0.05, 0.7, size=16).tolist()
     n = len(eps)
     mus = [space.sample(rng) for _ in range(n)]
     pis = [flow(space, mu, float(rng.uniform(1e-3, 1e-2))) for mu in mus]
-    consts = np.array([_psi_consts(e) for e in eps])
+    consts = np.stack(_psi_consts(eps), axis=-1)
     objective = _flow_objective(space, np.stack(pis), np.stack(mus), [space.kappa_hat] * n, consts)
     rows = np.concatenate((np.arange(n), [3, 0]))
     ts = np.tile(np.linspace(0.0, 0.02, 257), (rows.size, 1))
@@ -533,3 +531,55 @@ def test_flow_objective_with_eps_per_instance_equals_scalar_psi():
         assert np.all(0.5 * dist2 <= eps[i])
         want = ts[k] + np.exp(space.kappa_hat * ts[k]) * psi_eps(eps[i], 0.5 * dist2)
         assert np.array_equal(got[k], want)
+
+
+# ---------------------------------------------------------------------------
+# the psi constants and T_cap against long double, and without libm pow
+# ---------------------------------------------------------------------------
+
+
+def test_psi_consts_no_worse_than_cubing_the_root(monkeypatch):
+    # (2 eps) sqrt(2 eps) reads at most 1.3 ulp from the exact cube, the pow
+    # of the rounded root 2.9 ulp
+    rng = np.random.default_rng(13)
+    eps = np.concatenate((rng.uniform(1e-4, 1.0, 20000), 10.0 ** rng.uniform(-8.0, 3.0, 2000)))
+    old = np.array([ld.old_psi_consts(e) for e in eps]).T
+    got = _psi_consts(pow_free(monkeypatch, eps))
+    for new, was, ref in zip(got, old, ld.psi_consts(eps)):
+        assert new.shape == eps.shape
+        assert_kernel_no_worse(new, was, ref)
+    assert np.array_equal(got[0], eps) and np.array_equal(got[1], old[1])
+    with pytest.raises(ValueError, match="positive"):
+        _psi_consts([0.1, np.nan])
+
+
+@pytest.mark.parametrize("space", [
+    euclidean_space(quadratic_potential(1.0)),
+    euclidean_space(quartic_potential(), dim=3, sample_radius=1.5),
+    QUANTILE_64,
+], ids=["ou", "quartic_3d", "double_well_quantile"])
+def test_t_cap_no_worse_than_squaring_the_distance_back(space):
+    rng = np.random.default_rng(14)
+    n = 4000
+    pis = np.stack([space.sample(rng) for _ in range(n)])
+    mus = np.stack([space.sample(rng) for _ in range(n)])
+    sq = space.sq_dist(pis, mus)
+    eps = 0.5 * sq * np.exp(rng.uniform(-1.0, 1.0, n))  # half the instances on each branch
+    assert 0.4 * n < np.sum(0.5 * sq > eps) < 0.6 * n
+    old = ld.old_t_cap(space, pis, mus, np.array([ld.old_psi_consts(e) for e in eps]).T)
+    ld.assert_t_cap(_t_cap(space, pis, mus, _psi_consts(eps)), old, sq, eps)
+
+
+@pytest.mark.parametrize("eps", [None, 0.2, "each"])
+def test_tataru_batch_calls_no_libm_pow(eps, monkeypatch):
+    space = euclidean_space(quartic_potential(), dim=3, sample_radius=1.5)
+    rng = np.random.default_rng(15)
+    pis = np.stack([space.sample(rng) for _ in range(6)])
+    mus = np.stack([space.sample(rng) for _ in range(6)])
+    if eps == "each":
+        eps = rng.uniform(0.05, 0.7, size=6)
+    want = tataru_batch(space, pis, mus, eps=eps)
+    pis, mus = pow_free(monkeypatch, pis, mus)
+    if eps is not None:
+        eps = pow_free(monkeypatch, eps)
+    assert_same_results(tataru_batch(space, pis, mus, eps=eps), want)

@@ -20,9 +20,9 @@ from .config import ConfigError, ExperimentConfig, _finite, default_config, load
 from .cylinders import affine_phi
 from .evi import run_evi_suite
 from .hamiltonians import build_chain_pair, build_cyl_pair, chain_inequality_report, side_sign
-from .laplace import HCurve, lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
+from .laplace import lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
 from .reporting import Report, fmt17, write_csv, write_json, write_table
-from .tataru import _flow_objective, psi_eps, tataru_batch
+from .tataru import HCurve, psi_eps, tataru_batch
 from .viscosity import check_viscosity, comparison_gap, solve_resolvent
 
 SUITE_IDS = {
@@ -86,9 +86,8 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     print(f"tataru value: {res.value:.12g}  minimizers: "
           + ", ".join(f"{t:.12g}" for t in res.minimizers))
     if cfg.tataru.dump_objective and out_dir is not None:
-        objective = _flow_objective(space, pi[None], mu[None], [space.kappa_hat], None)
         ts = np.linspace(0.0, res.t_cap, res.grid_points)
-        obj = objective([0], ts[None, :])[0]
+        obj = ts + HCurve(space, pi, mu).h(ts)
         write_table(out_dir / "tataru_objective.csv", ("t", "objective"),
                     ((fmt17(t), fmt17(o)) for t, o in zip(ts, obj)))
 
@@ -191,7 +190,7 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
             lc.concentration_mass - mass, mass >= lc.concentration_mass)
 
     # mean exponent under the tilted measure approaches its value at the minimizer
-    hcurve = HCurve(space, lc.concentration_epsilon, pi, mu)
+    hcurve = HCurve(space, pi, mu, lc.concentration_epsilon)
     mean_h = tm.expectation(hcurve.h(tm.atoms))
     h_star = float(hcurve.h(res.minimizers[:1])[0])
     gap = abs(mean_h - h_star)

@@ -161,11 +161,14 @@ def _integer(value, path: str, low: int) -> None:
         raise ConfigError(path, f"must be an integer in [{low}, 2**63 - 1]")
 
 
-def _integer_list(values, path: str) -> None:
-    if not isinstance(values, tuple) or not values:
-        raise ConfigError(path, "must be a nonempty list")
+def _increasing_list(values, path: str, least: int) -> None:
+    """At least ``least`` strictly increasing integers >= 1."""
+    if not isinstance(values, tuple) or len(values) < least:
+        raise ConfigError(path, f"must be a list of at least {least} integers")
     for v in values:
         _integer(v, path, 1)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(path, "must be strictly increasing")
 
 
 def _grid_step(value, path: str, box: float) -> None:
@@ -200,10 +203,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("tataru.dump_objective", "must be true or false")
     lc = cfg.laplace
     _positive_finite(lc.epsilon, "laplace.epsilon")
-    _integer_list(lc.m_list, "laplace.m_list")
-    if any(b <= a for a, b in zip(lc.m_list, lc.m_list[1:])):
-        raise ConfigError("laplace.m_list", "must be increasing")
-    _integer_list(lc.refine_n, "laplace.refine_n")
+    # varadhan_monotone compares the first and the last m
+    _increasing_list(lc.m_list, "laplace.m_list", 2)
+    _increasing_list(lc.refine_n, "laplace.refine_n", 1)
     _integer(lc.refine_m, "laplace.refine_m", 1)
     _integer(lc.concentration_m, "laplace.concentration_m", 1)
     _positive_finite(lc.concentration_epsilon, "laplace.concentration_epsilon")

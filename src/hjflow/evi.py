@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import FlowTrajectory, ModelSpace
-from .tataru import psi_eps
+from .tataru import HCurve
 
 
 def evi_residual(space: ModelSpace, x, rho, t: float, delta: float) -> float:
@@ -85,22 +85,14 @@ def _distance_growth(space, pi, ts, cmu, rhs) -> float:
     return float(np.max(lhs - rhs))
 
 
-def _damped_distance_bound(space, pi, ts, cmu, growth_rhs, eps_list) -> float:
+def _damped_distance_bound(space, pi, mu, ts, growth_rhs, eps_list) -> float:
     """max over ts and eps of exp(kappa_hat t) d_eps(pi, mu(t)) - sqrt(2 RHS) - sqrt(2 eps),
-    from the flow cmu of mu at ts, with RHS = max(growth_rhs, 0); eps None means the
-    plain metric."""
-    dist2 = space.sq_dist(cmu, pi)
+    with RHS = max(growth_rhs, 0); eps None means the plain metric."""
     rhs = np.sqrt(2.0 * np.maximum(growth_rhs, 0.0))
-    damping = np.exp(space.kappa_hat * ts)
     worst = -math.inf
     for eps in eps_list:
-        if eps is None:
-            deps_vals = np.sqrt(dist2)
-            gap = 0.0
-        else:
-            deps_vals = psi_eps(eps, 0.5 * dist2)
-            gap = math.sqrt(2.0 * eps)
-        worst = max(worst, float(np.max(damping * deps_vals - rhs - gap)))
+        gap = 0.0 if eps is None else math.sqrt(2.0 * eps)
+        worst = max(worst, float(np.max(HCurve(space, pi, mu, eps).h(ts) - rhs - gap)))
     return worst
 
 
@@ -158,6 +150,6 @@ def run_evi_suite(space: ModelSpace, rng: np.random.Generator, instances: int = 
         v = _distance_growth(space, x, times, crho, growth)
         rows.append(("distance_growth", i, v, tol_other, v - tol_other, v <= tol_other))
 
-        v = _damped_distance_bound(space, x, times, crho, growth, (None, 0.1, 1.0))
+        v = _damped_distance_bound(space, x, rho, times, growth, (None, 0.1, 1.0))
         rows.append(("damped_distance_bound", i, v, tol_other, v - tol_other, v <= tol_other))
     return EviReport(rows=tuple(rows), max_residual=worst[0], worst_case=worst[1])

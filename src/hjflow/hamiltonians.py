@@ -19,10 +19,11 @@ subtracted off-diagonal products) are written out as such.  Families:
 
 ``f`` and ``g`` take coordinate rows x (..., size), checked once by
 ``ModelSpace.rows``, and return values (...): one pass through the combinator
-tree for the cylindrical pairs, one ``action_terms`` broadcast over (rows,
-atoms) at level 2, one ``tataru_batch`` call at levels 4 to 6, a loop over rows
-at level 3 only.  Anchor sets, base points and flow anchors are rows too,
-checked once when a pair is built.
+tree for the cylindrical pairs, one ``HCurve.terms`` broadcast over (rows,
+atoms) at level 2, one ``tataru_batch`` call at levels 4 to 6 (level 4 adds one
+``HCurve.terms`` over the minimizer sets), a loop over rows at level 3 only.
+Anchor sets, base points and flow anchors are rows too, checked once when a
+pair is built.  Levels 2 to 4 take h, damping and psi_eps' from ``tataru.HCurve``.
 
 Exponential damping factors use kappa_hat = min(kappa, 0); the quadratic
 correction -kappa/2 d^2 uses kappa itself.
@@ -42,9 +43,9 @@ from .cylinders import (
     affine_phi,
     truncate_cylinder,
 )
-from .laplace import HCurve, discrete_exp_log_weights, lambda_continuous
+from .laplace import discrete_exp_log_weights, lambda_continuous
 from .spaces import ModelSpace
-from .tataru import _psi, _psi_consts, logsumexp, tataru_batch
+from .tataru import HCurve, logsumexp, tataru_batch
 
 CHAIN_LEVELS = (2, 3, 4, 5, 6)
 
@@ -229,14 +230,10 @@ def _max_flow_action(space: ModelSpace, eps, pis: np.ndarray, mus: np.ndarray,
     row.  Minimizer sets are padded to the widest with their own entries: no max moves."""
     width = max(r.minimizers.size for r in results)
     ts = np.array([np.resize(r.minimizers, width) for r in results])
-    vals = space.flow_values(mus, ts)
-    consts = np.stack(_psi_consts(np.broadcast_to(eps, len(results))))
-    psi, psi_p = _psi(consts[..., None], 0.5 * space.sq_dist(vals, pis[:, None, :]))
-    damping = np.exp(space.kappa_hat * ts)
-    # damping * psi_eps = h along the flow, so -kappa_hat/2 h is the
-    # damped-distance correction of the flow action
+    h, damping, psi_p, vals = HCurve(space, pis, mus, eps).terms(ts)
+    # -kappa_hat/2 h is the damped-distance correction of the flow action
     action = (damping * (space.energies(vals) - space.energies(pis)[:, None]) * psi_p
-              - 0.5 * space.kappa_hat * (damping * psi))
+              - 0.5 * space.kappa_hat * h)
     return action.max(axis=1)
 
 
@@ -280,8 +277,8 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
 
     def tilted(x, log_lam, tilt, terms):
         """(-log Lambda / m, b times the tilted flow action) at the rows x, as (..., 2)."""
-        h, damping, psi_p, flow_e = terms
-        gap = flow_e - space.energies(x)[..., None]
+        h, damping, psi_p, vals = terms
+        gap = space.energies(vals) - space.energies(x)[..., None]
         term_energy = b * np.vecdot(tilt, psi_p * damping * gap)
         term_reg = -0.5 * b * space.kappa_hat * np.vecdot(tilt, np.maximum(1.0 / m, h))
         return np.stack((-log_lam / m, term_energy + term_reg), axis=-1)
@@ -291,7 +288,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
         atoms, log_w = discrete_exp_log_weights(m + 1, n)
 
         def ladder_terms(x):
-            terms = HCurve(space, eps, x, anchor).action_terms(atoms)
+            terms = HCurve(space, x, anchor, eps).terms(atoms)
             log_contrib = log_w - m * terms[0]
             log_lam = logsumexp(log_contrib, axis=-1)
             return tilted(x, log_lam, np.exp(log_contrib - log_lam[..., None]), terms)
@@ -303,7 +300,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
             out = []
             for row in x.reshape(-1, space.size):
                 lam = lambda_continuous(space, eps, m, row, anchor, rel_tol=rel_tol)
-                terms = HCurve(space, eps, row, anchor).action_terms(lam.nodes)
+                terms = HCurve(space, row, anchor, eps).terms(lam.nodes)
                 out.append(tilted(row, lam.log_value, lam.tilted_weights(), terms))
             return np.reshape(out, (*x.shape[:-1], 2))
 

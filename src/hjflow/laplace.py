@@ -3,7 +3,7 @@
 Everything is accumulated in log space: the quantities of interest are the
 normalized exponents -(1/m) log Lambda, and raw Lambda values underflow double
 precision already for moderate m.  pi and mu are coordinate rows, checked by
-``ModelSpace.rows``.
+``ModelSpace.rows``; the exponent h(t) comes from ``tataru.HCurve``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import FlowCurve, ModelSpace
-from .tataru import _psi_consts, _t_cap, logsumexp, psi_eps, psi_eps_and_prime, tataru_batch
+from .spaces import ModelSpace
+from .tataru import HCurve, logsumexp, tataru_batch
 
 _GL15 = np.polynomial.legendre.leggauss(15)
 _GL7 = np.polynomial.legendre.leggauss(7)
@@ -71,48 +71,6 @@ def discrete_exp_log_weights(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return atoms, log_w
 
 
-class HCurve:
-    """Evaluator of h(t) = exp(kappa_hat t) psi_eps(d^2(pi, mu(t)) / 2).
-
-    Bundles the flow curve of the anchor mu with the squared distances that
-    the Laplace integrands need (``h``) and with the flow-action terms of the
-    Hamiltonian ladder (``action_terms``).  ``pi`` holds rows (..., size) and
-    ``mu`` is one row (size,); the flow of mu is evaluated once per call and
-    every row of pi is measured against it, so T times give values (..., T).
-    """
-
-    def __init__(self, space: ModelSpace, eps: float, pi, mu):
-        if not eps > 0:  # also rejects NaN
-            raise ValueError("eps must be positive")
-        self.space = space
-        self.eps = eps
-        self.pi = space.rows(pi)
-        self.mu = space.rows(mu)
-        if self.mu.ndim != 1:
-            raise ValueError("mu must be one row")
-        self.curve = FlowCurve(space, self.mu)
-
-    def _half_dist2(self, vals: np.ndarray) -> np.ndarray:
-        return 0.5 * self.space.sq_dist(vals, self.pi[..., None, :])
-
-    def damping(self, ts) -> np.ndarray:
-        return np.exp(self.space.kappa_hat * np.asarray(ts, dtype=float))
-
-    def h(self, ts) -> np.ndarray:
-        return self.damping(ts) * psi_eps(self.eps, self._half_dist2(self.curve.values_at(ts)))
-
-    def action_terms(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(h, damping, psi_eps', flow energies) at the times ts, from one flow evaluation."""
-        vals = self.curve.values_at(ts)
-        psi, psi_p = psi_eps_and_prime(self.eps, self._half_dist2(vals))
-        damping = self.damping(ts)
-        return damping * psi, damping, psi_p, self.space.energies(vals)
-
-    def t_cap(self) -> np.ndarray:
-        """d_eps(pi, mu) + 1, the search cap of the smoothed Tataru distance."""
-        return _t_cap(self.space, self.pi, self.mu, _psi_consts(self.eps))
-
-
 @dataclass(frozen=True)
 class LaplaceValue:
     """Log-space value of a Laplace integral plus per-node contributions."""
@@ -144,9 +102,8 @@ def lambda_discrete(space: ModelSpace, eps: float, m: int, n: int, pi, mu) -> La
     exponential measure of rate m + 1."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    hcurve = HCurve(space, eps, pi, mu)
     atoms, log_w = discrete_exp_log_weights(m + 1, n)
-    log_contrib = log_w - m * hcurve.h(atoms)
+    log_contrib = log_w - m * HCurve(space, space.rows(pi), space._row(mu), eps).h(atoms)
     log_value = float(logsumexp(log_contrib))
     return LaplaceValue(m=m, log_value=log_value, nodes=atoms,
                         log_contrib=log_contrib)
@@ -227,7 +184,7 @@ def lambda_continuous(space: ModelSpace, eps: float, m: int, pi, mu,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    hcurve = HCurve(space, eps, pi, mu)
+    hcurve = HCurve(space, space.rows(pi), space._row(mu), eps)
     t_quad = float(hcurve.t_cap()) + 5.0 / (m + 1)
     log_rate = math.log(m + 1.0)
 

@@ -6,6 +6,11 @@ at mu and kappa_hat = min(kappa, 0).  The smoothed variant replaces d by
 ``psi_eps(d^2 / 2)``, a C^2 approximation of r -> sqrt(2 r) that makes the
 objective differentiable in the squared distance.
 
+``HCurve`` is the one evaluator of h(t) = exp(kappa_hat t) D(pi, mu(t)), D = d
+or psi_eps(d^2/2): the objective t + h and its cap here, the Laplace integrands,
+the ladder's flow action and the damped-distance check all take h from it, and
+no other module builds psi constants.
+
 ``tataru_batch`` minimizes over t in [0, T_cap] for many (pi, mu, kappa, eps)
 instances at once, pi and mu given as coordinate rows: one coarse-grid
 objective call per chunk of instances, of which only the three best grid
@@ -126,14 +131,57 @@ class TataruResult:
     grid_points: int
 
 
-def _t_cap(space: ModelSpace, pis: np.ndarray, mus: np.ndarray, consts) -> np.ndarray:
-    """T_cap of the rows pis and mus: d(pi, mu) + 1 for consts None, else
-    psi_eps(d^2/2) + 1 for the psi constants ``consts`` (see ``_psi``), with
-    d^2/2 taken from ``sq_dist``, never from the square root."""
-    sq = space.sq_dist(pis, mus)
-    if consts is None:
-        return np.sqrt(sq) + 1.0
-    return _psi(consts, 0.5 * sq, prime=False)[0] + 1.0
+class HCurve:
+    """The one evaluator of h(t) = exp(kappa_hat t) D(pi, mu(t)), D = d or psi_eps(d^2/2).
+
+    Instances sit on the leading axes: ``pi`` holds coordinate rows (..., size)
+    and ``mu`` rows that broadcast against them, both checked by the caller;
+    ``kappa_hat`` is None (the space's), one value or one per instance, and
+    ``eps`` None (D = d), one value or one per instance.  The psi constants
+    are built here, once per curve.  Times ts (..., T) pair with the instances
+    and give values (..., T).  ``h(ts, rows)`` takes the instances ``rows`` of
+    a curve whose instances lie on one axis, kappa_hat and eps given per instance.
+    """
+
+    def __init__(self, space: ModelSpace, pi: np.ndarray, mu: np.ndarray, eps=None,
+                 kappa_hat=None):
+        self.space, self.pi, self.mu = space, pi, mu
+        k_hat = space.kappa_hat if kappa_hat is None else kappa_hat
+        self.kappa_hat = np.asarray(k_hat, dtype=float)[..., None]
+        self.consts = None if eps is None else np.stack(_psi_consts(eps))[..., None]
+
+    @staticmethod
+    def _d(consts, sq: np.ndarray, prime: bool = False):
+        """(D, D') of the squared distances sq, computed in the buffer of sq: D' is
+        psi_eps'(d^2/2) when asked for, else None.  Halving or rooting sq in place
+        gives the bits of ``0.5 * sq`` and ``np.sqrt(sq)`` with one array fewer."""
+        if consts is None:
+            return np.sqrt(sq, out=sq), None
+        return _psi(consts, np.multiply(sq, 0.5, out=sq), prime=prime)
+
+    def h(self, ts, rows=None) -> np.ndarray:
+        """h at the times ts; the flow is dropped once its distances are taken."""
+        pi, mu, k_hat, consts = self.pi, self.mu, self.kappa_hat, self.consts
+        if rows is not None:
+            pi, mu, k_hat = pi.take(rows, 0), mu.take(rows, 0), k_hat.take(rows, 0)
+            consts = None if consts is None else consts.take(rows, 1)
+        d = self._d(consts, self.space.sq_dist(self.space.flow_values(mu, ts),
+                                               pi[..., None, :]))[0]
+        return d * np.exp(k_hat * ts)
+
+    def terms(self, ts) -> tuple:
+        """(h, damping exp(kappa_hat t), D', flow values (..., T, size)) at the times ts."""
+        vals = self.space.flow_values(self.mu, ts)
+        sq = self.space.sq_dist(vals, self.pi[..., None, :])
+        d, d_prime = self._d(self.consts, sq, prime=True)
+        damping = np.exp(self.kappa_hat * ts)
+        return damping * d, damping, d_prime, vals
+
+    def t_cap(self) -> np.ndarray:
+        """D(pi, mu) + 1, the search cap of the Tataru minimization; d^2 comes from
+        ``sq_dist``, never from the square root."""
+        sq = self.space.sq_dist(self.pi, self.mu)[..., None]  # the constants' time axis
+        return self._d(self.consts, sq)[0][..., 0] + 1.0
 
 
 def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -224,26 +272,6 @@ def _minimize(objective, t_caps: np.ndarray, grid_points: int = GRID_POINTS,
     return results
 
 
-def _flow_objective(space: ModelSpace, pis: np.ndarray, mus: np.ndarray,
-                    kappa_hats: Sequence[float], consts: np.ndarray | None):
-    """objective(rows, ts): t + exp(kappa_hat t) d(pi, mu(t)), or psi_eps(d^2/2)
-    with the psi constants consts[i] (N, 3) of ``_psi_consts`` for instance i
-    unless consts is None, for the instances ``rows`` at the times ts of shape
-    (len(rows), T); pis and mus are coordinate rows (N, size)."""
-    k_hat = np.array(kappa_hats, dtype=float)
-
-    def objective(rows, ts):
-        dist2 = space.sq_dist(space.flow_values(mus.take(rows, 0), ts),
-                              pis.take(rows, 0)[:, None, :])
-        if consts is None:
-            inner = np.sqrt(dist2)
-        else:
-            inner = _psi(consts.take(rows, 0).T[:, :, None], 0.5 * dist2, prime=False)[0]
-        return ts + np.exp(k_hat.take(rows)[:, None] * ts) * inner
-
-    return objective
-
-
 def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | None = None,
                  eps: float | Sequence[float] | None = None) -> list[TataruResult]:
     """Tataru distances (smoothed by eps unless None) from the rows pis[i] to mus[i].
@@ -263,21 +291,19 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
     kappas = [None] * n if kappas is None else list(kappas)
     if not (pis.ndim == 2 and pis.shape == mus.shape and len(kappas) == n):
         raise ValueError("pis, mus and kappas must have the same length")
-    consts = None
     if eps is not None:
         eps = np.asarray(eps, dtype=float)
         if eps.ndim and eps.shape != (n,):
             raise ValueError("eps must be one value or one per instance")
-        consts = np.stack(_psi_consts(np.broadcast_to(eps, n)), axis=-1)
-    t_caps = _t_cap(space, pis, mus, None if consts is None else consts.T)
+        eps = np.broadcast_to(eps, n)
     kappa_hats = [min(space.kappa if k is None else k, 0.0) for k in kappas]
+    curve = HCurve(space, pis, mus, eps, kappa_hats)
+    t_caps = curve.t_cap()
     cap = max(BLOCK_ELEMENTS, GRID_POINTS * space.size)
     chunk = cap // (GRID_POINTS * space.size)
     block = cap // (3 * ZOOM_POINTS * space.size)
     results: list[TataruResult] = []
     for lo in range(0, n, block):
-        hi = lo + block
-        objective = _flow_objective(space, pis[lo:hi], mus[lo:hi], kappa_hats[lo:hi],
-                                    None if consts is None else consts[lo:hi])
-        results += _minimize(objective, t_caps[lo:hi], chunk=chunk)
+        results += _minimize(lambda rows, ts, lo=lo: ts + curve.h(ts, rows + lo),
+                             t_caps[lo:lo + block], chunk=chunk)
     return results

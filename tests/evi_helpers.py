@@ -1,7 +1,8 @@
 """Test-only one-call forms of the flow estimates of ``hjflow.evi``.
 
 Each helper checks its coordinate rows, evaluates the flows it needs at the
-given times and passes them to the kernel that ``run_evi_suite`` uses, so a
+given times (the damped-distance bound takes mu, whose flow ``tataru.HCurve``
+evaluates) and passes them to the kernel that ``run_evi_suite`` uses, so a
 check here and a suite row read the same numbers.
 """
 
@@ -57,5 +58,4 @@ def damped_distance_bound_violation(space, pi, mu, times, eps_list=(None, 0.1, 1
     """
     ts = _times(times)
     pi, mu = space.rows(pi), space.rows(mu)
-    return _damped_distance_bound(space, pi, ts, space.flow_curve(mu).values_at(ts),
-                                  _growth_rhs(space, pi, mu, ts), eps_list)
+    return _damped_distance_bound(space, pi, mu, ts, _growth_rhs(space, pi, mu, ts), eps_list)

@@ -3,7 +3,7 @@
 
 Each takes single coordinate rows (size,), checked by ``ModelSpace.rows``:
 distances, energies and slopes are floats of the row kernels, ``d_eps`` is
-psi_eps of half of ``sq_dist``, as ``tataru._t_cap`` takes it, and
+psi_eps of half of ``sq_dist``, as ``tataru.HCurve.t_cap`` takes it, and
 ``tataru``/``tataru_eps`` are batches of one.
 """
 

@@ -11,10 +11,9 @@ from hjflow.config import ConfigError, config_from_dict, default_config, load_co
 from hjflow.cylinders import affine_phi
 from hjflow.evi import evi_residual
 from hjflow.hamiltonians import build_chain_pair, build_cyl_pair, build_tataru_pair
-from hjflow.laplace import HCurve
 from hjflow.reporting import CSV_HEADER, Report, write_csv, write_json
 from hjflow.spaces import euclidean_space, quadratic_potential
-from hjflow.tataru import psi_eps, psi_eps_prime, tataru_batch
+from hjflow.tataru import HCurve, psi_eps, psi_eps_prime, tataru_batch
 from hjflow.viscosity import solve_resolvent
 
 TINY = {
@@ -253,6 +252,11 @@ NAN = float("nan")
     ("evi-check", {"seed": 2**63}, "seed"),
     ("ham-chain", {"ham_chain": {"samples": 2**64}}, "ham_chain.samples"),
     ("laplace-converge", {"laplace": {"m_list": [10, 10**400]}}, "laplace.m_list"),
+    # varadhan_monotone compares the first and last m, and every riemann_refinement
+    # row the gap at n with the one at the previous, smaller n
+    ("laplace-converge", {"laplace": {"m_list": [100]}}, "laplace.m_list"),
+    ("laplace-converge", {"laplace": {"refine_n": [40, 10]}}, "laplace.refine_n"),
+    ("laplace-converge", {"laplace": {"refine_n": [10, 10]}}, "laplace.refine_n"),
 ])
 def test_config_probe_errors(tmp_path, capsys, command, data, path):
     cfg_path = tmp_path / "bad.json"
@@ -279,7 +283,7 @@ NAN_CALLS = {
     "psi_eps_prime.eps": lambda: psi_eps_prime(NAN, 1.0),
     "tataru_batch.eps": lambda: tataru_batch(_SPACE, [_P], [_Q], eps=NAN),
     "tataru_batch.eps[i]": lambda: tataru_batch(_SPACE, [_P, _P], [_Q, _Q], eps=[0.1, NAN]),
-    "HCurve.eps": lambda: HCurve(_SPACE, NAN, _P, _Q),
+    "HCurve.eps": lambda: HCurve(_SPACE, _P, _Q, NAN),
     "evi_residual.delta": lambda: evi_residual(_SPACE, _P, _Q, 0.5, NAN),
     "solve_resolvent.lam": lambda: solve_resolvent(_SPACE, NAN, lambda x: 0.0 * x),
     "build_cyl_pair.a": lambda: build_cyl_pair(_SPACE, "dagger", NAN, affine_phi([1.0]),

@@ -13,7 +13,6 @@ from hjflow.cli import run_laplace
 from hjflow.config import default_config
 from hjflow.laplace import (
     DiscreteMeasure,
-    HCurve,
     _adaptive_log_quadrature,
     _panels,
     discrete_exp_log_weights,
@@ -23,7 +22,7 @@ from hjflow.laplace import (
     varadhan_error_curve,
 )
 from hjflow.reporting import fmt17
-from hjflow.tataru import _psi_consts, psi_eps
+from hjflow.tataru import HCurve, psi_eps
 
 from precision_helpers import assert_t_cap, old_psi_consts, old_t_cap
 from row_helpers import tataru_eps
@@ -83,8 +82,8 @@ def test_lambda_discrete_constant_exponent(ou):
 
 def test_lambda_discrete_zero_exponent_shim(ou, monkeypatch):
     # with the modified distance forced to zero the integral is the total mass
-    class ZeroH(laplace.HCurve):
-        def h(self, ts):
+    class ZeroH(HCurve):
+        def h(self, ts, rows=None):
             return np.zeros(np.atleast_1d(ts).size)
 
     monkeypatch.setattr(laplace, "HCurve", ZeroH)
@@ -172,17 +171,18 @@ def test_run_laplace_curve_writes_computed_neg_log_from_one_minimization(tmp_pat
     lc = cfg.laplace
     space = cfg.space.build()
     tataru_module = sys.modules["hjflow.tataru"]
-    flow_objective = tataru_module._flow_objective
     minimized = []
 
-    def counted(space, pis, mus, kappa_hats, consts):
-        minimized.append((pis.tolist(), mus.tolist(), None if consts is None else consts.tolist()))
-        return flow_objective(space, pis, mus, kappa_hats, consts)
+    class Counted(HCurve):
+        def __init__(self, space, pi, mu, eps=None, kappa_hat=None):
+            minimized.append((pi.tolist(), mu.tolist(), None if eps is None else eps.tolist()))
+            super().__init__(space, pi, mu, eps, kappa_hat)
 
-    monkeypatch.setattr(tataru_module, "_flow_objective", counted)
+    # tataru_batch builds one curve per block of instances, laplace's own curves
+    # are bound in laplace and not counted
+    monkeypatch.setattr(tataru_module, "HCurve", Counted)
     run_laplace(cfg, tmp_path)
-    psi_consts = np.stack(_psi_consts([lc.epsilon]), axis=-1).tolist()
-    assert minimized.count(([list(lc.pi)], [list(lc.mu)], psi_consts)) == 1
+    assert minimized.count(([list(lc.pi)], [list(lc.mu)], [lc.epsilon])) == 1
     with open(tmp_path / "laplace_converge_curve.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["m"]) for r in rows] == list(lc.m_list)
@@ -198,7 +198,7 @@ def test_hcurve_t_cap_no_worse_than_squaring_the_distance_back(ou, quantile_ou):
         rows = [(space.sample(rng), space.sample(rng)) for _ in range(300)]
         sq = np.array([space.sq_dist(pi, mu) for pi, mu in rows])
         eps = 0.5 * sq * np.exp(rng.uniform(-1.0, 1.0, sq.size))
-        new = [HCurve(space, e, pi, mu).t_cap() for e, (pi, mu) in zip(eps, rows)]
+        new = [HCurve(space, pi, mu, e).t_cap() for e, (pi, mu) in zip(eps, rows)]
         old = [old_t_cap(space, pi, mu, old_psi_consts(e)) for e, (pi, mu) in zip(eps, rows)]
         assert_t_cap(new, old, sq, eps)
 
@@ -283,7 +283,7 @@ def test_batched_panels_match_one_panel_at_a_time(request, space_name, m):
     space = request.getfixturevalue(space_name)
     rng = np.random.default_rng(m)
     pi, mu = space.sample(rng), space.sample(rng)
-    hcurve = HCurve(space, 0.1, pi, mu)
+    hcurve = HCurve(space, pi, mu, 0.1)
 
     def log_f(ts):
         return math.log(m + 1.0) - (m + 1.0) * ts - m * hcurve.h(ts)

@@ -41,7 +41,6 @@ from hjflow.cylinders import (
     affine_phi,
 )
 from hjflow.laplace import (
-    HCurve,
     _adaptive_log_quadrature,
     discrete_exp_log_weights,
     lambda_continuous,
@@ -53,7 +52,7 @@ from hjflow.spaces import (
     quantile_space,
     quartic_potential,
 )
-from hjflow.tataru import psi_eps, psi_eps_prime, tataru_batch
+from hjflow.tataru import HCurve, psi_eps, psi_eps_prime, tataru_batch
 from hjflow.viscosity import GridFunction, ViscosityReport, check_viscosity, make_grid
 
 import precision_helpers as ld
@@ -835,7 +834,7 @@ def _ladder_leaves(space: ModelSpace, level: int, params: dict, anchor, pts) -> 
         else:  # the quadrature's nodes and the log weights of its contributions
             lam = lambda_continuous(space, eps, m, row, anchor, rel_tol=params["quad_rel_tol"])
             nodes = lam.nodes
-            log_w = lam.log_contrib + m * HCurve(space, eps, row, anchor).h(nodes)
+            log_w = lam.log_contrib + m * HCurve(space, row, anchor, eps).h(nodes)
         out.append(ref_tilted(space, eps, m, b, row, anchor, nodes, log_w))
     return np.array(out, dtype=LD).T
 
@@ -929,7 +928,7 @@ def test_pairs_call_no_libm_pow(space, monkeypatch):
 def test_rows_are_never_turned_back_into_points(space):
     """Rows are the only representation: ``hjflow.spaces`` has no point type to
     turn them into, ``sample`` draws a row, and the f and g of ladder levels 2
-    to 6, ``tataru_batch``, ``HCurve.action_terms`` and ``lambda_continuous``
+    to 6, ``tataru_batch``, ``HCurve.terms`` and ``lambda_continuous``
     run on (N, size) and (2, 3, size) rows, the second giving the values of the
     first in its shape."""
     for name in ("EuclideanPoint", "QuantilePoint", "SpacePoint"):
@@ -950,8 +949,8 @@ def test_rows_are_never_turned_back_into_points(space):
     values = [r.value for r in tataru_batch(space, x, x[::-1], eps=0.2)]
     assert len(values) == 6 and np.all(np.isfinite(values))
     ts = np.linspace(0.0, 2.0, 7)
-    terms = HCurve(space, 0.2, x.reshape(2, 3, space.size), anchor).action_terms(ts)
-    flat = HCurve(space, 0.2, x, anchor).action_terms(ts)
+    terms = HCurve(space, x.reshape(2, 3, space.size), anchor, 0.2).terms(ts)
+    flat = HCurve(space, x, anchor, 0.2).terms(ts)
     assert terms[0].shape == terms[2].shape == (2, 3, ts.size)
     assert all(np.array_equal(got, want.reshape(got.shape)) for got, want in zip(terms, flat))
     assert np.isfinite(lambda_continuous(space, 0.2, 5, x[0], anchor, rel_tol=1e-6).log_value)

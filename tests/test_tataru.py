@@ -19,10 +19,9 @@ from hjflow.tataru import (
     GRID_POINTS,
     VALUE_TOL,
     ZOOM_POINTS,
-    _flow_objective,
+    HCurve,
     _minimize,
     _psi_consts,
-    _t_cap,
     logsumexp,
     psi_eps,
     psi_eps_and_prime,
@@ -473,7 +472,7 @@ def test_tataru_batch_on_quantile_space_matches_single_calls(eps_mode, chunk, mo
     assert_same_results(batch, singles)
 
 
-@pytest.mark.parametrize("eps", [None, (0.05, 0.3, 0.7, 0.3, 0.05)])
+@pytest.mark.parametrize("eps", [None, np.array((0.05, 0.3, 0.7, 0.3, 0.05))])
 def test_minimize_grid_chunks_match_one_grid_call(eps):
     space = QUANTILE_64
     rng = np.random.default_rng(8)
@@ -481,19 +480,20 @@ def test_minimize_grid_chunks_match_one_grid_call(eps):
     mus = [space.sample(rng) for _ in range(n)]
     pis = [flow(space, mu, float(rng.uniform(0.5, 3.0))) if i % 2 else space.sample(rng)
            for i, mu in enumerate(mus)]
-    kappa_hats = [space.kappa_hat] * n
+    kappa_hats = np.full(n, space.kappa_hat)
     t_caps = np.array([distance(space, p, m) + 1.0 for p, m in zip(pis, mus)])
     pis, mus = np.stack(pis), np.stack(mus)
-    consts = None if eps is None else np.stack(_psi_consts(eps), axis=-1)
-    objective = _flow_objective(space, pis, mus, kappa_hats, consts)
+
+    def objective(lo, hi):
+        curve = HCurve(space, pis[lo:hi], mus[lo:hi], None if eps is None else eps[lo:hi],
+                       kappa_hats[lo:hi])
+        return lambda rows, ts: ts + curve.h(ts, rows)
+
     # reference: every instance minimized alone, with an objective of its own
-    alone = [_minimize(_flow_objective(space, pis[i:i + 1], mus[i:i + 1], kappa_hats[i:i + 1],
-                                       None if eps is None else consts[i:i + 1]),
-                       t_caps[i:i + 1])[0]
-             for i in range(n)]
+    alone = [_minimize(objective(i, i + 1), t_caps[i:i + 1])[0] for i in range(n)]
     assert all(np.isfinite(res.value) and res.minimizers.size for res in alone)
     for chunk in (None, 1, 2, n):
-        assert_same_results(_minimize(objective, t_caps, chunk=chunk), alone)
+        assert_same_results(_minimize(objective(0, n), t_caps, chunk=chunk), alone)
 
 
 def test_psi_eps_and_prime_equal_both_functions():
@@ -521,11 +521,10 @@ def test_flow_objective_with_eps_per_instance_equals_scalar_psi():
     n = len(eps)
     mus = [space.sample(rng) for _ in range(n)]
     pis = [flow(space, mu, float(rng.uniform(1e-3, 1e-2))) for mu in mus]
-    consts = np.stack(_psi_consts(eps), axis=-1)
-    objective = _flow_objective(space, np.stack(pis), np.stack(mus), [space.kappa_hat] * n, consts)
+    curve = HCurve(space, np.stack(pis), np.stack(mus), eps, [space.kappa_hat] * n)
     rows = np.concatenate((np.arange(n), [3, 0]))
     ts = np.tile(np.linspace(0.0, 0.02, 257), (rows.size, 1))
-    got = objective(rows, ts)
+    got = ts + curve.h(ts, rows)
     for k, i in enumerate(rows):
         dist2 = space.sq_dist(space.flow_curve(mus[i]).values_at(ts[k]), pis[i])
         assert np.all(0.5 * dist2 <= eps[i])
@@ -567,7 +566,7 @@ def test_t_cap_no_worse_than_squaring_the_distance_back(space):
     eps = 0.5 * sq * np.exp(rng.uniform(-1.0, 1.0, n))  # half the instances on each branch
     assert 0.4 * n < np.sum(0.5 * sq > eps) < 0.6 * n
     old = ld.old_t_cap(space, pis, mus, np.array([ld.old_psi_consts(e) for e in eps]).T)
-    ld.assert_t_cap(_t_cap(space, pis, mus, _psi_consts(eps)), old, sq, eps)
+    ld.assert_t_cap(HCurve(space, pis, mus, eps).t_cap(), old, sq, eps)
 
 
 @pytest.mark.parametrize("eps", [None, 0.2, "each"])

@@ -249,8 +249,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """The validated config of a JSON file; a file unreadable as JSON is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError("--config", f"cannot read {path}: {exc}") from exc
     return config_from_dict(data)
 
 

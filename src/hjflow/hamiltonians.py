@@ -13,7 +13,8 @@ subtracted off-diagonal products) are written out as such.  Families:
   + cross^2/2 + a d0 cross] + a^2/2 d0^2, where cross = grad phi . d;
 * bounded cylindrical (no leading quadratic), with the subtracted
   off-diagonal products on the lower side;
-* Tataru pairs f = sigma (a/2 d0^2 + b d_T) + c with the closed-form g;
+* Tataru pairs f = sigma (a/2 d0^2 + b d_T) + c with the closed-form g, whose
+  parameters and rows may be given per instance, on a leading axis;
 * the approximation ladder, levels 2..6, walking from exponential Riemann sums
   over the flow to the Tataru pair.
 
@@ -178,32 +179,36 @@ def _ladder_f(space: ModelSpace, sigma: float, a: float, b: float, c: float,
     return f
 
 
-def _tataru_results(space: ModelSpace, x: np.ndarray, anchor: np.ndarray,
-                    eps: float | None):
-    """(rows (N, size) of x, the anchor row broadcast to them, their Tataru
-    results against the anchor), from one ``tataru_batch`` call."""
-    rows = x.reshape(-1, space.size)
-    anchors = np.broadcast_to(anchor, rows.shape)
-    return rows, anchors, tataru_batch(space, rows, anchors, eps=eps)
+def _tataru_results(space: ModelSpace, x: np.ndarray, anchor: np.ndarray, eps):
+    """(eps, rows, anchors, results) of one ``tataru_batch`` call: the rows x
+    (..., size) and the anchor rows broadcast together and flattened to
+    (N, size), and eps, if not None, broadcast to (N,)."""
+    x, anchors = np.broadcast_arrays(x, anchor)
+    if eps is not None:
+        eps = np.broadcast_to(eps, x.shape[:-1]).reshape(-1)
+    rows, anchors = x.reshape(-1, space.size), anchors.reshape(-1, space.size)
+    return eps, rows, anchors, tataru_batch(space, rows, anchors, eps=eps)
 
 
-def _tataru_value(space: ModelSpace, anchor: np.ndarray, eps: float | None):
-    return lambda x: np.reshape([r.value for r in _tataru_results(space, x, anchor, eps)[2]],
-                                x.shape[:-1])
+def _tataru_value(space: ModelSpace, anchor: np.ndarray, eps):
+    return lambda x: np.reshape([r.value for r in _tataru_results(space, x, anchor, eps)[3]],
+                                np.broadcast_shapes(x.shape, anchor.shape)[:-1])
 
 
-def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float,
-                      base_point, flow_anchor, eps: float | None = None) -> HamiltonianPair:
+def build_tataru_pair(space: ModelSpace, side: str, a, b, c, base_point, flow_anchor,
+                      eps=None) -> HamiltonianPair:
     """f = sigma (a/2 d^2 + b d_T) + c with the closed-form g.
 
     ``base_point`` anchors the quadratic; ``flow_anchor`` is the row whose
     gradient flow enters the Tataru minimization, smoothed by ``eps`` unless
-    it is None.
+    it is None.  The pair may hold N instances: a, b, c and eps (N,) and the
+    rows (N, size), each also given once; x (..., size) broadcasts against
+    them, and every instance gets the bits of its own one-instance pair.
     """
     sigma = side_sign(side)
-    if not (a > 0 and b > 0):  # also rejects NaN
+    if not (np.all(a > 0) and np.all(b > 0)):  # also rejects NaN
         raise ValueError("a and b must be positive")
-    base_point, anchor = space._row(base_point), space._row(flow_anchor)
+    base_point, anchor = space.rows(base_point).copy(), space.rows(flow_anchor).copy()
     g = _closed_g(space, sigma, a, b, base_point)
     return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,
                                         _tataru_value(space, anchor, eps)),
@@ -253,7 +258,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     base_key, anchor_key = ("rho", "mu") if sigma > 0 else ("gamma", "pi")
     a, b, c, base_point, flow_anchor = _require(params, level, "a", "b", "c",
                                                 base_key, anchor_key)
-    if not (a > 0 and b > 0):  # also rejects NaN
+    if not (np.all(a > 0) and np.all(b > 0)):  # also rejects NaN
         raise ValueError("a and b must be positive")
     if level >= 5:
         eps = _require(params, level, "eps")[0] if level == 5 else None
@@ -265,8 +270,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
         eps = _require(params, level, "eps")[0]
 
         def g4(x):
-            rows, anchors, res = _tataru_results(space, x, anchor, eps)
-            action = _max_flow_action(space, eps, rows, anchors, res)
+            action = _max_flow_action(space, *_tataru_results(space, x, anchor, eps))
             return closed_g(x, b * action.reshape(x.shape[:-1]))
 
         return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,

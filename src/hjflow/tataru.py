@@ -13,10 +13,12 @@ no other module builds psi constants.
 
 ``tataru_batch`` minimizes over t in [0, T_cap] for many (pi, mu, kappa, eps)
 instances at once, pi and mu given as coordinate rows: one coarse-grid
-objective call per chunk of instances, of which only the three best grid
-brackets of every instance are kept, then, per block of instances, a bracket
-zoom with one objective call per step for all brackets of the block and one
-call for the refined values.  Chunks and blocks are sized by BLOCK_ELEMENTS,
+objective call per chunk of instances, of which only the three best useful
+grid brackets of every instance are kept, then, per block of instances, a
+bracket zoom with one objective call per step for all brackets of the block
+and one call for the refined values.  As F(t) = t + h(t) >= t and F(0) =
+D(pi, mu), a bracket is useful only if it starts within D + VALUE_TOL, and
+the grid of an instance stops there.  Chunks and blocks are sized by BLOCK_ELEMENTS,
 so a 64-point quantile space, whose grid fills a chunk with one instance,
 still zooms five instances together.  It is the one entry point: a single
 distance is a batch of one, and every instance gets the same numbers alone or
@@ -177,11 +179,14 @@ class HCurve:
         damping = np.exp(self.kappa_hat * ts)
         return damping * d, damping, d_prime, vals
 
-    def t_cap(self) -> np.ndarray:
-        """D(pi, mu) + 1, the search cap of the Tataru minimization; d^2 comes from
-        ``sq_dist``, never from the square root."""
+    def d0(self) -> np.ndarray:
+        """D(pi, mu), the objective at t = 0; d^2 comes from ``sq_dist``, not a root."""
         sq = self.space.sq_dist(self.pi, self.mu)[..., None]  # the constants' time axis
-        return self._d(self.consts, sq)[0][..., 0] + 1.0
+        return self._d(self.consts, sq)[0][..., 0]
+
+    def t_cap(self) -> np.ndarray:
+        """D(pi, mu) + 1, the search cap of the Tataru minimization."""
+        return self.d0() + 1.0
 
 
 def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -213,15 +218,21 @@ def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
     return mid
 
 
-def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, grid_points: int):
+def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, bounds: np.ndarray,
+                   grid_points: int):
     """Coarse grid of the instances ``rows``: (instance, rank, time, value, a, b) of
-    their three lowest local grid minima, boundaries included, ties in grid order,
-    with the brackets [a, b] between the grid neighbours."""
+    their three lowest useful local grid minima, boundaries included, ties in grid
+    order, with the brackets [a, b] between the grid neighbours.  A minimum is useful
+    when its bracket starts within bound + VALUE_TOL; the grid runs to the right
+    neighbour of the chunk's last useful point, and no instance reads past its own."""
     ts = np.linspace(0.0, t_caps, grid_points, axis=1)
-    vals = objective(rows, ts)
+    last = np.minimum((ts <= (bounds + VALUE_TOL)[:, None]).sum(axis=1, keepdims=True),
+                      grid_points - 1)
+    cols = np.arange(min(last.max() + 2, grid_points))
+    vals = objective(rows, ts[:, :cols.size])
     edge = np.full((rows.size, 1), np.inf)
     padded = np.concatenate((edge, vals, edge), axis=1)
-    inst, at = ((vals <= padded[:, :-2]) & (vals <= padded[:, 2:])).nonzero()
+    inst, at = ((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]) & (cols <= last)).nonzero()
     by_value = np.lexsort((vals[inst, at], inst))  # stable: ties stay in grid order
     inst, at = inst[by_value], at[by_value]
     rank = np.arange(inst.size) - inst.searchsorted(inst)
@@ -231,21 +242,29 @@ def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, grid_points:
             ts[inst, np.maximum(at - 1, 0)], ts[inst, np.minimum(at + 1, grid_points - 1)])
 
 
-def _minimize(objective, t_caps: np.ndarray, grid_points: int = GRID_POINTS,
-              chunk: int | None = None) -> list[TataruResult]:
+def _minimize(objective, t_caps: np.ndarray, bounds: np.ndarray,
+              grid_points: int = GRID_POINTS, chunk: int | None = None) -> list[TataruResult]:
     """Coarse grid plus a batched bracket zoom around each instance's best local minima.
 
     ``objective(rows, ts)`` maps instance indices (R,) into ``t_caps`` and
     times (R, T) to objective values (R, T).  It is called once on the grid of
     every ``chunk`` instances (all of them for None), keeping only the three
-    best brackets of each, then once per zoom step for all instances and once
-    for the refined values.  The minimizer set of an instance collects all its
-    grid and refined minima whose value is within VALUE_TOL of its best one.
+    best useful brackets of each, then once per zoom step for all instances
+    and once for the refined values.  The minimizer set of an instance
+    collects all its grid and refined minima whose value is within VALUE_TOL
+    of its best one.
+
+    ``bounds[i]`` is F(0) of an objective F that dominates t (D(pi, mu) for
+    Tataru), or t_caps[i] for the full grid.  A bracket that starts beyond
+    bound + VALUE_TOL holds only values above best + VALUE_TOL, as best <= F(0),
+    and the next useful one takes its place among the three best: the result is
+    the full grid's when the full grid's three best are useful, and else refines
+    a superset of its useful brackets, so its value is never larger.
     """
     n = t_caps.size
     chunk = n if chunk is None else chunk
     parts = [_grid_brackets(objective, np.arange(lo, min(lo + chunk, n)),
-                            t_caps[lo:lo + chunk], grid_points)
+                            t_caps[lo:lo + chunk], bounds[lo:lo + chunk], grid_points)
              for lo in range(0, n, chunk)]
     inst, rank, grid_t, grid_v, a, b = (np.concatenate(col) for col in zip(*parts))
     cand_t = np.full((n, 6), np.inf)
@@ -281,7 +300,8 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
     ``eps`` is None, one value for all instances or one value per instance.
     The search interval [0, T_cap] with T_cap = d(pi, mu) + 1 (d_eps for the
     smoothed variant) is exhaustive: the objective at t = 0 equals that
-    distance and exceeds it for t > T_cap since the objective dominates t.
+    distance and exceeds it for t > T_cap since the objective dominates t;
+    that distance is the instance's bound in ``_minimize``.
     The grid runs on chunks of instances and the zoom on blocks of them (see
     BLOCK_ELEMENTS); each result is the same, bit for bit, whatever chunk and
     block it lands in.
@@ -298,12 +318,13 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
         eps = np.broadcast_to(eps, n)
     kappa_hats = [min(space.kappa if k is None else k, 0.0) for k in kappas]
     curve = HCurve(space, pis, mus, eps, kappa_hats)
-    t_caps = curve.t_cap()
+    d0 = curve.d0()
+    t_caps = d0 + 1.0
     cap = max(BLOCK_ELEMENTS, GRID_POINTS * space.size)
     chunk = cap // (GRID_POINTS * space.size)
     block = cap // (3 * ZOOM_POINTS * space.size)
     results: list[TataruResult] = []
     for lo in range(0, n, block):
         results += _minimize(lambda rows, ts, lo=lo: ts + curve.h(ts, rows + lo),
-                             t_caps[lo:lo + block], chunk=chunk)
+                             t_caps[lo:lo + block], d0[lo:lo + block], chunk=chunk)
     return results

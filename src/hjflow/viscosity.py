@@ -166,8 +166,8 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
     reward = dt * (hv[:, None] / lam - 0.5 * controls[None, :] ** 2)
     beta = 1.0 - dt / lam
 
-    def q_values(u):
-        return reward + beta * (w0 * u[idx] + w1 * u[idx + 1])
+    def q_values(u):  # u[1:][idx] is u[idx + 1] without the (n, K) index temporary
+        return reward + beta * (w0 * u[idx] + w1 * u[1:][idx])
 
     sup_h = float(np.max(np.abs(hv)))
     u, iterations, increment, q = _policy_iteration(

@@ -135,6 +135,20 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [None, b'{"seed": 1', b'{"seed": "\xff"}'],
+                         ids=["missing", "invalid_json", "not_utf8"])
+def test_cli_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
+    cfg_path = tmp_path / "bad.json"
+    if content is not None:
+        cfg_path.write_bytes(content)
+    code = main(["tataru", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --config: cannot read {cfg_path}: ")
+    assert err.count("\n") == 1 and "internal error" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(cfg, out_dir=None):
         raise ZeroDivisionError("float division\nby zero")

@@ -300,7 +300,7 @@ def test_zoom_refines_every_local_minimum_in_one_batch_per_step():
         calls.append(ts.size)
         return _two_wells(ts)
 
-    (res,) = _minimize(objective, np.array([4.0]))
+    (res,) = _minimize(objective, np.array([4.0]), np.array([4.0]))
     assert res.value == pytest.approx(0.0, abs=1e-18)
     assert np.allclose(res.minimizers, [1.0, 3.0], atol=1e-9)
     # one grid call, then zoom steps on both brackets together (width
@@ -319,12 +319,14 @@ def test_zoom_stops_each_instance_on_its_own():
         calls.append(ts.shape)
         return np.stack([wells[r](t) for r, t in zip(rows, ts)]).reshape(ts.shape)
 
-    both = _minimize(objective, np.array([4.0, 0.04]))
+    t_caps = np.array([4.0, 0.04])
+    both = _minimize(objective, t_caps, t_caps)
     assert calls == ([(2, GRID_POINTS)] + [(3, 33)] * 6 + [(2, 33)] * 2 + [(3, 1)])
     assert np.allclose(both[0].minimizers, [1.0, 3.0], atol=1e-9)
     assert np.allclose(both[1].minimizers, [0.01], atol=1e-9)
     for well, t_cap, res in zip(wells, (4.0, 0.04), both):
-        (alone,) = _minimize(lambda rows, ts, well=well: well(ts), np.array([t_cap]))
+        (alone,) = _minimize(lambda rows, ts, well=well: well(ts), np.array([t_cap]),
+                             np.array([t_cap]))
         assert res.value == alone.value
         assert np.array_equal(res.minimizers, alone.minimizers)
         assert res.t_cap == alone.t_cap
@@ -489,11 +491,15 @@ def test_minimize_grid_chunks_match_one_grid_call(eps):
                        kappa_hats[lo:hi])
         return lambda rows, ts: ts + curve.h(ts, rows)
 
+    # the objective at t = 0 bounds each grid, so chunk-mates run grids of
+    # different lengths
+    bounds = HCurve(space, pis, mus, eps, kappa_hats).d0()
     # reference: every instance minimized alone, with an objective of its own
-    alone = [_minimize(objective(i, i + 1), t_caps[i:i + 1])[0] for i in range(n)]
+    alone = [_minimize(objective(i, i + 1), t_caps[i:i + 1], bounds[i:i + 1])[0]
+             for i in range(n)]
     assert all(np.isfinite(res.value) and res.minimizers.size for res in alone)
     for chunk in (None, 1, 2, n):
-        assert_same_results(_minimize(objective(0, n), t_caps, chunk=chunk), alone)
+        assert_same_results(_minimize(objective(0, n), t_caps, bounds, chunk=chunk), alone)
 
 
 def test_psi_eps_and_prime_equal_both_functions():

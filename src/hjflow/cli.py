@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, _finite, default_config, load_config, validate
-from .cylinders import affine_phi
+from .cylinders import Affine
 from .evi import run_evi_suite
 from .hamiltonians import build_chain_pair, build_cyl_pair, chain_inequality_report, side_sign
 from .laplace import lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
@@ -294,7 +294,7 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
         base = [rng.uniform(-1.5, 1.5)]
         anchors = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
         for side, name in (("dagger", "subsolution"), ("ddagger", "supersolution")):
-            pair = build_cyl_pair(space, side, a, affine_phi(w, c), base, anchors)
+            pair = build_cyl_pair(space, side, a, Affine(w, c), base, anchors)
             check = check_viscosity(sol.u, pair, h, lam, tol)
             rep.add(name, i, check.slack, tol, side_sign(side) * check.slack - tol,
                     check.soft_passed)

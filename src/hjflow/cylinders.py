@@ -1,23 +1,21 @@
-"""Cylindrical test functions as combinator trees with exact partial derivatives.
+"""Cylindrical test functions: three flat families with exact partial derivatives.
 
 A test function acts on the vector r of half-squared distances to a finite set
 of anchor points.  The admissible class requires every partial derivative to
 be strictly positive; the bounded subclass additionally caps the value with a
-smooth saturation.  Representing the functions as a small closed combinator
-family (affine, saturation, re-indexing, and the array node ``SoftminPsi``, a
-softmin of smoothed square roots of weighted coordinates that is the ladder's
-level-1 composite) keeps the partials exact and the class constraints
-checkable, which arbitrary callables would not allow.
+smooth saturation.  The checks need three families: ``Affine`` (const + w . r),
+``TruncatedAffine`` (its smooth saturation iota_n, the bounded family) and
+``SoftminPsi`` (the ladder's level-1 composite, a softmin of smoothed square
+roots of weighted coordinates).
 
-Every combinator evaluates rows: ``vag(r)`` takes r of shape (..., k), one
-vector per leading index, and returns the values (...), the partials (..., k)
-and the saturation flags (...).
+Every family evaluates rows: ``vag(r)`` takes r of shape (..., k), one vector
+per leading index, and returns the values (...), the partials (..., k) and the
+saturation flags (...); ``checked_vag`` also checks the positivity class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +41,7 @@ def iota_prime(n: int, r):
 
 
 class CylNode:
-    """Base combinator; ``vag`` returns (values, partials, saturation flags) of rows."""
+    """Base family; ``vag`` returns (values, partials, saturation flags) of rows."""
 
     def vag(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -54,43 +52,65 @@ class CylNode:
     def structurally_positive(self) -> bool:
         raise NotImplementedError
 
+    def checked_vag(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and partials at the rows r, enforcing the positivity class.
 
-@dataclass(frozen=True)
-class Coord(CylNode):
-    index: int
+        Strictly negative partials are rejected outright; exact zeros are
+        accepted only when explained by saturation of a bounded truncation in
+        the same row or by float underflow inside a structurally positive
+        family.  One bad row rejects the batch.
+        """
+        v, g, sat = self.vag(r)
+        if np.any(g < 0):
+            raise ValueError("not in class T: nonpositive partial derivative")
+        if np.any(np.any(g == 0, axis=-1) & ~sat) and not self.structurally_positive():
+            raise ValueError("not in class T: nonpositive partial derivative")
+        return v, g
 
-    def vag(self, r):
-        grad = np.zeros(r.shape)
-        grad[..., self.index] = 1.0
-        return r[..., self.index], grad, np.zeros(r.shape[:-1], dtype=bool)
 
-    def structurally_positive(self):
-        return True
+def _affine_value(w: np.ndarray, const: float, r: np.ndarray) -> np.ndarray:
+    """const + w_0 r_0 + w_1 r_1 + ..., added in coordinate order."""
+    value = np.full(r.shape[:-1], const)
+    for i, wi in enumerate(w):
+        value += wi * r[..., i]
+    return value
 
 
-@dataclass(frozen=True)
 class Affine(CylNode):
-    """const + sum of weight * child."""
+    """const + w . r on k = len(w) coordinates; the partials are w."""
 
-    terms: tuple
-    const: float = 0.0
+    def __init__(self, w, const: float = 0.0):
+        self.w, self.const = np.array(w, dtype=float), float(const)
 
     def vag(self, r):
-        value = np.full(r.shape[:-1], self.const)
-        grad = np.zeros(r.shape)
-        sat = np.zeros(r.shape[:-1], dtype=bool)
-        for w, node in self.terms:
-            v, g, s = node.vag(r)
-            value += w * v
-            grad += w * g
-            sat |= s
-        return value, grad, sat
+        return (_affine_value(self.w, self.const, r), np.broadcast_to(self.w, r.shape),
+                np.zeros(r.shape[:-1], dtype=bool))
 
     def bounded(self):
-        return all(node.bounded() for _, node in self.terms)
+        return self.w.size == 0  # a constant
 
     def structurally_positive(self):
-        return all(w > 0 and node.structurally_positive() for w, node in self.terms)
+        return bool(np.all(self.w > 0))
+
+
+class TruncatedAffine(CylNode):
+    """iota_n(const + w . r): bounded by n + 1, flat above n + 2, and equal
+    to the affine family, partials too, below the knee (affine value <= n)."""
+
+    def __init__(self, n: int, w, const: float = 0.0):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.n, self.w, self.const = n, np.array(w, dtype=float), float(const)
+
+    def vag(self, r):
+        v = _affine_value(self.w, self.const, r)
+        return iota(self.n, v), iota_prime(self.n, v)[..., None] * self.w, v >= self.n + 2
+
+    def bounded(self):
+        return True
+
+    def structurally_positive(self):
+        return bool(np.all(self.w > 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,88 +141,3 @@ class SoftminPsi(CylNode):
 
     def structurally_positive(self):
         return self.b > 0 and bool(np.all(self.w > 0))
-
-
-@dataclass(frozen=True)
-class Iota(CylNode):
-    """Smooth saturation of a child; bounded by n + 1, flat above n + 2."""
-
-    n: int
-    child: CylNode
-
-    def vag(self, r):
-        v, g, s = self.child.vag(r)
-        return iota(self.n, v), iota_prime(self.n, v)[..., None] * g, s | (v >= self.n + 2)
-
-    def bounded(self):
-        return True
-
-    def structurally_positive(self):
-        return self.child.structurally_positive()
-
-
-@dataclass(frozen=True)
-class Shift(CylNode):
-    """Re-index a child to act on coordinates offset, offset+1, ..."""
-
-    child: CylNode
-    offset: int
-
-    def vag(self, r):
-        v, g, s = self.child.vag(r[..., self.offset:])
-        grad = np.zeros(r.shape)
-        grad[..., self.offset:] = g
-        return v, grad, s
-
-    def bounded(self):
-        return self.child.bounded()
-
-    def structurally_positive(self):
-        return self.child.structurally_positive()
-
-
-def affine_phi(weights: Sequence[float], const: float = 0.0) -> Affine:
-    """phi(r) = sum w_i r_i + const on k = len(weights) coordinates."""
-    return Affine(terms=tuple((float(w), Coord(i)) for i, w in enumerate(weights)),
-                  const=float(const))
-
-
-@dataclass(frozen=True)
-class CylindricalTestFunction:
-    """Base function on the half-squared distances d^2(., anchors)/2; anchors are
-    coordinate rows."""
-
-    base: CylNode
-    anchors: tuple
-
-    def base_value_and_grad(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and partials of the base on the rows r, enforcing the positivity class.
-
-        Strictly negative partials are rejected outright; exact zeros are
-        accepted only when explained by saturation of a bounded truncation in
-        the same row or by float underflow inside a structurally positive
-        composite.  One bad row rejects the batch.
-        """
-        v, g, sat = self.base.vag(r)
-        if np.any(g < 0):
-            raise ValueError("not in class T: nonpositive partial derivative")
-        if np.any(np.any(g == 0, axis=-1) & ~sat) and not self.base.structurally_positive():
-            raise ValueError("not in class T: nonpositive partial derivative")
-        return v, g
-
-    def bounded(self) -> bool:
-        return self.base.bounded()
-
-
-def truncate_cylinder(phi0: CylindricalTestFunction, a: float, rho: np.ndarray,
-                      n: int) -> CylindricalTestFunction:
-    """Bounded composite iota_n(a r0 + phi0(r)) with the quadratic anchor row rho first.
-
-    Below the knee (inner value <= n) the composite and its partials agree
-    with a r0 + phi0, so the pair built from it matches the unbounded one
-    there; above n + 2 it is constant n + 1, hence in the bounded class.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    inner = Affine(terms=((float(a), Coord(0)), (1.0, Shift(phi0.base, 1))))
-    return CylindricalTestFunction(base=Iota(n, inner), anchors=(rho, *phi0.anchors))

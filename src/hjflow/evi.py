@@ -87,12 +87,16 @@ def _distance_growth(space, pi, ts, cmu, rhs) -> float:
 
 def _damped_distance_bound(space, pi, mu, ts, growth_rhs, eps_list) -> float:
     """max over ts and eps of exp(kappa_hat t) d_eps(pi, mu(t)) - sqrt(2 RHS) - sqrt(2 eps),
-    with RHS = max(growth_rhs, 0); eps None means the plain metric."""
+    with RHS = max(growth_rhs, 0); eps None means the plain metric.  One curve
+    takes every smoothed eps as an instance, so mu flows once for all of them."""
     rhs = np.sqrt(2.0 * np.maximum(growth_rhs, 0.0))
+    eps = np.array([e for e in eps_list if e is not None])
     worst = -math.inf
-    for eps in eps_list:
-        gap = 0.0 if eps is None else math.sqrt(2.0 * eps)
-        worst = max(worst, float(np.max(HCurve(space, pi, mu, eps).h(ts) - rhs - gap)))
+    if None in eps_list:
+        worst = float(np.max(HCurve(space, pi, mu).h(ts) - rhs))
+    if eps.size:
+        gaps = np.sqrt(2.0 * eps)[:, None]
+        worst = max(worst, float(np.max(HCurve(space, pi, mu, eps).h(ts) - rhs - gaps)))
     return worst
 
 

@@ -19,9 +19,10 @@ subtracted off-diagonal products) are written out as such.  Families:
   over the flow to the Tataru pair.
 
 ``f`` and ``g`` take coordinate rows x (..., size), checked once by
-``ModelSpace.rows``, and return values (...): one pass through the combinator
-tree for the cylindrical pairs, one ``HCurve.terms`` broadcast over (rows,
-atoms) at level 2, one ``tataru_batch`` call at levels 4 to 6 (level 4 adds one
+``ModelSpace.rows``, and return values (...): one checked ``vag`` of the
+cylinder family (``Affine``, ``TruncatedAffine`` or ``SoftminPsi``) for the
+cylindrical pairs, one ``HCurve.terms`` broadcast over (rows, atoms) at
+level 2, one ``tataru_batch`` call at levels 4 to 6 (level 4 adds one
 ``HCurve.terms`` over the minimizer sets), a loop over rows at level 3 only.
 Anchor sets, base points and flow anchors are rows too, checked once when a
 pair is built.  Levels 2 to 4 take h, damping and psi_eps' from ``tataru.HCurve``.
@@ -37,13 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cylinders import (
-    CylNode,
-    CylindricalTestFunction,
-    SoftminPsi,
-    affine_phi,
-    truncate_cylinder,
-)
+from .cylinders import Affine, CylNode, SoftminPsi, TruncatedAffine
 from .laplace import discrete_exp_log_weights, lambda_continuous
 from .spaces import ModelSpace
 from .tataru import HCurve, logsumexp, tataru_batch
@@ -82,11 +77,10 @@ def _cylinder(space: ModelSpace, phi: CylNode, anchors):
     ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``
     and copied, as ``ModelSpace._row`` copies base points."""
     anchor_vals = space.rows(anchors).copy()
-    cyl = CylindricalTestFunction(base=phi, anchors=tuple(anchor_vals))
 
     def at(x: np.ndarray):
         sq = space.sq_dist(anchor_vals, x[..., None, :])
-        v, grad = cyl.base_value_and_grad(0.5 * sq)
+        v, grad = phi.checked_vag(0.5 * sq)
         return v, grad, sq
 
     return space.energies(anchor_vals), at
@@ -394,13 +388,12 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             rho = space.sample(rng)
             mus = [space.sample(rng) for _ in range(k)]
             pi = space.sample(rng)
-            phi0 = affine_phi(weights, const)
-            pair1 = build_cyl_pair(space, "dagger", a, phi0, rho, mus)
-            inner_value = pair1.f(pi)  # equals a r0 + phi0(r) at pi
+            pair1 = build_cyl_pair(space, "dagger", a, Affine(weights, const), rho, mus)
+            inner_value = pair1.f(pi)  # equals a r0 + w . r + const at pi
             n = int(np.ceil(inner_value)) + 1
-            cyl_fun = CylindricalTestFunction(base=phi0, anchors=tuple(mus))
-            truncated = truncate_cylinder(cyl_fun, a, rho, n)
-            pair0 = build_h0_pair(space, "dagger", truncated.base, truncated.anchors)
+            # iota_n(a r0 + w . r + const), the quadratic anchor rho first
+            pair0 = build_h0_pair(space, "dagger", TruncatedAffine(n, [a, *weights], const),
+                                  [rho, *mus])
             g0 = pair0.g(pi)
             g1 = pair1.g(pi)
             violation = abs(g0 - g1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hjflow.cli import main as cli_main
-from hjflow.cylinders import affine_phi
+from hjflow.cylinders import Affine
 from hjflow.evi import evi_residual, run_evi_suite
 from hjflow.hamiltonians import (
     build_chain_pair,
@@ -262,8 +262,8 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
         base = np.array([rng.uniform(-1.5, 1.5)])
         anchors = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
         if side == "dagger":
-            return build_cyl_pair(ou, "dagger", a, affine_phi(w, c), base, anchors)
-        return build_cyl_pair(ou, "ddagger", a, affine_phi(w, c), base, anchors)
+            return build_cyl_pair(ou, "dagger", a, Affine(w, c), base, anchors)
+        return build_cyl_pair(ou, "ddagger", a, Affine(w, c), base, anchors)
 
     sub_ok = all(
         check_viscosity(sol.u, sample_pair("dagger"), smooth_h, 1.0, tol).passed
@@ -277,11 +277,11 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
     xs = sol.u.xs
     zeros_h = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     x0 = float(xs[len(xs) // 2 + 11])
-    fail_pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), np.array([x0]),
+    fail_pair = build_cyl_pair(ou, "dagger", 0.5, Affine([0.3]), np.array([x0]),
                                [[x0]])
     fail_sub = check_viscosity(GridFunction(xs, np.ones_like(xs)), fail_pair,
                                zeros_h, 1.0, tol)
-    fail_pair_d = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), np.array([x0]),
+    fail_pair_d = build_cyl_pair(ou, "ddagger", 0.5, Affine([0.3]), np.array([x0]),
                                  [[x0]])
     fail_sup = check_viscosity(GridFunction(xs, -np.ones_like(xs)), fail_pair_d,
                                zeros_h, 1.0, tol)

@@ -8,7 +8,7 @@ import pytest
 import hjflow.cli as cli
 from hjflow.cli import main, run_experiment
 from hjflow.config import ConfigError, config_from_dict, default_config, load_config
-from hjflow.cylinders import affine_phi
+from hjflow.cylinders import Affine
 from hjflow.evi import evi_residual
 from hjflow.hamiltonians import build_chain_pair, build_cyl_pair, build_tataru_pair
 from hjflow.reporting import CSV_HEADER, Report, write_csv, write_json
@@ -300,7 +300,7 @@ NAN_CALLS = {
     "HCurve.eps": lambda: HCurve(_SPACE, _P, _Q, NAN),
     "evi_residual.delta": lambda: evi_residual(_SPACE, _P, _Q, 0.5, NAN),
     "solve_resolvent.lam": lambda: solve_resolvent(_SPACE, NAN, lambda x: 0.0 * x),
-    "build_cyl_pair.a": lambda: build_cyl_pair(_SPACE, "dagger", NAN, affine_phi([1.0]),
+    "build_cyl_pair.a": lambda: build_cyl_pair(_SPACE, "dagger", NAN, Affine([1.0]),
                                                _P, [_Q]),
     "build_tataru_pair.a": lambda: build_tataru_pair(_SPACE, "dagger", NAN, 1.0, 0.0, _P, _Q),
     "build_tataru_pair.b": lambda: build_tataru_pair(_SPACE, "dagger", 1.0, NAN, 0.0, _P, _Q),

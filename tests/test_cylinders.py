@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from hjflow.cylinders import (
+from hjflow import cylinders as flat
+from hjflow.cylinders import SoftminPsi, TruncatedAffine, iota, iota_prime
+
+from cylinder_helpers import (
     Affine,
     Coord,
     CylindricalTestFunction,
     Iota,
     Shift,
     affine_phi,
-    iota,
-    iota_prime,
+    finite_difference_grad,
+    identity_phi,
     truncate_cylinder,
 )
-
-from cylinder_helpers import finite_difference_grad, identity_phi
+from precision_helpers import LD, assert_within_terms
 from test_pair_oracles import Psi, SumExpNegLog
 
 
@@ -44,6 +46,9 @@ def test_iota_derivative_matches_knees():
                   children=(Psi(0.2, Coord(0)), Psi(0.2, Coord(1))), const=0.4), 2),
     (Iota(2, Affine(terms=((1.0, Coord(0)), (0.8, Coord(1))))), 2),
     (Shift(affine_phi([0.9]), 1), 2),
+    (flat.Affine([0.7, 1.3], 0.2), 2),
+    (TruncatedAffine(2, [1.0, 0.8]), 2),
+    (TruncatedAffine(1, [0.9, 0.4], 0.3), 2),
 ])
 def test_symbolic_gradients_match_finite_differences(node, k, rng):
     r = rng.uniform(0.05, 2.5, size=(10, k))
@@ -59,6 +64,10 @@ def test_class_positivity_enforced():
     zero = CylindricalTestFunction(base=affine_phi([0.0]), anchors=(None,))
     with pytest.raises(ValueError, match="not in class T"):
         zero.base_value_and_grad(np.array([1.0]))
+    for node in (flat.Affine([-0.5]), flat.Affine([0.0]),
+                 TruncatedAffine(1, [-0.5]), TruncatedAffine(1, [0.0])):
+        with pytest.raises(ValueError, match="not in class T"):
+            node.checked_vag(np.array([1.0]))
 
 
 def test_saturated_truncation_is_allowed():
@@ -66,6 +75,14 @@ def test_saturated_truncation_is_allowed():
     v, g = fun.base_value_and_grad(np.array([5.0]))
     assert v == 2.0
     assert g[0] == 0.0
+    v, g = TruncatedAffine(1, [1.0]).checked_vag(np.array([5.0]))
+    assert v == 2.0
+    assert g[0] == 0.0
+    # ... but saturation in one row does not excuse a zero partial in another
+    node = TruncatedAffine(1, [1.0, 0.0])
+    node.checked_vag(np.array([[5.0, 0.0]]))
+    with pytest.raises(ValueError, match="not in class T"):
+        node.checked_vag(np.array([[5.0, 0.0], [0.5, 0.0]]))
 
 
 def test_boundedness_flags():
@@ -73,6 +90,10 @@ def test_boundedness_flags():
     assert Iota(3, affine_phi([1.0, 1.0])).bounded()
     assert not SumExpNegLog(m=2.0, scale=1.0, log_coeffs=(0.0,),
                             children=(Coord(0),)).bounded()
+    assert not flat.Affine([1.0]).bounded()
+    assert TruncatedAffine(3, [1.0, 1.0]).bounded()
+    assert not SoftminPsi(eps=0.2, m=2.0, b=1.0, c=0.0, w=np.ones(1),
+                          log_w=np.zeros(1)).bounded()
 
 
 def test_truncate_cylinder_below_knee_agreement(ou, rng):
@@ -95,3 +116,68 @@ def test_truncate_cylinder_rejects_leading():
     with pytest.raises(ValueError, match="n must be"):
         truncate_cylinder(CylindricalTestFunction(base=affine_phi([1.0]), anchors=(None,)),
                           1.0, None, 0)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be"):
+            TruncatedAffine(n, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# the flat families against the tree they replaced
+# ---------------------------------------------------------------------------
+
+SHAPES = ((), (4,), (3, 2))
+SHAPE_IDS = ("rank1", "rank2", "rank3")
+# the affine value is a sum of at most four rounded products
+AFFINE_TERMS = 4.0
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+def test_flat_affine_matches_tree_affine_phi(shape):
+    """Values, partials and flags bit for bit: the same sum in coordinate order,
+    and each one-hot tree partial has one nonzero term."""
+    rng = np.random.default_rng(701)
+    for k in (0, 1, 2, 3):
+        signed = rng.uniform(-1.0, 1.0, size=k)
+        signed[:1] = 0.0
+        for weights in (rng.uniform(0.05, 1.5, size=k), signed):
+            const = float(rng.uniform(-0.5, 0.5))
+            node, tree = flat.Affine(weights, const), affine_phi(weights, const)
+            assert node.bounded() == tree.bounded()
+            assert node.structurally_positive() == tree.structurally_positive()
+            r = rng.uniform(0.0, 3.0, size=(*shape, k))
+            for got, want in zip(node.vag(r), tree.vag(r)):
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+def test_truncated_affine_matches_truncate_cylinder(shape):
+    """Below the knee: partials and flags bit for bit, values (summed in another
+    order) within the composite rule; far above it both sit flat at n + 1."""
+    rng = np.random.default_rng(702)
+    for k in (0, 1, 2):
+        for n in (1, 3, 8):
+            a = float(rng.uniform(0.2, 1.5))
+            weights = rng.uniform(0.1, 1.0, size=k)
+            const = float(rng.uniform(0.0, 0.5))
+            node = TruncatedAffine(n, [a, *weights], const)
+            phi0 = CylindricalTestFunction(base=affine_phi(weights, const), anchors=(None,) * k)
+            tree = truncate_cylinder(phi0, a, None, n).base
+            assert node.bounded() == tree.bounded()
+            assert node.structurally_positive() == tree.structurally_positive()
+            # a r0 + w . r <= 0.99 (n - const): the affine value stays below n
+            scale = 0.99 * (n - const) / (a + weights.sum())
+            r = scale * rng.uniform(0.0, 1.0, size=(*shape, k + 1))
+            (v, g, sat), (tv, tg, tsat) = node.vag(r), tree.vag(r)
+            assert np.shape(g) == np.shape(tg) and np.array_equal(g, tg)
+            assert np.shape(sat) == np.shape(tsat) and np.array_equal(sat, tsat)
+            w_ld = np.array([a, *weights], dtype=LD)
+            ref = LD(const) + np.sum(w_ld * r.astype(LD), axis=-1)
+            terms = LD(const) + np.sum(np.abs(w_ld * r.astype(LD)), axis=-1)
+            for value in (v, tv):
+                assert np.shape(value) == shape
+                assert_within_terms(value, ref, terms, AFFINE_TERMS)
+            far = r.copy()
+            far[..., 0] += (n + 3) / a
+            for fv, fg, fsat in (node.vag(far), tree.vag(far)):
+                assert np.all(fv == n + 1) and np.all(fg == 0) and np.all(fsat)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjflow.cylinders import CylindricalTestFunction, CylNode, Iota, SoftminPsi, affine_phi
+from hjflow.cylinders import Affine, CylNode, SoftminPsi, TruncatedAffine
 from hjflow.hamiltonians import (
     build_chain_pair,
     build_cyl_pair,
@@ -43,7 +43,7 @@ def test_cyl_dagger_hand_example(ou):
 
 def test_cyl_dagger_degenerate(ou):
     crit = np.zeros(ou.size)
-    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([1.0], 0.3), crit, [crit])
+    pair = build_cyl_pair(ou, "dagger", 1.0, Affine([1.0], 0.3), crit, [crit])
     assert pair.f(crit) == pytest.approx(0.3)  # phi(0)
     assert pair.g(crit) == pytest.approx(0.0, abs=1e-14)
 
@@ -57,7 +57,7 @@ def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
         rho = quartic.sample(rng)
         mus = [quartic.sample(rng) for _ in range(k)]
         pi = quartic.sample(rng)
-        pair = build_cyl_pair(quartic, "dagger", a, affine_phi(weights, const), rho, mus)
+        pair = build_cyl_pair(quartic, "dagger", a, Affine(weights, const), rho, mus)
         oracle = five_term_g_dagger(quartic, a, weights, const, rho, mus, pi)
         assert pair.g(pi) == pytest.approx(oracle, abs=1e-12)
 
@@ -65,7 +65,7 @@ def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
 def test_cyl_dagger_rejects_bad_inputs(ou):
     with pytest.raises(ValueError, match="positive"):
         build_cyl_pair(ou, "dagger", 0.0, identity_phi(), np.array([0]), [[0.0]])
-    pair = build_cyl_pair(ou, "dagger", 1.0, affine_phi([-1.0]), np.array([0]), [[0.0]])
+    pair = build_cyl_pair(ou, "dagger", 1.0, Affine([-1.0]), np.array([0]), [[0.0]])
     with pytest.raises(ValueError, match="not in class T"):
         pair.f([1])
 
@@ -89,7 +89,7 @@ def test_cyl_ddagger_below_dagger_style_bound(ou, rng):
         gamma = ou.sample(rng)
         pis = [ou.sample(rng) for _ in range(2)]
         mu = ou.sample(rng)
-        pair = build_cyl_pair(ou, "ddagger", a, affine_phi(weights), gamma, pis)
+        pair = build_cyl_pair(ou, "ddagger", a, Affine(weights), gamma, pis)
         e_mu = energy(ou, mu)
         d0 = distance(ou, mu, gamma)
         upper = a * (e_mu - energy(ou, gamma) + 0.5 * ou.kappa * d0**2) + 0.5 * a**2 * d0**2
@@ -104,7 +104,7 @@ def test_cyl_ddagger_below_dagger_style_bound(ou, rng):
 
 def test_h0_pair_examples(ou, rng):
     crit = np.zeros(ou.size)
-    phi = Iota(2, affine_phi([1.0]))
+    phi = TruncatedAffine(2, [1.0])
     for side, sign in (("dagger", 1.0), ("ddagger", -1.0)):
         pair = build_h0_pair(ou, side, phi, [crit])
         assert pair.f(crit) == pytest.approx(sign * 0.0)
@@ -125,20 +125,25 @@ def test_h0_pair_examples(ou, rng):
 def test_h0_requires_bounded(ou):
     with pytest.raises(ValueError, match="class T_b"):
         build_h0_pair(ou, "dagger", identity_phi(), [[0.0]])
+    # the unbounded flat families
+    softmin, ts = composite_phi_for_push(ou, eps=0.3, b=0.9, c=0.1, m=6, n=2)
+    for phi, k in ((Affine([1.0]), 1), (Affine([0.4, 0.3], 0.1), 2), (softmin, ts.size)):
+        with pytest.raises(ValueError, match="class T_b"):
+            build_h0_pair(ou, "dagger", phi, np.zeros((k, ou.size)))
 
 
 def test_h0_ddagger_below_cauchy_schwarz_bound(ou, rng):
     # the subtracted off-diagonal products keep the lower g beneath the
     # dagger-style variant with + (sum grad d)^2 / 2 on the same energy terms
     weights = np.array([0.7, 0.9])
-    phi = Iota(4, affine_phi(weights))
+    phi = TruncatedAffine(4, weights)
     anchors = [ou.sample(rng), ou.sample(rng)]
     pair = build_h0_pair(ou, "ddagger", phi, anchors)
     for _ in range(10):
         mu = ou.sample(rng)
         dists = np.array([distance(ou, mu, a) for a in anchors])
         r = 0.5 * dists**2
-        grad = CylindricalTestFunction(base=phi, anchors=tuple(anchors)).base_value_and_grad(r)[1]
+        grad = phi.checked_vag(r)[1]
         e_mu = energy(ou, mu)
         energy_terms = sum(
             g * (e_mu - energy(ou, a) + 0.5 * ou.kappa * d**2)
@@ -174,8 +179,7 @@ def test_softmin_node_class_t_underflow_and_rejection(ou):
     phi, ts = composite_phi_for_push(ou, eps=0.3, b=0.9, c=0.1, m=40, n=5)
     r = np.full((2, ts.size), 1e3)
     r[0, 0] = r[1, -1] = 0.01
-    _, grad = CylindricalTestFunction(base=phi, anchors=(None,) * ts.size
-                                      ).base_value_and_grad(r)
+    _, grad = phi.checked_vag(r)
     assert grad[0, 0] > 0 and grad[1, -1] > 0
     assert np.count_nonzero(grad == 0) == 2 * (ts.size - 1)
     # a nonpositive scale b, or one nonpositive weight w_i, is out of class
@@ -186,10 +190,9 @@ def test_softmin_node_class_t_underflow_and_rejection(ou):
     bad += [SoftminPsi(eps=0.3, m=40.0, b=0.9, c=0.1, w=w, log_w=phi.log_w) for w in bad_w]
     for node in bad:
         assert not node.structurally_positive()
-        fun = CylindricalTestFunction(base=node, anchors=(None,) * ts.size)
         for rows in (r, np.full(ts.size, 0.5)):
             with pytest.raises(ValueError, match="not in class T"):
-                fun.base_value_and_grad(rows)
+                node.checked_vag(rows)
 
 
 @pytest.mark.parametrize("n", (1, 3, 5))
@@ -205,7 +208,7 @@ def test_composite_phi_is_one_array_node(ou, n):
 
 def test_ddagger_f_bounded_above(ou, rng):
     c = 0.4
-    pair = build_cyl_pair(ou, "ddagger", 0.8, affine_phi([0.5], c), ou.sample(rng),
+    pair = build_cyl_pair(ou, "ddagger", 0.8, Affine([0.5], c), ou.sample(rng),
                           [ou.sample(rng)])
     for _ in range(20):
         assert pair.f(ou.sample(rng)) <= -c + 1e-12
@@ -228,8 +231,8 @@ def test_pairs_and_curves_keep_their_rows_when_the_caller_writes_to_them(quartic
     base, anchor = quartic.sample(rng), quartic.sample(rng)
     anchors = np.stack([quartic.sample(rng) for _ in range(2)])
     params = dict(a=0.7, b=0.4, c=0.1, eps=0.2, m=5, n=2, rho=base, mu=anchor)
-    pairs = [build_cyl_pair(quartic, "dagger", 0.7, affine_phi([0.4, 0.3]), base, anchors),
-             build_h0_pair(quartic, "ddagger", Iota(2, affine_phi([0.4, 0.3])), anchors),
+    pairs = [build_cyl_pair(quartic, "dagger", 0.7, Affine([0.4, 0.3]), base, anchors),
+             build_h0_pair(quartic, "ddagger", TruncatedAffine(2, [0.4, 0.3]), anchors),
              *(build_chain_pair(quartic, level, "dagger", params) for level in (2, 4, 5))]
     curve = quartic.flow_curve(anchor)
     x = np.stack([quartic.sample(rng) for _ in range(3)])
@@ -382,7 +385,7 @@ def test_dagger_f_bounded_below(ou, rng):
         a = float(rng.uniform(0.2, 1.5))
         c = float(rng.uniform(-1, 1))
         weights = rng.uniform(0.1, 1.0, size=2)
-        pair = build_cyl_pair(ou, "dagger", a, affine_phi(weights, c), ou.sample(rng),
+        pair = build_cyl_pair(ou, "dagger", a, Affine(weights, c), ou.sample(rng),
                               [ou.sample(rng), ou.sample(rng)])
         for _ in range(20):
             assert pair.f(ou.sample(rng)) >= c - 1e-12

@@ -10,7 +10,8 @@ are kept here verbatim, except that the oracles take one coordinate row at a
 time and evaluate distances, energies and Tataru distances by the one-row
 helpers of ``row_helpers``.  Where the arithmetic is the same, the current code
 must match them bit for bit: the array node ``SoftminPsi`` against the tree,
-the 4to5 rows, the 1to2 rows and the viscosity checks.
+the 4to5 rows, the 1to2 rows, the 0to1 rows (built on the tree of
+``cylinder_helpers``, as the link once built them) and the viscosity checks.
 
 The pair values f and g are composites whose arithmetic changed: the oracles
 square the float distance (d0**2, dists**2, cross**2), the pairs take d^2 from
@@ -32,14 +33,7 @@ from scipy.special import logsumexp
 
 import hjflow.spaces
 from hjflow import hamiltonians as new
-from hjflow.cylinders import (
-    Affine,
-    Coord,
-    CylindricalTestFunction,
-    CylNode,
-    Iota,
-    affine_phi,
-)
+from hjflow.cylinders import CylNode, TruncatedAffine
 from hjflow.laplace import (
     _adaptive_log_quadrature,
     discrete_exp_log_weights,
@@ -56,6 +50,14 @@ from hjflow.tataru import HCurve, psi_eps, psi_eps_prime, tataru_batch
 from hjflow.viscosity import GridFunction, ViscosityReport, check_viscosity, make_grid
 
 import precision_helpers as ld
+from cylinder_helpers import (
+    Affine,
+    Coord,
+    CylindricalTestFunction,
+    Iota,
+    affine_phi,
+    truncate_cylinder,
+)
 from precision_helpers import LD, assert_kernel_no_worse, assert_within_terms, pow_free
 from row_helpers import d_eps, distance, energy, tataru, tataru_eps
 
@@ -480,6 +482,33 @@ def old_4to5_rows(space: ModelSpace, samples: int, rng: np.random.Generator,
             lhs_best = max(lhs_best, lhs)
         violation = lhs_best - 1.0
         rows.append(("chain-4to5", i, lhs_best, 1.0, violation, violation <= tol))
+    return rows
+
+
+def old_0to1_rows(space: ModelSpace, samples: int, rng: np.random.Generator,
+                  tol: float = 1e-9) -> list:
+    """The 0to1 link as it was built on the tree: ``truncate_cylinder`` of
+    ``affine_phi`` with the quadratic anchor first, through the current builders."""
+    rows = []
+    for i in range(samples):
+        a = rng.uniform(0.2, 1.5)
+        k = int(rng.integers(1, 3))
+        weights = rng.uniform(0.1, 1.0, size=k)
+        const = rng.uniform(0.0, 0.5)
+        rho = space.sample(rng)
+        mus = [space.sample(rng) for _ in range(k)]
+        pi = space.sample(rng)
+        phi0 = affine_phi(weights, const)
+        pair1 = new.build_cyl_pair(space, "dagger", a, phi0, rho, mus)
+        inner_value = pair1.f(pi)  # equals a r0 + phi0(r) at pi
+        n = int(np.ceil(inner_value)) + 1
+        cyl_fun = CylindricalTestFunction(base=phi0, anchors=tuple(mus))
+        truncated = truncate_cylinder(cyl_fun, a, rho, n)
+        pair0 = new.build_h0_pair(space, "dagger", truncated.base, truncated.anchors)
+        g0 = pair0.g(pi)
+        g1 = pair1.g(pi)
+        violation = abs(g0 - g1)
+        rows.append(("chain-0to1", i, g0, g1, violation, violation <= tol))
     return rows
 
 
@@ -976,6 +1005,40 @@ def test_class_check_rejects_exactly_the_bad_rows():
     flat.base_value_and_grad(np.array([[5.0, 0.0]]))
     with pytest.raises(ValueError, match="not in class T"):
         flat.base_value_and_grad(np.array([[5.0, 0.0], [0.5, 0.0]]))
+
+
+def test_checked_vag_rejects_exactly_the_rows_the_tree_wrapper_rejects():
+    """``CylNode.checked_vag`` is the wrapper's class check, on the trees of the
+    test above and on the bounded flat family: the same rows pass, with the
+    same values and partials, and the same batches raise."""
+    dipping = Affine(terms=((1.0, Coord(0)), (-1.0, Psi(0.01, Coord(0)))))
+    knee = Iota(1, Affine(terms=((1.0, Coord(0)), (-0.5, Psi(0.01, Coord(0))))))
+    cases = [(dipping, 1, [[[2.0], [3.0]], [[2.0], [0.1], [3.0]]]),
+             (knee, 1, [[[0.8], [10.0]]]),
+             *((node, 2, [[[5.0, 0.0]], [[5.0, 0.0], [0.5, 0.0]]])
+               for node in (Iota(1, affine_phi([1.0, 0.0])), TruncatedAffine(1, [1.0, 0.0])))]
+    raised = []
+    for node, k, batches in cases:
+        wrapper = CylindricalTestFunction(base=node, anchors=(None,) * k)
+        for rows in map(np.array, batches):
+            try:
+                want = wrapper.base_value_and_grad(rows)
+            except ValueError:
+                with pytest.raises(ValueError, match="not in class T"):
+                    node.checked_vag(rows)
+                raised.append(True)
+                continue
+            got = node.checked_vag(rows)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            raised.append(False)
+    assert raised == [False, True, False, False, True, False, True]
+
+
+@pytest.mark.parametrize("space_name", ("ou", "quartic_3d", "double_well_quantile"))
+def test_0to1_rows_match_tree_loop(request, space_name):
+    space = request.getfixturevalue(space_name)
+    rows = new.chain_inequality_report(space, "0to1", INSTANCES, np.random.default_rng(612)).rows
+    assert list(rows) == old_0to1_rows(space, INSTANCES, np.random.default_rng(612))
 
 
 def test_4to5_rows_match_minimizer_loop(space):

@@ -6,7 +6,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from hjflow import viscosity
-from hjflow.cylinders import affine_phi
+from hjflow.cylinders import Affine
 from hjflow.hamiltonians import HamiltonianPair, build_cyl_pair
 from hjflow.spaces import euclidean_space
 from hjflow.viscosity import (
@@ -150,7 +150,7 @@ def test_value_function_is_subsolution(ou, value_function, rng):
         w = rng.uniform(0.05, 0.5, size=k)
         rho = np.array([rng.uniform(-1.5, 1.5)])
         mus = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
-        pair = build_cyl_pair(ou, "dagger", a, affine_phi(w, float(rng.uniform(0, 0.5))),
+        pair = build_cyl_pair(ou, "dagger", a, Affine(w, float(rng.uniform(0, 0.5))),
                               rho, mus)
         rep = check_viscosity(sol.u, pair, smooth_h, 1.0, tol)
         assert rep.passed, rep
@@ -169,7 +169,7 @@ def test_value_function_is_supersolution(ou, value_function, rng):
         w = rng.uniform(0.05, 0.5, size=1)
         gamma = np.array([rng.uniform(-1.5, 1.5)])
         pis = [[rng.uniform(-1.5, 1.5)]]
-        pair = build_cyl_pair(ou, "ddagger", a, affine_phi(w), gamma, pis)
+        pair = build_cyl_pair(ou, "ddagger", a, Affine(w), gamma, pis)
         rep = check_viscosity(sol.u, pair, smooth_h, 1.0, tol)
         assert rep.passed, rep
 
@@ -178,7 +178,7 @@ def test_designed_subsolution_failure(ou, value_function):
     xs = value_function.u.xs
     ones = GridFunction(xs, np.ones_like(xs))
     x0 = float(xs[len(xs) // 2 + 7])
-    pair = build_cyl_pair(ou, "dagger", 0.5, affine_phi([0.3]), np.array([x0]),
+    pair = build_cyl_pair(ou, "dagger", 0.5, Affine([0.3]), np.array([x0]),
                           [[x0]])
     rep = check_viscosity(ones, pair, lambda x: np.zeros_like(np.asarray(x)),
                           1.0, tol=5 * value_function.dx)
@@ -190,7 +190,7 @@ def test_designed_supersolution_failure(ou, value_function):
     xs = value_function.u.xs
     minus = GridFunction(xs, -np.ones_like(xs))
     x0 = float(xs[len(xs) // 2 - 5])
-    pair = build_cyl_pair(ou, "ddagger", 0.5, affine_phi([0.3]), np.array([x0]),
+    pair = build_cyl_pair(ou, "ddagger", 0.5, Affine([0.3]), np.array([x0]),
                           [[x0]])
     rep = check_viscosity(minus, pair, lambda x: np.zeros_like(np.asarray(x)),
                           1.0, tol=5 * value_function.dx)
@@ -208,7 +208,7 @@ def test_min_h_is_subsolution_where_g_nonnegative(ou, value_function, rng):
         w = rng.uniform(0.05, 0.5, size=1)
         rho = np.array([rng.uniform(-1.5, 1.5)])
         mus = [[rng.uniform(-1.5, 1.5)]]
-        pair = build_cyl_pair(ou, "dagger", a, affine_phi(w), rho, mus)
+        pair = build_cyl_pair(ou, "dagger", a, Affine(w), rho, mus)
         rep = check_viscosity(umin, pair, smooth_h, 1.0, tol=1e-9)
         g_at_opt = min(pair.g([x]) for x in rep.optimizers)
         if g_at_opt >= 0:
@@ -222,7 +222,7 @@ def test_min_h_is_subsolution_where_g_nonnegative(ou, value_function, rng):
 def test_supersolution_shift_invariance(ou, value_function, rng):
     sol = value_function
     shifted = GridFunction(sol.u.xs, sol.u.values + 0.8)
-    pair = build_cyl_pair(ou, "ddagger", 0.4, affine_phi([0.2]), np.array([0.5]),
+    pair = build_cyl_pair(ou, "ddagger", 0.4, Affine([0.2]), np.array([0.5]),
                           [[-0.5]])
     rep = check_viscosity(shifted, pair, smooth_h, 1.0, tol=5 * sol.dx)
     assert rep.passed
@@ -230,12 +230,12 @@ def test_supersolution_shift_invariance(ou, value_function, rng):
 
 def test_check_rejects_wrong_side(ou, value_function):
     # the check takes its side from the pair, so only an unknown side is wrong
-    pair = build_cyl_pair(ou, "dagger", 0.4, affine_phi([0.2]), np.array([0]), [[0.0]])
+    pair = build_cyl_pair(ou, "dagger", 0.4, Affine([0.2]), np.array([0]), [[0.0]])
     wrong = HamiltonianPair(side="up", f=pair.f, g=pair.g)
     with pytest.raises(ValueError, match="unknown side 'up'"):
         check_viscosity(value_function.u, wrong, smooth_h, 1.0, 0.01)
     with pytest.raises(ValueError, match="unknown side 'up'"):
-        build_cyl_pair(ou, "up", 0.4, affine_phi([0.2]), np.array([0]), [[0.0]])
+        build_cyl_pair(ou, "up", 0.4, Affine([0.2]), np.array([0]), [[0.0]])
 
 
 def test_comparison_same_h(ou):

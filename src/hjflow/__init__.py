@@ -10,7 +10,6 @@ sub/supersolution and comparison-principle checks.
 __version__ = "0.1.0"
 
 from .spaces import (
-    FlowTrajectory,
     ModelSpace,
     Potential,
     double_well_potential,
@@ -23,7 +22,6 @@ from .spaces import (
 from .tataru import TataruResult, psi_eps, psi_eps_prime, tataru_batch
 
 __all__ = [
-    "FlowTrajectory",
     "ModelSpace",
     "Potential",
     "TataruResult",

@@ -110,8 +110,8 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     for _ in range(n):
         nu, nu_hat = space.sample(rng), space.sample(rng)
         base = ask(nu, nu_hat)
-        curve = space.flow_curve(nu)
-        moved = [(r, ask(curve.values_at([r])[0], nu_hat)) for r in (1e-3, 1e-2, 1e-1)]
+        moved = [(r, ask(space.flow_values(nu, np.array([r]))[0], nu_hat))
+                 for r in (1e-3, 1e-2, 1e-1)]
         flow_lipschitz.append((base, moved))
     triangle = []
     for _ in range(n):
@@ -245,7 +245,8 @@ def _random_bounded_h(rng: np.random.Generator):
 def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     space = cfg.space.build()
     if space.kind != "euclidean" or space.size != 1:
-        raise ConfigError("space.kind", "resolvent suite requires the euclidean 1-d space")
+        raise ConfigError("space.size" if space.kind == "euclidean" else "space.kind",
+                          "resolvent suite requires the euclidean 1-d space")
     rep = _report("resolvent", cfg)
     rc = cfg.resolvent
     lam = rc.lam
@@ -304,7 +305,8 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
 def run_comparison(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     space = cfg.space.build()
     if space.kind != "euclidean" or space.size != 1:
-        raise ConfigError("space.kind", "comparison suite requires the euclidean 1-d space")
+        raise ConfigError("space.size" if space.kind == "euclidean" else "space.kind",
+                          "comparison suite requires the euclidean 1-d space")
     rng = _rng(cfg, "comparison")
     rep = _report("comparison", cfg)
     lam = cfg.comparison.lam

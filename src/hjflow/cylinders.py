@@ -1,16 +1,16 @@
 """Cylindrical test functions: three flat families with exact partial derivatives.
 
 A test function acts on the vector r of half-squared distances to a finite set
-of anchor points.  The admissible class requires every partial derivative to
+of anchor points.  The admissible class T requires every partial derivative to
 be strictly positive; the bounded subclass additionally caps the value with a
 smooth saturation.  The checks need three families: ``Affine`` (const + w . r),
 ``TruncatedAffine`` (its smooth saturation iota_n, the bounded family) and
 ``SoftminPsi`` (the ladder's level-1 composite, a softmin of smoothed square
 roots of weighted coordinates).
 
-Every family evaluates rows: ``vag(r)`` takes r of shape (..., k), one vector
-per leading index, and returns the values (...), the partials (..., k) and the
-saturation flags (...); ``checked_vag`` also checks the positivity class.
+A family is in class T exactly when its weights (and b) are positive, so it
+checks them once, when it is built.  ``vag(r)`` takes rows r (..., k) and
+returns the values (...) and the partials (..., k).
 """
 
 from __future__ import annotations
@@ -40,32 +40,22 @@ def iota_prime(n: int, r):
     return np.where(arr <= n, 1.0, np.where(arr >= n + 2, 0.0, 1.0 - s))
 
 
-class CylNode:
-    """Base family; ``vag`` returns (values, partials, saturation flags) of rows."""
+def _positive(values) -> np.ndarray:
+    """``values`` as a float array, rejected unless every entry is > 0 (NaN too)."""
+    arr = np.array(values, dtype=float)
+    if not np.all(arr > 0):
+        raise ValueError("not in class T: nonpositive partial derivative")
+    return arr
 
-    def vag(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+class CylNode:
+    """Base family; ``vag`` returns (values, partials) of rows."""
+
+    def vag(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def bounded(self) -> bool:
         return False
-
-    def structurally_positive(self) -> bool:
-        raise NotImplementedError
-
-    def checked_vag(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and partials at the rows r, enforcing the positivity class.
-
-        Strictly negative partials are rejected outright; exact zeros are
-        accepted only when explained by saturation of a bounded truncation in
-        the same row or by float underflow inside a structurally positive
-        family.  One bad row rejects the batch.
-        """
-        v, g, sat = self.vag(r)
-        if np.any(g < 0):
-            raise ValueError("not in class T: nonpositive partial derivative")
-        if np.any(np.any(g == 0, axis=-1) & ~sat) and not self.structurally_positive():
-            raise ValueError("not in class T: nonpositive partial derivative")
-        return v, g
 
 
 def _affine_value(w: np.ndarray, const: float, r: np.ndarray) -> np.ndarray:
@@ -80,17 +70,13 @@ class Affine(CylNode):
     """const + w . r on k = len(w) coordinates; the partials are w."""
 
     def __init__(self, w, const: float = 0.0):
-        self.w, self.const = np.array(w, dtype=float), float(const)
+        self.w, self.const = _positive(w), float(const)
 
     def vag(self, r):
-        return (_affine_value(self.w, self.const, r), np.broadcast_to(self.w, r.shape),
-                np.zeros(r.shape[:-1], dtype=bool))
+        return _affine_value(self.w, self.const, r), np.broadcast_to(self.w, r.shape)
 
     def bounded(self):
         return self.w.size == 0  # a constant
-
-    def structurally_positive(self):
-        return bool(np.all(self.w > 0))
 
 
 class TruncatedAffine(CylNode):
@@ -100,17 +86,14 @@ class TruncatedAffine(CylNode):
     def __init__(self, n: int, w, const: float = 0.0):
         if n < 1:
             raise ValueError("n must be >= 1")
-        self.n, self.w, self.const = n, np.array(w, dtype=float), float(const)
+        self.n, self.w, self.const = n, _positive(w), float(const)
 
     def vag(self, r):
         v = _affine_value(self.w, self.const, r)
-        return iota(self.n, v), iota_prime(self.n, v)[..., None] * self.w, v >= self.n + 2
+        return iota(self.n, v), iota_prime(self.n, v)[..., None] * self.w
 
     def bounded(self):
         return True
-
-    def structurally_positive(self):
-        return bool(np.all(self.w > 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +102,8 @@ class SoftminPsi(CylNode):
 
     A softmin of the smoothed square roots of the weighted coordinates.  The
     partials b soft_i w_i psi_eps'(r_i) are diagonal, so one expression gives
-    all of them; they are positive when b > 0 and every w_i > 0, up to
-    underflow of the softmin weights soft_i.
+    all of them; they are positive, up to underflow of the softmin weights
+    soft_i, because b > 0 and every w_i > 0, checked when the node is built.
     """
 
     eps: float
@@ -130,6 +113,9 @@ class SoftminPsi(CylNode):
     w: np.ndarray
     log_w: np.ndarray
 
+    def __post_init__(self):
+        _positive([self.b, *self.w])
+
     def vag(self, r):
         psi, psi_p = psi_eps_and_prime(self.eps, r)
         exponents = self.log_w - self.m * (self.w * psi)
@@ -137,7 +123,4 @@ class SoftminPsi(CylNode):
         soft = np.exp(exponents - lse[..., None])
         value = self.c + self.b * (-lse / self.m)
         grad = self.b * (soft * (self.w * psi_p))
-        return value, grad, np.zeros(r.shape[:-1], dtype=bool)
-
-    def structurally_positive(self):
-        return self.b > 0 and bool(np.all(self.w > 0))
+        return value, grad

@@ -19,13 +19,15 @@ subtracted off-diagonal products) are written out as such.  Families:
   over the flow to the Tataru pair.
 
 ``f`` and ``g`` take coordinate rows x (..., size), checked once by
-``ModelSpace.rows``, and return values (...): one checked ``vag`` of the
-cylinder family (``Affine``, ``TruncatedAffine`` or ``SoftminPsi``) for the
-cylindrical pairs, one ``HCurve.terms`` broadcast over (rows, atoms) at
-level 2, one ``tataru_batch`` call at levels 4 to 6 (level 4 adds one
-``HCurve.terms`` over the minimizer sets), a loop over rows at level 3 only.
-Anchor sets, base points and flow anchors are rows too, checked once when a
-pair is built.  Levels 2 to 4 take h, damping and psi_eps' from ``tataru.HCurve``.
+``ModelSpace.rows``, and return values (...): one ``vag`` of the cylinder
+family (``Affine``, ``TruncatedAffine`` or ``SoftminPsi``) for the cylindrical
+pairs, one ``HCurve.terms`` broadcast over (rows, atoms) at level 2, one
+``tataru_batch`` call at levels 4 to 6 (level 4 adds one ``HCurve.terms`` over
+the minimizer sets), a loop over rows at level 3 only.  Anchor sets, base
+points and flow anchors are rows too, checked once when a pair is built, as a
+cylinder family checks class T once, on its parameters.  Levels 2 to 4 take h,
+damping and psi_eps' from ``tataru.HCurve``; the 1to2 link flows its anchors
+with ``ModelSpace.flow_values``.
 
 Exponential damping factors use kappa_hat = min(kappa, 0); the quadratic
 correction -kappa/2 d^2 uses kappa itself.
@@ -72,7 +74,7 @@ def _pair(space: ModelSpace, side: str, f, g) -> HamiltonianPair:
 
 def _cylinder(space: ModelSpace, phi: CylNode, anchors):
     """(anchor energies, at) with at(x) = (phi(r), grad phi(r), d^2) for the rows x,
-    d^2 = sq_dist(x, anchors) and r = d^2/2; grad phi is checked for the positivity class.
+    d^2 = sq_dist(x, anchors) and r = d^2/2.
 
     ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``
     and copied, as ``ModelSpace._row`` copies base points."""
@@ -80,8 +82,7 @@ def _cylinder(space: ModelSpace, phi: CylNode, anchors):
 
     def at(x: np.ndarray):
         sq = space.sq_dist(anchor_vals, x[..., None, :])
-        v, grad = phi.checked_vag(0.5 * sq)
-        return v, grad, sq
+        return (*phi.vag(0.5 * sq), sq)
 
     return space.energies(anchor_vals), at
 
@@ -358,8 +359,7 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
             mu = space.sample(rng)
             pi = space.sample(rng)
             phi, ts = composite_phi_for_push(space, eps, b, c, m, n)
-            pair1 = build_cyl_pair(space, "dagger", a, phi, rho,
-                                   space.flow_curve(mu).values_at(ts))
+            pair1 = build_cyl_pair(space, "dagger", a, phi, rho, space.flow_values(mu, ts))
             pair2 = build_chain_pair(space, 2, "dagger",
                                      {"a": a, "b": b, "c": c, "eps": eps,
                                       "m": m, "n": n, "rho": rho, "mu": mu})

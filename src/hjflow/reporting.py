@@ -1,13 +1,15 @@
 """Check-row reports with deterministic CSV/JSON emission.
 
 CSV values use '.' decimals and 17 significant digits so reruns with the same
-seed are byte-identical across platforms.
+seed are byte-identical across platforms.  JSON is strict (RFC 8259): a
+non-finite number is written as the CSV's string for it, "inf", "-inf" or "nan".
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,6 +100,15 @@ def write_csv(report: Report, path: str | Path) -> Path:
     return write_table(path, CSV_HEADER, (r.as_csv() for r in report.rows))
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by its ``fmt17`` string."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return fmt17(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_json(report: Report, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -120,6 +131,6 @@ def write_json(report: Report, path: str | Path) -> Path:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path

@@ -15,7 +15,8 @@ potential here solves that ODE in closed form; no flow is integrated numerically
 Points are coordinate rows: arrays whose last axis holds the ``size``
 coordinates, checked by ``ModelSpace.rows``.  Every metric and energy reduction
 lives in ``ModelSpace``: the row kernels ``sq_dist``, ``energies`` and
-``sq_slopes`` broadcast over coordinate rows.
+``sq_slopes`` broadcast over coordinate rows.  Flows are evaluated by
+``ModelSpace.flow_values`` alone, on start rows and times its callers checked.
 The polynomial potentials evaluate V and V' as Horner products of ``np.square``
 and multiplication, never libm ``pow``: those kernels run on every flow sample
 that feeds an energy or a slope, and ``pow`` costs several times as much per
@@ -25,7 +26,7 @@ element at no better accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -150,45 +151,6 @@ def _ordered(rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# flow curves and trajectories
-# ---------------------------------------------------------------------------
-
-
-class FlowCurve:
-    """Steepest-descent curve from a fixed start, evaluable at arbitrary t >= 0.
-
-    Stateless: every query evaluates the potential's closed-form flow, so
-    repeated queries are reproducible bit for bit.
-    """
-
-    def __init__(self, space: "ModelSpace", start: np.ndarray):
-        self._space = space
-        self._y0 = start
-
-    def values_at(self, times) -> np.ndarray:
-        """Points along the curve; shape (len(times), n)."""
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        if ts.size and ts.min() < 0:
-            raise ValueError("negative time")
-        return self._space.flow_values(self._y0, ts)
-
-
-@dataclass(frozen=True)
-class FlowTrajectory:
-    """Flow samples, shape (len(times), n), with the matching energies and squared slopes."""
-
-    start: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-    energies: np.ndarray
-    sq_slopes: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
-
-
-# ---------------------------------------------------------------------------
 # model space
 # ---------------------------------------------------------------------------
 
@@ -240,7 +202,7 @@ class ModelSpace:
 
     def _row(self, vals) -> np.ndarray:
         """One coordinate row (size,), checked as ``rows`` checks it; a copy, so
-        the pair or flow curve that holds it does not see the caller's later writes."""
+        the pair that holds it does not see the caller's later writes."""
         arr = self.rows(vals)
         if arr.ndim != 1:
             raise ValueError("incompatible points")
@@ -280,18 +242,6 @@ class ModelSpace:
         if self.kind == "quantile" and not np.all(out[..., 1:] >= out[..., :-1]):
             np.maximum.accumulate(out, axis=-1, out=out)
         return out
-
-    def flow_curve(self, x) -> FlowCurve:
-        return FlowCurve(self, self._row(x))
-
-    def flow_trajectory(self, x, times: Sequence[float]) -> FlowTrajectory:
-        ts = np.asarray(list(times), dtype=float)
-        if ts.size == 0:
-            raise ValueError("trajectory needs at least one time")
-        x = self._row(x)
-        vals = FlowCurve(self, x).values_at(ts)
-        return FlowTrajectory(start=x, times=ts, values=vals, energies=self.energies(vals),
-                              sq_slopes=self.sq_slopes(vals))
 
     # -- sampling --------------------------------------------------------------
 

@@ -3,8 +3,11 @@
 The combinator tree below (``Coord``, ``Affine``, ``Iota``, ``Shift``, the
 ``CylindricalTestFunction`` wrapper and ``truncate_cylinder``) is the tree the
 package built its test functions from before the three flat families replaced
-it, kept verbatim as an oracle.  Its nodes subclass ``hjflow.cylinders.CylNode``,
-so they plug into the pair builders and ``CylNode.checked_vag`` as they did.
+it, kept verbatim as an oracle.  Its nodes return (values, partials, saturation
+flags) and carry ``structurally_positive``; the wrapper keeps the row-level
+class check that the package once ran on every evaluated row.  The wrapper is
+an ``hjflow.cylinders.CylNode`` whose ``vag`` is that checked evaluation, so a
+wrapped tree plugs into the pair builders as a flat family does.
 """
 
 from __future__ import annotations
@@ -17,8 +20,21 @@ import numpy as np
 from hjflow.cylinders import CylNode, iota, iota_prime
 
 
+class TreeNode:
+    """Base tree node; ``vag`` returns (values, partials, saturation flags) of rows."""
+
+    def vag(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def bounded(self) -> bool:
+        return False
+
+    def structurally_positive(self) -> bool:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class Coord(CylNode):
+class Coord(TreeNode):
     index: int
 
     def vag(self, r):
@@ -31,7 +47,7 @@ class Coord(CylNode):
 
 
 @dataclass(frozen=True)
-class Affine(CylNode):
+class Affine(TreeNode):
     """const + sum of weight * child."""
 
     terms: tuple
@@ -56,11 +72,11 @@ class Affine(CylNode):
 
 
 @dataclass(frozen=True)
-class Iota(CylNode):
+class Iota(TreeNode):
     """Smooth saturation of a child; bounded by n + 1, flat above n + 2."""
 
     n: int
-    child: CylNode
+    child: TreeNode
 
     def vag(self, r):
         v, g, s = self.child.vag(r)
@@ -74,10 +90,10 @@ class Iota(CylNode):
 
 
 @dataclass(frozen=True)
-class Shift(CylNode):
+class Shift(TreeNode):
     """Re-index a child to act on coordinates offset, offset+1, ..."""
 
-    child: CylNode
+    child: TreeNode
     offset: int
 
     def vag(self, r):
@@ -100,12 +116,12 @@ def affine_phi(weights: Sequence[float], const: float = 0.0) -> Affine:
 
 
 @dataclass(frozen=True)
-class CylindricalTestFunction:
+class CylindricalTestFunction(CylNode):
     """Base function on the half-squared distances d^2(., anchors)/2; anchors are
-    coordinate rows."""
+    coordinate rows.  As a family, ``vag`` is ``base_value_and_grad``."""
 
-    base: CylNode
-    anchors: tuple
+    base: TreeNode
+    anchors: tuple = ()
 
     def base_value_and_grad(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and partials of the base on the rows r, enforcing the positivity class.
@@ -121,6 +137,9 @@ class CylindricalTestFunction:
         if np.any(np.any(g == 0, axis=-1) & ~sat) and not self.base.structurally_positive():
             raise ValueError("not in class T: nonpositive partial derivative")
         return v, g
+
+    def vag(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.base_value_and_grad(r)
 
     def bounded(self) -> bool:
         return self.base.bounded()
@@ -145,11 +164,12 @@ def truncate_cylinder(phi0: CylindricalTestFunction, a: float, rho: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def identity_phi() -> Affine:
-    return affine_phi([1.0])
+def identity_phi() -> CylindricalTestFunction:
+    """The tree phi(r) = r_0, wrapped for the pair builders."""
+    return CylindricalTestFunction(base=affine_phi([1.0]))
 
 
-def finite_difference_grad(node: CylNode, r: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def finite_difference_grad(node, r: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a family or tree on the rows r, for cross-checking."""
     out = np.zeros(r.shape)
     for i in range(r.shape[-1]):
@@ -157,7 +177,6 @@ def finite_difference_grad(node: CylNode, r: np.ndarray, h: float = 1e-6) -> np.
         dn = r.copy()
         up[..., i] += h
         dn[..., i] = np.maximum(dn[..., i] - h, 0.0)
-        vu, _, _ = node.vag(up)
-        vd, _, _ = node.vag(dn)
+        vu, vd = node.vag(up)[0], node.vag(dn)[0]
         out[..., i] = (vu - vd) / (up[..., i] - dn[..., i])
     return out

@@ -18,6 +18,8 @@ from hjflow.evi import (
     _slope_decay,
 )
 
+from row_helpers import flow_values
+
 
 def _times(times) -> np.ndarray:
     return np.asarray(list(times), dtype=float)
@@ -27,15 +29,15 @@ def contraction_violation(space, x, y, times) -> float:
     """max over times of d(x(t), y(t)) - exp(-kappa t) d(x, y)."""
     ts = _times(times)
     x, y = space.rows(x), space.rows(y)
-    return _contraction(space, x, y, ts, space.flow_curve(x).values_at(ts),
-                        space.flow_curve(y).values_at(ts))
+    return _contraction(space, x, y, ts, flow_values(space, x, ts),
+                        flow_values(space, y, ts))
 
 
 def slope_decay_violation(space, x, times) -> float:
     """max over times of I(x(t)) - I(x) exp(-2 kappa t)."""
     ts = _times(times)
     x = space.rows(x)
-    return _slope_decay(space, x, ts, space.flow_curve(x).values_at(ts))
+    return _slope_decay(space, x, ts, flow_values(space, x, ts))
 
 
 def distance_growth_violation(space, pi, mu, times) -> float:
@@ -46,7 +48,7 @@ def distance_growth_violation(space, pi, mu, times) -> float:
     """
     ts = _times(times)
     pi, mu = space.rows(pi), space.rows(mu)
-    return _distance_growth(space, pi, ts, space.flow_curve(mu).values_at(ts),
+    return _distance_growth(space, pi, ts, flow_values(space, mu, ts),
                             _growth_rhs(space, pi, mu, ts))
 
 

@@ -2,7 +2,8 @@
 ``hjflow.tataru.tataru_batch``.
 
 Each takes single coordinate rows (size,), checked by ``ModelSpace.rows``:
-distances, energies and slopes are floats of the row kernels, ``d_eps`` is
+distances, energies and slopes are floats of the row kernels, ``flow_values``
+is ``ModelSpace.flow_values`` of one checked start at checked times, ``d_eps`` is
 psi_eps of half of ``sq_dist``, as ``tataru.HCurve.t_cap`` takes it, and
 ``tataru``/``tataru_eps`` are batches of one.
 """
@@ -31,9 +32,17 @@ def information(space, x) -> float:
     return float(space.sq_slopes(space.rows(x)))
 
 
+def flow_values(space, x, ts) -> np.ndarray:
+    """The flow from the row x at the times ts >= 0, shape (len(ts), size)."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.size and ts.min() < 0:
+        raise ValueError("negative time")
+    return space.flow_values(space._row(x), ts)
+
+
 def flow(space, x, t: float) -> np.ndarray:
     """The row reached from x after time t along the gradient flow."""
-    return space.flow_curve(x).values_at([float(t)])[0]
+    return flow_values(space, x, [float(t)])[0]
 
 
 def d_eps(space, eps: float, x, y) -> float:

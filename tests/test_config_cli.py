@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -100,6 +101,34 @@ def test_json_roundtrips(tmp_path):
     assert data["suite"] == "demo"
     assert data["rows"][0]["check"] == "check_a"
     assert data["summary"]["passed"] == 1
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the non-standard constants Infinity, -Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writes_non_finite_numbers_as_the_csv_strings(tmp_path):
+    rep = Report(name="demo")
+    rep.add("check_a", 0, math.inf, -math.inf, math.nan, True)
+    rep.diagnostics["worst"] = {"residual": -math.inf, "xs": [1.5, math.nan]}
+    data = _strict_json(write_json(rep, tmp_path / "demo.json").read_text())
+    row = data["rows"][0]
+    assert [row["value"], row["bound"], row["violation"]] == list(rep.rows[0].as_csv()[2:5])
+    assert [row["value"], row["bound"], row["violation"]] == ["inf", "-inf", "nan"]
+    assert data["summary"]["max_violation"] == "nan"
+    assert data["diagnostics"]["worst"] == {"residual": "-inf", "xs": [1.5, "nan"]}
+
+
+def test_cli_laplace_json_is_strict(tmp_path):
+    # the first riemann_refinement row has no previous gap: its bound is inf
+    out = tmp_path / "lj"
+    assert main(["laplace-converge", "--out", str(out), "--format", "json"]) == 0
+    data = _strict_json((out / "laplace_converge.json").read_text())
+    first = next(r for r in data["rows"] if r["check"] == "riemann_refinement")
+    assert first["bound"] == "inf"
 
 
 def test_cli_runs_and_is_deterministic(tmp_path):
@@ -271,6 +300,11 @@ NAN = float("nan")
     ("laplace-converge", {"laplace": {"m_list": [100]}}, "laplace.m_list"),
     ("laplace-converge", {"laplace": {"refine_n": [40, 10]}}, "laplace.refine_n"),
     ("laplace-converge", {"laplace": {"refine_n": [10, 10]}}, "laplace.refine_n"),
+    # the solver suites run on the euclidean 1-d space: the error names the
+    # field that is off
+    ("resolvent", {"space": {"size": 2}}, "space.size"),
+    ("comparison", {"space": {"size": 2}}, "space.size"),
+    ("resolvent", {"space": {"kind": "quantile", "size": 1}}, "space.kind"),
 ])
 def test_config_probe_errors(tmp_path, capsys, command, data, path):
     cfg_path = tmp_path / "bad.json"

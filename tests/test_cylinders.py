@@ -52,7 +52,7 @@ def test_iota_derivative_matches_knees():
 ])
 def test_symbolic_gradients_match_finite_differences(node, k, rng):
     r = rng.uniform(0.05, 2.5, size=(10, k))
-    _, grad, _ = node.vag(r)
+    grad = node.vag(r)[1]
     fd = finite_difference_grad(node, r)
     assert np.allclose(grad, fd, atol=1e-6)
 
@@ -64,10 +64,23 @@ def test_class_positivity_enforced():
     zero = CylindricalTestFunction(base=affine_phi([0.0]), anchors=(None,))
     with pytest.raises(ValueError, match="not in class T"):
         zero.base_value_and_grad(np.array([1.0]))
-    for node in (flat.Affine([-0.5]), flat.Affine([0.0]),
-                 TruncatedAffine(1, [-0.5]), TruncatedAffine(1, [0.0])):
+    # each flat family is refused when it is built with a weight of 0, -1, -0.5
+    # or NaN, and the softmin also with such a scale b
+    makers = (flat.Affine, lambda w: TruncatedAffine(1, w), lambda w: _softmin(w=w))
+    for bad in (0.0, -1.0, -0.5, np.nan):
+        for make in makers:
+            for w in ([bad], [0.5, bad]):
+                with pytest.raises(ValueError, match="not in class T"):
+                    make(w)
         with pytest.raises(ValueError, match="not in class T"):
-            node.checked_vag(np.array([1.0]))
+            _softmin(b=bad)
+    for make in makers:
+        assert np.array_equal(make([0.5, 1.0]).w, [0.5, 1.0])
+    assert flat.Affine([]).bounded()  # no weights: a constant
+
+
+def _softmin(w=(1.0, 0.5), b=1.0) -> SoftminPsi:
+    return SoftminPsi(eps=0.2, m=2.0, b=b, c=0.0, w=np.array(w), log_w=np.zeros(len(w)))
 
 
 def test_saturated_truncation_is_allowed():
@@ -75,14 +88,19 @@ def test_saturated_truncation_is_allowed():
     v, g = fun.base_value_and_grad(np.array([5.0]))
     assert v == 2.0
     assert g[0] == 0.0
-    v, g = TruncatedAffine(1, [1.0]).checked_vag(np.array([5.0]))
+    v, g = TruncatedAffine(1, [1.0]).vag(np.array([5.0]))
     assert v == 2.0
     assert g[0] == 0.0
-    # ... but saturation in one row does not excuse a zero partial in another
-    node = TruncatedAffine(1, [1.0, 0.0])
-    node.checked_vag(np.array([[5.0, 0.0]]))
+    # ... but a zero weight is refused when the family is built, even if only
+    # saturated rows would be evaluated
     with pytest.raises(ValueError, match="not in class T"):
-        node.checked_vag(np.array([[5.0, 0.0], [0.5, 0.0]]))
+        TruncatedAffine(1, [1.0, 0.0])
+    # the tree wrapper checks rows instead: saturation in one row does not
+    # excuse a zero partial in another
+    tree = CylindricalTestFunction(base=Iota(1, affine_phi([1.0, 0.0])))
+    tree.base_value_and_grad(np.array([[5.0, 0.0]]))
+    with pytest.raises(ValueError, match="not in class T"):
+        tree.base_value_and_grad(np.array([[5.0, 0.0], [0.5, 0.0]]))
 
 
 def test_boundedness_flags():
@@ -133,27 +151,35 @@ AFFINE_TERMS = 4.0
 
 @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
 def test_flat_affine_matches_tree_affine_phi(shape):
-    """Values, partials and flags bit for bit: the same sum in coordinate order,
-    and each one-hot tree partial has one nonzero term."""
+    """Values and partials bit for bit: the same sum in coordinate order, and
+    each one-hot tree partial has one nonzero term.  Weights with a zero or a
+    negative entry are refused at construction, where the tree is not in class."""
     rng = np.random.default_rng(701)
     for k in (0, 1, 2, 3):
         signed = rng.uniform(-1.0, 1.0, size=k)
         signed[:1] = 0.0
         for weights in (rng.uniform(0.05, 1.5, size=k), signed):
             const = float(rng.uniform(-0.5, 0.5))
-            node, tree = flat.Affine(weights, const), affine_phi(weights, const)
-            assert node.bounded() == tree.bounded()
-            assert node.structurally_positive() == tree.structurally_positive()
+            tree = affine_phi(weights, const)
             r = rng.uniform(0.0, 3.0, size=(*shape, k))
-            for got, want in zip(node.vag(r), tree.vag(r)):
+            if not tree.structurally_positive():
+                with pytest.raises(ValueError, match="not in class T"):
+                    flat.Affine(weights, const)
+                continue
+            node = flat.Affine(weights, const)
+            assert node.bounded() == tree.bounded()
+            (v, g), (tv, tg, tsat) = node.vag(r), tree.vag(r)
+            for got, want in ((v, tv), (g, tg)):
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
+            assert not np.any(tsat)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
 def test_truncated_affine_matches_truncate_cylinder(shape):
-    """Below the knee: partials and flags bit for bit, values (summed in another
-    order) within the composite rule; far above it both sit flat at n + 1."""
+    """Below the knee: partials bit for bit, values (summed in another order)
+    within the composite rule, and no tree flag set; far above it both sit flat
+    at n + 1."""
     rng = np.random.default_rng(702)
     for k in (0, 1, 2):
         for n in (1, 3, 8):
@@ -164,13 +190,13 @@ def test_truncated_affine_matches_truncate_cylinder(shape):
             phi0 = CylindricalTestFunction(base=affine_phi(weights, const), anchors=(None,) * k)
             tree = truncate_cylinder(phi0, a, None, n).base
             assert node.bounded() == tree.bounded()
-            assert node.structurally_positive() == tree.structurally_positive()
+            assert tree.structurally_positive()
             # a r0 + w . r <= 0.99 (n - const): the affine value stays below n
             scale = 0.99 * (n - const) / (a + weights.sum())
             r = scale * rng.uniform(0.0, 1.0, size=(*shape, k + 1))
-            (v, g, sat), (tv, tg, tsat) = node.vag(r), tree.vag(r)
+            (v, g), (tv, tg, tsat) = node.vag(r), tree.vag(r)
             assert np.shape(g) == np.shape(tg) and np.array_equal(g, tg)
-            assert np.shape(sat) == np.shape(tsat) and np.array_equal(sat, tsat)
+            assert np.shape(tsat) == shape and not np.any(tsat)
             w_ld = np.array([a, *weights], dtype=LD)
             ref = LD(const) + np.sum(w_ld * r.astype(LD), axis=-1)
             terms = LD(const) + np.sum(np.abs(w_ld * r.astype(LD)), axis=-1)
@@ -179,5 +205,6 @@ def test_truncated_affine_matches_truncate_cylinder(shape):
                 assert_within_terms(value, ref, terms, AFFINE_TERMS)
             far = r.copy()
             far[..., 0] += (n + 3) / a
-            for fv, fg, fsat in (node.vag(far), tree.vag(far)):
-                assert np.all(fv == n + 1) and np.all(fg == 0) and np.all(fsat)
+            assert np.all(tree.vag(far)[2])
+            for fv, fg in (node.vag(far), tree.vag(far)[:2]):
+                assert np.all(fv == n + 1) and np.all(fg == 0)

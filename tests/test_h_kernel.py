@@ -4,8 +4,10 @@ h(t) = exp(kappa_hat t) D(pi, mu(t)), D = d or psi_eps(d^2/2), was written four
 times in three modules: ``laplace.HCurve``, ``tataru._flow_objective`` with
 ``tataru._t_cap``, the psi and damping lines of ``hamiltonians._max_flow_action``
 and ``evi._damped_distance_bound``.  They are kept here verbatim as oracles,
-apart from their imports and the ``old_`` prefix of their names, and the kernel
-must match each of them bit for bit: its arithmetic is theirs, element by element.
+apart from their imports, the ``old_`` prefix of their names and the flows they
+take from ``row_helpers.flow_values`` since the flow curve they held is gone,
+and the kernel must match each of them bit for bit: its arithmetic is theirs,
+element by element.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import pytest
 
 from hjflow import hamiltonians
 from hjflow.evi import _damped_distance_bound
-from hjflow.spaces import FlowCurve, ModelSpace, euclidean_space, quartic_potential
+from hjflow.spaces import ModelSpace, euclidean_space, quartic_potential
 from hjflow.tataru import HCurve, _psi, _psi_consts, psi_eps, psi_eps_and_prime, tataru_batch
+
+from row_helpers import flow_values
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hjflow"
 SPACES = ("ou", "quartic", "double_well", "quartic_3d", "quantile_ou")
@@ -66,7 +70,6 @@ class OldHCurve:
         self.mu = space.rows(mu)
         if self.mu.ndim != 1:
             raise ValueError("mu must be one row")
-        self.curve = FlowCurve(space, self.mu)
 
     def _half_dist2(self, vals: np.ndarray) -> np.ndarray:
         return 0.5 * self.space.sq_dist(vals, self.pi[..., None, :])
@@ -75,11 +78,11 @@ class OldHCurve:
         return np.exp(self.space.kappa_hat * np.asarray(ts, dtype=float))
 
     def h(self, ts) -> np.ndarray:
-        return self.damping(ts) * psi_eps(self.eps, self._half_dist2(self.curve.values_at(ts)))
+        return self.damping(ts) * psi_eps(self.eps, self._half_dist2(flow_values(self.space, self.mu, ts)))
 
     def action_terms(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(h, damping, psi_eps', flow energies) at the times ts, from one flow evaluation."""
-        vals = self.curve.values_at(ts)
+        vals = flow_values(self.space, self.mu, ts)
         psi, psi_p = psi_eps_and_prime(self.eps, self._half_dist2(vals))
         damping = self.damping(ts)
         return damping * psi, damping, psi_p, self.space.energies(vals)
@@ -233,7 +236,7 @@ def test_kernel_matches_old_damped_distance_bound(request, space_name):
         pi, mu = space.sample(rng), space.sample(rng)
         growth = rng.uniform(-0.5, 3.0, ts.size)
         for eps_list in ((None, 0.1, 1.0), (0.02,)):
-            want = old_damped_distance_bound(space, pi, ts, space.flow_curve(mu).values_at(ts),
+            want = old_damped_distance_bound(space, pi, ts, flow_values(space, mu, ts),
                                              growth, eps_list)
             assert _damped_distance_bound(space, pi, mu, ts, growth, eps_list) == want
 

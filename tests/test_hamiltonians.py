@@ -14,7 +14,7 @@ from hjflow.spaces import double_well_potential, euclidean_space
 from hjflow.tataru import psi_eps, psi_eps_prime
 
 from cylinder_helpers import finite_difference_grad, identity_phi
-from row_helpers import distance, energy, flow, tataru_eps
+from row_helpers import distance, energy, flow, flow_values, tataru_eps
 
 
 def five_term_g_dagger(space, a, weights, const, rho, mus, pi):
@@ -65,9 +65,8 @@ def test_cyl_dagger_matches_independent_reevaluation(quartic, rng):
 def test_cyl_dagger_rejects_bad_inputs(ou):
     with pytest.raises(ValueError, match="positive"):
         build_cyl_pair(ou, "dagger", 0.0, identity_phi(), np.array([0]), [[0.0]])
-    pair = build_cyl_pair(ou, "dagger", 1.0, Affine([-1.0]), np.array([0]), [[0.0]])
     with pytest.raises(ValueError, match="not in class T"):
-        pair.f([1])
+        build_cyl_pair(ou, "dagger", 1.0, Affine([-1.0]), np.array([0]), [[0.0]])
 
 
 def test_cyl_ddagger_hand_example(ou):
@@ -143,7 +142,7 @@ def test_h0_ddagger_below_cauchy_schwarz_bound(ou, rng):
         mu = ou.sample(rng)
         dists = np.array([distance(ou, mu, a) for a in anchors])
         r = 0.5 * dists**2
-        grad = phi.checked_vag(r)[1]
+        grad = phi.vag(r)[1]
         e_mu = energy(ou, mu)
         energy_terms = sum(
             g * (e_mu - energy(ou, a) + 0.5 * ou.kappa * d**2)
@@ -157,7 +156,7 @@ def test_composite_phi_partials_match_finite_differences(ou, rng):
     phi, ts = composite_phi_for_push(ou, eps=0.3, b=0.9, c=0.1, m=6, n=2)
     for _ in range(5):
         r = rng.uniform(0.05, 2.0, size=ts.size)
-        _, grad, _ = phi.vag(r)
+        _, grad = phi.vag(r)
         assert np.allclose(grad, finite_difference_grad(phi, r), atol=1e-6)
         assert np.all(grad > 0)
 
@@ -169,30 +168,30 @@ def test_softmin_node_partials_match_finite_differences(rng):
         phi, ts = composite_phi_for_push(space, eps=0.2, b=1.1, c=-0.3, m=m, n=n)
         assert np.all(np.diff(phi.w) < 0)
         r = rng.uniform(0.05, 2.0, size=(4, 3, ts.size))
-        _, grad, _ = phi.vag(r)
+        _, grad = phi.vag(r)
         assert np.allclose(grad, finite_difference_grad(phi, r), atol=1e-6)
 
 
 def test_softmin_node_class_t_underflow_and_rejection(ou):
     # m = 40 and widely spread r: all softmin weight on the near coordinate, the
-    # others underflow to exact-zero partials, which the class check excuses
+    # others underflow to exact-zero partials, which no row check refuses: the
+    # node is in class T by its parameters, checked when it was built
     phi, ts = composite_phi_for_push(ou, eps=0.3, b=0.9, c=0.1, m=40, n=5)
     r = np.full((2, ts.size), 1e3)
     r[0, 0] = r[1, -1] = 0.01
-    _, grad = phi.checked_vag(r)
+    _, grad = phi.vag(r)
     assert grad[0, 0] > 0 and grad[1, -1] > 0
     assert np.count_nonzero(grad == 0) == 2 * (ts.size - 1)
-    # a nonpositive scale b, or one nonpositive weight w_i, is out of class
-    bad_w = [phi.w.copy(), phi.w.copy()]
-    bad_w[0][3], bad_w[1][3] = 0.0, -0.2
-    bad = [SoftminPsi(eps=0.3, m=40.0, b=b, c=0.1, w=phi.w, log_w=phi.log_w)
-           for b in (0.0, -0.9)]
-    bad += [SoftminPsi(eps=0.3, m=40.0, b=0.9, c=0.1, w=w, log_w=phi.log_w) for w in bad_w]
-    for node in bad:
-        assert not node.structurally_positive()
-        for rows in (r, np.full(ts.size, 0.5)):
-            with pytest.raises(ValueError, match="not in class T"):
-                node.checked_vag(rows)
+    # a nonpositive or NaN scale b, or one nonpositive or NaN weight w_i, is
+    # out of class: the node is refused when it is built
+    for b in (0.0, -0.9, np.nan):
+        with pytest.raises(ValueError, match="not in class T"):
+            SoftminPsi(eps=0.3, m=40.0, b=b, c=0.1, w=phi.w, log_w=phi.log_w)
+    for bad in (0.0, -0.2, np.nan):
+        w = phi.w.copy()
+        w[3] = bad
+        with pytest.raises(ValueError, match="not in class T"):
+            SoftminPsi(eps=0.3, m=40.0, b=0.9, c=0.1, w=w, log_w=phi.log_w)
 
 
 @pytest.mark.parametrize("n", (1, 3, 5))
@@ -227,22 +226,21 @@ def test_tataru_pair_examples(ou):
 
 
 def test_pairs_and_curves_keep_their_rows_when_the_caller_writes_to_them(quartic, rng):
-    # builders and flow curves hold copies of the rows they are given
+    # builders hold copies of the rows they are given, the flow anchors of the
+    # ladder pairs among them
     base, anchor = quartic.sample(rng), quartic.sample(rng)
     anchors = np.stack([quartic.sample(rng) for _ in range(2)])
     params = dict(a=0.7, b=0.4, c=0.1, eps=0.2, m=5, n=2, rho=base, mu=anchor)
     pairs = [build_cyl_pair(quartic, "dagger", 0.7, Affine([0.4, 0.3]), base, anchors),
              build_h0_pair(quartic, "ddagger", TruncatedAffine(2, [0.4, 0.3]), anchors),
              *(build_chain_pair(quartic, level, "dagger", params) for level in (2, 4, 5))]
-    curve = quartic.flow_curve(anchor)
     x = np.stack([quartic.sample(rng) for _ in range(3)])
-    before = [(pair.f(x), pair.g(x)) for pair in pairs], curve.values_at([0.0, 0.5])
+    before = [(pair.f(x), pair.g(x)) for pair in pairs]
     for row in (base, anchor, anchors):
         row += 1.0
-    after = [(pair.f(x), pair.g(x)) for pair in pairs], curve.values_at([0.0, 0.5])
-    for (f0, g0), (f1, g1) in zip(before[0], after[0]):
+    after = [(pair.f(x), pair.g(x)) for pair in pairs]
+    for (f0, g0), (f1, g1) in zip(before, after):
         assert np.array_equal(f0, f1) and np.array_equal(g0, g1)
-    assert np.array_equal(before[1], after[1])
 
 
 def test_tataru_pair_lipschitz_on_box(ou, rng):
@@ -358,7 +356,7 @@ def test_chain_1to2_degenerate_sample(ou):
     crit = np.zeros(ou.size)
     b, c, eps, m, n = 0.7, 0.1, 0.3, 5, 2
     phi, ts = composite_phi_for_push(ou, eps, b, c, m, n)
-    pair1 = build_cyl_pair(ou, "dagger", 1.0, phi, crit, ou.flow_curve(crit).values_at(ts))
+    pair1 = build_cyl_pair(ou, "dagger", 1.0, phi, crit, flow_values(ou, crit, ts))
     pair2 = build_chain_pair(ou, 2, "dagger",
                              dict(a=1.0, b=b, c=c, eps=eps, m=m, n=n, rho=crit, mu=crit))
     g1, g2 = pair1.g(crit), pair2.g(crit)

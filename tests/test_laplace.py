@@ -25,7 +25,7 @@ from hjflow.reporting import fmt17
 from hjflow.tataru import HCurve, psi_eps
 
 from precision_helpers import assert_t_cap, old_psi_consts, old_t_cap
-from row_helpers import tataru_eps
+from row_helpers import flow_values, tataru_eps
 
 
 def test_discrete_measure_validation():
@@ -136,8 +136,7 @@ def test_laplace_sandwich(ou, rng):
         pi, mu = ou.sample(rng), ou.sample(rng)
         val = lambda_discrete(ou, eps, m, n, pi, mu)
         atoms = discrete_exp_measure(m + 1, n).atoms
-        curve = ou.flow_curve(mu)
-        diffs = curve.values_at(atoms) - pi[None, :]
+        diffs = flow_values(ou, mu, atoms) - pi[None, :]
         h = np.exp(ou.kappa_hat * atoms) * psi_eps(eps, 0.5 * np.sum(diffs**2, axis=1))
         v_star = tataru_eps(ou, eps, pi, mu).value
         slack = (logsumexp(-atoms) - logsumexp(-(m + 1) * atoms)) / m
@@ -228,15 +227,14 @@ def test_tilted_mean_weight_converges(ou):
     pi, mu = np.array([0]), np.array([3])
     res = tataru_eps(ou, eps, pi, mu)
     t_star = float(res.minimizers[0])
-    curve = ou.flow_curve(mu)
 
     def mean_h(m):
         tm = tilted_measure(ou, eps, m, pi, mu)
-        diffs = curve.values_at(tm.atoms) - pi[None, :]
+        diffs = flow_values(ou, mu, tm.atoms) - pi[None, :]
         h = np.exp(ou.kappa_hat * tm.atoms) * psi_eps(eps, 0.5 * np.sum(diffs**2, axis=1))
         return tm.expectation(h)
 
-    dstar = curve.values_at([t_star])[0] - pi
+    dstar = flow_values(ou, mu, [t_star])[0] - pi
     h_star = float(psi_eps(eps, 0.5 * float(np.dot(dstar, dstar))))
     gaps = [abs(mean_h(m) - h_star) for m in (50, 500, 5000)]
     assert gaps[2] < gaps[0]

@@ -33,7 +33,8 @@ from scipy.special import logsumexp
 
 import hjflow.spaces
 from hjflow import hamiltonians as new
-from hjflow.cylinders import CylNode, TruncatedAffine
+from hjflow.cylinders import Affine as FlatAffine
+from hjflow.cylinders import SoftminPsi, TruncatedAffine
 from hjflow.laplace import (
     _adaptive_log_quadrature,
     discrete_exp_log_weights,
@@ -55,11 +56,12 @@ from cylinder_helpers import (
     Coord,
     CylindricalTestFunction,
     Iota,
+    TreeNode,
     affine_phi,
     truncate_cylinder,
 )
 from precision_helpers import LD, assert_kernel_no_worse, assert_within_terms, pow_free
-from row_helpers import d_eps, distance, energy, tataru, tataru_eps
+from row_helpers import d_eps, distance, energy, flow_values, tataru, tataru_eps
 
 # ---------------------------------------------------------------------------
 # oracles, verbatim
@@ -94,7 +96,7 @@ def _anchor_dists(space: ModelSpace, anchor_vals: np.ndarray, pt: np.ndarray) ->
     return np.sqrt(space.weight * np.sum(diffs * diffs, axis=1))
 
 
-def build_cyl_dagger(space: ModelSpace, a: float, phi: CylNode, rho: np.ndarray,
+def build_cyl_dagger(space: ModelSpace, a: float, phi: TreeNode, rho: np.ndarray,
                      mus) -> HamiltonianPair:
     """Upper-bound pair on cylinders f = a/2 d^2(., rho) + phi(d^2(., mus)/2)."""
     if a <= 0:
@@ -125,7 +127,7 @@ def build_cyl_dagger(space: ModelSpace, a: float, phi: CylNode, rho: np.ndarray,
     return HamiltonianPair(family="cyl", side="dagger", params=params, f=f, g=g)
 
 
-def build_cyl_ddagger(space: ModelSpace, a: float, phi: CylNode, gamma: np.ndarray,
+def build_cyl_ddagger(space: ModelSpace, a: float, phi: TreeNode, gamma: np.ndarray,
                       pis) -> HamiltonianPair:
     """Lower-bound mirror with the subtracted square and cross terms."""
     if a <= 0:
@@ -156,7 +158,7 @@ def build_cyl_ddagger(space: ModelSpace, a: float, phi: CylNode, gamma: np.ndarr
     return HamiltonianPair(family="cyl", side="ddagger", params=params, f=f, g=g)
 
 
-def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> HamiltonianPair:
+def build_h0_pair(space: ModelSpace, side: str, phi: TreeNode, anchors) -> HamiltonianPair:
     """Pairs on bounded cylinders f = +-phi(d^2(., anchors)/2)."""
     anchors = tuple(anchors)
     cyl = CylindricalTestFunction(base=phi, anchors=anchors)
@@ -230,7 +232,7 @@ def build_tataru_pair(space: ModelSpace, side: str, a: float, b: float, c: float
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     kappa, _ = _kappas(space, kappa_override)
-    space.flow_curve(flow_anchor)  # fail at build time on an anchor outside the space
+    space._row(flow_anchor)  # fail at build time on an anchor outside the space
     e_base = energy(space, base_point)
 
     def d_t(pt: np.ndarray) -> float:
@@ -280,7 +282,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
         raise ValueError("a and b must be positive")
     kappa, kappa_hat = _kappas(space)
     e_base = energy(space, base_point)
-    curve = space.flow_curve(flow_anchor)
+    space._row(flow_anchor)  # fail at build time on an anchor outside the space
 
     def quad_prefix(pt: np.ndarray) -> float:
         """All g terms except the +-b flow-action slot."""
@@ -294,7 +296,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
 
     def flow_pieces(pt: np.ndarray, ts: np.ndarray, eps: float):
         """(h, damping, psi', flow energies) along the anchor flow at times ts."""
-        vals = curve.values_at(ts)
+        vals = flow_values(space, flow_anchor, ts)
         diffs = vals - pt[None, :]
         dist2 = space.weight * np.sum(diffs * diffs, axis=1)
         damping = np.exp(kappa_hat * np.asarray(ts, dtype=float))
@@ -392,11 +394,11 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
 
 # the composite tree; ``logsumexp`` here is scipy's, which hjflow's matches bit for bit
 @dataclass(frozen=True)
-class Psi(CylNode):
+class Psi(TreeNode):
     """Smoothed square root of a child value."""
 
     eps: float
-    child: CylNode
+    child: TreeNode
 
     def vag(self, r):
         v, g, s = self.child.vag(r)
@@ -410,7 +412,7 @@ class Psi(CylNode):
 
 
 @dataclass(frozen=True)
-class SumExpNegLog(CylNode):
+class SumExpNegLog(TreeNode):
     """const + scale * (-1/m) log sum_i exp(log_coeff_i - m * child_i).
 
     The partials are scale times the softmin weights times the children's
@@ -447,7 +449,7 @@ class SumExpNegLog(CylNode):
 
 
 def composite_phi_for_push(space: ModelSpace, eps: float, b: float, c: float,
-                           m: int, n: int) -> tuple[CylNode, np.ndarray]:
+                           m: int, n: int) -> tuple[TreeNode, np.ndarray]:
     """The explicit log-sum-exp composite whose cylindrical pair has f equal
     to the level-2 test function; returns (node, atom times)."""
     ts, log_w = discrete_exp_log_weights(m + 1, n)
@@ -468,12 +470,11 @@ def old_4to5_rows(space: ModelSpace, samples: int, rng: np.random.Generator,
         eps = rng.uniform(0.05, 0.7)
         mu = space.sample(rng)
         pi = space.sample(rng)
-        curve = space.flow_curve(mu)
         res = tataru_eps(space, eps, pi, mu)
         e_pi = energy(space, pi)
         lhs_best = -np.inf
         for t in res.minimizers:
-            vals = curve.values_at([float(t)])[0]
+            vals = flow_values(space, mu, [float(t)])[0]
             dist2 = space.weight * float(np.dot(vals - pi, vals - pi))
             damping = float(np.exp(kappa_hat * t))
             flow_e = space.weight * float(np.sum(space.potential.v(vals)))
@@ -499,12 +500,12 @@ def old_0to1_rows(space: ModelSpace, samples: int, rng: np.random.Generator,
         mus = [space.sample(rng) for _ in range(k)]
         pi = space.sample(rng)
         phi0 = affine_phi(weights, const)
-        pair1 = new.build_cyl_pair(space, "dagger", a, phi0, rho, mus)
+        cyl_fun = CylindricalTestFunction(base=phi0, anchors=tuple(mus))
+        pair1 = new.build_cyl_pair(space, "dagger", a, cyl_fun, rho, mus)
         inner_value = pair1.f(pi)  # equals a r0 + phi0(r) at pi
         n = int(np.ceil(inner_value)) + 1
-        cyl_fun = CylindricalTestFunction(base=phi0, anchors=tuple(mus))
         truncated = truncate_cylinder(cyl_fun, a, rho, n)
-        pair0 = new.build_h0_pair(space, "dagger", truncated.base, truncated.anchors)
+        pair0 = new.build_h0_pair(space, "dagger", truncated, truncated.anchors)
         g0 = pair0.g(pi)
         g1 = pair1.g(pi)
         violation = abs(g0 - g1)
@@ -629,7 +630,7 @@ def space(request):
     return request.getfixturevalue(request.param)
 
 
-def _random_phi(rng: np.random.Generator, k: int) -> CylNode:
+def _random_phi(rng: np.random.Generator, k: int) -> TreeNode:
     """An affine base, or a positive combination of smoothed square roots."""
     weights = rng.uniform(0.1, 1.0, size=k)
     if rng.uniform() < 0.5:
@@ -653,7 +654,7 @@ def _random_phi(rng: np.random.Generator, k: int) -> CylNode:
 PAIR_TERMS = 4.0
 
 
-def _ld_phi(node: CylNode, r: np.ndarray):
+def _ld_phi(node: TreeNode, r: np.ndarray):
     """(value, partials, value magnitude, partials magnitude) of a tree of
     Coord, Affine, Psi and Iota nodes at the long double rows r."""
     if isinstance(node, Coord):
@@ -677,7 +678,7 @@ def _ld_phi(node: CylNode, r: np.ndarray):
     return value, (1 - s)[..., None] * g, v_mag, prime_mag[..., None] * g_mag
 
 
-def _ld_cylinder(space: ModelSpace, phi: CylNode, anchors, x: np.ndarray):
+def _ld_cylinder(space: ModelSpace, phi: TreeNode, anchors, x: np.ndarray):
     """(phi, its magnitude, grad phi, its magnitude, d, the anchor energy terms
     E_anchor - E - kappa/2 d^2, their magnitudes) at the rows x."""
     anchors = np.stack(anchors)
@@ -690,7 +691,7 @@ def _ld_cylinder(space: ModelSpace, phi: CylNode, anchors, x: np.ndarray):
     return v, v_mag, grad, g_mag, np.sqrt(sq), terms, terms_mag
 
 
-def ref_cyl(space: ModelSpace, side: str, a: float, phi: CylNode, base, anchors, x):
+def ref_cyl(space: ModelSpace, side: str, a: float, phi: TreeNode, base, anchors, x):
     """f = sigma [a/2 d0^2 + phi(d^2/2)] and the five-term g."""
     sigma, a = LD(new.side_sign(side)), LD(a)
     v, v_mag, grad, g_mag, d, terms, terms_mag = _ld_cylinder(space, phi, anchors, x)
@@ -705,7 +706,7 @@ def ref_cyl(space: ModelSpace, side: str, a: float, phi: CylNode, base, anchors,
     return sigma * (a / 2 * s0 + v), a / 2 * s0 + v_mag, g, g_terms
 
 
-def ref_h0(space: ModelSpace, side: str, phi: CylNode, anchors, x):
+def ref_h0(space: ModelSpace, side: str, phi: TreeNode, anchors, x):
     """f = sigma phi(d^2/2) and g of the bounded cylinder pair."""
     v, v_mag, grad, g_mag, d, terms, terms_mag = _ld_cylinder(space, phi, anchors, x)
     g_terms = np.sum(g_mag * terms_mag, axis=-1)
@@ -735,7 +736,7 @@ def ref_ladder(space: ModelSpace, side: str, a: float, b: float, c: float, base,
 def _ld_flow_terms(space: ModelSpace, eps: float, row, anchor, ts):
     """(h, damping psi_eps', energy gap and its magnitude) along the flow of
     anchor at the times ts, measured against the row."""
-    vals = space.flow_curve(anchor).values_at(ts)
+    vals = flow_values(space, anchor, ts)
     psi, prime = ld.psi(eps, ld.sq_dist(space, vals, row) / 2)
     damping = np.exp(LD(space.kappa_hat) * np.asarray(ts, dtype=LD))
     (e_f, ef_mag), (e, e_mag) = ld.energies(space, vals), ld.energies(space, row)
@@ -792,7 +793,8 @@ def test_cyl_pair_matches_mirrored_builders(space):
         old = {"dagger": build_cyl_dagger(space, a, phi, base, anchors),
                "ddagger": build_cyl_ddagger(space, a, phi, base, anchors)}
         for side in SIDES:
-            pair = new.build_cyl_pair(space, side, a, phi, base, np.stack(anchors))
+            pair = new.build_cyl_pair(space, side, a, CylindricalTestFunction(phi), base,
+                                      np.stack(anchors))
             assert pair.side == side
             _assert_pairs(ref_cyl(space, side, a, phi, base, anchors, pts),
                           old[side], pair, pts)
@@ -809,7 +811,8 @@ def test_h0_pair_matches_both_branches(space):
         for side in SIDES:
             _assert_pairs(ref_h0(space, side, phi, anchors, pts),
                           build_h0_pair(space, side, phi, anchors),
-                          new.build_h0_pair(space, side, phi, np.stack(anchors)), pts)
+                          new.build_h0_pair(space, side, CylindricalTestFunction(phi),
+                                            np.stack(anchors)), pts)
 
 
 def _tataru_values(space: ModelSpace, pts, anchor, eps):
@@ -897,8 +900,10 @@ def test_pairs_map_rows_to_values(space):
     base, anchor = space.sample(rng), space.sample(rng)
     params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2,
               "rho": base, "mu": anchor}
-    pairs = [new.build_cyl_pair(space, "dagger", 0.7, affine_phi([0.4]), base, [anchor]),
-             new.build_h0_pair(space, "ddagger", Iota(2, affine_phi([0.4])), [anchor]),
+    pairs = [new.build_cyl_pair(space, "dagger", 0.7, CylindricalTestFunction(affine_phi([0.4])),
+                                base, [anchor]),
+             new.build_h0_pair(space, "ddagger",
+                               CylindricalTestFunction(Iota(2, affine_phi([0.4]))), [anchor]),
              *(new.build_chain_pair(space, level, "dagger", params) for level in (2, 4, 6))]
     x = np.stack([space.sample(rng) for _ in range(6)])
     bad = x.copy()
@@ -926,9 +931,11 @@ def test_pair_distances_no_worse_than_squaring_the_distance_back(space):
     base = space.sample(rng)
     sq = space.sq_dist(x, base)
     no_anchors = np.empty((0, space.size))
-    d0sq = new.build_cyl_pair(space, "dagger", 2.0, affine_phi([]), base, no_anchors).f(x)
+    d0sq = new.build_cyl_pair(space, "dagger", 2.0, CylindricalTestFunction(affine_phi([])),
+                              base, no_anchors).f(x)
     assert_kernel_no_worse(d0sq, np.float_power(np.sqrt(sq), 2), sq.astype(LD))
-    r = new.build_h0_pair(space, "dagger", Iota(100, affine_phi([1.0])), base[None]).f(x)
+    r = new.build_h0_pair(space, "dagger", CylindricalTestFunction(Iota(100, affine_phi([1.0]))),
+                          base[None]).f(x)
     assert_kernel_no_worse(r, 0.5 * np.sqrt(sq) ** 2, sq.astype(LD) / 2)
 
 
@@ -945,8 +952,10 @@ def test_pairs_call_no_libm_pow(space, monkeypatch):
         params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2,
                   "quad_rel_tol": 1e-6, "rho": base, "mu": anchor, "gamma": base, "pi": anchor}
         pairs = [pair for side in SIDES for pair in (
-            new.build_cyl_pair(space, side, 0.7, phi, base, np.stack((anchor, base))),
-            new.build_h0_pair(space, side, Iota(2, phi), np.stack((anchor, base))),
+            new.build_cyl_pair(space, side, 0.7, CylindricalTestFunction(phi), base,
+                               np.stack((anchor, base))),
+            new.build_h0_pair(space, side, CylindricalTestFunction(Iota(2, phi)),
+                              np.stack((anchor, base))),
             *(new.build_chain_pair(space, level, side, params) for level in CHAIN_LEVELS))]
         values = [fn(x) for pair in pairs for fn in (pair.f, pair.g)]
         if guarded:
@@ -1007,31 +1016,45 @@ def test_class_check_rejects_exactly_the_bad_rows():
         flat.base_value_and_grad(np.array([[5.0, 0.0], [0.5, 0.0]]))
 
 
-def test_checked_vag_rejects_exactly_the_rows_the_tree_wrapper_rejects():
-    """``CylNode.checked_vag`` is the wrapper's class check, on the trees of the
-    test above and on the bounded flat family: the same rows pass, with the
-    same values and partials, and the same batches raise."""
-    dipping = Affine(terms=((1.0, Coord(0)), (-1.0, Psi(0.01, Coord(0)))))
-    knee = Iota(1, Affine(terms=((1.0, Coord(0)), (-0.5, Psi(0.01, Coord(0))))))
-    cases = [(dipping, 1, [[[2.0], [3.0]], [[2.0], [0.1], [3.0]]]),
-             (knee, 1, [[[0.8], [10.0]]]),
-             *((node, 2, [[[5.0, 0.0]], [[5.0, 0.0], [0.5, 0.0]]])
-               for node in (Iota(1, affine_phi([1.0, 0.0])), TruncatedAffine(1, [1.0, 0.0])))]
-    raised = []
-    for node, k, batches in cases:
-        wrapper = CylindricalTestFunction(base=node, anchors=(None,) * k)
-        for rows in map(np.array, batches):
-            try:
-                want = wrapper.base_value_and_grad(rows)
-            except ValueError:
-                with pytest.raises(ValueError, match="not in class T"):
-                    node.checked_vag(rows)
-                raised.append(True)
-                continue
-            got = node.checked_vag(rows)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            raised.append(False)
-    assert raised == [False, True, False, False, True, False, True]
+def _softmin_tree(eps: float, m: float, b: float, c: float, w, log_w) -> SumExpNegLog:
+    """The tree of ``SoftminPsi(eps, m, b, c, w, log_w)``, as ``composite_phi_for_push``
+    builds it for the weights w = exp(kappa_hat t)."""
+    children = tuple(Affine(terms=((float(wi), Psi(eps, Coord(i))),)) for i, wi in enumerate(w))
+    return SumExpNegLog(m=m, scale=b, log_coeffs=tuple(log_w), children=children, const=c)
+
+
+def test_flat_families_are_refused_exactly_where_the_tree_wrapper_refuses_rows():
+    """A flat family is refused at construction exactly when the tree wrapper
+    refuses a generic unsaturated row of the same function; otherwise it gives
+    the tree's values and partials bit for bit.  (A NaN weight the wrapper lets
+    through, as NaN partials compare neither < 0 nor == 0; the families refuse it.)"""
+    r = np.random.default_rng(613).uniform(0.05, 0.5, size=(4, 3))  # no row saturates
+    eps, m, log_w = 0.2, 7.0, np.log([0.5, 0.3, 0.2])
+    cases = []
+    for w in ([0.4, 0.8, 0.3], [0.4, 0.0, 0.3], [0.4, -0.2, 0.3]):
+        cases += [
+            (lambda w=w: FlatAffine(w, 0.1), affine_phi(w, 0.1)),
+            (lambda w=w: TruncatedAffine(3, w, 0.1), Iota(3, affine_phi(w, 0.1))),
+            (lambda w=w: SoftminPsi(eps=eps, m=m, b=0.9, c=0.1, w=np.array(w), log_w=log_w),
+             _softmin_tree(eps, m, 0.9, 0.1, w, log_w))]
+    w = [0.4, 0.8, 0.3]
+    for b in (0.0, -0.9):
+        cases.append((lambda b=b: SoftminPsi(eps=eps, m=m, b=b, c=0.1, w=np.array(w),
+                                             log_w=log_w),
+                      _softmin_tree(eps, m, b, 0.1, w, log_w)))
+    refused = []
+    for build, tree in cases:
+        try:
+            want = CylindricalTestFunction(tree).base_value_and_grad(r)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in class T"):
+                build()
+            refused.append(True)
+            continue
+        got = build().vag(r)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        refused.append(False)
+    assert refused == [False] * 3 + [True] * 8
 
 
 @pytest.mark.parametrize("space_name", ("ou", "quartic_3d", "double_well_quantile"))
@@ -1050,8 +1073,9 @@ def test_4to5_rows_match_minimizer_loop(space):
 @pytest.mark.parametrize("shape", ((), (4,), (3, 2)))
 @pytest.mark.parametrize("space_name", ("ou", "double_well"))
 def test_softmin_node_matches_composite_tree(request, space_name, shape):
-    """The array node reproduces the tree's values, partials and flags bit for bit:
-    the same per-element arithmetic, and each one-hot sum has one nonzero term."""
+    """The array node reproduces the tree's values and partials bit for bit (the
+    tree sets no flag): the same per-element arithmetic, and each one-hot sum has
+    one nonzero term."""
     space = request.getfixturevalue(space_name)  # kappa_hat = 0 resp. < 0
     rng = np.random.default_rng(607)
     for n in range(1, 6):
@@ -1061,21 +1085,27 @@ def test_softmin_node_matches_composite_tree(request, space_name, shape):
             node, ts = new.composite_phi_for_push(space, eps, b, c, m, n)
             tree, tree_ts = composite_phi_for_push(space, eps, b, c, m, n)
             assert np.array_equal(ts, tree_ts)
-            assert node.structurally_positive() == tree.structurally_positive()
+            assert tree.structurally_positive()
             assert node.bounded() == tree.bounded()
             # some coordinates on the quadratic branch of psi_eps, below eps
             scale = rng.uniform(0.0, 1.0, size=ts.size)
             r = scale * rng.uniform(0.0, 3.0, size=(*shape, ts.size))
-            for got, want in zip(node.vag(r), tree.vag(r)):
+            (v, g), (tv, tg, tsat) = node.vag(r), tree.vag(r)
+            for got, want in ((v, tv), (g, tg)):
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
+            assert np.shape(tsat) == shape and not np.any(tsat)
 
 
 @pytest.mark.parametrize("space_name", ("ou", "quartic_3d", "double_well_quantile"))
 def test_1to2_rows_match_composite_tree(request, monkeypatch, space_name):
     space = request.getfixturevalue(space_name)
     rows = new.chain_inequality_report(space, "1to2", INSTANCES, np.random.default_rng(608)).rows
-    monkeypatch.setattr(new, "composite_phi_for_push", composite_phi_for_push)
+    def wrapped_tree(*args):
+        tree, ts = composite_phi_for_push(*args)
+        return CylindricalTestFunction(tree), ts
+
+    monkeypatch.setattr(new, "composite_phi_for_push", wrapped_tree)
     old = new.chain_inequality_report(space, "1to2", INSTANCES, np.random.default_rng(608)).rows
     assert list(rows) == list(old)
 
@@ -1101,7 +1131,8 @@ def test_check_viscosity_matches_sub_and_super_checks(request, space_name):
         gap_tol = (1e-6, 1e-2, 0.3)[i % 3]
         for side, old_check in (("dagger", check_subsolution),
                                 ("ddagger", check_supersolution)):
-            pair = new.build_cyl_pair(space, side, a, phi, base, np.stack(anchors))
+            pair = new.build_cyl_pair(space, side, a, CylindricalTestFunction(phi), base,
+                                      np.stack(anchors))
             rep = check_viscosity(u, pair, h, lam, tol, gap_tol)
             for old in (old_check(space, u, pair, h, lam, tol, gap_tol),
                         per_point_check_viscosity(space, u, pair, h, lam, tol, gap_tol)):

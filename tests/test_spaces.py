@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from hjflow.evi import energy_identity_residual
 from hjflow.spaces import (
     double_well_potential,
     euclidean_space,
@@ -16,7 +19,9 @@ from hjflow.spaces import (
 )
 
 from precision_helpers import LD, NoPow, assert_kernel_no_worse, pow_free
-from row_helpers import distance, energy, flow, information, slope
+from row_helpers import distance, energy, flow, flow_values, information, slope
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hjflow"
 
 
 def test_distance_examples(ou, quantile_ou):
@@ -38,7 +43,7 @@ def test_distance_incompatible_points(ou, quantile_ou):
         distance(two_d, [0.0, 0.0], [0.0])
     # builders and flows take one row, not a stack of them
     with pytest.raises(ValueError, match="incompatible points"):
-        ou.flow_curve([[0.0]])
+        flow_values(ou, [[0.0]], [0.0])
     assert two_d.rows(np.zeros((3, 2))).shape == (3, 2)
 
 
@@ -165,7 +170,7 @@ def test_closed_form_flow_matches_rk45(make):
             assert np.allclose(got[-1], np.sign(x0) * np.sqrt(-pot.kappa), atol=1e-12)
     space = quantile_space(pot, grid_size=32, sample_radius=3.0)
     x = space.sample(rng)
-    vals = space.flow_curve(x).values_at(ts)
+    vals = flow_values(space, x, ts)
     assert np.all(np.diff(vals, axis=1) >= 0)
     assert np.all(np.diff(pot.flow(x, ts), axis=1) >= -1e-14)
 
@@ -194,7 +199,7 @@ def test_flow_values_broadcast_with_quantile_guard():
     points = [space.sample(rng) for _ in range(4)]
     times = np.sort(rng.uniform(0.0, 20.0, size=(4, 11)), axis=1)
     got = space.flow_values(np.stack(points), times)
-    want = np.stack([space.flow_curve(p).values_at(t) for p, t in zip(points, times)])
+    want = np.stack([flow_values(space, p, t) for p, t in zip(points, times)])
     assert np.array_equal(got, want)
     assert np.all(np.diff(got, axis=-1) >= 0)
 
@@ -235,17 +240,20 @@ def test_one_buffer_flows_equal_the_closed_form_expressions(form):
 
 
 def test_flow_trajectory_examples(ou):
-    single = ou.flow_trajectory(np.array([2]), [0.0])
-    assert single.values.shape == (1, 1)
-    assert single.values[0][0] == 2.0
-    assert np.array_equal(single.start, [2.0])
+    single = flow_values(ou, np.array([2]), [0.0])
+    assert single.shape == (1, 1)
+    assert single[0][0] == 2.0
 
-    traj = ou.flow_trajectory(np.array([1]), [0.0, 1.0, 2.0])
-    assert np.allclose(traj.energies, [0.5, np.exp(-2) / 2, np.exp(-4) / 2])
-    assert np.allclose(traj.sq_slopes, [1.0, np.exp(-2), np.exp(-4)])
+    vals = flow_values(ou, np.array([1]), [0.0, 1.0, 2.0])
+    assert np.allclose(ou.energies(vals), [0.5, np.exp(-2) / 2, np.exp(-4) / 2])
+    assert np.allclose(ou.sq_slopes(vals), [1.0, np.exp(-2), np.exp(-4)])
 
-    with pytest.raises(ValueError):
-        ou.flow_trajectory(np.array([1]), [0.5, 0.2])
+    # the energy identity, the one consumer of a whole trajectory, needs
+    # strictly increasing times that start at t >= 0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        energy_identity_residual(ou, np.array([1]), [0.5, 0.2])
+    with pytest.raises(ValueError, match="negative time"):
+        energy_identity_residual(ou, np.array([1]), [-0.5, 0.2])
 
 
 @pytest.mark.parametrize("make", [
@@ -256,18 +264,16 @@ def test_flow_trajectory_examples(ou):
 def test_flow_trajectory_matches_per_point_kernels(make, rng):
     space = make()
     x = space.sample(rng)
-    traj = space.flow_trajectory(x, np.linspace(0.0, 2.0, 201))
-    points = traj.values
+    points = flow_values(space, x, np.linspace(0.0, 2.0, 201))
     assert points.shape == (201, space.size)
-    assert np.array_equal(traj.start, x)
     assert np.array_equal(points[0], x)
-    assert np.array_equal(traj.energies, [energy(space, p) for p in points])
-    assert np.array_equal(traj.sq_slopes, [information(space, p) for p in points])
+    assert np.array_equal(space.energies(points), [energy(space, p) for p in points])
+    assert np.array_equal(space.sq_slopes(points), [information(space, p) for p in points])
 
     # the row kernels broadcast over leading axes, and each row gets the bits
     # of the one-row kernels
     ts = np.linspace(0.0, 2.0, 51)
-    a, b = (np.stack([space.flow_curve(space.sample(rng)).values_at(ts) for _ in range(3)])
+    a, b = (np.stack([flow_values(space, space.sample(rng), ts) for _ in range(3)])
             for _ in range(2))
     for rows, others in ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b), (a, b[0, 0])):
         assert rows.shape in ((space.size,), (51, space.size), (3, 51, space.size))
@@ -282,8 +288,8 @@ def test_flow_trajectory_matches_per_point_kernels(make, rng):
 
 def test_trajectory_energies_nonincreasing(double_well, rng):
     x = double_well.sample(rng)
-    traj = double_well.flow_trajectory(x, np.linspace(0, 3, 50))
-    assert np.all(np.diff(traj.energies) <= 1e-10)
+    energies = double_well.energies(flow_values(double_well, x, np.linspace(0, 3, 50)))
+    assert np.all(np.diff(energies) <= 1e-10)
 
 
 def test_triangle_inequality_random_triples(ou, quantile_ou, rng):
@@ -309,7 +315,7 @@ def test_quantile_monotonicity_preserved(rng):
     y = space.sample(rng)
     for t in (0.25, 0.75):
         assert np.all(np.diff(geodesic_point(space, x, y, t)) >= 0)
-    vals = space.flow_curve(x).values_at(np.linspace(0, 2, 20))
+    vals = flow_values(space, x, np.linspace(0, 2, 20))
     assert np.all(np.diff(vals, axis=1) >= 0)
 
 
@@ -356,26 +362,27 @@ def test_potential_kernels_exact_and_pow_free(form, kappa, monkeypatch, rng):
             terms = _exact_terms(form, kappa, x)[i]
             assert abs(Fraction(y) - sum(terms)) <= 2 * eps * sum(abs(t) for t in terms)
 
-    # the row kernels and the flow built on them call no libm pow either
+    # the row kernels, the flow built on them and the energy identity that
+    # reads its trajectory from them call no libm pow either
     space = quantile_space(pot, grid_size=16, sample_radius=3.0)
     x, ts = pow_free(monkeypatch, space.sample(rng), np.linspace(0.0, 2.0, 21))
     vals = space.flow_values(x, ts)
-    traj = space.flow_trajectory(x, ts)
-    assert np.array_equal(traj.values, vals)
-    assert np.array_equal(traj.energies, space.energies(vals))
-    assert np.array_equal(traj.sq_slopes, space.sq_slopes(vals))
+    energies, sq_slopes = space.energies(vals), space.sq_slopes(vals)
+    assert np.all(np.isfinite(energies)) and np.all(np.isfinite(sq_slopes))
+    dissipated = float(np.trapezoid(sq_slopes, ts))
+    assert energy_identity_residual(space, x, ts) == abs(energies[-1] - energies[0] + dissipated)
 
 
 @pytest.mark.parametrize("form,kappa", [("quadratic", 2.5), ("quartic", None),
                                         ("double_well", -0.5)])
 def test_trajectory_sq_slopes_no_worse_than_squaring_the_slope_back(form, kappa, rng):
-    # against the trajectory's input sq_slopes; the oracle is the former
-    # square root that the energy identity squared back
+    # against the squared slopes that the energy identity reads; the oracle is
+    # the former square root that the energy identity squared back
     space = quantile_space(make_potential(form, kappa), grid_size=16, sample_radius=3.0)
     for _ in range(20):
-        traj = space.flow_trajectory(space.sample(rng), np.linspace(0.0, 2.0, 201))
-        sq = space.sq_slopes(traj.values)
-        assert_kernel_no_worse(traj.sq_slopes, np.sqrt(sq) ** 2, sq.astype(LD))
+        vals = flow_values(space, space.sample(rng), np.linspace(0.0, 2.0, 201))
+        sq = space.sq_slopes(vals)
+        assert_kernel_no_worse(space.sq_slopes(vals), np.sqrt(sq) ** 2, sq.astype(LD))
 
 
 def test_double_well_requires_negative_kappa():
@@ -385,10 +392,12 @@ def test_double_well_requires_negative_kappa():
 
 def test_energy_dissipation_identity(quartic):
     x = np.array([1.1])
-    traj = quartic.flow_trajectory(x, np.linspace(0.0, 1.0, 4001))
-    drop = traj.energies[-1] - traj.energies[0]
+    ts = np.linspace(0.0, 1.0, 4001)
+    vals = flow_values(quartic, x, ts)
+    energies = quartic.energies(vals)
+    drop = energies[-1] - energies[0]
     assert drop <= 0
-    assert abs(drop + np.trapezoid(traj.sq_slopes, traj.times)) <= 1e-6
+    assert abs(drop + np.trapezoid(quartic.sq_slopes(vals), ts)) <= 1e-6
 
 
 @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
@@ -405,3 +414,27 @@ def test_sample_stays_in_radius(ou, quantile_ou, rng):
         for _ in range(50):
             p = space.sample(rng)
             assert np.all(np.abs(p) <= space.sample_radius + 1e-12)
+
+
+def _flow_reads(node: ast.AST) -> int:
+    """The number of ``.flow`` attribute reads under node."""
+    return sum(isinstance(n, ast.Attribute) and n.attr == "flow" for n in ast.walk(node))
+
+
+def test_flows_have_one_entry_point():
+    """No module but ``spaces.py`` reads a potential's ``flow``, and in
+    ``spaces.py`` only ``ModelSpace.flow_values`` does: every flow the package
+    evaluates goes through it.  The wrappers around it are gone."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert "spaces.py" in trees
+    assert sorted(name for name, tree in trees.items() if _flow_reads(tree)) == ["spaces.py"]
+    readers = [node for node in ast.walk(trees["spaces.py"])
+               if isinstance(node, ast.FunctionDef) and _flow_reads(node)]
+    assert [node.name for node in readers] == ["flow_values"]
+    assert _flow_reads(readers[0]) == _flow_reads(trees["spaces.py"])
+    for name in ("FlowCurve", "FlowTrajectory", "flow_curve", "flow_trajectory"):
+        assert not any(isinstance(node, (ast.Name, ast.Attribute, ast.ClassDef, ast.FunctionDef))
+                       and name in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None))
+                       for tree in trees.values() for node in ast.walk(tree))

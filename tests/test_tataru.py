@@ -31,7 +31,7 @@ from hjflow.tataru import (
 
 import precision_helpers as ld
 from precision_helpers import assert_kernel_no_worse, pow_free
-from row_helpers import d_eps, distance, flow, tataru, tataru_eps
+from row_helpers import d_eps, distance, flow, flow_values, tataru, tataru_eps
 
 
 def test_logsumexp_matches_scipy():
@@ -58,10 +58,8 @@ def golden_oracle(space, pi, mu, eps, t_cap, grid_points=GRID_POINTS):
     """Scalar reference for the time minimization: the same coarse grid, then
     golden-section search on a hand-written scalar objective around each of the
     three best local grid minima."""
-    curve = space.flow_curve(mu)
-
     def objective(t):
-        diff = curve.values_at([t])[0] - pi
+        diff = flow_values(space, mu, [t])[0] - pi
         dist2 = space.weight * float(np.dot(diff, diff))
         inner = np.sqrt(dist2) if eps is None else float(psi_eps(eps, 0.5 * dist2))
         return t + float(np.exp(space.kappa_hat * t)) * inner
@@ -182,14 +180,13 @@ def test_tataru_minimizers_achieve_value(ou, rng):
     for _ in range(20):
         pi, mu = ou.sample(rng), ou.sample(rng)
         res = tataru(ou, pi, mu)
-        curve = ou.flow_curve(mu)
         for t in res.minimizers:
-            diff = curve.values_at([float(t)])[0] - pi
+            diff = flow_values(ou, mu, [float(t)])[0] - pi
             obj = t + np.exp(ou.kappa_hat * t) * np.sqrt(float(np.dot(diff, diff)))
             assert obj <= res.value + 1e-9
         # grid values dominate the reported value
         ts = np.linspace(0, res.t_cap, 64)
-        diffs = curve.values_at(ts) - pi[None, :]
+        diffs = flow_values(ou, mu, ts) - pi[None, :]
         objs = ts + np.exp(ou.kappa_hat * ts) * np.sqrt(np.sum(diffs**2, axis=1))
         assert res.value <= np.min(objs) + 1e-9
 
@@ -532,7 +529,7 @@ def test_flow_objective_with_eps_per_instance_equals_scalar_psi():
     ts = np.tile(np.linspace(0.0, 0.02, 257), (rows.size, 1))
     got = ts + curve.h(ts, rows)
     for k, i in enumerate(rows):
-        dist2 = space.sq_dist(space.flow_curve(mus[i]).values_at(ts[k]), pis[i])
+        dist2 = space.sq_dist(flow_values(space, mus[i], ts[k]), pis[i])
         assert np.all(0.5 * dist2 <= eps[i])
         want = ts[k] + np.exp(space.kappa_hat * ts[k]) * psi_eps(eps[i], 0.5 * dist2)
         assert np.array_equal(got[k], want)

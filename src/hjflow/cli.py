@@ -395,7 +395,11 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig(**{**cfg.__dict__,
                                       "ham_chain": type(hc)(link=link, samples=samples)})
         validate(cfg)
-        out_dir = Path(args.out) if args.out else Path(cfg.out)
+        field, out_dir = ("--out", Path(args.out)) if args.out else ("out", Path(cfg.out))
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(field, f"cannot create the output directory: {exc}") from exc
         names = list(SUITES) if args.command == "all" else [args.command]
         ok = True
         for name in names:

@@ -81,14 +81,9 @@ def _growth_rhs(space: ModelSpace, pi, mu, ts: np.ndarray) -> np.ndarray:
 
 def _distance_growth(space, pi, ts, cmu, rhs) -> float:
     """max over ts of LHS - rhs of the integrated growth inequality, from the flow
-    cmu of mu at ts; the left side is exp(kappa t) d^2(pi, mu(t)) / 2, without the
-    exponential for kappa = 0."""
+    cmu of mu at ts; the left side is exp(kappa t) d^2(pi, mu(t)) / 2."""
     half_sq = 0.5 * space.sq_dist(cmu, pi)
-    if space.kappa != 0.0:
-        lhs = np.exp(space.kappa * ts) * half_sq
-    else:
-        lhs = half_sq
-    return float(np.max(lhs - rhs))
+    return float(np.max(np.exp(space.kappa * ts) * half_sq - rhs))
 
 
 def _damped_distance_bound(space, pi, mu, ts, growth_rhs, eps_list) -> float:

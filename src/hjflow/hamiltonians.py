@@ -5,18 +5,18 @@ Every pair has a side: "dagger" (the upper pair of the subsolution test) or
 to sigma = +1 resp. -1, and each builder writes its pair once: f carries the
 factor sigma, and so does every term of g that changes sign between the sides.
 The terms that keep their sign (a^2/2 d0^2, and on the bounded lower side the
-subtracted off-diagonal products) are written out as such.  Families:
+subtracted off-diagonal products) are written out as such.  One builder per family:
 
-* cylindrical with a leading quadratic: f = sigma [a/2 d0^2 + phi(d^2/2)] with
-  d0 = d(., base), d = d(., anchors) and the five-term
+* ``build_cyl_pair``, cylindrical with a leading quadratic: f = sigma [a/2 d0^2
+  + phi(d^2/2)] with d0 = d(., base), d = d(., anchors) and the five-term
   g = sigma [a (E(base) - E - kappa/2 d0^2) + grad phi . (E(anchors) - E - kappa/2 d^2)
   + cross^2/2 + a d0 cross] + a^2/2 d0^2, where cross = grad phi . d;
-* bounded cylindrical (no leading quadratic), with the subtracted
-  off-diagonal products on the lower side;
-* Tataru pairs f = sigma (a/2 d0^2 + b d_T) + c with the closed-form g, whose
-  parameters and rows may be given per instance, on a leading axis;
-* the approximation ladder, levels 2..6, walking from exponential Riemann sums
-  over the flow to the Tataru pair.
+* ``build_h0_pair``, bounded cylindrical (no leading quadratic), with the
+  subtracted off-diagonal products on the lower side;
+* ``build_chain_pair``, the approximation ladder, levels 2..6, from exponential
+  Riemann sums over the flow to the Tataru pairs of levels 5 and 6.  Every rung
+  is f = sigma (a/2 d0^2 + b value) + c with the closed-form g of ``_closed_pair``;
+  only the value and the flow-action slot of g change between rungs.
 
 ``f`` and ``g`` take coordinate rows x (..., size), checked once by
 ``ModelSpace.rows``, and return values (...): one ``vag`` of the cylinder
@@ -144,34 +144,31 @@ def build_h0_pair(space: ModelSpace, side: str, phi: CylNode, anchors) -> Hamilt
 
 
 # ---------------------------------------------------------------------------
-# Tataru pairs and the shared closed-form g
+# the approximation ladder, levels 2..6
 # ---------------------------------------------------------------------------
 
 
-def _closed_g(space: ModelSpace, sigma: float, a: float, b: float, base_point: np.ndarray):
-    """g(x, slot): the closed-form g with ``slot`` = b times the flow action.
+def _closed_pair(space: ModelSpace, side: str, a, b, c, base: np.ndarray, value,
+                 slot) -> HamiltonianPair:
+    """f = sigma (a/2 d^2(., base) + b value) + c with the closed-form g.
 
-    The flow action is 1 for the exact Tataru distance (levels 5 and 6) and
-    the tilted resp. maximal flow action at levels 2 to 4.
+    ``slot(x)`` is b times the flow action: b for the Tataru distance (levels 5
+    and 6), b times the tilted resp. maximal flow action at levels 2 to 4.
     """
+    sigma = side_sign(side)
     kappa = space.kappa
-    e_base = space.energies(base_point)
+    e_base = space.energies(base)
 
-    def g(x: np.ndarray, slot) -> np.ndarray:
-        d0sq = space.sq_dist(x, base_point)
+    def f(x):
+        return sigma * (0.5 * a * space.sq_dist(x, base) + b * value(x)) + c
+
+    def g(x):
+        d0sq = space.sq_dist(x, base)
         return (sigma * a * (e_base - space.energies(x)) - sigma * 0.5 * a * kappa * d0sq
                 + 0.5 * a * a * d0sq + sigma * a * b * np.sqrt(d0sq) + sigma * 0.5 * b * b
-                + sigma * slot)
+                + sigma * slot(x))
 
-    return g
-
-
-def _ladder_f(space: ModelSpace, sigma: float, a: float, b: float, c: float,
-              base_point: np.ndarray, value):
-    """f = sigma (a/2 d^2(., base) + b value) + c."""
-    def f(x):
-        return sigma * (0.5 * a * space.sq_dist(x, base_point) + b * value(x)) + c
-    return f
+    return _pair(space, side, f, g)
 
 
 def _tataru_results(space: ModelSpace, x: np.ndarray, anchor: np.ndarray, eps):
@@ -188,31 +185,6 @@ def _tataru_results(space: ModelSpace, x: np.ndarray, anchor: np.ndarray, eps):
 def _tataru_value(space: ModelSpace, anchor: np.ndarray, eps):
     return lambda x: np.reshape([r.value for r in _tataru_results(space, x, anchor, eps)[3]],
                                 np.broadcast_shapes(x.shape, anchor.shape)[:-1])
-
-
-def build_tataru_pair(space: ModelSpace, side: str, a, b, c, base_point, flow_anchor,
-                      eps=None) -> HamiltonianPair:
-    """f = sigma (a/2 d^2 + b d_T) + c with the closed-form g.
-
-    ``base_point`` anchors the quadratic; ``flow_anchor`` is the row whose
-    gradient flow enters the Tataru minimization, smoothed by ``eps`` unless
-    it is None.  The pair may hold N instances: a, b, c and eps (N,) and the
-    rows (N, size), each also given once; x (..., size) broadcasts against
-    them, and every instance gets the bits of its own one-instance pair.
-    """
-    sigma = side_sign(side)
-    if not (np.all(a > 0) and np.all(b > 0)):  # also rejects NaN
-        raise ValueError("a and b must be positive")
-    base_point, anchor = space.rows(base_point).copy(), space.rows(flow_anchor).copy()
-    g = _closed_g(space, sigma, a, b, base_point)
-    return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,
-                                        _tataru_value(space, anchor, eps)),
-                 lambda x: g(x, b))
-
-
-# ---------------------------------------------------------------------------
-# the approximation ladder, levels 2..6
-# ---------------------------------------------------------------------------
 
 
 def _require(params: dict, level: int, *names):
@@ -245,31 +217,33 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     integral by the smoothed Tataru distance and a sup over its minimizer set;
     levels 5 and 6 are the Tataru pair (closed-form g) with the smoothed resp.
     exact Tataru distance in f.  Level 3 loops over the rows, one adaptive
-    quadrature each, because their panel sets are ragged.
+    quadrature each, because their panel sets are ragged.  At levels 5 and 6
+    a, b, c, eps and the rows may hold N instances, on a leading axis; x
+    (..., size) broadcasts against them, and every instance gets the bits of
+    its own one-instance pair.
     """
     if level not in CHAIN_LEVELS:
         raise ValueError(f"level must be one of {CHAIN_LEVELS}")
-    sigma = side_sign(side)
-    base_key, anchor_key = ("rho", "mu") if sigma > 0 else ("gamma", "pi")
+    base_key, anchor_key = ("rho", "mu") if side_sign(side) > 0 else ("gamma", "pi")
     a, b, c, base_point, flow_anchor = _require(params, level, "a", "b", "c",
                                                 base_key, anchor_key)
     if not (np.all(a > 0) and np.all(b > 0)):  # also rejects NaN
         raise ValueError("a and b must be positive")
     if level >= 5:
         eps = _require(params, level, "eps")[0] if level == 5 else None
-        return build_tataru_pair(space, side, a, b, c, base_point, flow_anchor, eps)
-    base_point, anchor = space._row(base_point), space._row(flow_anchor)
-    closed_g = _closed_g(space, sigma, a, b, base_point)
+        base, anchor = space.rows(base_point).copy(), space.rows(flow_anchor).copy()
+        return _closed_pair(space, side, a, b, c, base, _tataru_value(space, anchor, eps),
+                            lambda x: b)
+    base, anchor = space._row(base_point), space._row(flow_anchor)
 
     if level == 4:
         eps = _require(params, level, "eps")[0]
 
-        def g4(x):
+        def slot4(x):
             action = _max_flow_action(space, *_tataru_results(space, x, anchor, eps))
-            return closed_g(x, b * action.reshape(x.shape[:-1]))
+            return b * action.reshape(x.shape[:-1])
 
-        return _pair(space, side, _ladder_f(space, sigma, a, b, c, base_point,
-                                            _tataru_value(space, anchor, eps)), g4)
+        return _closed_pair(space, side, a, b, c, base, _tataru_value(space, anchor, eps), slot4)
 
     eps, m = _require(params, level, "eps", "m")
     m = int(m)
@@ -303,8 +277,8 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
                 out.append(tilted(row, lam.log_value, lam.tilted_weights(), terms))
             return np.reshape(out, (*x.shape[:-1], 2))
 
-    f = _ladder_f(space, sigma, a, b, c, base_point, lambda x: ladder_terms(x)[..., 0])
-    return _pair(space, side, f, lambda x: closed_g(x, ladder_terms(x)[..., 1]))
+    return _closed_pair(space, side, a, b, c, base, lambda x: ladder_terms(x)[..., 0],
+                        lambda x: ladder_terms(x)[..., 1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ precision already for moderate m.  pi and mu are coordinate rows, checked by
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,40 +134,28 @@ def _adaptive_log_quadrature(log_f, a: float, b: float, rel_tol: float = 1e-10,
     error estimate is split until the summed estimate meets rel_tol; both
     halves of a split are evaluated in one batch.
     """
-    heap = []
-    store = {}
-    ids = itertools.count()
-
-    def add(lo, hi):
-        log_i, log_err, ts, contrib = _panels(log_f, lo, hi)
-        for k in range(lo.size):
-            key = next(ids)
-            store[key] = (log_i[k], log_err[k], lo[k], hi[k], ts[k], contrib[k])
-            heapq.heappush(heap, (-log_err[k], key))
-
     edges = np.linspace(a, b, seed_panels + 1)
-    add(edges[:-1], edges[1:])
+    # parallel arrays in split order: lo, hi, log integral, log error, nodes, contributions
+    panels = (edges[:-1], edges[1:], *_panels(log_f, edges[:-1], edges[1:]))
     while True:
-        logs = np.array([v[0] for v in store.values()])
-        errs = np.array([v[1] for v in store.values()])
+        lo, hi, logs, errs, nodes, contribs = panels
         log_total = float(logsumexp(logs))
         log_err_total = float(logsumexp(errs)) if np.any(np.isfinite(errs)) else -np.inf
         if log_err_total <= log_total + math.log(rel_tol):
             break
-        if len(store) >= max_panels:
+        if lo.size >= max_panels:
             achieved = math.exp(min(log_err_total - log_total, 700.0))
             raise RuntimeError(
                 f"quadrature did not converge: achieved relative tolerance {achieved:.3e}"
             )
-        # split the panel with the largest error estimate
-        _, worst = heapq.heappop(heap)
-        _, _, pa, pb, _, _ = store.pop(worst)
-        mid = 0.5 * (pa + pb)
-        add(np.array([pa, mid]), np.array([mid, pb]))
-    nodes = np.concatenate([v[4] for v in store.values()])
-    contribs = np.concatenate([v[5] for v in store.values()])
-    order = np.argsort(nodes, kind="stable")
-    return log_total, nodes[order], contribs[order], len(store)
+        # split the panel with the largest error estimate, the oldest of equal ones
+        k = int(np.argmax(errs))
+        mid = 0.5 * (lo[k] + hi[k])
+        halves = (np.array([lo[k], mid]), np.array([mid, hi[k]]))
+        panels = tuple(np.concatenate((np.delete(old, k, axis=0), new))
+                       for old, new in zip(panels, (*halves, *_panels(log_f, *halves))))
+    order = np.argsort(nodes.ravel(), kind="stable")
+    return log_total, nodes.ravel()[order], contribs.ravel()[order], lo.size
 
 
 def lambda_continuous(space: ModelSpace, eps: float, m: int, pi, mu,

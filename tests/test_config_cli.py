@@ -11,7 +11,7 @@ from hjflow.cli import main, run_experiment
 from hjflow.config import ConfigError, config_from_dict, default_config, load_config
 from hjflow.cylinders import Affine
 from hjflow.evi import evi_residual
-from hjflow.hamiltonians import build_chain_pair, build_cyl_pair, build_tataru_pair
+from hjflow.hamiltonians import build_chain_pair, build_cyl_pair
 from hjflow.reporting import CSV_HEADER, Report, write_csv, write_json
 from hjflow.spaces import euclidean_space, quadratic_potential
 from hjflow.tataru import HCurve, psi_eps, psi_eps_prime, tataru_batch
@@ -314,6 +314,24 @@ def test_config_probe_errors(tmp_path, capsys, command, data, path):
     assert f"config error: {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, sub, path", [
+    ("flag", "", "--out"),  # an existing file
+    ("flag", "sub", "--out"),  # a directory below an existing file
+    ("config", "", "out"),
+    ("config", "sub", "out"),
+])
+def test_unusable_out_is_a_config_error(tmp_path, capsys, where, sub, path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / sub) if sub else str(blocker)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, **({"out": out} if where == "config" else {})}))
+    argv = ["ham-chain", "--config", str(cfg_path), "--samples", "3"]
+    code = main(argv + (["--out", out] if where == "flag" else []))
+    assert code == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
 def test_cli_seed_flag_is_validated(tmp_path, capsys):
     code = main(["evi-check", "--seed", "-1", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -336,10 +354,12 @@ NAN_CALLS = {
     "solve_resolvent.lam": lambda: solve_resolvent(_SPACE, NAN, lambda x: 0.0 * x),
     "build_cyl_pair.a": lambda: build_cyl_pair(_SPACE, "dagger", NAN, Affine([1.0]),
                                                _P, [_Q]),
-    "build_tataru_pair.a": lambda: build_tataru_pair(_SPACE, "dagger", NAN, 1.0, 0.0, _P, _Q),
-    "build_tataru_pair.b": lambda: build_tataru_pair(_SPACE, "dagger", 1.0, NAN, 0.0, _P, _Q),
     "build_chain_pair.a": lambda: build_chain_pair(_SPACE, 2, "dagger", {**_CHAIN, "a": NAN}),
     "build_chain_pair.b": lambda: build_chain_pair(_SPACE, 4, "dagger", {**_CHAIN, "b": NAN}),
+    "build_chain_pair.level6.a": lambda: build_chain_pair(_SPACE, 6, "dagger",
+                                                          {**_CHAIN, "a": NAN}),
+    "build_chain_pair.level5.b": lambda: build_chain_pair(_SPACE, 5, "dagger",
+                                                          {**_CHAIN, "b": NAN}),
 }
 
 

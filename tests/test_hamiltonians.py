@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from hjflow.hamiltonians import (
     build_chain_pair,
     build_cyl_pair,
     build_h0_pair,
-    build_tataru_pair,
     chain_inequality_report,
     composite_phi_for_push,
 )
@@ -15,6 +17,8 @@ from hjflow.tataru import psi_eps, psi_eps_prime
 
 from cylinder_helpers import finite_difference_grad, identity_phi
 from row_helpers import distance, energy, flow, flow_values, tataru_eps
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hjflow"
 
 
 def five_term_g_dagger(space, a, weights, const, rho, mus, pi):
@@ -214,15 +218,16 @@ def test_ddagger_f_bounded_above(ou, rng):
 
 
 def test_tataru_pair_examples(ou):
-    pair = build_tataru_pair(ou, "dagger", 1.0, 1.0, 0.0, np.array([0]), np.array([1]))
+    pair = build_chain_pair(ou, 6, "dagger",
+                            dict(a=1.0, b=1.0, c=0.0, rho=np.array([0]), mu=np.array([1])))
     assert pair.f([0]) == pytest.approx(1.0, abs=1e-9)
     assert pair.g([0]) == pytest.approx(1.5)
     crit = np.zeros(ou.size)
-    pair2 = build_tataru_pair(ou, "dagger", 1.0, 0.5, 0.7, crit, crit)
+    pair2 = build_chain_pair(ou, 6, "dagger", dict(a=1.0, b=0.5, c=0.7, rho=crit, mu=crit))
     assert pair2.f(crit) == pytest.approx(0.7)
     assert pair2.g(crit) == pytest.approx(0.5 + 0.125)
     with pytest.raises(ValueError, match="positive"):
-        build_tataru_pair(ou, "dagger", 1.0, 0.0, 0.0, crit, crit)
+        build_chain_pair(ou, 6, "dagger", dict(a=1.0, b=0.0, c=0.0, rho=crit, mu=crit))
 
 
 def test_pairs_and_curves_keep_their_rows_when_the_caller_writes_to_them(quartic, rng):
@@ -245,7 +250,8 @@ def test_pairs_and_curves_keep_their_rows_when_the_caller_writes_to_them(quartic
 
 def test_tataru_pair_lipschitz_on_box(ou, rng):
     a, b = 0.8, 0.6
-    pair = build_tataru_pair(ou, "dagger", a, b, 0.0, np.array([0.5]), np.array([-1.0]))
+    pair = build_chain_pair(ou, 6, "dagger",
+                            dict(a=a, b=b, c=0.0, rho=np.array([0.5]), mu=np.array([-1.0])))
     diam = 2 * ou.box
     const = a * diam + b + a * diam
     for _ in range(20):
@@ -256,7 +262,8 @@ def test_tataru_pair_lipschitz_on_box(ou, rng):
 
 def test_tataru_pair_ddagger_mirror(ou):
     crit = np.zeros(ou.size)
-    pair = build_tataru_pair(ou, "ddagger", 1.0, 1.0, 0.0, crit, np.array([1]))
+    pair = build_chain_pair(ou, 6, "ddagger",
+                            dict(a=1.0, b=1.0, c=0.0, gamma=crit, pi=np.array([1])))
     mu = np.array([0])
     # f = -1/2 d^2(mu, crit) - b d_T(mu, anchor) + 0 with d_T((0), (1)) = 1
     assert pair.f(mu) == pytest.approx(-1.0, abs=1e-9)
@@ -366,7 +373,8 @@ def test_chain_1to2_degenerate_sample(ou):
 
 
 def test_pair_evaluations_deterministic(ou, rng):
-    pair = build_tataru_pair(ou, "dagger", 0.9, 0.8, 0.1, np.array([0.3]), np.array([-0.7]))
+    pair = build_chain_pair(ou, 6, "dagger",
+                            dict(a=0.9, b=0.8, c=0.1, rho=np.array([0.3]), mu=np.array([-0.7])))
     x = np.array([1.234])
     assert pair.f(x) == pair.f(x)
     assert pair.g(x) == pair.g(x)
@@ -424,3 +432,24 @@ def test_level2_level3_agree_for_large_n(ou):
     assert gaps[0] > gaps[1] > gaps[2]
     # the Riemann-sum gap decays like (m+1)/(2n)
     assert gaps[2] < 0.01
+
+
+def _callers(name: str) -> list:
+    """(module, top-level definition) of every call of ``name`` in the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                func = node.func if isinstance(node, ast.Call) else None
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    out.append((path.name, getattr(stmt, "name", None)))
+    return sorted(out)
+
+
+def test_pairs_are_built_in_one_place():
+    """Only ``_pair`` builds a ``HamiltonianPair``, and only the builders of the
+    three families call it: the cylindrical pairs and the closed-form ladder."""
+    assert PACKAGE.is_dir()
+    assert _callers("HamiltonianPair") == [("hamiltonians.py", "_pair")]
+    assert _callers("_pair") == [("hamiltonians.py", name)
+                                 for name in ("_closed_pair", "build_cyl_pair", "build_h0_pair")]

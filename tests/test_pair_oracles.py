@@ -835,11 +835,11 @@ def test_tataru_pairs_match_closed_form_oracle(space):
         if level == 4 and (i // 3) % 2:
             eps = 1e-3
             old = build_chain_pair(space, 5, side, {**params, "eps": eps})
-            pair = new.build_tataru_pair(space, side, a, b, c, base, anchor, eps=eps)
+            pair = new.build_chain_pair(space, 5, side, {**params, "eps": eps})
         elif level == 4:
             eps = None
             old = build_tataru_pair(space, side, a, b, c, base, anchor)
-            pair = new.build_tataru_pair(space, side, a, b, c, base, anchor)
+            pair = new.build_chain_pair(space, 6, side, params)
         else:
             eps = eps if level == 5 else None
             old = build_chain_pair(space, level, side, params)

@@ -1,9 +1,11 @@
-"""The package exports nothing that only the tests use.
+"""The package exports nothing that only the tests use, and keeps no left-over
+private helper.
 
 Every top-level public function or class of ``src/hjflow`` is either in
 ``hjflow.__all__`` or referenced by the package or its scripts outside its own
-definition: as a loaded name, an attribute or an import alias.  Helpers and
-oracles that only tests call live under ``tests/``.
+definition: as a loaded name, an attribute or an import alias.  Every private
+top-level function, class or constant is referenced by the package outside its
+own definition.  Helpers and oracles that only tests call live under ``tests/``.
 """
 
 import ast
@@ -27,22 +29,54 @@ def _references(node: ast.AST) -> set:
     return names
 
 
+def _defined_names(stmt: ast.stmt) -> list:
+    """The names a top-level statement defines: a function, a class or constants."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _definitions(root: Path):
+    """(public, private, package_refs, script_refs): the public top-level functions
+    and classes and the private top-level functions, classes and constants of
+    ``root/src/hjflow``, and the names that the package resp. ``root/scripts``
+    reference outside the definition of that name."""
+    public, private, package_refs, script_refs = [], [], set(), set()
+    for path in sorted((root / "src" / "hjflow").glob("*.py")) + sorted((root / "scripts").glob("*.py")):
+        in_package = path.parent.name == "hjflow"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _defined_names(stmt)
+            refs = _references(stmt) - set(names)
+            (package_refs if in_package else script_refs).update(refs)
+            if not in_package:
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                public += [name for name in names if not name.startswith("_")]
+            private += [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return public, private, package_refs, script_refs
+
+
 def unused_public_definitions(root: Path, exported) -> list:
     """Names of the public top-level definitions of ``root/src/hjflow`` that no code
     of the package or of ``root/scripts`` references and ``exported`` omits."""
-    paths = sorted((root / "src" / "hjflow").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
-    defined, used = [], set()
-    for path in paths:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            refs = _references(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                refs.discard(stmt.name)
-                if path.parent.name == "hjflow" and not stmt.name.startswith("_"):
-                    defined.append(stmt.name)
-            used |= refs
-    return sorted(name for name in defined if name not in used and name not in exported)
+    public, _, package_refs, script_refs = _definitions(root)
+    used = package_refs | script_refs
+    return sorted(name for name in public if name not in used and name not in exported)
+
+
+def unused_private_definitions(root: Path) -> list:
+    """Names of the private top-level functions, classes and constants of
+    ``root/src/hjflow`` that no code of the package references."""
+    _, private, package_refs, _ = _definitions(root)
+    return sorted(name for name in private if name not in package_refs)
 
 
 def test_every_public_definition_has_a_user_outside_the_tests():
     assert PACKAGE.is_dir()
     assert unused_public_definitions(ROOT, set(hjflow.__all__)) == []
+
+
+def test_every_private_definition_has_a_user_in_the_package():
+    assert PACKAGE.is_dir()
+    assert unused_private_definitions(ROOT) == []

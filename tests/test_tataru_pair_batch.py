@@ -10,7 +10,7 @@ import pytest
 
 from hjflow import cli
 from hjflow.config import config_from_dict
-from hjflow.hamiltonians import build_chain_pair, build_tataru_pair, chain_inequality_report
+from hjflow.hamiltonians import build_chain_pair, chain_inequality_report
 from hjflow.reporting import Report
 from hjflow.spaces import double_well_potential, euclidean_space, quantile_space
 
@@ -61,6 +61,13 @@ def test_batched_level56_rows_match_per_iteration_oracle(name, seed):
     assert [r.check for r in rows[-20:]] == ["g5_equals_g6", "f5_f6_gap"] * 10
 
 
+def tataru_pair(space, side, a, b, c, base, anchor, eps):
+    """The Tataru pair of ``build_chain_pair``: level 5 with eps, level 6 without."""
+    keys = ("rho", "mu") if side == "dagger" else ("gamma", "pi")
+    params = {"a": a, "b": b, "c": c, "eps": eps, keys[0]: base, keys[1]: anchor}
+    return build_chain_pair(space, 6 if eps is None else 5, side, params)
+
+
 def draws(space, rng, n=10):
     """Per-instance a, b, c, eps (n,) and rows rho, mu, pi (n, size)."""
     a, b = rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, n)
@@ -77,10 +84,9 @@ def test_per_instance_pair_matches_one_instance_pairs(space, side, smoothed):
     a, b, c, eps, base, anchor, x = draws(space, np.random.default_rng(3))
     if not smoothed:
         eps = [None] * 10
-    batch = build_tataru_pair(space, side, a, b, c, base, anchor,
-                              np.array(eps) if smoothed else None)
-    singles = [build_tataru_pair(space, side, float(a[i]), float(b[i]), float(c[i]),
-                                 base[i], anchor[i], eps[i]) for i in range(10)]
+    batch = tataru_pair(space, side, a, b, c, base, anchor, np.array(eps) if smoothed else None)
+    singles = [tataru_pair(space, side, float(a[i]), float(b[i]), float(c[i]),
+                           base[i], anchor[i], eps[i]) for i in range(10)]
     for fn in ("f", "g"):
         got = getattr(batch, fn)(x)
         assert got.shape == (10,)
@@ -109,7 +115,7 @@ def test_per_instance_pair_rejects_a_non_positive_instance(ou, name, value):
     params[name] = params[name].copy()
     params[name][7] = value
     with pytest.raises(ValueError, match="positive"):
-        build_tataru_pair(ou, "dagger", params["a"], params["b"], c, rho, mu, eps)
+        tataru_pair(ou, "dagger", params["a"], params["b"], c, rho, mu, eps)
     for level in (5, 6):
         with pytest.raises(ValueError, match="positive"):
             build_chain_pair(ou, level, "ddagger", {**params, "gamma": rho, "pi": mu})

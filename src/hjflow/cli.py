@@ -22,7 +22,7 @@ from .evi import run_evi_suite
 from .hamiltonians import build_chain_pair, build_cyl_pair, chain_inequality_report, side_sign
 from .laplace import lambda_continuous, lambda_discrete, tilted_measure, varadhan_error_curve
 from .reporting import Report, fmt17, write_csv, write_json, write_table
-from .tataru import HCurve, psi_eps, tataru_batch
+from .tataru import GRID_POINTS, HCurve, psi_eps, tataru_batch
 from .viscosity import check_viscosity, comparison_gap, solve_resolvent
 
 SUITE_IDS = {
@@ -48,7 +48,7 @@ def _report(name: str, cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_evi(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
+def run_evi(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     rng = _rng(cfg, "evi-check")
     rep = _report("evi-check", cfg)
@@ -74,7 +74,7 @@ def _config_point(space, values, path: str) -> np.ndarray:
         raise ConfigError(path, f"{exc} (space.size is {space.size})") from exc
 
 
-def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
+def run_tataru(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     rng = _rng(cfg, "tataru")
     rep = _report("tataru", cfg)
@@ -85,8 +85,8 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     res = tataru_batch(space, [pi], [mu])[0]
     print(f"tataru value: {res.value:.12g}  minimizers: "
           + ", ".join(f"{t:.12g}" for t in res.minimizers))
-    if cfg.tataru.dump_objective and out_dir is not None:
-        ts = np.linspace(0.0, res.t_cap, res.grid_points)
+    if cfg.tataru.dump_objective:
+        ts = np.linspace(0.0, res.t_cap, GRID_POINTS)
         obj = ts + HCurve(space, pi, mu).h(ts)
         write_table(out_dir / "tataru_objective.csv", ("t", "objective"),
                     ((fmt17(t), fmt17(o)) for t, o in zip(ts, obj)))
@@ -143,7 +143,7 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     return rep
 
 
-def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
+def run_laplace(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     rep = _report("laplace-converge", cfg)
     lc = cfg.laplace
@@ -160,11 +160,10 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
             rep.add("constant_exact", m, val.neg_log, target, err - 1e-10, err <= 1e-10)
 
     target, curve_rows = varadhan_error_curve(space, lc.epsilon, pi, mu, lc.m_list)
-    if out_dir is not None:
-        write_table(out_dir / "laplace_converge_curve.csv",
-                    ("m", "n", "neg_log", "target", "abs_error"),
-                    ((m, "inf", fmt17(neg_log), fmt17(target), fmt17(err))
-                     for m, neg_log, err in curve_rows))
+    write_table(out_dir / "laplace_converge_curve.csv",
+                ("m", "n", "neg_log", "target", "abs_error"),
+                ((m, "inf", fmt17(neg_log), fmt17(target), fmt17(err))
+                 for m, neg_log, err in curve_rows))
     final_err = curve_rows[-1][2]
     first_err = curve_rows[0][2]
     rep.add("varadhan_final_error", curve_rows[-1][0], final_err, 0.05,
@@ -198,12 +197,12 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     return rep
 
 
-def run_ham_chain(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
+def run_ham_chain(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     rng = _rng(cfg, "ham-chain")
     rep = _report("ham-chain", cfg)
-    chain = chain_inequality_report(space, cfg.ham_chain.link, cfg.ham_chain.samples, rng)
-    rep.extend_tuples(chain.rows)
+    chain_rows = chain_inequality_report(space, cfg.ham_chain.link, cfg.ham_chain.samples, rng)
+    rep.extend_tuples(chain_rows)
 
     # shared closed form at levels 5/6: identical g, f gap bounded by sqrt(2 eps);
     # ten draws first, then one level-5 and one level-6 pair over all of them
@@ -217,7 +216,8 @@ def run_ham_chain(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     for i, (g5, g6, gap, bound) in enumerate(zip(p5.g(pi), p6.g(pi), gaps, bounds)):
         rep.add("g5_equals_g6", i, g5, g6, 0.0 if g5 == g6 else 1.0, g5 == g6)
         rep.add("f5_f6_gap", i, gap, bound, gap - bound, gap <= bound + 1e-12)
-    print(f"ham-chain link {cfg.ham_chain.link}: max violation {chain.max_violation:.3e}")
+    max_violation = max(row[4] for row in chain_rows)
+    print(f"ham-chain link {cfg.ham_chain.link}: max violation {max_violation:.3e}")
     return rep
 
 
@@ -242,7 +242,7 @@ def _random_bounded_h(rng: np.random.Generator):
     return h
 
 
-def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
+def run_resolvent(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     if space.kind != "euclidean" or space.size != 1:
         raise ConfigError("space.size" if space.kind == "euclidean" else "space.kind",
@@ -258,9 +258,8 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
                                n_controls=rc.n_controls, tol=rc.tol)
 
     sol = solve(h)
-    if out_dir is not None:
-        write_table(out_dir / "resolvent_solution.csv", ("x", "u"),
-                    ((fmt17(x), fmt17(u)) for x, u in zip(sol.u.xs, sol.u.values)))
+    write_table(out_dir / "resolvent_solution.csv", ("x", "u"),
+                ((fmt17(x), fmt17(u)) for x, u in zip(sol.u.xs, sol.u.values)))
     bound = sol.error_bound
     rep.add("fixed_point", 0, bound, rc.tol, bound - rc.tol, bound <= rc.tol)
 
@@ -302,7 +301,7 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
     return rep
 
 
-def run_comparison(cfg: ExperimentConfig, out_dir: Path | None = None) -> Report:
+def run_comparison(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     if space.kind != "euclidean" or space.size != 1:
         raise ConfigError("space.size" if space.kind == "euclidean" else "space.kind",
@@ -365,8 +364,19 @@ def run_experiment(name: str, cfg: ExperimentConfig, out_dir: Path,
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are config errors: the path is the argument
+    that argparse names, else ``command line``."""
+
+    def error(self, message):
+        path, sep, reason = message.partition(": ")
+        if path.startswith("argument ") and sep:
+            raise ConfigError(path.removeprefix("argument "), reason)
+        raise ConfigError("command line", message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hjflow",
         description="Numerical checks for gradient-flow Hamiltonians and viscosity solutions",
     )
@@ -378,22 +388,13 @@ def main(argv=None) -> int:
     common.add_argument("--out", type=str, default=None, help="output directory")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     for name in (*SUITES, "all"):
-        p = sub.add_parser(name, parents=[common])
-        if name == "ham-chain":
-            p.add_argument("--link", choices=("1to2", "4to5", "0to1"), default=None)
-            p.add_argument("--samples", type=int, default=None)
+        sub.add_parser(name, parents=[common])
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
             cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
-        if getattr(args, "link", None) is not None or getattr(args, "samples", None) is not None:
-            hc = cfg.ham_chain
-            link = args.link if args.link is not None else hc.link
-            samples = args.samples if args.samples is not None else hc.samples
-            cfg = ExperimentConfig(**{**cfg.__dict__,
-                                      "ham_chain": type(hc)(link=link, samples=samples)})
         validate(cfg)
         field, out_dir = ("--out", Path(args.out)) if args.out else ("out", Path(cfg.out))
         try:

@@ -19,6 +19,9 @@ from .tataru import HCurve, logsumexp, tataru_batch
 
 _GL15 = np.polynomial.legendre.leggauss(15)
 _GL7 = np.polynomial.legendre.leggauss(7)
+_QUAD_REL_TOL = 1e-10
+_SEED_PANELS = 64
+_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,6 @@ class LaplaceValue:
     def neg_log(self) -> float:
         return -self.log_value / self.m
 
-    @property
-    def value(self) -> float:
-        v = math.exp(self.log_value)
-        if v == 0.0:
-            raise ValueError("Lambda underflows double precision; use log_value")
-        return v
-
     def tilted_weights(self) -> np.ndarray:
         return np.exp(self.log_contrib - self.log_value)
 
@@ -126,24 +122,24 @@ def _panels(log_f, a: np.ndarray, b: np.ndarray):
     return log_i15, log_err, ts, log_contrib
 
 
-def _adaptive_log_quadrature(log_f, a: float, b: float, rel_tol: float = 1e-10,
-                             seed_panels: int = 64, max_panels: int = 4096):
+def _adaptive_log_quadrature(log_f, a: float, b: float):
     """log of int_a^b exp(log_f) dt by adaptive Gauss panels, fully in log space.
 
-    The seed panels are evaluated in one batch, then the panel with the largest
-    error estimate is split until the summed estimate meets rel_tol; both
-    halves of a split are evaluated in one batch.
+    The ``_SEED_PANELS`` seed panels are evaluated in one batch, then the panel
+    with the largest error estimate is split until the summed estimate meets the
+    relative tolerance ``_QUAD_REL_TOL``; both halves of a split are evaluated in
+    one batch.  Raises ``RuntimeError`` at ``_MAX_PANELS`` panels.
     """
-    edges = np.linspace(a, b, seed_panels + 1)
+    edges = np.linspace(a, b, _SEED_PANELS + 1)
     # parallel arrays in split order: lo, hi, log integral, log error, nodes, contributions
     panels = (edges[:-1], edges[1:], *_panels(log_f, edges[:-1], edges[1:]))
     while True:
         lo, hi, logs, errs, nodes, contribs = panels
         log_total = float(logsumexp(logs))
         log_err_total = float(logsumexp(errs)) if np.any(np.isfinite(errs)) else -np.inf
-        if log_err_total <= log_total + math.log(rel_tol):
+        if log_err_total <= log_total + math.log(_QUAD_REL_TOL):
             break
-        if lo.size >= max_panels:
+        if lo.size >= _MAX_PANELS:
             achieved = math.exp(min(log_err_total - log_total, 700.0))
             raise RuntimeError(
                 f"quadrature did not converge: achieved relative tolerance {achieved:.3e}"
@@ -158,12 +154,12 @@ def _adaptive_log_quadrature(log_f, a: float, b: float, rel_tol: float = 1e-10,
     return log_total, nodes.ravel()[order], contribs.ravel()[order], lo.size
 
 
-def lambda_continuous(space: ModelSpace, eps: float, m: int, pi, mu,
-                      rel_tol: float = 1e-10) -> LaplaceValue:
+def lambda_continuous(space: ModelSpace, eps: float, m: int, pi, mu) -> LaplaceValue:
     """Laplace integral of exp(-m h) against the exponential law of rate m + 1.
 
-    Quadrature runs on [0, T] with T = T_cap + 5/(m+1).  The tail beyond T is
-    appended as the frozen-exponent estimate exp(-(m+1)T - m h(T)), exact for
+    Quadrature runs on [0, T] with T = T_cap + 5/(m+1), to the relative
+    tolerance ``_QUAD_REL_TOL``.  The tail beyond T is appended as the
+    frozen-exponent estimate exp(-(m+1)T - m h(T)), exact for
     constant exponents and exponentially accurate otherwise since the flow has
     settled by T; the analytic bracket exp(-(m+1)T) (valid since h >= 0) is
     recorded alongside, so the truncation is never silently ignored.
@@ -177,9 +173,7 @@ def lambda_continuous(space: ModelSpace, eps: float, m: int, pi, mu,
     def log_f(ts):
         return log_rate - (m + 1.0) * ts - m * hcurve.h(ts)
 
-    log_quad, nodes, log_contrib, n_panels = _adaptive_log_quadrature(
-        log_f, 0.0, t_quad, rel_tol=rel_tol
-    )
+    log_quad, nodes, log_contrib, n_panels = _adaptive_log_quadrature(log_f, 0.0, t_quad)
     log_tail = float(-(m + 1.0) * t_quad - m * hcurve.h(np.array([t_quad]))[0])
     log_value = float(np.logaddexp(log_quad, log_tail))
     nodes = np.append(nodes, t_quad)

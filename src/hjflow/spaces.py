@@ -245,10 +245,10 @@ class ModelSpace:
 
     # -- sampling --------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, radius: float | None = None) -> np.ndarray:
-        """A uniform draw in [-r, r]^size, sorted for quantiles: a checked row."""
-        r = self.sample_radius if radius is None else radius
-        r = min(r, self.box)
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """A uniform draw in [-r, r]^size with r = min(sample_radius, box), sorted for
+        quantiles: a checked row."""
+        r = min(self.sample_radius, self.box)
         vals = rng.uniform(-r, r, size=self.size)
         return np.sort(vals) if self.kind == "quantile" else vals
 

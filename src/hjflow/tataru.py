@@ -37,6 +37,7 @@ from .spaces import ModelSpace
 GRID_POINTS = 512
 ZOOM_POINTS = 33
 ZOOM_STEPS = 20
+ZOOM_TOL = 1e-11
 _ZOOM_UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
 VALUE_TOL = 1e-9
 # bounds the memory of one objective call: with cap = max(BLOCK_ELEMENTS,
@@ -130,7 +131,6 @@ class TataruResult:
     value: float
     minimizers: np.ndarray
     t_cap: float
-    grid_points: int
 
 
 class HCurve:
@@ -189,20 +189,19 @@ class HCurve:
         return self.d0() + 1.0
 
 
-def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
-          tol: float = 1e-11) -> np.ndarray:
+def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bracket zoom on all brackets [a[k], b[k]] at once; returns the midpoints.
 
     Bracket k belongs to instance ``rows[k]``.  Each step evaluates
     ``objective`` once, on a ZOOM_POINTS grid in every bracket of the instances
     still zooming, and shrinks each bracket to the grid neighbours of its
     argmin (a factor (ZOOM_POINTS - 1) / 2 per step).  An instance zooms all its
-    brackets until every one of them is at most tol wide.
+    brackets until every one of them is at most ZOOM_TOL wide.
     """
     mid = 0.5 * (a + b)
     live = np.arange(a.size)
     for _ in range(ZOOM_STEPS):
-        wide = b - a > tol
+        wide = b - a > ZOOM_TOL
         if not wide.all():
             zooming = np.bincount(rows, wide)[rows] > 0
             mid[live[~zooming]] = 0.5 * (a[~zooming] + b[~zooming])
@@ -218,17 +217,16 @@ def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
     return mid
 
 
-def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, bounds: np.ndarray,
-                   grid_points: int):
-    """Coarse grid of the instances ``rows``: (instance, rank, time, value, a, b) of
-    their three lowest useful local grid minima, boundaries included, ties in grid
-    order, with the brackets [a, b] between the grid neighbours.  A minimum is useful
+def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, bounds: np.ndarray):
+    """Coarse GRID_POINTS grid of the instances ``rows``: (instance, rank, time, value,
+    a, b) of their three lowest useful local grid minima, boundaries included, ties in
+    grid order, with the brackets [a, b] between the grid neighbours.  A minimum is useful
     when its bracket starts within bound + VALUE_TOL; the grid runs to the right
     neighbour of the chunk's last useful point, and no instance reads past its own."""
-    ts = np.linspace(0.0, t_caps, grid_points, axis=1)
+    ts = np.linspace(0.0, t_caps, GRID_POINTS, axis=1)
     last = np.minimum((ts <= (bounds + VALUE_TOL)[:, None]).sum(axis=1, keepdims=True),
-                      grid_points - 1)
-    cols = np.arange(min(last.max() + 2, grid_points))
+                      GRID_POINTS - 1)
+    cols = np.arange(min(last.max() + 2, GRID_POINTS))
     vals = objective(rows, ts[:, :cols.size])
     edge = np.full((rows.size, 1), np.inf)
     padded = np.concatenate((edge, vals, edge), axis=1)
@@ -239,11 +237,11 @@ def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, bounds: np.n
     top = rank < 3
     inst, at, rank = inst[top], at[top], rank[top]
     return (rows[inst], rank, ts[inst, at], vals[inst, at],
-            ts[inst, np.maximum(at - 1, 0)], ts[inst, np.minimum(at + 1, grid_points - 1)])
+            ts[inst, np.maximum(at - 1, 0)], ts[inst, np.minimum(at + 1, GRID_POINTS - 1)])
 
 
 def _minimize(objective, t_caps: np.ndarray, bounds: np.ndarray,
-              grid_points: int = GRID_POINTS, chunk: int | None = None) -> list[TataruResult]:
+              chunk: int | None = None) -> list[TataruResult]:
     """Coarse grid plus a batched bracket zoom around each instance's best local minima.
 
     ``objective(rows, ts)`` maps instance indices (R,) into ``t_caps`` and
@@ -264,7 +262,7 @@ def _minimize(objective, t_caps: np.ndarray, bounds: np.ndarray,
     n = t_caps.size
     chunk = n if chunk is None else chunk
     parts = [_grid_brackets(objective, np.arange(lo, min(lo + chunk, n)),
-                            t_caps[lo:lo + chunk], bounds[lo:lo + chunk], grid_points)
+                            t_caps[lo:lo + chunk], bounds[lo:lo + chunk])
              for lo in range(0, n, chunk)]
     inst, rank, grid_t, grid_v, a, b = (np.concatenate(col) for col in zip(*parts))
     cand_t = np.full((n, 6), np.inf)
@@ -286,8 +284,7 @@ def _minimize(objective, t_caps: np.ndarray, bounds: np.ndarray,
         for t in times:
             if t < np.inf and (not minimizers or t - minimizers[-1] > 1e-8):
                 minimizers.append(t)
-        results.append(TataruResult(value=value, minimizers=np.array(minimizers),
-                                    t_cap=t_cap, grid_points=grid_points))
+        results.append(TataruResult(value=value, minimizers=np.array(minimizers), t_cap=t_cap))
     return results
 
 

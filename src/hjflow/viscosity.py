@@ -70,14 +70,12 @@ class GridFunction:
 class ResolventSolution:
     """Solver output.
 
-    ``iterations`` counts policy steps, ``final_increment`` is the sup-norm
-    change of u in the last of them and ``bellman_residual`` is ||T u - u|| at
+    ``iterations`` counts policy steps and ``bellman_residual`` is ||T u - u|| at
     the returned u.
     """
 
     u: GridFunction
     iterations: int
-    final_increment: float
     contraction_factor: float
     dt: float
     dx: float
@@ -98,6 +96,8 @@ _POLICY_GAIN = 1e-13
 # n = 201 to 4001, banded LU took 0.2 to 0.7 of sparse LU's time up to
 # kl + ku = 102 and 0.8 to 2.5 times it from 122 to 244
 _MAX_BAND = 64
+_MAX_POLICY_STEPS = 200000
+_GAP_TOL = 1e-6
 
 
 def make_grid(box: float = 5.0, dx: float = 1.0 / 200.0) -> np.ndarray:
@@ -129,13 +129,13 @@ def _scheme(potential, box: float, dt: float, dx: float, control_bound: float,
 
 def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0,
                     dt: float | None = None, dx: float = 1.0 / 200.0,
-                    n_controls: int = 129, tol: float = 1e-10,
-                    max_iter: int = 200000) -> ResolventSolution:
+                    n_controls: int = 129, tol: float = 1e-10) -> ResolventSolution:
     """Solve the discounted control problem of the module docstring.
 
-    Runs policy iteration and raises ``RuntimeError`` unless the
-    Bellman-residual certificate ||T u - u|| / (1 - beta) <= tol holds, so
-    ``tol`` bounds the error against the exact fixed point.
+    Runs policy iteration, at most ``_MAX_POLICY_STEPS`` policy steps, and raises
+    ``RuntimeError`` unless the Bellman-residual certificate
+    ||T u - u|| / (1 - beta) <= tol holds, so ``tol`` bounds the error against
+    the exact fixed point.
 
     Parameters
     ----------
@@ -146,7 +146,6 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
     control_bound : controls range over [-U, U] with 129 candidates by default
     dt : semi-Lagrangian step, defaults to lam/50; must satisfy 0 < dt < lam
     dx : grid step, positive and at most ``space.box``
-    max_iter : cap on policy steps
     """
     if space.kind != "euclidean" or space.size != 1:
         raise ValueError("resolvent solver requires the one-dimensional euclidean space")
@@ -170,8 +169,7 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
         return reward + beta * (w0 * u[idx] + w1 * u[1:][idx])
 
     sup_h = float(np.max(np.abs(hv)))
-    u, iterations, increment, q = _policy_iteration(
-        q_values, hv, idx, w0, w1, reward, beta, sup_h, max_iter)
+    u, iterations, q = _policy_iteration(q_values, hv, idx, w0, w1, reward, beta, sup_h)
     residual = float(np.max(np.abs(np.max(q, axis=1) - u)))
     if residual / (1.0 - beta) > tol:
         raise RuntimeError(
@@ -181,7 +179,6 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
     if float(np.max(np.abs(u))) > sup_h + 1e-6:
         raise RuntimeError("discounted-reward bound |u| <= sup|h| violated")
     return ResolventSolution(u=GridFunction(xs, u), iterations=iterations,
-                             final_increment=increment,
                              contraction_factor=beta, dt=dt, dx=dx,
                              fixed_point_tol=tol, bellman_residual=residual)
 
@@ -228,21 +225,21 @@ def _policy_matrix(idx, w0, w1, beta):
                              shape=(n, n))
 
 
-def _policy_iteration(q_values, u, idx, w0, w1, reward, beta, sup_h, max_iter):
+def _policy_iteration(q_values, u, idx, w0, w1, reward, beta, sup_h):
     """Howard's algorithm, starting from the greedy policy for u = h.
 
     Each policy step solves (I - beta P) u = r for the current policy
     (``_policy_solve``).  A policy changes only where the gain is strictly above
     ``_POLICY_GAIN``, so ties cannot make it cycle.  Returns the value of the
-    final policy, the number of policy steps, the sup-norm change of the last
-    step and the Q-values at the final u.
+    final policy, the number of policy steps and the Q-values at the final u;
+    raises after ``_MAX_POLICY_STEPS`` steps.
     """
     rows = np.arange(u.size)
     # the linear solve has condition number at most (1 + beta) / (1 - beta)
     roundoff = 1e-13 * (1.0 + sup_h) / (1.0 - beta)
     q = q_values(u)
     policy = np.argmax(q, axis=1)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_POLICY_STEPS + 1):
         u_new = _policy_solve(idx[rows, policy], w0[rows, policy], w1[rows, policy],
                               beta, reward[rows, policy])
         if iterations > 1 and float(np.max(u - u_new)) > roundoff:
@@ -250,15 +247,14 @@ def _policy_iteration(q_values, u, idx, w0, w1, reward, beta, sup_h, max_iter):
                 f"policy iteration lost monotonicity at step {iterations}: "
                 f"value dropped by {float(np.max(u - u_new)):.3e}"
             )
-        increment = float(np.max(np.abs(u_new - u)))
         u = u_new
         q = q_values(u)
         best = np.argmax(q, axis=1)
         improve = q[rows, best] > q[rows, policy] + _POLICY_GAIN
         if not np.any(improve):
-            return u, iterations, increment, q
+            return u, iterations, q
         policy = np.where(improve, best, policy)
-    raise RuntimeError(f"policy iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"policy iteration did not converge in {_MAX_POLICY_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +272,14 @@ class ViscosityReport:
     soft_passed: bool
 
 
-def check_viscosity(u: GridFunction, pair: HamiltonianPair, h, lam: float, tol: float,
-                    gap_tol: float = 1e-6) -> ViscosityReport:
+def check_viscosity(u: GridFunction, pair: HamiltonianPair, h, lam: float,
+                    tol: float) -> ViscosityReport:
     """Test sigma (u - lam g - h) <= tol at some near-maximizer of sigma (u - f).
 
     sigma = side_sign(pair.side): a dagger pair tests the subsolution
     inequality u - lam g - h <= tol at the near-maximizers of u - f, a ddagger
     pair the supersolution inequality u - lam g - h >= -tol at the
-    near-minimizers.  Near-optimizers are grid points within gap_tol of the
+    near-minimizers.  Near-optimizers are grid points within ``_GAP_TOL`` of the
     optimum; the verdict is a pass when the inequality holds at one of them,
     which is the finite form of the sequence-based definition.  ``slack`` is
     u - lam g - h at the best of them.
@@ -291,7 +287,7 @@ def check_viscosity(u: GridFunction, pair: HamiltonianPair, h, lam: float, tol: 
     sigma = side_sign(pair.side)
     xs = u.xs
     s = sigma * (u.values - pair.f(xs[:, None]))
-    cand = np.flatnonzero(s >= float(np.max(s)) - gap_tol)
+    cand = np.flatnonzero(s >= float(np.max(s)) - _GAP_TOL)
     hv = np.asarray(h(xs), dtype=float)
     slacks = u.values[cand] - lam * pair.g(xs[cand, None]) - hv[cand]
     slack = float(slacks[np.argmin(sigma * slacks)])

@@ -147,10 +147,10 @@ def test_cli_runs_and_is_deterministic(tmp_path):
 
 def test_cli_json_format(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(TINY))
+    cfg_path.write_text(json.dumps({**TINY, "ham_chain": {"link": "4to5", "samples": 2}}))
     out = tmp_path / "oj"
     code = main(["ham-chain", "--config", str(cfg_path), "--out", str(out),
-                 "--format", "json", "--samples", "2", "--link", "4to5"])
+                 "--format", "json"])
     assert code == 0
     data = json.loads((out / "ham_chain.json").read_text())
     assert data["config"]["ham_chain"]["link"] == "4to5"
@@ -179,7 +179,7 @@ def test_cli_unreadable_config_file_is_a_config_error(tmp_path, capsys, content)
 
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
-    def broken(cfg, out_dir=None):
+    def broken(cfg, out_dir):
         raise ZeroDivisionError("float division\nby zero")
 
     monkeypatch.setitem(cli.SUITES, "tataru", broken)
@@ -193,11 +193,9 @@ def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY))
     outa, outb, outc = (tmp_path / s for s in ("a", "b", "c"))
-    main(["ham-chain", "--config", str(cfg_path), "--out", str(outa), "--samples", "3"])
-    main(["ham-chain", "--config", str(cfg_path), "--out", str(outb), "--samples", "3",
-          "--seed", "1234"])
-    main(["ham-chain", "--config", str(cfg_path), "--out", str(outc), "--samples", "3",
-          "--seed", "99"])
+    main(["ham-chain", "--config", str(cfg_path), "--out", str(outa)])
+    main(["ham-chain", "--config", str(cfg_path), "--out", str(outb), "--seed", "1234"])
+    main(["ham-chain", "--config", str(cfg_path), "--out", str(outc), "--seed", "99"])
     a = (outa / "ham_chain.csv").read_bytes()
     b = (outb / "ham_chain.csv").read_bytes()
     c = (outc / "ham_chain.csv").read_bytes()
@@ -325,8 +323,9 @@ def test_unusable_out_is_a_config_error(tmp_path, capsys, where, sub, path):
     blocker.write_text("")
     out = str(blocker / sub) if sub else str(blocker)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"schema": 1, **({"out": out} if where == "config" else {})}))
-    argv = ["ham-chain", "--config", str(cfg_path), "--samples", "3"]
+    cfg_path.write_text(json.dumps({"schema": 1, "ham_chain": {"samples": 3},
+                                    **({"out": out} if where == "config" else {})}))
+    argv = ["ham-chain", "--config", str(cfg_path)]
     code = main(argv + (["--out", out] if where == "flag" else []))
     assert code == 2
     assert f"config error: {path}: " in capsys.readouterr().err
@@ -336,6 +335,23 @@ def test_cli_seed_flag_is_validated(tmp_path, capsys):
     code = main(["evi-check", "--seed", "-1", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "config error: seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evi-check", "--seed", "abc"],
+    ["evi-check", "--format", "xml"],
+    # ham-chain's link and samples are set in the config only
+    ["ham-chain", "--link", "0to1"],
+    ["no-such-check"],
+    [],
+], ids=["seed_not_int", "unknown_format", "removed_link_flag", "unknown_command", "no_command"])
+def test_malformed_flags_are_config_errors(tmp_path, capsys, argv):
+    code = main(argv + (["--out", str(tmp_path / "x")] if argv else []))
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 

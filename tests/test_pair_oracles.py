@@ -24,7 +24,7 @@ of the magnitudes of their terms of a long double reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ import pytest
 from scipy.special import logsumexp
 
 import hjflow.spaces
+import hjflow.viscosity
 from hjflow import hamiltonians as new
 from hjflow.cylinders import Affine as FlatAffine
 from hjflow.cylinders import SoftminPsi, TruncatedAffine
@@ -320,7 +321,6 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
                 return log_lam, np.exp(log_contrib - log_lam), h, damping, psi_p, flow_e
 
         else:
-            rel_tol = params.get("quad_rel_tol", 1e-10)
             log_rate = np.log(m + 1.0)
 
             def tilt_data(pt: np.ndarray):
@@ -330,8 +330,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
                     h, _, _, _ = flow_pieces(pt, ts, eps)
                     return log_rate - (m + 1.0) * ts - m * h
 
-                log_quad, nodes, log_contrib, _ = _adaptive_log_quadrature(
-                    log_f, 0.0, t_quad, rel_tol=rel_tol)
+                log_quad, nodes, log_contrib, _ = _adaptive_log_quadrature(log_f, 0.0, t_quad)
                 # frozen-exponent tail estimate, as in the standalone integral
                 h_end, _, _, _ = flow_pieces(pt, np.array([t_quad]), eps)
                 log_tail = float(-(m + 1.0) * t_quad - m * h_end[0])
@@ -807,7 +806,8 @@ def test_h0_pair_matches_both_branches(space):
         phi = Iota(int(rng.integers(1, 4)), affine_phi(rng.uniform(0.1, 1.0, size=k)))
         anchors = [space.sample(rng) for _ in range(k)]
         # reaches past the knee now and then, in some rows of a batch only
-        pts = np.stack([space.sample(rng, radius=3.0) for _ in range(3)])
+        wide = replace(space, sample_radius=3.0)
+        pts = np.stack([wide.sample(rng) for _ in range(3)])
         for side in SIDES:
             _assert_pairs(ref_h0(space, side, phi, anchors, pts),
                           build_h0_pair(space, side, phi, anchors),
@@ -864,7 +864,7 @@ def _ladder_leaves(space: ModelSpace, level: int, params: dict, anchor, pts) -> 
         if level == 2:
             nodes, log_w = discrete_exp_log_weights(m + 1, params["n"])
         else:  # the quadrature's nodes and the log weights of its contributions
-            lam = lambda_continuous(space, eps, m, row, anchor, rel_tol=params["quad_rel_tol"])
+            lam = lambda_continuous(space, eps, m, row, anchor)
             nodes = lam.nodes
             log_w = lam.log_contrib + m * HCurve(space, row, anchor, eps).h(nodes)
         out.append(ref_tilted(space, eps, m, b, row, anchor, nodes, log_w))
@@ -874,8 +874,7 @@ def _ladder_leaves(space: ModelSpace, level: int, params: dict, anchor, pts) -> 
 @pytest.mark.parametrize("level", (2, 3, 4))
 def test_ladder_matches_hand_copied_flow_action(space, level):
     rng = np.random.default_rng(604 + level)
-    # the quadrature of level 3 is the slow part; a looser tolerance keeps it
-    # cheap and is the same for the oracle and the current code
+    # the quadrature of level 3 is the slow part
     instances = INSTANCES if level != 3 else INSTANCES // 4
     for i in range(instances):
         side = SIDES[i % 2]
@@ -883,7 +882,6 @@ def test_ladder_matches_hand_copied_flow_action(space, level):
         params = {"a": float(rng.uniform(0.2, 1.5)), "b": float(rng.uniform(0.2, 1.5)),
                   "c": float(rng.uniform(-1.0, 1.0)), "eps": float(rng.uniform(0.05, 0.7)),
                   "m": int(rng.integers(1, 41)), "n": int(rng.integers(1, 6)),
-                  "quad_rel_tol": 1e-6,
                   keys[0]: space.sample(rng), keys[1]: space.sample(rng)}
         pts = np.stack([space.sample(rng) for _ in range(4)])
         ref = ref_ladder(space, side, params["a"], params["b"], params["c"], params[keys[0]],
@@ -950,7 +948,7 @@ def test_pairs_call_no_libm_pow(space, monkeypatch):
         if guarded:
             x, base, anchor = pow_free(monkeypatch, x, base, anchor)
         params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2,
-                  "quad_rel_tol": 1e-6, "rho": base, "mu": anchor, "gamma": base, "pi": anchor}
+                  "rho": base, "mu": anchor, "gamma": base, "pi": anchor}
         pairs = [pair for side in SIDES for pair in (
             new.build_cyl_pair(space, side, 0.7, CylindricalTestFunction(phi), base,
                                np.stack((anchor, base))),
@@ -976,7 +974,7 @@ def test_rows_are_never_turned_back_into_points(space):
     x = np.stack([space.sample(rng) for _ in range(6)])
     assert type(x[0]) is np.ndarray and x.shape == (6, space.size)
     anchor = space.sample(rng)
-    params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2, "quad_rel_tol": 1e-6,
+    params = {"a": 0.7, "b": 0.4, "c": 0.1, "eps": 0.2, "m": 5, "n": 2,
               "rho": space.sample(rng), "mu": anchor}
     for level in CHAIN_LEVELS:
         pair = new.build_chain_pair(space, level, "dagger", params)
@@ -991,7 +989,7 @@ def test_rows_are_never_turned_back_into_points(space):
     flat = HCurve(space, x, anchor, 0.2).terms(ts)
     assert terms[0].shape == terms[2].shape == (2, 3, ts.size)
     assert all(np.array_equal(got, want.reshape(got.shape)) for got, want in zip(terms, flat))
-    assert np.isfinite(lambda_continuous(space, 0.2, 5, x[0], anchor, rel_tol=1e-6).log_value)
+    assert np.isfinite(lambda_continuous(space, 0.2, 5, x[0], anchor).log_value)
 
 
 def test_class_check_rejects_exactly_the_bad_rows():
@@ -1060,13 +1058,13 @@ def test_flat_families_are_refused_exactly_where_the_tree_wrapper_refuses_rows()
 @pytest.mark.parametrize("space_name", ("ou", "quartic_3d", "double_well_quantile"))
 def test_0to1_rows_match_tree_loop(request, space_name):
     space = request.getfixturevalue(space_name)
-    rows = new.chain_inequality_report(space, "0to1", INSTANCES, np.random.default_rng(612)).rows
+    rows = new.chain_inequality_report(space, "0to1", INSTANCES, np.random.default_rng(612))
     assert list(rows) == old_0to1_rows(space, INSTANCES, np.random.default_rng(612))
 
 
 def test_4to5_rows_match_minimizer_loop(space):
     rows = new.chain_inequality_report(space, "4to5", INSTANCES,
-                                       np.random.default_rng(605)).rows
+                                       np.random.default_rng(605))
     assert list(rows) == old_4to5_rows(space, INSTANCES, np.random.default_rng(605))
 
 
@@ -1100,18 +1098,18 @@ def test_softmin_node_matches_composite_tree(request, space_name, shape):
 @pytest.mark.parametrize("space_name", ("ou", "quartic_3d", "double_well_quantile"))
 def test_1to2_rows_match_composite_tree(request, monkeypatch, space_name):
     space = request.getfixturevalue(space_name)
-    rows = new.chain_inequality_report(space, "1to2", INSTANCES, np.random.default_rng(608)).rows
+    rows = new.chain_inequality_report(space, "1to2", INSTANCES, np.random.default_rng(608))
     def wrapped_tree(*args):
         tree, ts = composite_phi_for_push(*args)
         return CylindricalTestFunction(tree), ts
 
     monkeypatch.setattr(new, "composite_phi_for_push", wrapped_tree)
-    old = new.chain_inequality_report(space, "1to2", INSTANCES, np.random.default_rng(608)).rows
+    old = new.chain_inequality_report(space, "1to2", INSTANCES, np.random.default_rng(608))
     assert list(rows) == list(old)
 
 
 @pytest.mark.parametrize("space_name", ("ou", "quartic", "double_well"))
-def test_check_viscosity_matches_sub_and_super_checks(request, space_name):
+def test_check_viscosity_matches_sub_and_super_checks(request, monkeypatch, space_name):
     space = request.getfixturevalue(space_name)
     rng = np.random.default_rng(606)
     xs = make_grid(space.box, 1.0)
@@ -1129,11 +1127,12 @@ def test_check_viscosity_matches_sub_and_super_checks(request, space_name):
         anchors = [np.array([rng.uniform(-1.5, 1.5)]) for _ in range(k)]
         lam, tol = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 0.5))
         gap_tol = (1e-6, 1e-2, 0.3)[i % 3]
+        monkeypatch.setattr(hjflow.viscosity, "_GAP_TOL", gap_tol)
         for side, old_check in (("dagger", check_subsolution),
                                 ("ddagger", check_supersolution)):
             pair = new.build_cyl_pair(space, side, a, CylindricalTestFunction(phi), base,
                                       np.stack(anchors))
-            rep = check_viscosity(u, pair, h, lam, tol, gap_tol)
+            rep = check_viscosity(u, pair, h, lam, tol)
             for old in (old_check(space, u, pair, h, lam, tol, gap_tol),
                         per_point_check_viscosity(space, u, pair, h, lam, tol, gap_tol)):
                 assert rep.side == old.side

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,8 +78,9 @@ def test_sample_returns_the_drawn_row(make):
     space = make()
     rng, twin = np.random.default_rng(7), np.random.default_rng(7)
     for radius in (None, 0.5, 10.0, None):
-        got = space.sample(rng, radius)
-        r = min(space.sample_radius if radius is None else radius, space.box)
+        drawn = space if radius is None else replace(space, sample_radius=radius)
+        got = drawn.sample(rng)
+        r = min(drawn.sample_radius, space.box)
         want = twin.uniform(-r, r, size=space.size)
         if space.kind == "quantile":
             want = np.sort(want)

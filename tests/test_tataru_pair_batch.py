@@ -24,7 +24,7 @@ def per_iteration_ham_chain_rows(cfg) -> list:
     rng = np.random.default_rng([cfg.seed, cli.SUITE_IDS["ham-chain"]])
     rep = Report(name="ham-chain")
     rep.extend_tuples(chain_inequality_report(space, cfg.ham_chain.link,
-                                              cfg.ham_chain.samples, rng).rows)
+                                              cfg.ham_chain.samples, rng))
     for i in range(10):
         a, b = float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.2, 1.5))
         c = float(rng.uniform(-1.0, 1.0))
@@ -53,9 +53,9 @@ HAM_CHAIN_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(HAM_CHAIN_CONFIGS))
 @pytest.mark.parametrize("seed", [7, 19])
-def test_batched_level56_rows_match_per_iteration_oracle(name, seed):
+def test_batched_level56_rows_match_per_iteration_oracle(name, seed, tmp_path):
     cfg = config_from_dict({"seed": seed, **HAM_CHAIN_CONFIGS[name]})
-    rows = cli.run_ham_chain(cfg).rows
+    rows = cli.run_ham_chain(cfg, tmp_path).rows
     assert len(rows) == cfg.ham_chain.samples + 20
     assert rows == per_iteration_ham_chain_rows(cfg)
     assert [r.check for r in rows[-20:]] == ["g5_equals_g6", "f5_f6_gap"] * 10

@@ -125,8 +125,7 @@ def value_iteration(space, lam, h, control_bound=2.0, dt=None, dx=1.0 / 200.0,
             assert float(np.max(np.abs(u))) <= float(np.max(np.abs(hv))) + 1e-6
             residual = float(np.max(np.abs(np.max(q_values(u), axis=1) - u)))
             return viscosity.ResolventSolution(
-                u=GridFunction(xs, u), iterations=iterations, final_increment=increment,
-                contraction_factor=beta, dt=dt, dx=dx, fixed_point_tol=tol,
+                u=GridFunction(xs, u), iterations=iterations, contraction_factor=beta, dt=dt, dx=dx, fixed_point_tol=tol,
                 bellman_residual=residual)
     raise RuntimeError(
         f"value iteration did not converge in {max_iter} steps; "
@@ -136,7 +135,7 @@ def value_iteration(space, lam, h, control_bound=2.0, dt=None, dx=1.0 / 200.0,
 
 def test_solver_contraction_metadata(ou):
     sol = value_iteration(ou, 1.0, smooth_h, dt=1.0 / 100.0, dx=1.0 / 100.0)
-    assert sol.final_increment <= 1e-10
+    assert sol.bellman_residual <= 1e-10
     assert sol.contraction_factor == pytest.approx(1 - sol.dt / 1.0)
     assert sol.iterations > 10
 
@@ -295,9 +294,10 @@ def test_solver_nonconvergence_error(ou):
         value_iteration(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=3)
 
 
-def test_policy_iteration_step_cap(ou):
+def test_policy_iteration_step_cap(ou, monkeypatch):
+    monkeypatch.setattr(viscosity, "_MAX_POLICY_STEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0, max_iter=1)
+        solve_resolvent(ou, 1.0, smooth_h, dx=1.0 / 50.0)
 
 
 def _random_bounded_grid_h(seed):

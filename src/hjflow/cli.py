@@ -99,24 +99,20 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path) -> Report:
         triples.append((pi, mu, kappa))
         return len(triples) - 1
 
+    # one array draw per property but the last, and one flow call for the moved points
     n = cfg.tataru.instances
-    lipschitz = []
-    for _ in range(n):
-        mu1, nu1 = space.sample(rng), space.sample(rng)
-        mu2, nu2 = space.sample(rng), space.sample(rng)
-        bound = float(np.sqrt(space.sq_dist(mu1, mu2)) + np.sqrt(space.sq_dist(nu1, nu2)))
-        lipschitz.append((ask(mu1, nu1), ask(mu2, nu2), bound))
-    flow_lipschitz = []
-    for _ in range(n):
-        nu, nu_hat = space.sample(rng), space.sample(rng)
-        base = ask(nu, nu_hat)
-        moved = [(r, ask(space.flow_values(nu, np.array([r]))[0], nu_hat))
-                 for r in (1e-3, 1e-2, 1e-1)]
-        flow_lipschitz.append((base, moved))
-    triangle = []
-    for _ in range(n):
-        rho, mid, nu = space.sample(rng), space.sample(rng), space.sample(rng)
-        triangle.append((ask(rho, nu), ask(rho, mid), ask(mid, nu)))
+    points = space.sample(rng, (n, 4))  # mu1, nu1, mu2, nu2 of each instance
+    bounds = np.sqrt(space.sq_dist(points[:, 0], points[:, 2])) + np.sqrt(
+        space.sq_dist(points[:, 1], points[:, 3]))
+    lipschitz = [(ask(mu1, nu1), ask(mu2, nu2), bound)
+                 for (mu1, nu1, mu2, nu2), bound in zip(points, bounds.tolist())]
+    steps = (1e-3, 1e-2, 1e-1)
+    points = space.sample(rng, (n, 2))  # nu, nu_hat
+    moved = space.flow_values(points[:, 0], np.array(steps))
+    flow_lipschitz = [(ask(nu, nu_hat), [(r, ask(row, nu_hat)) for r, row in zip(steps, rows)])
+                      for (nu, nu_hat), rows in zip(points, moved)]
+    triangle = [(ask(rho, nu), ask(rho, mid), ask(mid, nu))
+                for rho, mid, nu in space.sample(rng, (n, 3))]
     monotone = []
     for _ in range(n):
         x, y = space.sample(rng), space.sample(rng)

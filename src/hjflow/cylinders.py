@@ -10,7 +10,11 @@ roots of weighted coordinates).
 
 A family is in class T exactly when its weights (and b) are positive, so it
 checks them once, when it is built.  ``vag(r)`` takes rows r (..., k) and
-returns the values (...) and the partials (..., k).
+returns the values (...) and the partials (..., k).  A family may hold N
+instances on a leading axis: its scalar parameters (n, const, eps, m, b, c)
+then have shape (N,) and its weights (N, k), the rows r (..., N, k)
+broadcast against them, and every instance gets the bits of its own
+one-instance family.
 """
 
 from __future__ import annotations
@@ -58,35 +62,35 @@ class CylNode:
         return False
 
 
-def _affine_value(w: np.ndarray, const: float, r: np.ndarray) -> np.ndarray:
+def _affine_value(w: np.ndarray, const, r: np.ndarray) -> np.ndarray:
     """const + w_0 r_0 + w_1 r_1 + ..., added in coordinate order."""
     value = np.full(r.shape[:-1], const)
-    for i, wi in enumerate(w):
-        value += wi * r[..., i]
+    for i in range(w.shape[-1]):
+        value += w[..., i] * r[..., i]
     return value
 
 
 class Affine(CylNode):
     """const + w . r on k = len(w) coordinates; the partials are w."""
 
-    def __init__(self, w, const: float = 0.0):
-        self.w, self.const = _positive(w), float(const)
+    def __init__(self, w, const=0.0):
+        self.w, self.const = _positive(w), np.asarray(const, dtype=float)
 
     def vag(self, r):
         return _affine_value(self.w, self.const, r), np.broadcast_to(self.w, r.shape)
 
     def bounded(self):
-        return self.w.size == 0  # a constant
+        return self.w.shape[-1] == 0  # a constant
 
 
 class TruncatedAffine(CylNode):
     """iota_n(const + w . r): bounded by n + 1, flat above n + 2, and equal
     to the affine family, partials too, below the knee (affine value <= n)."""
 
-    def __init__(self, n: int, w, const: float = 0.0):
-        if n < 1:
+    def __init__(self, n, w, const=0.0):
+        if np.any(np.asarray(n) < 1):
             raise ValueError("n must be >= 1")
-        self.n, self.w, self.const = n, _positive(w), float(const)
+        self.n, self.w, self.const = n, _positive(w), np.asarray(const, dtype=float)
 
     def vag(self, r):
         v = _affine_value(self.w, self.const, r)
@@ -106,21 +110,23 @@ class SoftminPsi(CylNode):
     soft_i, because b > 0 and every w_i > 0, checked when the node is built.
     """
 
-    eps: float
-    m: float
-    b: float
-    c: float
+    eps: float | np.ndarray
+    m: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
     w: np.ndarray
     log_w: np.ndarray
 
     def __post_init__(self):
-        _positive([self.b, *self.w])
+        _positive(self.b)
+        _positive(self.w)
 
     def vag(self, r):
-        psi, psi_p = psi_eps_and_prime(self.eps, r)
-        exponents = self.log_w - self.m * (self.w * psi)
+        # eps, m and b meet the coordinates of r on a trailing axis
+        psi, psi_p = psi_eps_and_prime(np.expand_dims(self.eps, -1), r)
+        exponents = self.log_w - np.expand_dims(self.m, -1) * (self.w * psi)
         lse = logsumexp(exponents, axis=-1)
         soft = np.exp(exponents - lse[..., None])
         value = self.c + self.b * (-lse / self.m)
-        grad = self.b * (soft * (self.w * psi_p))
+        grad = np.expand_dims(self.b, -1) * (soft * (self.w * psi_p))
         return value, grad

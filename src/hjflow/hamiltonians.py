@@ -27,7 +27,10 @@ the minimizer sets), a loop over rows at level 3 only.  Anchor sets, base
 points and flow anchors are rows too, checked once when a pair is built, as a
 cylinder family checks class T once, on its parameters.  Levels 2 to 4 take h,
 damping and psi_eps' from ``tataru.HCurve``; the 1to2 link flows its anchors
-with ``ModelSpace.flow_values``.
+with ``ModelSpace.flow_values``.  The cylindrical pairs and levels 2, 5 and 6
+take N instances on a leading axis (parameters (N,), base rows (N, size),
+anchor rows (N, k, size)), so the sampled ladder links draw all their samples
+first and evaluate them in one array pass.
 
 Exponential damping factors use kappa_hat = min(kappa, 0); the quadratic
 correction -kappa/2 d^2 uses kappa itself.
@@ -43,7 +46,7 @@ import numpy as np
 from .cylinders import Affine, CylNode, SoftminPsi, TruncatedAffine
 from .laplace import discrete_exp_log_weights, lambda_continuous
 from .spaces import ModelSpace
-from .tataru import HCurve, logsumexp, tataru_batch
+from .tataru import BLOCK_ELEMENTS, HCurve, logsumexp, tataru_batch
 
 CHAIN_LEVELS = (2, 3, 4, 5, 6)
 
@@ -76,8 +79,8 @@ def _cylinder(space: ModelSpace, phi: CylNode, anchors):
     """(anchor energies, at) with at(x) = (phi(r), grad phi(r), d^2) for the rows x,
     d^2 = sq_dist(x, anchors) and r = d^2/2.
 
-    ``anchors`` are coordinate rows (k, size), checked once by ``ModelSpace.rows``
-    and copied, as ``ModelSpace._row`` copies base points."""
+    ``anchors`` are coordinate rows (k, size), or (N, k, size) for N instances,
+    checked once by ``ModelSpace.rows`` and copied, as the base points are."""
     anchor_vals = space.rows(anchors).copy()
 
     def at(x: np.ndarray):
@@ -92,14 +95,14 @@ def _cylinder(space: ModelSpace, phi: CylNode, anchors):
 # ---------------------------------------------------------------------------
 
 
-def build_cyl_pair(space: ModelSpace, side: str, a: float, phi: CylNode, base,
+def build_cyl_pair(space: ModelSpace, side: str, a, phi: CylNode, base,
                    anchors) -> HamiltonianPair:
     """f = sigma [a/2 d^2(., base) + phi(d^2(., anchors)/2)] with the five-term g."""
     sigma = side_sign(side)
-    if not a > 0:  # also rejects NaN
+    if not np.all(a > 0):  # also rejects NaN
         raise ValueError("a must be positive")
     anchor_e, at = _cylinder(space, phi, anchors)
-    base = space._row(base)
+    base = space.rows(base).copy()
     e_base = space.energies(base)
     kappa = space.kappa
 
@@ -217,10 +220,11 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
     integral by the smoothed Tataru distance and a sup over its minimizer set;
     levels 5 and 6 are the Tataru pair (closed-form g) with the smoothed resp.
     exact Tataru distance in f.  Level 3 loops over the rows, one adaptive
-    quadrature each, because their panel sets are ragged.  At levels 5 and 6
-    a, b, c, eps and the rows may hold N instances, on a leading axis; x
-    (..., size) broadcasts against them, and every instance gets the bits of
-    its own one-instance pair.
+    quadrature each, because their panel sets are ragged.  At levels 2, 5 and
+    6 a, b, c, eps, m and the rows may hold N instances, on a leading axis
+    (n, which sets the atoms of level 2, is one for all); x (..., size)
+    broadcasts against them, and every instance gets the bits of its own
+    one-instance pair.
     """
     if level not in CHAIN_LEVELS:
         raise ValueError(f"level must be one of {CHAIN_LEVELS}")
@@ -229,12 +233,11 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
                                                 base_key, anchor_key)
     if not (np.all(a > 0) and np.all(b > 0)):  # also rejects NaN
         raise ValueError("a and b must be positive")
+    base, anchor = space.rows(base_point).copy(), space.rows(flow_anchor).copy()
     if level >= 5:
         eps = _require(params, level, "eps")[0] if level == 5 else None
-        base, anchor = space.rows(base_point).copy(), space.rows(flow_anchor).copy()
         return _closed_pair(space, side, a, b, c, base, _tataru_value(space, anchor, eps),
                             lambda x: b)
-    base, anchor = space._row(base_point), space._row(flow_anchor)
 
     if level == 4:
         eps = _require(params, level, "eps")[0]
@@ -246,23 +249,24 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
         return _closed_pair(space, side, a, b, c, base, _tataru_value(space, anchor, eps), slot4)
 
     eps, m = _require(params, level, "eps", "m")
-    m = int(m)
+    m = np.asarray(m).astype(int)
+    m_col = m[..., None]  # m against the nodes of each instance
 
     def tilted(x, log_lam, tilt, terms):
         """(-log Lambda / m, b times the tilted flow action) at the rows x, as (..., 2)."""
         h, damping, psi_p, vals = terms
         gap = space.energies(vals) - space.energies(x)[..., None]
         term_energy = b * np.vecdot(tilt, psi_p * damping * gap)
-        term_reg = -0.5 * b * space.kappa_hat * np.vecdot(tilt, np.maximum(1.0 / m, h))
+        term_reg = -0.5 * b * space.kappa_hat * np.vecdot(tilt, np.maximum(1.0 / m_col, h))
         return np.stack((-log_lam / m, term_energy + term_reg), axis=-1)
 
     if level == 2:
         n = int(_require(params, level, "n")[0])
-        atoms, log_w = discrete_exp_log_weights(m + 1, n)
+        atoms, log_w = _exp_log_weights(m, n)
 
         def ladder_terms(x):
             terms = HCurve(space, x, anchor, eps).terms(atoms)
-            log_contrib = log_w - m * terms[0]
+            log_contrib = log_w - m_col * terms[0]
             log_lam = logsumexp(log_contrib, axis=-1)
             return tilted(x, log_lam, np.exp(log_contrib - log_lam[..., None]), terms)
 
@@ -270,7 +274,7 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
         def ladder_terms(x):
             out = []
             for row in x.reshape(-1, space.size):
-                lam = lambda_continuous(space, eps, m, row, anchor)
+                lam = lambda_continuous(space, eps, int(m), row, anchor)
                 terms = HCurve(space, row, anchor, eps).terms(lam.nodes)
                 out.append(tilted(row, lam.log_value, lam.tilted_weights(), terms))
             return np.reshape(out, (*x.shape[:-1], 2))
@@ -284,18 +288,36 @@ def build_chain_pair(space: ModelSpace, level: int, side: str, params: dict) -> 
 # ---------------------------------------------------------------------------
 
 
-def composite_phi_for_push(space: ModelSpace, eps: float, b: float, c: float,
-                           m: int, n: int) -> tuple[SoftminPsi, np.ndarray]:
+def _exp_log_weights(m, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms and log weights of ``discrete_exp_log_weights(m + 1, n)``, for
+    one m or one m per instance (then one row of log weights per instance)."""
+    laws = [discrete_exp_log_weights(k + 1, n) for k in np.ravel(m).tolist()]
+    return laws[0][0], np.reshape([log_w for _, log_w in laws], (*np.shape(m), n * n))
+
+
+def composite_phi_for_push(space: ModelSpace, eps, b, c, m,
+                           n: int) -> tuple[SoftminPsi, np.ndarray]:
     """The explicit log-sum-exp composite whose cylindrical pair has f equal
     to the level-2 test function; returns (node, atom times).
 
     One array node over the K = n^2 atoms t_i of ``discrete_exp_log_weights``:
     c - (b/m) log sum_i exp(log_w_i - m exp(kappa_hat t_i) psi_eps(r_i)), with
-    r_i the half-squared distance to the flow at t_i."""
-    ts, log_w = discrete_exp_log_weights(m + 1, n)
-    node = SoftminPsi(eps=eps, m=float(m), b=b, c=c, w=np.exp(space.kappa_hat * ts),
-                      log_w=log_w)
+    r_i the half-squared distance to the flow at t_i.  eps, b, c and m may hold
+    one value per instance, as the level-2 pair's do."""
+    ts, log_w = _exp_log_weights(m, n)
+    node = SoftminPsi(eps=eps, m=np.asarray(m, dtype=float), b=b, c=c,
+                      w=np.exp(space.kappa_hat * ts), log_w=log_w)
     return node, ts
+
+
+def _groups(space: ModelSpace, keys: np.ndarray, width):
+    """(key, sample indices) of each key, in chunks whose flow or anchor rows hold
+    at most max(BLOCK_ELEMENTS, width(key) * size) elements."""
+    for key in np.unique(keys).tolist():
+        idx = np.flatnonzero(keys == key)
+        step = max(1, BLOCK_ELEMENTS // (width(key) * space.size))
+        for lo in range(0, idx.size, step):
+            yield key, idx[lo:lo + step]
 
 
 def chain_inequality_report(space: ModelSpace, link: str, samples: int,
@@ -303,63 +325,60 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
     """Sampled verification of one ladder inequality: the check rows
     (check, instance, value, bound, violation, pass), one per sample.
 
-    ``1to2``: g of the generic cylindrical pair on the explicit composite is
-    dominated by the level-2 g, to 1e-9.  ``4to5``: the flow-action expression
-    at the minimizer set stays below 1, to 1e-6; all samples are drawn first,
-    then minimized by one ``tataru_batch`` call and maximized by one
-    ``_max_flow_action`` call, each with its own eps.  ``0to1``: bounded and
-    unbounded pairs agree below the truncation knee, to 1e-9.
+    Every link draws all its samples first, in the order of one sample after
+    another, and then evaluates them in one array pass.  ``1to2``: g of the
+    generic cylindrical pair on the explicit composite is dominated by the
+    level-2 g, to 1e-9; samples are grouped by n, which sets the K = n^2 atoms.
+    ``4to5``: the flow-action expression at the minimizer set stays below 1,
+    to 1e-6; one ``tataru_batch`` call minimizes all samples, each with its own
+    eps, and one ``_max_flow_action`` call maximizes.  ``0to1``: bounded and
+    unbounded pairs agree below the truncation knee, to 1e-9; samples are
+    grouped by their k anchors.  Groups are not padded to a common width, which
+    would change the order of the sums, and are split into chunks (``_groups``).
     """
-    rows = []
-    if link == "1to2":
-        for i in range(samples):
-            a = rng.uniform(0.2, 1.5)
-            b = rng.uniform(0.2, 1.5)
-            c = rng.uniform(-1.0, 1.0)
-            eps = rng.uniform(0.05, 0.7)
-            m = int(rng.integers(1, 41))
-            n = int(rng.integers(1, 6))
-            rho = space.sample(rng)
-            mu = space.sample(rng)
-            pi = space.sample(rng)
-            phi, ts = composite_phi_for_push(space, eps, b, c, m, n)
-            pair1 = build_cyl_pair(space, "dagger", a, phi, rho, space.flow_values(mu, ts))
-            pair2 = build_chain_pair(space, 2, "dagger",
-                                     {"a": a, "b": b, "c": c, "eps": eps,
-                                      "m": m, "n": n, "rho": rho, "mu": mu})
-            g1 = pair1.g(pi)
-            g2 = pair2.g(pi)
-            violation = g1 - g2
-            rows.append(("chain-1to2", i, g1, g2, violation, violation <= 1e-9))
-    elif link == "4to5":
-        # all samples first, then one minimization and one flow action over them
-        draws = [(rng.uniform(0.05, 0.7), space.sample(rng), space.sample(rng))
-                 for _ in range(samples)]
-        if draws:
-            epss, mus, pis = zip(*draws)
-            pis, mus = space.rows(pis), space.rows(mus)
-            lhs = _max_flow_action(space, epss, pis, mus, tataru_batch(space, pis, mus, eps=epss))
-            rows = [("chain-4to5", i, v, 1.0, v - 1.0, v - 1.0 <= 1e-6)
-                    for i, v in enumerate(lhs.tolist())]
-    elif link == "0to1":
-        for i in range(samples):
-            a = rng.uniform(0.2, 1.5)
-            k = int(rng.integers(1, 3))
-            weights = rng.uniform(0.1, 1.0, size=k)
-            const = rng.uniform(0.0, 0.5)
-            rho = space.sample(rng)
-            mus = [space.sample(rng) for _ in range(k)]
-            pi = space.sample(rng)
-            pair1 = build_cyl_pair(space, "dagger", a, Affine(weights, const), rho, mus)
-            inner_value = pair1.f(pi)  # equals a r0 + w . r + const at pi
-            n = int(np.ceil(inner_value)) + 1
-            # iota_n(a r0 + w . r + const), the quadratic anchor rho first
-            pair0 = build_h0_pair(space, "dagger", TruncatedAffine(n, [a, *weights], const),
-                                  [rho, *mus])
-            g0 = pair0.g(pi)
-            g1 = pair1.g(pi)
-            violation = abs(g0 - g1)
-            rows.append(("chain-0to1", i, g0, g1, violation, violation <= 1e-9))
-    else:
+    if link not in ("1to2", "4to5", "0to1"):
         raise ValueError(f"unknown chain link {link!r}")
+    if not samples:
+        return ()
+    rows = [None] * samples
+    if link == "1to2":
+        draws = [(rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5), rng.uniform(-1.0, 1.0),
+                  rng.uniform(0.05, 0.7), int(rng.integers(1, 41)), int(rng.integers(1, 6)),
+                  space.sample(rng, (3,))) for _ in range(samples)]
+        a, b, c, eps, m, ns, points = (np.array(col) for col in zip(*draws))
+        for n, idx in _groups(space, ns, lambda n: n * n):
+            rho, mu, pi = np.moveaxis(points[idx], 1, 0)  # rows (N, size) each
+            phi, ts = composite_phi_for_push(space, eps[idx], b[idx], c[idx], m[idx], n)
+            pair1 = build_cyl_pair(space, "dagger", a[idx], phi, rho, space.flow_values(mu, ts))
+            pair2 = build_chain_pair(space, 2, "dagger",
+                                     {"a": a[idx], "b": b[idx], "c": c[idx], "eps": eps[idx],
+                                      "m": m[idx], "n": n, "rho": rho, "mu": mu})
+            for i, g1, g2 in zip(idx.tolist(), pair1.g(pi).tolist(), pair2.g(pi).tolist()):
+                rows[i] = ("chain-1to2", i, g1, g2, g1 - g2, g1 - g2 <= 1e-9)
+    elif link == "4to5":
+        draws = [(rng.uniform(0.05, 0.7), space.sample(rng, (2,))) for _ in range(samples)]
+        epss, points = zip(*draws)
+        mus, pis = np.moveaxis(np.array(points), 1, 0)
+        lhs = _max_flow_action(space, epss, pis, mus, tataru_batch(space, pis, mus, eps=epss))
+        rows = [("chain-4to5", i, v, 1.0, v - 1.0, v - 1.0 <= 1e-6)
+                for i, v in enumerate(lhs.tolist())]
+    else:
+        draws = []
+        for _ in range(samples):
+            a, k = rng.uniform(0.2, 1.5), int(rng.integers(1, 3))
+            draws.append((a, k, rng.uniform(0.1, 1.0, size=k), rng.uniform(0.0, 0.5),
+                          space.sample(rng, (k + 2,))))  # rho, k anchors, pi
+        ks = np.array([k for _, k, _, _, _ in draws])
+        for k, idx in _groups(space, ks, lambda k: k + 1):
+            a, _, weights, const, points = (np.array(col) for col in
+                                            zip(*(draws[i] for i in idx.tolist())))
+            rho, mus, pi = points[:, 0], points[:, 1:-1], points[:, -1]
+            pair1 = build_cyl_pair(space, "dagger", a, Affine(weights, const), rho, mus)
+            n = np.ceil(pair1.f(pi)).astype(int) + 1  # a r0 + w . r + const at pi
+            # iota_n(a r0 + w . r + const), the quadratic anchor rho first
+            pair0 = build_h0_pair(space, "dagger",
+                                  TruncatedAffine(n, np.column_stack((a, weights)), const),
+                                  points[:, :-1])
+            for i, g0, g1 in zip(idx.tolist(), pair0.g(pi).tolist(), pair1.g(pi).tolist()):
+                rows[i] = ("chain-0to1", i, g0, g1, abs(g0 - g1), abs(g0 - g1) <= 1e-9)
     return tuple(rows)

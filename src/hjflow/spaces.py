@@ -48,11 +48,12 @@ class Potential:
     leading axes pair each start with its own row of times.  The quartic and
     double-well flows write that result into one buffer with in-place ufuncs,
     in the order of operations of their closed forms, so a (2001, 64)
-    trajectory allocates one array, not a chain of temporaries.  ``v`` and ``dv``
-    of the quartic and the double well are Horner products such as
-    x^2 (x^2/4 + kappa/2) and x (x^2 + kappa), with no libm ``pow``: that is
-    about six times faster per element, and each value stays within 2 eps of
-    the sum of its terms' magnitudes, as the ``pow`` form does.
+    trajectory allocates one array, not a chain of temporaries; ``v`` does the
+    same on the float rows it gets, in one buffer (two for the double well).
+    ``v`` and ``dv`` of the quartic and the double well are Horner products
+    such as x^2 (x^2/4 + kappa/2) and x (x^2 + kappa), with no libm ``pow``:
+    that is about six times faster per element, and each value stays within
+    2 eps of the sum of its terms' magnitudes, as the ``pow`` form does.
     """
 
     form: str
@@ -66,10 +67,16 @@ class Potential:
 def quadratic_potential(kappa: float) -> Potential:
     """V(x) = kappa x^2 / 2; the flow is exactly x exp(-kappa t)."""
     k = float(kappa)
+
+    def v(x):
+        out = np.square(x)
+        out *= 0.5 * k
+        return out
+
     return Potential(
         form="quadratic",
         kappa=k,
-        v=lambda x: 0.5 * k * np.square(x),
+        v=v,
         dv=lambda x: k * np.asarray(x, dtype=float),
         d2v=lambda x: np.full_like(np.asarray(x, dtype=float), k),
         flow=lambda x0, t: np.exp(-k * t)[..., :, None] * x0[..., None, :],
@@ -81,11 +88,19 @@ def quartic_potential() -> Potential:
     return Potential(
         form="quartic",
         kappa=0.0,
-        v=lambda x: 0.25 * np.square(np.square(x)),
+        v=_quartic_v,
         dv=lambda x: np.square(x) * x,
         d2v=lambda x: 3.0 * np.square(x),
         flow=_quartic_flow,
     )
+
+
+def _quartic_v(x):
+    """0.25 (x^2)^2 in one buffer."""
+    out = np.square(x)
+    out *= out
+    out *= 0.25
+    return out
 
 
 def _quartic_flow(x0, t):
@@ -109,6 +124,13 @@ def double_well_potential(kappa: float) -> Potential:
     if not k < 0:  # also rejects NaN
         raise ValueError("double-well potential requires kappa < 0")
 
+    def v(x):
+        sq = np.square(x)
+        out = sq * 0.25
+        out += 0.5 * k
+        out *= sq
+        return out
+
     def flow(x0, t):
         # x0 / sqrt(e^kt + x0^2 expm1(kt) / k) in one (..., T, n) buffer
         kt = 2.0 * k * t[..., :, None]
@@ -122,7 +144,7 @@ def double_well_potential(kappa: float) -> Potential:
     return Potential(
         form="double_well",
         kappa=k,
-        v=lambda x: np.square(x) * (0.25 * np.square(x) + 0.5 * k),
+        v=v,
         dv=lambda x: x * (np.square(x) + k),
         d2v=lambda x: 3.0 * np.square(x) + k,
         flow=flow,
@@ -212,10 +234,15 @@ class ModelSpace:
     # The last axis holds the coordinates and leading axes broadcast; no row
     # checks.  vecdot gives each row the same bits as a one-row call.
 
+    @staticmethod
+    def _sq_norms(v: np.ndarray) -> np.ndarray:
+        """v . v over the last axis.  One coordinate gives np.square(v): a
+        one-term vecdot is 0 + v^2, the same bits, at several times the cost."""
+        return np.square(v[..., 0]) if v.shape[-1] == 1 else np.vecdot(v, v)
+
     def sq_dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Squared distances d^2 between the coordinate rows a and b."""
-        diffs = a - b
-        return self.weight * np.vecdot(diffs, diffs)
+        return self.weight * self._sq_norms(a - b)
 
     def energies(self, vals: np.ndarray) -> np.ndarray:
         """Energies E of the coordinate rows vals."""
@@ -223,8 +250,7 @@ class ModelSpace:
 
     def sq_slopes(self, vals: np.ndarray) -> np.ndarray:
         """Squared slopes |dE|^2 of the coordinate rows vals."""
-        grads = self.potential.dv(vals)
-        return self.weight * np.vecdot(grads, grads)
+        return self.weight * self._sq_norms(self.potential.dv(vals))
 
     # -- gradient flow --------------------------------------------------------
 
@@ -245,11 +271,12 @@ class ModelSpace:
 
     # -- sampling --------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """A uniform draw in [-r, r]^size with r = min(sample_radius, box), sorted for
-        quantiles: a checked row."""
+    def sample(self, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+        """Uniform draws in [-r, r]^size with r = min(sample_radius, box), sorted for
+        quantiles: checked rows (*shape, size).  ``rng.uniform`` fills the array in
+        order, so the rows equal as many one-row draws made one after another."""
         r = min(self.sample_radius, self.box)
-        vals = rng.uniform(-r, r, size=self.size)
+        vals = rng.uniform(-r, r, size=(*shape, self.size))
         return np.sort(vals) if self.kind == "quantile" else vals
 
 

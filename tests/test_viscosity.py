@@ -133,11 +133,26 @@ def value_iteration(space, lam, h, control_bound=2.0, dt=None, dx=1.0 / 200.0,
     )
 
 
-def test_solver_contraction_metadata(ou):
-    sol = value_iteration(ou, 1.0, smooth_h, dt=1.0 / 100.0, dx=1.0 / 100.0)
-    assert sol.bellman_residual <= 1e-10
-    assert sol.contraction_factor == pytest.approx(1 - sol.dt / 1.0)
-    assert sol.iterations > 10
+def test_solver_contraction_metadata(ou, value_function):
+    """The certificate of ``solve_resolvent``'s own result, beside the oracle's:
+    beta = 1 - dt/lam, the Bellman residual ||T u - u|| recomputed here with
+    the oracle's operator, error_bound <= tol and at least one policy step."""
+    oracle = value_iteration(ou, 1.0, smooth_h, dt=1.0 / 100.0, dx=1.0 / 100.0)
+    assert oracle.bellman_residual <= 1e-10
+    assert oracle.contraction_factor == pytest.approx(1 - oracle.dt / 1.0)
+    assert oracle.iterations > 10
+    sol = value_function  # solve_resolvent at the oracle's dt and dx, tol = 1e-10
+    assert (sol.dt, sol.dx) == (oracle.dt, oracle.dx)
+    assert sol.contraction_factor == 1 - sol.dt / 1.0
+    xs, controls, idx, w0, w1 = viscosity._scheme(ou.potential, ou.box, sol.dt, sol.dx, 2.0, 129)
+    assert np.array_equal(xs, sol.u.xs)
+    reward = sol.dt * (smooth_h(xs)[:, None] / 1.0 - 0.5 * controls[None, :] ** 2)
+    u = sol.u.values
+    q = reward + sol.contraction_factor * (w0 * u[idx] + w1 * u[idx + 1])
+    assert sol.bellman_residual == float(np.max(np.abs(np.max(q, axis=1) - u)))
+    assert sol.error_bound == sol.bellman_residual / (1 - sol.contraction_factor)
+    assert sol.error_bound <= 1e-10
+    assert sol.iterations >= 1
 
 
 def test_value_function_is_subsolution(ou, value_function, rng):

@@ -82,18 +82,10 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path) -> Report:
 
     pi = _config_point(space, cfg.tataru.pi, "tataru.pi")
     mu = _config_point(space, cfg.tataru.mu, "tataru.mu")
-    res = tataru_batch(space, [pi], [mu])[0]
-    print(f"tataru value: {res.value:.12g}  minimizers: "
-          + ", ".join(f"{t:.12g}" for t in res.minimizers))
-    if cfg.tataru.dump_objective:
-        ts = np.linspace(0.0, res.t_cap, GRID_POINTS)
-        obj = ts + HCurve(space, pi, mu).h(ts)
-        write_table(out_dir / "tataru_objective.csv", ("t", "objective"),
-                    ((fmt17(t), fmt17(o)) for t, o in zip(ts, obj)))
-
     # Draw every sample first, property by property, and note which (pi, mu,
-    # kappa) triples each row needs; then minimize all triples in one batch.
-    triples = []
+    # kappa) triples each row needs; then minimize all triples, the config pair
+    # first, in one batch.
+    triples = [(pi, mu, None)]
 
     def ask(pi, mu, kappa=None) -> int:
         triples.append((pi, mu, kappa))
@@ -119,7 +111,15 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path) -> Report:
         k2 = float(rng.uniform(-1.0, 1.0))
         k1 = k2 - float(rng.uniform(0.0, 1.0))
         monotone.append((ask(x, y, k1), ask(x, y, k2)))
-    value = [r.value for r in tataru_batch(space, *zip(*triples))]
+    results = tataru_batch(space, *zip(*triples))
+    res, value = results[0], [r.value for r in results]
+    print(f"tataru value: {res.value:.12g}  minimizers: "
+          + ", ".join(f"{t:.12g}" for t in res.minimizers))
+    if cfg.tataru.dump_objective:
+        ts = np.linspace(0.0, res.t_cap, GRID_POINTS)
+        obj = ts + HCurve(space, pi, mu).h(ts)
+        write_table(out_dir / "tataru_objective.csv", ("t", "objective"),
+                    ((fmt17(t), fmt17(o)) for t, o in zip(ts, obj)))
 
     for i, (one, two, bound) in enumerate(lipschitz):
         lhs = value[one] - value[two]

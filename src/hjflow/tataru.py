@@ -12,17 +12,12 @@ the ladder's flow action and the damped-distance check all take h from it, and
 no other module builds psi constants.
 
 ``tataru_batch`` minimizes over t in [0, T_cap] for many (pi, mu, kappa, eps)
-instances at once, pi and mu given as coordinate rows: one coarse-grid
-objective call per chunk of instances, of which only the three best useful
-grid brackets of every instance are kept, then, per block of instances, a
-bracket zoom with one objective call per step for all brackets of the block
-and one call for the refined values.  As F(t) = t + h(t) >= t and F(0) =
-D(pi, mu), a bracket is useful only if it starts within D + VALUE_TOL, and
-the grid of an instance stops there.  Chunks and blocks are sized by BLOCK_ELEMENTS,
-so a 64-point quantile space, whose grid fills a chunk with one instance,
-still zooms five instances together.  It is the one entry point: a single
-distance is a batch of one, and every instance gets the same numbers alone or
-in a batch.
+instances at once, pi and mu given as coordinate rows: a coarse grid keeps the three
+best useful brackets of every instance, a zoom refines them.  As F(t) = t + h(t) >= t
+and F(0) = D(pi, mu), a bracket is useful only if it starts within D + VALUE_TOL, and
+each grid stops at the right neighbour of its last point there.  Objective calls are
+sized by the work they hold (see BLOCK_ELEMENTS).  It is the one entry point: a single
+distance is a batch of one, and every instance gets the same numbers alone or in a batch.
 """
 
 from __future__ import annotations
@@ -40,10 +35,8 @@ ZOOM_STEPS = 20
 ZOOM_TOL = 1e-11
 _ZOOM_UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
 VALUE_TOL = 1e-9
-# bounds the memory of one objective call: with cap = max(BLOCK_ELEMENTS,
-# GRID_POINTS * size) flow elements, the grid runs on chunks of
-# cap // (GRID_POINTS * size) instances (at least one) and the zoom on blocks of
-# cap // (3 * ZOOM_POINTS * size) instances, three brackets each
+# bounds the memory of one objective call: it holds at most max(BLOCK_ELEMENTS,
+# GRID_POINTS * size) flow elements, size per time, so a full grid always fits
 BLOCK_ELEMENTS = 2**14
 
 
@@ -189,14 +182,25 @@ class HCurve:
         return self.d0() + 1.0
 
 
-def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _runs(rows: np.ndarray, per_run: int):
+    """(lo, hi) of the objective calls over the brackets of the sorted instance indices
+    ``rows``: consecutive runs of whole instances, each as long as per_run allows."""
+    lo = 0
+    while lo < rows.size:
+        hi = lo + per_run
+        hi = int(rows.searchsorted(rows[hi])) if hi < rows.size else rows.size
+        yield lo, hi
+        lo = hi
+
+
+def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray, per_run: int):
     """Bracket zoom on all brackets [a[k], b[k]] at once; returns the midpoints.
 
-    Bracket k belongs to instance ``rows[k]``.  Each step evaluates
-    ``objective`` once, on a ZOOM_POINTS grid in every bracket of the instances
-    still zooming, and shrinks each bracket to the grid neighbours of its
-    argmin (a factor (ZOOM_POINTS - 1) / 2 per step).  An instance zooms all its
-    brackets until every one of them is at most ZOOM_TOL wide.
+    Bracket k belongs to instance ``rows[k]`` (sorted).  Each step evaluates
+    ``objective`` on a ZOOM_POINTS grid in every bracket of the instances still
+    zooming, in calls of at most per_run brackets (``_runs``), and shrinks each bracket
+    to the grid neighbours of its argmin (a factor (ZOOM_POINTS - 1) / 2 per step).
+    An instance zooms all its brackets until every one of them is at most ZOOM_TOL wide.
     """
     mid = 0.5 * (a + b)
     live = np.arange(a.size)
@@ -208,26 +212,36 @@ def _zoom(objective, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
             live, rows, a, b = live[zooming], rows[zooming], a[zooming], b[zooming]
             if not live.size:
                 return mid
-        ts = a[:, None] + (b - a)[:, None] * _ZOOM_UNIT
-        j = objective(rows, ts).argmin(axis=1)
-        k = np.arange(j.size)
-        a = ts[k, np.maximum(j - 1, 0)]
-        b = ts[k, np.minimum(j + 1, ZOOM_POINTS - 1)]
+        for lo, hi in _runs(rows, per_run):
+            ts = a[lo:hi, None] + (b[lo:hi] - a[lo:hi])[:, None] * _ZOOM_UNIT
+            j = objective(rows[lo:hi], ts).argmin(axis=1)
+            k = np.arange(j.size)
+            a[lo:hi] = ts[k, np.maximum(j - 1, 0)]
+            b[lo:hi] = ts[k, np.minimum(j + 1, ZOOM_POINTS - 1)]
     mid[live] = 0.5 * (a + b)
     return mid
 
 
-def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, bounds: np.ndarray):
+def _grid_last(t_caps: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """min((np.linspace(0, t_cap, GRID_POINTS) <= bound + VALUE_TOL).sum(), GRID_POINTS - 1)
+    without the grid: its times are j * step, and floor(bound / step) is j's within one."""
+    step, bound = t_caps / (GRID_POINTS - 1), bounds + VALUE_TOL
+    j = np.minimum(np.floor(bound / step), GRID_POINTS - 2)
+    j -= j * step > bound
+    j += (j < GRID_POINTS - 2) & ((j + 1.0) * step <= bound)
+    return (j + 1.0).astype(np.intp)
+
+
+def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, last: np.ndarray):
     """Coarse GRID_POINTS grid of the instances ``rows``: (instance, rank, time, value,
     a, b) of their three lowest useful local grid minima, boundaries included, ties in
     grid order, with the brackets [a, b] between the grid neighbours.  A minimum is useful
-    when its bracket starts within bound + VALUE_TOL; the grid runs to the right
-    neighbour of the chunk's last useful point, and no instance reads past its own."""
-    ts = np.linspace(0.0, t_caps, GRID_POINTS, axis=1)
-    last = np.minimum((ts <= (bounds + VALUE_TOL)[:, None]).sum(axis=1, keepdims=True),
-                      GRID_POINTS - 1)
+    up to the column ``last`` of ``_grid_last``; the grid, np.linspace's times, runs to
+    the right neighbour of the call's last useful point; no instance reads past its own."""
     cols = np.arange(min(last.max() + 2, GRID_POINTS))
-    vals = objective(rows, ts[:, :cols.size])
+    ts = cols * (t_caps / (GRID_POINTS - 1))[:, None]
+    ts[:, GRID_POINTS - 1:] = t_caps[:, None]  # np.linspace's last time, if the call has it
+    vals = objective(rows, ts)
     edge = np.full((rows.size, 1), np.inf)
     padded = np.concatenate((edge, vals, edge), axis=1)
     inst, at = ((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]) & (cols <= last)).nonzero()
@@ -237,20 +251,18 @@ def _grid_brackets(objective, rows: np.ndarray, t_caps: np.ndarray, bounds: np.n
     top = rank < 3
     inst, at, rank = inst[top], at[top], rank[top]
     return (rows[inst], rank, ts[inst, at], vals[inst, at],
-            ts[inst, np.maximum(at - 1, 0)], ts[inst, np.minimum(at + 1, GRID_POINTS - 1)])
+            ts[inst, np.maximum(at - 1, 0)], ts[inst, np.minimum(at + 1, cols.size - 1)])
 
 
-def _minimize(objective, t_caps: np.ndarray, bounds: np.ndarray,
-              chunk: int | None = None) -> list[TataruResult]:
+def _minimize(objective, t_caps: np.ndarray, bounds: np.ndarray, size: int) -> list[TataruResult]:
     """Coarse grid plus a batched bracket zoom around each instance's best local minima.
 
-    ``objective(rows, ts)`` maps instance indices (R,) into ``t_caps`` and
-    times (R, T) to objective values (R, T).  It is called once on the grid of
-    every ``chunk`` instances (all of them for None), keeping only the three
-    best useful brackets of each, then once per zoom step for all instances
-    and once for the refined values.  The minimizer set of an instance
-    collects all its grid and refined minima whose value is within VALUE_TOL
-    of its best one.
+    ``objective(rows, ts)`` maps instance indices (R,) into ``t_caps`` and times
+    (R, T) to objective values (R, T), in calls of at most max(BLOCK_ELEMENTS,
+    GRID_POINTS * size) flow elements, size per time: on the grids of consecutive
+    instances, keeping the three best useful brackets of each, then on whole
+    instances' brackets per zoom step and for the refined values.  The minimizer set
+    of an instance collects its grid and refined minima within VALUE_TOL of its best.
 
     ``bounds[i]`` is F(0) of an objective F that dominates t (D(pi, mu) for
     Tataru), or t_caps[i] for the full grid.  A bracket that starts beyond
@@ -260,10 +272,14 @@ def _minimize(objective, t_caps: np.ndarray, bounds: np.ndarray,
     a superset of its useful brackets, so its value is never larger.
     """
     n = t_caps.size
-    chunk = n if chunk is None else chunk
-    parts = [_grid_brackets(objective, np.arange(lo, min(lo + chunk, n)),
-                            t_caps[lo:lo + chunk], bounds[lo:lo + chunk])
-             for lo in range(0, n, chunk)]
+    per_call, last = max(BLOCK_ELEMENTS // size, GRID_POINTS), _grid_last(t_caps, bounds)
+    cols, parts, lo = np.minimum(last + 2, GRID_POINTS), [], 0
+    while lo < n:  # the longest run of grids, padded to the widest, within per_call
+        w = np.maximum.accumulate(cols[lo:lo + per_call // 2])
+        hi = lo + int((w * np.arange(1, w.size + 1)).searchsorted(per_call, side="right"))
+        rows = np.arange(lo, hi)
+        parts.append(_grid_brackets(objective, rows, t_caps[lo:hi], last[rows, None]))
+        lo = hi
     inst, rank, grid_t, grid_v, a, b = (np.concatenate(col) for col in zip(*parts))
     cand_t = np.full((n, 6), np.inf)
     cand_v = np.full((n, 6), np.inf)
@@ -272,9 +288,10 @@ def _minimize(objective, t_caps: np.ndarray, bounds: np.ndarray,
 
     keep = b > a
     inst, rank = inst[keep], rank[keep]
-    t_star = _zoom(objective, inst, a[keep], b[keep])
+    t_star = _zoom(objective, inst, a[keep], b[keep], per_call // ZOOM_POINTS)
     cand_t[inst, 3 + rank] = t_star
-    cand_v[inst, 3 + rank] = objective(inst, t_star[:, None])[:, 0]
+    for lo, hi in _runs(inst, per_call):
+        cand_v[inst[lo:hi], 3 + rank[lo:hi]] = objective(inst[lo:hi], t_star[lo:hi, None])[:, 0]
 
     best = cand_v.min(axis=1)
     near = np.sort(np.where(cand_v <= (best + VALUE_TOL)[:, None], cand_t, np.inf), axis=1)
@@ -293,15 +310,13 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
     """Tataru distances (smoothed by eps unless None) from the rows pis[i] to mus[i].
 
     ``pis`` and ``mus`` are coordinate rows (N, size), checked by ``ModelSpace.rows``.
-    ``kappas[i]`` overrides the space's kappa for instance i (None keeps it).
-    ``eps`` is None, one value for all instances or one value per instance.
+    ``kappas[i]`` overrides the space's kappa for instance i (None keeps it); it must
+    be finite.  ``eps`` is None, one value for all instances or one value per instance.
     The search interval [0, T_cap] with T_cap = d(pi, mu) + 1 (d_eps for the
     smoothed variant) is exhaustive: the objective at t = 0 equals that
     distance and exceeds it for t > T_cap since the objective dominates t;
-    that distance is the instance's bound in ``_minimize``.
-    The grid runs on chunks of instances and the zoom on blocks of them (see
-    BLOCK_ELEMENTS); each result is the same, bit for bit, whatever chunk and
-    block it lands in.
+    that distance is the instance's bound in ``_minimize``.  Each result is the
+    same, bit for bit, whatever objective call its instance shares.
     """
     pis, mus = space.rows(pis), space.rows(mus)
     n = len(pis)
@@ -313,15 +328,9 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
         if eps.ndim and eps.shape != (n,):
             raise ValueError("eps must be one value or one per instance")
         eps = np.broadcast_to(eps, n)
-    kappa_hats = [min(space.kappa if k is None else k, 0.0) for k in kappas]
-    curve = HCurve(space, pis, mus, eps, kappa_hats)
+    kappas = np.array([space.kappa if k is None else k for k in kappas], dtype=float)
+    if not np.isfinite(kappas).all():
+        raise ValueError("kappas must be finite")
+    curve = HCurve(space, pis, mus, eps, np.minimum(kappas, 0.0))
     d0 = curve.d0()
-    t_caps = d0 + 1.0
-    cap = max(BLOCK_ELEMENTS, GRID_POINTS * space.size)
-    chunk = cap // (GRID_POINTS * space.size)
-    block = cap // (3 * ZOOM_POINTS * space.size)
-    results: list[TataruResult] = []
-    for lo in range(0, n, block):
-        results += _minimize(lambda rows, ts, lo=lo: ts + curve.h(ts, rows + lo),
-                             t_caps[lo:lo + block], d0[lo:lo + block], chunk=chunk)
-    return results
+    return _minimize(lambda r, ts: ts + curve.h(ts, r), d0 + 1.0, d0, space.size) if n else []

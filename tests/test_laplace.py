@@ -178,8 +178,8 @@ def test_run_laplace_curve_writes_computed_neg_log_from_one_minimization(tmp_pat
             minimized.append((pi.tolist(), mu.tolist(), None if eps is None else eps.tolist()))
             super().__init__(space, pi, mu, eps, kappa_hat)
 
-    # tataru_batch builds one curve per block of instances, laplace's own curves
-    # are bound in laplace and not counted
+    # tataru_batch builds one curve per call, for all its instances; laplace's
+    # own curves are bound in laplace and not counted
     monkeypatch.setattr(tataru_module, "HCurve", Counted)
     run_laplace(cfg, tmp_path)
     assert minimized.count(([list(lc.pi)], [list(lc.mu)], [lc.epsilon])) == 1

@@ -297,7 +297,7 @@ def test_zoom_refines_every_local_minimum_in_one_batch_per_step():
         calls.append(ts.size)
         return _two_wells(ts)
 
-    (res,) = _minimize(objective, np.array([4.0]), np.array([4.0]))
+    (res,) = _minimize(objective, np.array([4.0]), np.array([4.0]), 1)
     assert res.value == pytest.approx(0.0, abs=1e-18)
     assert np.allclose(res.minimizers, [1.0, 3.0], atol=1e-9)
     # one grid call, then zoom steps on both brackets together (width
@@ -317,13 +317,13 @@ def test_zoom_stops_each_instance_on_its_own():
         return np.stack([wells[r](t) for r, t in zip(rows, ts)]).reshape(ts.shape)
 
     t_caps = np.array([4.0, 0.04])
-    both = _minimize(objective, t_caps, t_caps)
+    both = _minimize(objective, t_caps, t_caps, 1)
     assert calls == ([(2, GRID_POINTS)] + [(3, 33)] * 6 + [(2, 33)] * 2 + [(3, 1)])
     assert np.allclose(both[0].minimizers, [1.0, 3.0], atol=1e-9)
     assert np.allclose(both[1].minimizers, [0.01], atol=1e-9)
     for well, t_cap, res in zip(wells, (4.0, 0.04), both):
         (alone,) = _minimize(lambda rows, ts, well=well: well(ts), np.array([t_cap]),
-                             np.array([t_cap]))
+                             np.array([t_cap]), 1)
         assert res.value == alone.value
         assert np.array_equal(res.minimizers, alone.minimizers)
         assert res.t_cap == alone.t_cap
@@ -370,13 +370,14 @@ def per_instance_rows(cfg) -> list:
 _QUANTILE_PI = np.sort(np.random.default_rng(3).uniform(-2.0, 2.0, 64)).tolist()
 _QUANTILE_MU = np.sort(np.random.default_rng(4).uniform(-2.0, 2.0, 64)).tolist()
 SUITE_CONFIGS = {
-    # 12 instances give 132 triples: 4 blocks of 32 and one of 4
+    # 12 instances give 133 triples: grid calls of about 42 cut grids of some
+    # 390 times, and one zoom call per step
     "quadratic_1d": {"space": {"potential": "quadratic", "kappa": 1.0},
                      "tataru": {"instances": 12}},
-    # blocks of 10 instances: 13 full blocks and one of 2
+    # grid calls of up to 14 instances, one zoom call per step
     "quartic_3d": {"space": {"potential": "quartic", "size": 3, "sample_radius": 1.5},
                    "tataru": {"instances": 12, "pi": [0.0, 0.5, -1.0], "mu": [1.0, 2.0, 3.0]}},
-    # grid chunks of one instance, zoom blocks of five
+    # grid calls of one to four instances, zoom calls of up to 15 brackets
     "double_well_quantile": {"space": {"kind": "quantile", "potential": "double_well",
                                        "kappa": -0.5, "size": 64},
                              "tataru": {"instances": 2, "pi": _QUANTILE_PI,
@@ -396,10 +397,11 @@ def test_batched_tataru_suite_matches_per_instance_oracle(name, tmp_path):
 def test_batched_tataru_suite_is_independent_of_block_size(name, monkeypatch, tmp_path):
     cfg = config_from_dict({"seed": 19, **SUITE_CONFIGS[name]})
     oracle = per_instance_rows(cfg)
-    # blocks of 7 instances: 11 * n triples is not a multiple of 7 for these n
+    # seven full grids' times per call: grid calls of about 9 instances and zoom
+    # calls of 108 brackets on the euclidean spaces, grid calls of 19 and 4
+    # instances and one zoom call per step on the quantile space
     size = cfg.space.build().size
     monkeypatch.setattr(TATARU_MODULE, "BLOCK_ELEMENTS", 7 * GRID_POINTS * size)
-    assert (11 * cfg.tataru.instances) % 7 != 0
     assert cli.run_tataru(cfg, tmp_path).rows == oracle
 
 
@@ -427,7 +429,15 @@ def test_tataru_batch_rejects_mismatched_inputs(ou):
         tataru_batch(ou, [[0.0]], [[1.0]], eps=0.0)
     with pytest.raises(ValueError, match="one per instance"):
         tataru_batch(ou, [[0.0], [1.0]], [[1.0], [2.0]], eps=[0.1, 0.2, 0.3])
+    # a NaN or infinite kappa would give the value inf with no minimizer, above
+    # F(0) = d(pi, mu) = 3
+    for kappa in (np.nan, -np.inf, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tataru_batch(ou, [[0.0]], [[3.0]], [kappa])
+        with pytest.raises(ValueError, match="finite"):
+            tataru_batch(ou, [[0.0], [0.0]], [[3.0], [1.0]], [None, kappa], eps=0.1)
     assert tataru_batch(ou, np.empty((0, 1)), np.empty((0, 1))) == []
+    assert tataru_batch(ou, np.empty((0, 1)), np.empty((0, 1)), [], eps=[]) == []
 
 
 def assert_same_results(got, want):
@@ -442,17 +452,17 @@ QUANTILE_64 = quantile_space(double_well_potential(-0.5), grid_size=64)
 
 
 @pytest.mark.parametrize("eps_mode", ["none", "one", "each"])
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_tataru_batch_on_quantile_space_matches_single_calls(eps_mode, chunk, monkeypatch):
-    # chunk 1: the 2**14 default, grid chunks of one instance and zoom blocks
-    # of 5, so 7 instances zoom as 5 + 2; chunk 3: grid chunks of 3 + 3 + 1 in
-    # one zoom block of 15
+@pytest.mark.parametrize("grids", [1, 3])
+def test_tataru_batch_on_quantile_space_matches_single_calls(eps_mode, grids, monkeypatch):
+    # grids 1: the 2**14 default, one full grid's times per call, so the grid
+    # calls hold the cut grids of a few instances and the zoom calls 15
+    # brackets; grids 3: three full grids' times, 46 brackets per zoom call
     space = QUANTILE_64
-    if chunk > 1:
-        monkeypatch.setattr(TATARU_MODULE, "BLOCK_ELEMENTS", chunk * GRID_POINTS * space.size)
+    if grids > 1:
+        monkeypatch.setattr(TATARU_MODULE, "BLOCK_ELEMENTS", grids * GRID_POINTS * space.size)
     cap = max(TATARU_MODULE.BLOCK_ELEMENTS, GRID_POINTS * space.size)
-    assert cap // (GRID_POINTS * space.size) == chunk
-    assert cap // (3 * ZOOM_POINTS * space.size) == (5 if chunk == 1 else 15)
+    assert cap // (GRID_POINTS * space.size) == grids
+    assert cap // (ZOOM_POINTS * space.size) == (15 if grids == 1 else 46)
     rng = np.random.default_rng(31)
     n = 7
     mus = [space.sample(rng) for _ in range(n)]
@@ -487,15 +497,121 @@ def test_minimize_grid_chunks_match_one_grid_call(eps):
                        kappa_hats[lo:hi])
         return lambda rows, ts: ts + curve.h(ts, rows)
 
-    # the objective at t = 0 bounds each grid, so chunk-mates run grids of
-    # different lengths
+    # the objective at t = 0 bounds each grid, so call-mates run grids of
+    # different lengths, padded to the longest
     bounds = HCurve(space, pis, mus, eps, kappa_hats).d0()
     # reference: every instance minimized alone, with an objective of its own
-    alone = [_minimize(objective(i, i + 1), t_caps[i:i + 1], bounds[i:i + 1])[0]
+    alone = [_minimize(objective(i, i + 1), t_caps[i:i + 1], bounds[i:i + 1], space.size)[0]
              for i in range(n)]
     assert all(np.isfinite(res.value) and res.minimizers.size for res in alone)
-    for chunk in (None, 1, 2, n):
-        assert_same_results(_minimize(objective(0, n), t_caps, bounds, chunk=chunk), alone)
+    # size only sets the times per call: GRID_POINTS, twice that, and all n grids
+    for size in (space.size, 16, 1):
+        assert_same_results(_minimize(objective(0, n), t_caps, bounds, size), alone)
+
+
+def spied_calls(monkeypatch) -> list:
+    """(rows, ts shape) of every objective call that ``_minimize`` makes from now on."""
+    calls = []
+    minimize = TATARU_MODULE._minimize
+
+    def spy(objective, t_caps, bounds, size):
+        def seen(rows, ts):
+            calls.append((rows.copy(), ts.shape))
+            return objective(rows, ts)
+        return minimize(seen, t_caps, bounds, size)
+
+    monkeypatch.setattr(TATARU_MODULE, "_minimize", spy)
+    return calls
+
+
+def assert_packed_calls(calls, n, widths, size):
+    """The objective calls of one n-instance minimization: grid calls over consecutive
+    instances, each as long as the bound lets it be, then zoom calls (ZOOM_POINTS
+    times per bracket) and final calls (one), each on whole instances; no call holds
+    more than max(BLOCK_ELEMENTS, GRID_POINTS * size) flow elements.  Returns the
+    zoom calls' rows."""
+    cap = max(TATARU_MODULE.BLOCK_ELEMENTS, GRID_POINTS * size)
+    assert all(np.prod(shape) * size <= cap for _, shape in calls)
+    grid, lo = 0, 0
+    while lo < n:
+        rows, shape = calls[grid]
+        assert np.array_equal(rows, np.arange(lo, lo + rows.size))
+        assert shape == (rows.size, widths[rows].max())
+        lo, grid = lo + rows.size, grid + 1
+        if lo < n:  # the next instance would overflow the call
+            assert (rows.size + 1) * widths[rows[0]:lo + 1].max() * size > cap
+    rest = calls[grid:]
+    final = [rows for rows, shape in rest if shape[1] == 1]
+    zoom = len(rest) - len(final)
+    assert [shape[1] for _, shape in rest] == [ZOOM_POINTS] * zoom + [1] * len(final)
+    brackets = np.bincount(np.concatenate(final), minlength=n)
+    assert np.all(brackets >= 1)
+    for rows, _ in rest:
+        # no call splits the brackets of one instance
+        assert np.array_equal(np.bincount(rows, minlength=n)[rows], brackets[rows])
+    return [rows for rows, _ in rest[:zoom]]
+
+
+@pytest.mark.parametrize("eps_mode", ["none", "one", "each"])
+@pytest.mark.parametrize("space", [
+    euclidean_space(quadratic_potential(1.0)),
+    euclidean_space(quartic_potential(), dim=3, sample_radius=1.5),
+    QUANTILE_64,
+], ids=["ou", "quartic_3d", "double_well_quantile"])
+def test_objective_calls_are_bounded_and_keep_instances_whole(space, eps_mode, monkeypatch):
+    # enough instances that the first zoom step takes more than one call
+    n = {1: 700, 3: 240, 64: 34}[space.size]
+    rng = np.random.default_rng(23)
+    mus = space.sample(rng, (n,))
+    pis = np.stack([flow(space, mu, float(rng.uniform(0.05, 2.0))) if i % 3 == 1
+                    else space.sample(rng) for i, mu in enumerate(mus)])
+    kappas = [float(rng.uniform(-1.0, 1.0)) if i % 4 == 2 else None for i in range(n)]
+    eps = {"none": None, "one": 0.2, "each": rng.uniform(0.05, 0.7, size=n)}[eps_mode]
+    calls = spied_calls(monkeypatch)
+    tataru_batch(space, pis, mus, kappas, eps=eps)
+    d0 = HCurve(space, pis, mus, eps).d0()
+    widths = np.minimum(TATARU_MODULE._grid_last(d0 + 1.0, d0) + 2, GRID_POINTS)
+    zoom = assert_packed_calls(calls, n, widths, space.size)
+    assert zoom[0].size < n  # every instance has a bracket
+
+
+def test_zoom_calls_keep_two_bracket_instances_whole():
+    # instances with two wells (two brackets) and with one, at the 15 brackets per
+    # zoom call of a 64-point space: runs end before an instance that would not fit
+    calls = []
+    wells = (_two_wells, _one_well)
+    n = 40
+
+    def objective(rows, ts):
+        calls.append((rows.copy(), ts.shape))
+        return np.stack([wells[r % 2 if r % 5 else 0](t) for r, t in zip(rows, ts)])
+
+    t_caps = np.where(np.arange(n) % 2 & (np.arange(n) % 5 > 0), 0.04, 4.0)
+    results = _minimize(objective, t_caps, t_caps, 64)
+    assert_packed_calls(calls, n, np.full(n, GRID_POINTS), 64)
+    zoom = [rows for rows, shape in calls if shape[1] == ZOOM_POINTS]
+    assert max(rows.size for rows in zoom) == 15
+    assert any(rows.size == 14 for rows in zoom)
+    for i, res in enumerate(results):
+        assert np.allclose(res.minimizers, [1.0, 3.0] if t_caps[i] == 4.0 else [0.01], atol=1e-9)
+
+
+def test_curved_flows_tataru_suite_packs_its_grids(monkeypatch, tmp_path):
+    # the tataru suite on the 64-point double well at 3 instances minimizes
+    # 34 triples; one grid per call would make 34 grid calls
+    rng = np.random.default_rng(7)
+    cfg = config_from_dict({
+        "seed": 7, "space": {"kind": "quantile", "potential": "double_well", "kappa": -0.5,
+                             "size": 64},
+        "tataru": {"instances": 3, "pi": np.sort(rng.uniform(-2.0, 2.0, 64)).tolist(),
+                   "mu": np.sort(rng.uniform(-2.0, 2.0, 64)).tolist()}})
+    calls = spied_calls(monkeypatch)
+    cli.run_tataru(cfg, tmp_path)
+    grid, covered = 0, 0
+    while covered < 34:  # the grid calls come first and cover each triple once
+        covered, grid = covered + calls[grid][0].size, grid + 1
+    assert covered == 34 and calls[grid][1][1] == ZOOM_POINTS
+    assert grid <= 10
 
 
 def test_psi_eps_and_prime_equal_both_functions():

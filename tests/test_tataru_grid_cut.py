@@ -22,9 +22,9 @@ from hjflow.tataru import GRID_POINTS, VALUE_TOL, HCurve, _minimize, tataru_batc
 from row_helpers import distance, flow
 
 
-def full_grid_brackets(objective, rows, t_caps, bounds):
+def full_grid_brackets(objective, rows, t_caps, last):
     """Oracle: the brackets of the three lowest local minima of the full grid,
-    whatever the bounds."""
+    whatever the last useful points."""
     ts = np.linspace(0.0, t_caps, GRID_POINTS, axis=1)
     vals = objective(rows, ts)
     edge = np.full((rows.size, 1), np.inf)
@@ -148,9 +148,74 @@ def test_bracket_starting_within_the_bound_is_kept():
 
     ts = np.linspace(0.0, 2.0, GRID_POINTS)
     assert ts[255] <= d < ts[256] and objective(None, ts[None, :256])[0, 0] == d
-    (res,) = _minimize(objective, t_caps, bounds)
+    (res,) = _minimize(objective, t_caps, bounds, 1)
     assert res.value == pytest.approx(t_star, abs=1e-10)
     np.testing.assert_allclose(res.minimizers, [t_star], atol=1e-9)
-    (full,) = _minimize(objective, t_caps, t_caps)
+    (full,) = _minimize(objective, t_caps, t_caps, 1)
     assert res.value == full.value and np.array_equal(res.minimizers, full.minimizers)
     assert res.value < d - VALUE_TOL
+
+
+def linspace_last(t_caps, bounds):
+    """Oracle: the grid's own count of times within bound + VALUE_TOL, at most
+    GRID_POINTS - 1, from the full (n, GRID_POINTS) grid."""
+    ts = np.linspace(0.0, t_caps, GRID_POINTS, axis=1)
+    return np.minimum((ts <= (bounds + VALUE_TOL)[:, None]).sum(axis=1), GRID_POINTS - 1)
+
+
+def assert_last_matches_linspace(t_caps, bounds):
+    got = TATARU_MODULE._grid_last(t_caps, bounds)
+    assert got.dtype.kind == "i"
+    np.testing.assert_array_equal(got, linspace_last(t_caps, bounds))
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@pytest.mark.parametrize("eps", [None, 1e-12, 1e-3, 0.3, 1e3])
+def test_grid_last_matches_linspace_count(name, eps):
+    # pi = mu (D = 0, or psi_eps(0) with eps), pi on the flow of mu, random
+    # pairs and far pairs; eps tiny and large
+    space = SPACES[name]
+    rng = np.random.default_rng(47)
+    pis, mus, _ = instances(space, rng, 300)
+    pis[::5] = mus[::5]
+    pis[1::7] = mus[1::7] + 40.0 * np.sign(rng.uniform(-1.0, 1.0, pis[1::7].shape))
+    pis = space.rows(np.sort(pis) if space.kind == "quantile" else pis)
+    d0 = HCurve(space, pis, mus, None if eps is None else np.full(300, eps)).d0()
+    assert np.any(d0[::5] == d0.min())
+    assert_last_matches_linspace(d0 + 1.0, d0)
+
+
+def test_grid_last_on_and_beside_grid_points():
+    # bounds with bound + VALUE_TOL exactly on a grid time j * step, and one ulp
+    # either side of that bound; any t_cap, j from 0 to GRID_POINTS - 1
+    rng = np.random.default_rng(53)
+    t_caps = np.concatenate((rng.uniform(1.0, 6.0, 4000), 10.0 ** rng.uniform(0.0, 8.0, 4000)))
+    j = rng.integers(0, GRID_POINTS, t_caps.size)
+    times = np.linspace(0.0, t_caps, GRID_POINTS, axis=1)[np.arange(t_caps.size), j]
+    bounds = times - VALUE_TOL
+    on = bounds + VALUE_TOL == times
+    assert on.sum() > 1000
+    for b in (bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf)):
+        assert_last_matches_linspace(t_caps, b)
+    assert_last_matches_linspace(t_caps[on], bounds[on])
+
+
+def test_grid_last_when_every_grid_time_counts():
+    # D large against 1: every grid time before t_cap = D + 1 lies within D, so
+    # the last useful point is GRID_POINTS - 1; D = t_cap counts t_cap too
+    d = np.array([0.0, 1e-300, 509.0, 510.0, 511.0, 1e3, 1e6, 1e12, 1e300])
+    assert_last_matches_linspace(d + 1.0, d)
+    assert list(TATARU_MODULE._grid_last(d + 1.0, d)[-4:]) == [GRID_POINTS - 1] * 4
+    t_caps = np.array([1.0, 2.0, 3.5])
+    assert_last_matches_linspace(t_caps, t_caps)
+    assert list(TATARU_MODULE._grid_last(t_caps, t_caps)) == [GRID_POINTS - 1] * 3
+
+
+def test_full_grid_ends_at_t_cap_itself():
+    # F(t) = -t is least at t_cap, where np.linspace puts t_cap itself, not
+    # 511 * (t_cap / 511), one ulp off for the first two t_caps
+    t_caps = np.array([1.9962, 1.9964, 4.0])
+    assert list((GRID_POINTS - 1) * (t_caps / (GRID_POINTS - 1)) != t_caps) == [True, True, False]
+    results = _minimize(lambda rows, ts: -ts, t_caps, t_caps, 1)
+    for res, t_cap in zip(results, t_caps):
+        assert res.value == -t_cap

@@ -82,6 +82,8 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path) -> Report:
 
     pi = _config_point(space, cfg.tataru.pi, "tataru.pi")
     mu = _config_point(space, cfg.tataru.mu, "tataru.mu")
+    if not np.isfinite(HCurve(space, pi, mu).d0()):
+        raise ConfigError("tataru.pi", "D(pi, mu) from tataru.pi to tataru.mu must be finite")
     # Draw every sample first, property by property, and note which (pi, mu,
     # kappa) triples each row needs; then minimize all triples, the config pair
     # first, in one batch.

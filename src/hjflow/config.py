@@ -221,7 +221,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     _grid_step(rc.dx, "resolvent.dx", cfg.space.box)
     _positive_finite(rc.control_bound, "resolvent.control_bound")
     _positive_finite(rc.tol, "resolvent.tol")
-    _integer(rc.n_controls, "resolvent.n_controls", 2)
+    _integer(rc.n_controls, "resolvent.n_controls", 3)
+    if rc.n_controls % 2 == 0:
+        raise ConfigError("resolvent.n_controls", "must be odd so that c = 0 is a control")
     _positive_finite(rc.dt_factor, "resolvent.dt_factor")
     if rc.dt_factor <= 1:
         raise ConfigError("resolvent.dt_factor", "must exceed 1 (dt < lam)")

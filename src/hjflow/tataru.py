@@ -333,4 +333,6 @@ def tataru_batch(space: ModelSpace, pis, mus, kappas: Sequence[float | None] | N
         raise ValueError("kappas must be finite")
     curve = HCurve(space, pis, mus, eps, np.minimum(kappas, 0.0))
     d0 = curve.d0()
+    if not np.isfinite(d0).all():
+        raise ValueError("D(pi, mu) must be finite")
     return _minimize(lambda r, ts: ts + curve.h(ts, r), d0 + 1.0, d0, space.size) if n else []

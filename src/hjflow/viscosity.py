@@ -12,11 +12,19 @@ matrix has two nonzeros per row, and it is solved exactly by Howard's policy
 iteration: fix a control per grid point, solve the linear system
 (I - beta P) u = r for that policy, improve the policy greedily, and stop when
 no grid point gains.  The iterates increase monotonically, which is asserted.
-The scheme's geometry (grid, controls, foot cells and interpolation weights)
-depends on the potential, the box, dt, dx and the control set but not on h or
-lam, so ``_scheme`` computes it once per scheme and every solve on that scheme
-shares its read-only arrays.  Row i of I - beta P is nonzero only in columns i,
-idx and idx + 1; a policy step solves it by LAPACK's banded LU (dgbsv) when those
+A greedy step needs the best of the K grid controls at every grid point.  The
+controls whose feet share a cell, or are clipped at the box, form a run, and on
+a run Q is a concave quadratic in c with curvature -dt, largest at c* = beta
+(u_{k+1} - u_k) / (x_{k+1} - x_k), or at c* = 0 if clipped.  So only the two
+grid controls around c* can win: any other loses by at least dt dc^2 / 2 for the
+control step dc (6e-10 at 8193 controls and dt = 1/200), far above rounding.
+Sweeps evaluate these candidates in ascending column order, keeping np.argmax's
+lowest-column ties, so policies and values equal those of a full (n, K) sweep
+bit for bit.  The scheme's geometry (grid, controls, feet and runs) depends on
+the potential, the box, dt, dx and the control set but not on h or lam, so
+``_scheme`` computes it once per scheme and every solve on that scheme shares
+its read-only arrays.  Row i of I - beta P is nonzero only in columns i, idx and
+idx + 1; a policy step solves it by LAPACK's banded LU (dgbsv) when those
 columns stay within ``_MAX_BAND`` of the diagonal, and by sparse LU otherwise.
 The answer carries a checked certificate: since T is a beta-contraction,
 ||u - u*|| <= ||T u - u|| / (1 - beta), and the solve raises unless that bound
@@ -55,7 +63,7 @@ class GridFunction:
         values = np.array(self.values, dtype=float)
         if xs.shape != values.shape or xs.ndim != 1:
             raise ValueError("grid and values must be matching 1-d arrays")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("grid values must be finite")
         xs.setflags(write=False)
         values.setflags(write=False)
@@ -98,6 +106,8 @@ _POLICY_GAIN = 1e-13
 _MAX_BAND = 64
 _MAX_POLICY_STEPS = 200000
 _GAP_TOL = 1e-6
+# candidate Q-values a Bellman sweep holds at once, 128 kB an array
+_CANDIDATES = 1 << 14
 
 
 def make_grid(box: float = 5.0, dx: float = 1.0 / 200.0) -> np.ndarray:
@@ -106,22 +116,41 @@ def make_grid(box: float = 5.0, dx: float = 1.0 / 200.0) -> np.ndarray:
 
 
 # one scheme at a time: every caller finishes the solves of one scheme before the
-# next, and a scheme at the default dx holds about 6 MB (2001 x 129 cells, 24 B each)
+# next.  At the default dx and dt a scheme holds 4 MB of feet (2001 x 129, a cell and
+# a weight each) and 1.1 MB of runs (2001 rows of 17, four numbers each)
 @lru_cache(maxsize=1)
 def _scheme(potential, box: float, dt: float, dx: float, control_bound: float,
             n_controls: int) -> tuple[np.ndarray, ...]:
-    """The read-only geometry (xs, controls, idx, w0, w1) shared by a scheme's solves:
-    the foot of grid point i under control j lies in cell idx[i, j], with weights
-    w0[i, j] and w1[i, j] on its two ends."""
+    """The read-only geometry (xs, controls, cell, w1, idx, to_col, lo, hi) of a scheme.
+
+    The foot of grid point i under control j, x_i + dt (drift_i + c_j) clipped to the
+    box, lies in cell[i, j] with weight w1[i, j] on its right end.  (R, 1, n) arrays
+    hold the r-th run lo..hi of every row, in cell idx, a row of fewer runs repeating
+    its last; c* lies in column beta (u[idx + 1] - u[idx]) to_col + (K - 1) / 2.
+    """
     xs = make_grid(box, dx)
     controls = np.linspace(-control_bound, control_bound, n_controls)
-    drift = -potential.dv(xs)
-    targets = np.clip(xs[:, None] + dt * (drift[:, None] + controls[None, :]),
-                      xs[0], xs[-1])
-    idx = np.clip(np.searchsorted(xs, targets) - 1, 0, xs.size - 2)
-    w1 = (targets - xs[idx]) / (xs[idx + 1] - xs[idx])
-    w0 = 1.0 - w1
-    scheme = (xs, controls, idx, w0, w1)
+    feet = np.add.outer(-potential.dv(xs), controls)  # in place: no (n, K) temporaries
+    feet *= dt
+    feet += xs[:, None]
+    key = np.searchsorted(xs, feet) - 1  # the cell, or -1 and n - 1 outside the box
+    new = np.ones(key.shape, dtype=bool)  # the first column of each run
+    np.not_equal(key[:, 1:], key[:, :-1], out=new[:, 1:])
+    start = np.flatnonzero(new)
+    rows, cols = np.divmod(start, n_controls)
+    count = np.bincount(rows, minlength=xs.size)
+    last = np.cumsum(count) - 1
+    at = np.minimum(np.arange(count.max())[:, None, None] + (last + 1 - count), last)
+    hi = np.where(at == last, n_controls - 1, np.append(cols, 0)[at + 1] - 1)
+    run_key = key.ravel()[start[at]]
+    idx = np.clip(run_key, 0, xs.size - 2)
+    # columns per unit slope; 0 on a clipped run, whose c* is 0
+    to_col = (run_key == idx) * (0.5 * (n_controls - 1) / control_bound) / (
+        xs[idx + 1] - xs[idx])
+    cell = np.clip(key, 0, xs.size - 2, out=key)
+    w1 = np.subtract(np.clip(feet, xs[0], xs[-1], out=feet), xs[cell], out=feet)
+    w1 /= (xs[1:] - xs[:-1])[cell]
+    scheme = (xs, controls, cell, w1, idx, to_col, cols[at].astype(float), hi.astype(float))
     for arr in scheme:
         arr.setflags(write=False)
     return scheme
@@ -146,6 +175,7 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
     control_bound : controls range over [-U, U] with 129 candidates by default
     dt : semi-Lagrangian step, defaults to lam/50; must satisfy 0 < dt < lam
     dx : grid step, positive and at most ``space.box``
+    n_controls : odd, at least 3, so that c = 0 is one of the controls
     """
     if space.kind != "euclidean" or space.size != 1:
         raise ValueError("resolvent solver requires the one-dimensional euclidean space")
@@ -157,28 +187,24 @@ def solve_resolvent(space: ModelSpace, lam: float, h, control_bound: float = 2.0
         raise ValueError("dt must satisfy 0 < dt < lam (time step too large or not positive)")
     if not 0 < dx <= space.box:
         raise ValueError(f"dx must be positive and at most space.box = {space.box}")
-    xs, controls, idx, w0, w1 = _scheme(space.potential, space.box, dt, dx,
-                                        control_bound, n_controls)
-    hv = np.asarray(h(xs), dtype=float)
-    if not np.all(np.isfinite(hv)):
+    if n_controls < 3 or n_controls % 2 == 0:
+        raise ValueError("n_controls must be odd and at least 3, so that c = 0 is a control")
+    scheme = _scheme(space.potential, space.box, dt, dx, control_bound, n_controls)
+    hv = np.asarray(h(scheme[0]), dtype=float)
+    if not np.isfinite(hv).all():
         raise ValueError("h must be finite on the grid")
-    reward = dt * (hv[:, None] / lam - 0.5 * controls[None, :] ** 2)
     beta = 1.0 - dt / lam
-
-    def q_values(u):  # u[1:][idx] is u[idx + 1] without the (n, K) index temporary
-        return reward + beta * (w0 * u[idx] + w1 * u[1:][idx])
-
-    sup_h = float(np.max(np.abs(hv)))
-    u, iterations, q = _policy_iteration(q_values, hv, idx, w0, w1, reward, beta, sup_h)
-    residual = float(np.max(np.abs(np.max(q, axis=1) - u)))
+    sup_h = float(np.abs(hv).max())
+    u, iterations, q_max = _policy_iteration(scheme, hv, hv / lam, dt, beta, sup_h)
+    residual = float(np.abs(q_max - u).max())
     if residual / (1.0 - beta) > tol:
         raise RuntimeError(
             f"policy iteration certificate failed: Bellman residual {residual:.3e} "
             f"/ (1 - beta) = {residual / (1.0 - beta):.3e} > tol {tol:.3e}"
         )
-    if float(np.max(np.abs(u))) > sup_h + 1e-6:
+    if float(np.abs(u).max()) > sup_h + 1e-6:
         raise RuntimeError("discounted-reward bound |u| <= sup|h| violated")
-    return ResolventSolution(u=GridFunction(xs, u), iterations=iterations,
+    return ResolventSolution(u=GridFunction(scheme[0], u), iterations=iterations,
                              contraction_factor=beta, dt=dt, dx=dx,
                              fixed_point_tol=tol, bellman_residual=residual)
 
@@ -195,11 +221,14 @@ def _policy_solve(idx, w0, w1, beta, r):
     kl, ku = max(0, int(offset.max())), max(0, 1 - int(offset.min()))
     if kl + ku > _MAX_BAND:
         return spsolve(_policy_matrix(idx, w0, w1, beta), r)
-    ab = np.zeros((2 * kl + ku + 1, idx.size), order="F")
-    ab[kl + ku] = 1.0
-    ab[kl + ku + offset, idx] -= beta * w0
-    ab[kl + ku - 1 + offset, idx + 1] -= beta * w1
-    _, _, u, info = dgbsv(kl, ku, ab, r, overwrite_ab=True)
+    height = 2 * kl + ku + 1
+    ab = np.zeros(height * idx.size)  # column-major: entry (row, col) at col * height + row
+    ab[kl + ku::height] = 1.0
+    at = idx * height + kl + ku + offset
+    ab[at] -= beta * w0
+    ab[at + height - 1] -= beta * w1
+    _, _, u, info = dgbsv(kl, ku, ab.reshape((height, idx.size), order="F"), r,
+                          overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"banded LU of I - beta P failed (dgbsv info {info})")
     return u
@@ -225,34 +254,57 @@ def _policy_matrix(idx, w0, w1, beta):
                              shape=(n, n))
 
 
-def _policy_iteration(q_values, u, idx, w0, w1, reward, beta, sup_h):
+def _policy_iteration(scheme, u, hl, dt, beta, sup_h):
     """Howard's algorithm, starting from the greedy policy for u = h.
 
     Each policy step solves (I - beta P) u = r for the current policy
     (``_policy_solve``).  A policy changes only where the gain is strictly above
     ``_POLICY_GAIN``, so ties cannot make it cycle.  Returns the value of the
-    final policy, the number of policy steps and the Q-values at the final u;
+    final policy, the number of policy steps and max_c Q at the final u;
     raises after ``_MAX_POLICY_STEPS`` steps.
     """
-    rows = np.arange(u.size)
+    xs, controls, cells, w1s, idx, to_col, lo, hi = scheme
+    (n, n_controls), rows = w1s.shape, np.arange(xs.size)
+    cells, w1s, at_row = cells.ravel(), w1s.ravel(), rows * n_controls
+    half_c2 = 0.5 * controls ** 2
+    pair = np.array([[0.0], [1.0]])
+    size = max(1, _CANDIDATES // (2 * n))
+    groups = [(g, idx[g:g + size], beta * to_col[g:g + size], lo[g:g + size], hi[g:g + size])
+              for g in range(0, idx.shape[0], size)]
+
+    def greedy(u):  # the best column and its Q-value among each run's two candidates
+        for g, idx_g, to_col_g, lo_g, hi_g in groups:
+            uk, uk1 = u[idx_g], u[1:][idx_g]
+            # the columns below and above c*, clipped to the run; (K - 1) / 2 is c = 0's
+            below = np.floor((uk1 - uk) * to_col_g + 0.5 * (n_controls - 1))
+            j = np.minimum(np.maximum(below + pair, lo_g), hi_g).astype(np.intp)
+            w1 = w1s[j + at_row]
+            q = dt * (hl - half_c2[j]) + beta * ((1.0 - w1) * uk + w1 * uk1)
+            pick = q.reshape(-1, n).argmax(axis=0) * n + rows
+            j, q = j.take(pick), q.take(pick)
+            if g:  # later runs win only by a strictly larger Q, as in np.argmax
+                j, q = np.where(q > q_best, j, best), np.maximum(q, q_best)
+            best, q_best = j, q
+        return best, q_best
+
     # the linear solve has condition number at most (1 + beta) / (1 - beta)
     roundoff = 1e-13 * (1.0 + sup_h) / (1.0 - beta)
-    q = q_values(u)
-    policy = np.argmax(q, axis=1)
+    policy, _ = greedy(u)
     for iterations in range(1, _MAX_POLICY_STEPS + 1):
-        u_new = _policy_solve(idx[rows, policy], w0[rows, policy], w1[rows, policy],
-                              beta, reward[rows, policy])
-        if iterations > 1 and float(np.max(u - u_new)) > roundoff:
+        at = at_row + policy
+        k, w1 = cells[at], w1s[at]
+        w0, r = 1.0 - w1, dt * (hl - half_c2[policy])
+        u_new = _policy_solve(k, w0, w1, beta, r)
+        if iterations > 1 and float((u - u_new).max()) > roundoff:
             raise RuntimeError(
                 f"policy iteration lost monotonicity at step {iterations}: "
                 f"value dropped by {float(np.max(u - u_new)):.3e}"
             )
         u = u_new
-        q = q_values(u)
-        best = np.argmax(q, axis=1)
-        improve = q[rows, best] > q[rows, policy] + _POLICY_GAIN
-        if not np.any(improve):
-            return u, iterations, q
+        best, q_best = greedy(u)
+        improve = q_best > r + beta * (w0 * u[k] + w1 * u[1:][k]) + _POLICY_GAIN
+        if not improve.any():
+            return u, iterations, q_best
         policy = np.where(improve, best, policy)
     raise RuntimeError(f"policy iteration did not converge in {_MAX_POLICY_STEPS} steps")
 

@@ -223,6 +223,9 @@ def test_import_leaves_out_scipy_special():
     ("resolvent.control_bound", float("nan")),
     ("resolvent.tol", 0),
     ("resolvent.n_controls", 1),
+    # an even control grid leaves out c = 0
+    ("resolvent.n_controls", 2),
+    ("resolvent.n_controls", 64),
     ("comparison.dx", "abc"),
     ("comparison.lam", float("inf")),
 ])
@@ -303,6 +306,8 @@ NAN = float("nan")
     ("resolvent", {"space": {"size": 2}}, "space.size"),
     ("comparison", {"space": {"size": 2}}, "space.size"),
     ("resolvent", {"space": {"kind": "quantile", "size": 1}}, "space.kind"),
+    # finite coordinates whose distance D(pi, mu) is not
+    ("tataru", {"tataru": {"pi": [1e200]}}, "tataru.pi"),
 ])
 def test_config_probe_errors(tmp_path, capsys, command, data, path):
     cfg_path = tmp_path / "bad.json"

@@ -440,6 +440,16 @@ def test_tataru_batch_rejects_mismatched_inputs(ou):
     assert tataru_batch(ou, np.empty((0, 1)), np.empty((0, 1)), [], eps=[]) == []
 
 
+@pytest.mark.parametrize("eps", [None, 0.1])
+def test_tataru_batch_rejects_an_infinite_distance(ou, eps):
+    # d(pi, mu)^2 overflows: the search cap would be inf and the grid empty
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"D\(pi, mu\) must be finite"):
+            tataru_batch(ou, [[1e200]], [[0.0]], eps=eps)
+        with pytest.raises(ValueError, match=r"D\(pi, mu\) must be finite"):
+            tataru_batch(ou, [[0.0], [1e200]], [[1.0], [0.0]], eps=eps)
+
+
 def assert_same_results(got, want):
     assert len(got) == len(want)
     for res, alone in zip(got, want):

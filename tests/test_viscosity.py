@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.sparse.linalg import spsolve
 from hjflow import viscosity
 from hjflow.cylinders import Affine
 from hjflow.hamiltonians import HamiltonianPair, build_cyl_pair
-from hjflow.spaces import euclidean_space
+from hjflow.spaces import euclidean_space, quadratic_potential
 from hjflow.viscosity import (
     GridFunction,
     check_viscosity,
@@ -80,6 +81,23 @@ def test_rejects_bad_control_bound(ou, bound):
         solve_resolvent(ou, 1.0, smooth_h, dx=0.1, control_bound=bound)
 
 
+@pytest.mark.parametrize("n_controls", [1, 2, 64])
+def test_rejects_control_grids_without_zero(ou, n_controls):
+    # an even grid leaves out c = 0, and K = 1 holds only -U: a constant h would no
+    # longer be a fixed point, and h = -0.7 broke the bound |u| <= sup|h|
+    with pytest.raises(ValueError, match="n_controls must be odd and at least 3"):
+        solve_resolvent(ou, 1.0, lambda x: np.full_like(np.asarray(x, float), -0.7),
+                        dx=0.05, n_controls=n_controls)
+
+
+@pytest.mark.parametrize("n_controls", [3, 65])
+@pytest.mark.parametrize("value", [-0.7, 0.7])
+def test_constant_h_on_odd_control_grids(ou, n_controls, value):
+    sol = solve_resolvent(ou, 1.0, lambda x: np.full_like(np.asarray(x, float), value),
+                          dx=0.05, n_controls=n_controls)
+    assert np.max(np.abs(sol.u.values - value)) <= 1e-8
+
+
 def test_requires_one_dimensional_euclidean(quantile_ou):
     with pytest.raises(ValueError, match="one-dimensional"):
         solve_resolvent(quantile_ou, 1.0, smooth_h)
@@ -101,8 +119,9 @@ def value_iteration(space, lam, h, control_bound=2.0, dt=None, dx=1.0 / 200.0,
     breaks the beta-contraction of the increments.
     """
     dt = lam / 50.0 if dt is None else dt
-    xs, controls, idx, w0, w1 = viscosity._scheme(space.potential, space.box, dt, dx,
-                                                  control_bound, n_controls)
+    xs, controls, idx, w1 = viscosity._scheme(space.potential, space.box, dt, dx,
+                                              control_bound, n_controls)[:4]
+    w0 = 1.0 - w1
     hv = np.asarray(h(xs), dtype=float)
     reward = dt * (hv[:, None] / lam - 0.5 * controls[None, :] ** 2)
     beta = 1.0 - dt / lam
@@ -144,7 +163,9 @@ def test_solver_contraction_metadata(ou, value_function):
     sol = value_function  # solve_resolvent at the oracle's dt and dx, tol = 1e-10
     assert (sol.dt, sol.dx) == (oracle.dt, oracle.dx)
     assert sol.contraction_factor == 1 - sol.dt / 1.0
-    xs, controls, idx, w0, w1 = viscosity._scheme(ou.potential, ou.box, sol.dt, sol.dx, 2.0, 129)
+    # the full (n, K) Q table at the returned u: the solver evaluates only candidates
+    xs, controls, idx, w1 = viscosity._scheme(ou.potential, ou.box, sol.dt, sol.dx, 2.0, 129)[:4]
+    w0 = 1.0 - w1
     assert np.array_equal(xs, sol.u.xs)
     reward = sol.dt * (smooth_h(xs)[:, None] / 1.0 - 0.5 * controls[None, :] ** 2)
     u = sol.u.values
@@ -501,6 +522,107 @@ def test_howard_matches_oracle_bit_for_bit(request, potential, family, dt_factor
     # bit for bit in the policy; the values within a stated forward-error bound
     assert_matches_oracle(request.getfixturevalue(potential), H_FAMILIES[family],
                           dt=1.0 / dt_factor, dx=dx, n_controls=n_controls)
+
+
+@pytest.fixture(scope="module")
+def weak_ou():
+    """Quadratic kappa = 0.1: near the box the drift is too weak to keep the feet in it."""
+    return euclidean_space(quadratic_potential(0.1))
+
+
+EDGE_ORACLE_CASES = {
+    # runs of about 4000 controls, two per row
+    "k8193": ("ou", "fourier", dict(dt=1.0 / 50.0, dx=0.1, n_controls=8193)),
+    "k8193_dt200": ("double_well", "random", dict(dt=1.0 / 200.0, dx=0.1, n_controls=8193)),
+    # every row's feet in one cell, so one run per row (0 is no grid point at this dx)
+    "one_cell": ("ou", "random", dict(dt=1.0 / 50.0, dx=0.099, control_bound=0.01,
+                                      n_controls=33)),
+    # three grid points: u is constant but for rounding, so c* sits within
+    # rounding of column (K - 1) / 2, and its candidates must still be adjacent
+    "three_points": ("ou", "constant", dict(dt=1.0 / 50.0, dx=5.0, n_controls=3)),
+    # feet clipped at both ends of the box, each end a run of its own
+    "clipped": ("weak_ou", "linear_clip", dict(dt=1.0 / 50.0, dx=0.1)),
+    "clipped_dt200": ("weak_ou", "random", dict(dt=1.0 / 200.0, dx=0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_ORACLE_CASES))
+def test_howard_matches_oracle_on_edge_schemes(request, case):
+    potential, family, kwargs = EDGE_ORACLE_CASES[case]
+    space = request.getfixturevalue(potential)
+    assert_matches_oracle(space, H_FAMILIES[family], **kwargs)
+    idx, to_col = viscosity._scheme(
+        space.potential, space.box, kwargs["dt"], kwargs["dx"],
+        kwargs.get("control_bound", 2.0), kwargs.get("n_controls", 129))[4:6]
+    if case == "one_cell":
+        assert idx.shape[0] == 1
+    if case.startswith("clipped"):
+        assert np.count_nonzero(to_col == 0.0) == 2  # the first row's first run, the last's last
+
+
+def _random_scheme_case(seed):
+    """A random scheme and h: coarse grids, few or many controls, small and large
+    control bounds, and h constant up to 1e-14, where c* sits within rounding of a
+    grid control."""
+    rng = np.random.default_rng(seed)
+    potential = [quadratic_potential(1.0), quadratic_potential(0.1),
+                 quadratic_potential(2.0)][rng.integers(3)]
+    kwargs = dict(dt=float(rng.choice([0.5, 0.1, 0.02, 0.005])),
+                  dx=float(rng.choice([5.0, 2.5, 1.0, 0.5, 0.2, 0.1])),
+                  n_controls=int(rng.choice([3, 5, 17, 129])),
+                  control_bound=float(rng.choice([0.01, 0.5, 2.0, 50.0])))
+    level, eps = float(rng.uniform(-1.0, 1.0)), float(rng.choice([0.0, 1e-14, 0.3]))
+    return euclidean_space(potential), lambda x: level + eps * np.sin(3.0 * np.asarray(x)), kwargs
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_howard_matches_oracle_on_random_schemes(chunk):
+    # 200 cases, among them h constant up to 1e-14, where c* is within rounding of a column
+    for seed in range(25 * chunk, 25 * chunk + 25):
+        space, h, kwargs = _random_scheme_case(seed)
+        assert_matches_oracle(space, h, **kwargs)
+
+
+@pytest.mark.parametrize("candidates", ["default", "one run"])
+@pytest.mark.parametrize("n_controls", [3, 33, 129])
+@pytest.mark.parametrize("potential", ["ou", "quartic", "double_well", "weak_ou"])
+def test_sweep_max_is_the_full_tables_bit_for_bit(request, monkeypatch, potential,
+                                                  n_controls, candidates):
+    """max_c Q at Howard's final u, taken over each run's two candidates, equals the
+    row maxima of the full (n, K) Q table in every row, bit for bit."""
+    if candidates == "one run":
+        monkeypatch.setattr(viscosity, "_CANDIDATES", 1)
+    space = request.getfixturevalue(potential)
+    h, dt = H_FAMILIES["random"], 0.02
+    scheme = viscosity._scheme(space.potential, space.box, dt, 0.1, 2.0, n_controls)
+    xs, controls, idx, w1 = scheme[:4]
+    hv, beta = h(xs), 1.0 - dt
+    u, _, q_max = viscosity._policy_iteration(scheme, hv, hv, dt, beta, float(np.max(np.abs(hv))))
+    q = dt * (hv[:, None] - 0.5 * controls[None, :] ** 2) + beta * (
+        (1.0 - w1) * u[idx] + w1 * u[idx + 1])
+    assert np.array_equal(q_max, np.max(q, axis=1))
+
+
+def test_howard_matches_oracle_in_passes_of_one_run(ou, monkeypatch):
+    # a sweep takes its runs in passes of at most _CANDIDATES candidates; merged
+    # one run at a time, the passes must still give the one-pass policies
+    monkeypatch.setattr(viscosity, "_CANDIDATES", 1)
+    assert viscosity._scheme(ou.potential, ou.box, 0.1, 0.05, 2.0, 129)[4].shape[0] > 5
+    assert_matches_oracle(ou, H_FAMILIES["random"], dt=0.1, dx=0.05, n_controls=129)
+
+
+def test_warm_solve_holds_less_than_one_q_table(ou):
+    """At dx = 0.005 a solve allocates less than one (n, K) float table: no sweep
+    builds the Q table, and the rewards are never tabulated."""
+    h = H_FAMILIES["fourier"]
+    n = solve_resolvent(ou, 1.0, h, dx=0.005).u.xs.size  # builds the scheme
+    tracemalloc.start()
+    try:
+        solve_resolvent(ou, 1.0, h, dx=0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 129 * 8
 
 
 @pytest.mark.parametrize("potential,family", [("ou", "fourier"), ("quartic", "random"),

@@ -74,16 +74,23 @@ def _config_point(space, values, path: str) -> np.ndarray:
         raise ConfigError(path, f"{exc} (space.size is {space.size})") from exc
 
 
+def _config_pair(space, section: str, pi, mu) -> tuple[np.ndarray, np.ndarray]:
+    """``section.pi`` and ``section.mu`` as rows of ``space``, at a finite D(pi, mu)."""
+    pi, mu = _config_point(space, pi, f"{section}.pi"), _config_point(space, mu, f"{section}.mu")
+    with np.errstate(over="ignore"):  # an overflowing d^2 is the config error below
+        d0 = HCurve(space, pi, mu).d0()
+    if not np.isfinite(d0):
+        raise ConfigError(f"{section}.pi", "D(pi, mu) must be finite")
+    return pi, mu
+
+
 def run_tataru(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     rng = _rng(cfg, "tataru")
     rep = _report("tataru", cfg)
     tol = 1e-6
 
-    pi = _config_point(space, cfg.tataru.pi, "tataru.pi")
-    mu = _config_point(space, cfg.tataru.mu, "tataru.mu")
-    if not np.isfinite(HCurve(space, pi, mu).d0()):
-        raise ConfigError("tataru.pi", "D(pi, mu) from tataru.pi to tataru.mu must be finite")
+    pi, mu = _config_pair(space, "tataru", cfg.tataru.pi, cfg.tataru.mu)
     # Draw every sample first, property by property, and note which (pi, mu,
     # kappa) triples each row needs; then minimize all triples, the config pair
     # first, in one batch.
@@ -145,8 +152,7 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     rep = _report("laplace-converge", cfg)
     lc = cfg.laplace
-    pi = _config_point(space, lc.pi, "laplace.pi")
-    mu = _config_point(space, lc.mu, "laplace.mu")
+    pi, mu = _config_pair(space, "laplace", lc.pi, lc.mu)
 
     # constant-exponent instance: exact at every m when the damping is trivial
     if space.kappa_hat == 0.0:
@@ -260,6 +266,8 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path) -> Report:
                 ((fmt17(x), fmt17(u)) for x, u in zip(sol.u.xs, sol.u.values)))
     bound = sol.error_bound
     rep.add("fixed_point", 0, bound, rc.tol, bound - rc.tol, bound <= rc.tol)
+    rep.diagnostics["main_solve"] = {"iterations": sol.iterations, "error_bound": bound,
+                                     "bellman_residual": sol.bellman_residual}
 
     const = solve(_h_family("constant", 0.7, space.box))
     err = float(np.max(np.abs(const.u.values - 0.7)))

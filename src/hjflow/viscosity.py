@@ -25,7 +25,8 @@ the potential, the box, dt, dx and the control set but not on h or lam, so
 ``_scheme`` computes it once per scheme and every solve on that scheme shares
 its read-only arrays.  Row i of I - beta P is nonzero only in columns i, idx and
 idx + 1; a policy step solves it by LAPACK's banded LU (dgbsv) when those
-columns stay within ``_MAX_BAND`` of the diagonal, and by sparse LU otherwise.
+columns stay within ``_MAX_BAND`` of the diagonal, and otherwise by sparse LU,
+whose scipy.sparse is imported on the first such band.
 The answer carries a checked certificate: since T is a beta-contraction,
 ||u - u*|| <= ||T u - u|| / (1 - beta), and the solve raises unless that bound
 is within ``tol``.
@@ -42,9 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dgbsv
-from scipy.sparse.linalg import spsolve
 
 from .hamiltonians import HamiltonianPair, side_sign
 from .spaces import ModelSpace
@@ -220,7 +219,7 @@ def _policy_solve(idx, w0, w1, beta, r):
     offset = np.arange(idx.size) - idx  # i - idx[i]
     kl, ku = max(0, int(offset.max())), max(0, 1 - int(offset.min()))
     if kl + ku > _MAX_BAND:
-        return spsolve(_policy_matrix(idx, w0, w1, beta), r)
+        return _sparse_solve(_policy_matrix(idx, w0, w1, beta), r)
     height = 2 * kl + ku + 1
     ab = np.zeros(height * idx.size)  # column-major: entry (row, col) at col * height + row
     ab[kl + ku::height] = 1.0
@@ -234,6 +233,12 @@ def _policy_solve(idx, w0, w1, beta, r):
     return u
 
 
+def _sparse_solve(matrix, r):
+    """scipy's SuperLU solve of the CSR ``matrix``, imported on first use."""
+    from scipy.sparse.linalg import spsolve
+    return spsolve(matrix, r)
+
+
 def _policy_matrix(idx, w0, w1, beta):
     """I - beta P for the transition P with weights w0, w1 on columns idx, idx + 1.
 
@@ -242,6 +247,7 @@ def _policy_matrix(idx, w0, w1, beta):
     -beta w1 in column order, a diagonal on idx or idx + 1 becomes 1 - beta w
     there, and zero entries are dropped.
     """
+    from scipy.sparse import csr_matrix
     n = idx.size
     rows = np.arange(n)
     cols = np.stack((rows, idx, idx + 1, rows), axis=1)
@@ -250,8 +256,7 @@ def _policy_matrix(idx, w0, w1, beta):
     keep = vals != 0
     indptr = np.zeros(n + 1, dtype=np.intc)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return sparse.csr_matrix((vals[keep], cols[keep].astype(np.intc), indptr),
-                             shape=(n, n))
+    return csr_matrix((vals[keep], cols[keep].astype(np.intc), indptr), shape=(n, n))
 
 
 def _policy_iteration(scheme, u, hl, dt, beta, sup_h):

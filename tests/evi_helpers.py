@@ -61,3 +61,14 @@ def damped_distance_bound_violation(space, pi, mu, times, eps_list=(None, 0.1, 1
     ts = _times(times)
     pi, mu = space.rows(pi), space.rows(mu)
     return _damped_distance_bound(space, pi, mu, ts, _growth_rhs(space, pi, mu, ts), eps_list)
+
+
+def full_trajectory_energy_identity(space, x, ts) -> np.ndarray:
+    """Oracle for ``energy_identity_residual``: the whole (..., T, size) flow of x
+    at ts in one call, E at every time, |E(end) - E(start) + trapezoid of the
+    squared slopes|."""
+    ts = _times(ts)
+    vals = space.flow_values(space.rows(x), ts)
+    energies = space.energies(vals)
+    dissipated = np.trapezoid(space.sq_slopes(vals), ts, axis=-1)
+    return abs(energies[..., -1] - energies[..., 0] + dissipated)

@@ -316,14 +316,31 @@ def test_ladder_links_build_each_pair_family_once_per_group(ou, monkeypatch, sam
 
 
 def test_evi_suite_evaluates_all_instances_at_once(ou, monkeypatch):
-    """HCurve constructions do not grow with the instances; flow evaluations grow
-    only by the energy identity's blocks of BLOCK_ELEMENTS flow elements."""
+    """HCurve constructions do not grow with the instances, every flow call holds
+    all instances on its leading axis, and the energy identity runs once over all
+    of them; flow evaluations grow only by its time blocks of at most
+    BLOCK_ELEMENTS flow elements."""
     curves = _count_calls(monkeypatch, hjflow.evi, ("HCurve",))
-    flows = _count_calls(monkeypatch, ModelSpace, ("flow_values",))
-    block = BLOCK_ELEMENTS // (2001 * ou.size)
+    identities, identity = [], hjflow.evi.energy_identity_residual
+    shapes, flow_values = [], ModelSpace.flow_values
+
+    def recorded_identity(space, x, ts):
+        identities.append(np.shape(x))
+        return identity(space, x, ts)
+
+    def recorded_flow(self, starts, times):
+        out = flow_values(self, starts, times)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(hjflow.evi, "energy_identity_residual", recorded_identity)
+    monkeypatch.setattr(ModelSpace, "flow_values", recorded_flow)
     counted = []
     for instances in (10, 40):
-        curves["HCurve"] = flows["flow_values"] = 0
+        curves["HCurve"], identities[:], shapes[:] = 0, [], []
         run_evi_suite(ou, np.random.default_rng(9), instances=instances)
-        counted.append((curves["HCurve"], flows["flow_values"] - -(-instances // block)))
+        assert identities == [(instances, ou.size)]
+        assert all(shape[0] == instances for shape in shapes)
+        blocks = -(-2001 // (BLOCK_ELEMENTS // (instances * ou.size)))
+        counted.append((curves["HCurve"], len(shapes) - 1 - blocks))
     assert counted[0] == counted[1]

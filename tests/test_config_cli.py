@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hjflow.reporting import CSV_HEADER, Report, write_csv, write_json
 from hjflow.spaces import euclidean_space, quadratic_potential
 from hjflow.tataru import HCurve, psi_eps, psi_eps_prime, tataru_batch
 from hjflow.viscosity import solve_resolvent
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY = {
     "schema": 1,
@@ -218,6 +221,29 @@ def test_import_leaves_out_scipy_special():
     assert res.stdout.strip() == "False"
 
 
+def test_scipy_sparse_loads_only_on_a_wide_policy_band(tmp_path):
+    # import and the solver workload's suites leave scipy.sparse out; the quartic's
+    # feet reach past _MAX_BAND cells, so its resolvent loads it for SuperLU
+    workload = json.loads((ROOT / "perfbench" / "workloads" / "solver.json").read_text())
+    solver, quartic = tmp_path / "solver.json", tmp_path / "quartic.json"
+    solver.write_text(json.dumps(workload["config"]))
+    quartic.write_text(json.dumps({"space": {"potential": "quartic"},
+                                   "resolvent": {"dx": 0.05, "n_controls": 33}}))
+    code = (
+        "import sys, hjflow.cli\n"
+        "def run(suite, cfg):\n"
+        "    assert hjflow.cli.main([suite, '--config', cfg, '--out', sys.argv[3]]) == 0\n"
+        "    return 'scipy.sparse' in sys.modules\n"
+        "loaded = ['scipy.sparse' in sys.modules]\n"
+        "loaded += [run(suite, sys.argv[1]) for suite in ('resolvent', 'comparison')]\n"
+        "print(loaded + [run('resolvent', sys.argv[2])])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code, str(solver), str(quartic),
+                          str(tmp_path / "out")], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[False, False, False, True]"
+
+
 @pytest.mark.parametrize("path, value", [
     ("resolvent.dx", -0.01),
     ("resolvent.control_bound", float("nan")),
@@ -308,6 +334,7 @@ NAN = float("nan")
     ("resolvent", {"space": {"kind": "quantile", "size": 1}}, "space.kind"),
     # finite coordinates whose distance D(pi, mu) is not
     ("tataru", {"tataru": {"pi": [1e200]}}, "tataru.pi"),
+    ("laplace-converge", {"laplace": {"pi": [1e200]}}, "laplace.pi"),
 ])
 def test_config_probe_errors(tmp_path, capsys, command, data, path):
     cfg_path = tmp_path / "bad.json"
@@ -315,6 +342,19 @@ def test_config_probe_errors(tmp_path, capsys, command, data, path):
     code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert f"config error: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", [("tataru", "tataru"),
+                                              ("laplace-converge", "laplace")])
+def test_overflowing_distance_is_one_config_error_line(tmp_path, command, section):
+    # d^2(pi, mu) overflows: no numpy warning goes to stderr before the error line
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"schema": 1, section: {"pi": [1e200]}}))
+    res = subprocess.run([sys.executable, "-m", "hjflow.cli", command, "--config",
+                          str(cfg_path), "--out", str(tmp_path / "x")],
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [f"config error: {section}.pi: D(pi, mu) must be finite"]
 
 
 @pytest.mark.parametrize("where, sub, path", [

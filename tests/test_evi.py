@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hjflow.evi
 from hjflow.cli import main
 from hjflow.config import load_config
 from hjflow.evi import (
@@ -16,8 +18,10 @@ from evi_helpers import (
     contraction_violation,
     damped_distance_bound_violation,
     distance_growth_violation,
+    full_trajectory_energy_identity,
     slope_decay_violation,
 )
+from hjflow.spaces import ModelSpace, double_well_potential, quantile_space
 
 
 def test_evi_residual_quadratic_equality(ou):
@@ -72,6 +76,69 @@ def test_energy_identity_quartic(quartic):
 def test_energy_identity_needs_two_samples(ou):
     with pytest.raises(ValueError, match="at least two"):
         energy_identity_residual(ou, np.array([1]), [0.0])
+
+
+@pytest.fixture(scope="module")
+def quantile_double_well():
+    """The 64-point quantile double well of the curved-flows benchmark."""
+    return quantile_space(double_well_potential(-0.5), grid_size=64)
+
+
+def _identity_flow_shapes(space, x, ts):
+    """energy_identity_residual(space, x, ts) and the shape of every flow it took."""
+    shapes, flow_values = [], ModelSpace.flow_values
+
+    def recorded(self, starts, times):
+        out = flow_values(self, starts, times)
+        shapes.append(out.shape)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ModelSpace, "flow_values", recorded)
+        return energy_identity_residual(space, x, ts), shapes
+
+
+@pytest.mark.parametrize("space_name", ["ou", "quartic", "double_well", "quantile_double_well"])
+@pytest.mark.parametrize("instances", [1, 3, 20])
+@pytest.mark.parametrize("block_elements", [None, 7])
+def test_energy_identity_matches_the_full_trajectory_bit_for_bit(
+        request, monkeypatch, rng, space_name, instances, block_elements):
+    """Ends-only energies and time-blocked slopes give the bits of the whole
+    trajectory, for every instance and for each instance on its own; the 2001
+    times are no multiple of the block, and each flow call holds at most
+    max(BLOCK_ELEMENTS, x.size) elements.  block_elements = 7 rows per flow
+    call forces many blocks on every space."""
+    space = request.getfixturevalue(space_name)
+    x = space.sample(rng, (instances,))
+    if block_elements is not None:
+        monkeypatch.setattr(hjflow.evi, "BLOCK_ELEMENTS", block_elements * x.size)
+    cap = max(hjflow.evi.BLOCK_ELEMENTS, x.size)
+    ts = np.linspace(0.0, 1.0, 2001)
+    assert ts.size % (cap // x.size) != 0
+    got, shapes = _identity_flow_shapes(space, x, ts)
+    expected = full_trajectory_energy_identity(space, x, ts)
+    assert got.shape == (instances,) and np.array_equal(got, expected)
+    for i in {0, instances - 1}:
+        assert energy_identity_residual(space, x[i], ts) == expected[i]
+    # the two ends, then the blocks in order
+    assert shapes[0] == (instances, 2, space.size)
+    assert sum(shape[1] for shape in shapes[1:]) == ts.size
+    assert all(np.prod(shape) <= cap for shape in shapes)
+    assert len(shapes) == 1 + -(-ts.size // (cap // x.size))
+
+
+def test_energy_identity_holds_less_than_one_trajectory_array(quantile_double_well, rng):
+    """The (3, 2001, 64) identity peaks below one (2001, 64) float array: it
+    never holds a trajectory of one instance, let alone of three."""
+    x, ts = quantile_double_well.sample(rng, (3,)), np.linspace(0.0, 1.0, 2001)
+    energy_identity_residual(quantile_double_well, x, ts)
+    tracemalloc.start()
+    try:
+        energy_identity_residual(quantile_double_well, x, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ts.size * quantile_double_well.size * 8
 
 
 def test_slope_decay_quadratic_exact(ou):

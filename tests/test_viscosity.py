@@ -703,11 +703,12 @@ def test_policy_solve_picks_banded_lu_up_to_max_band(rng, band, solver):
     rhs = rng.uniform(-1.0, 1.0, size=n)
     called = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("dgbsv", "spsolve"):
-            def record(*args, _name=name, _f=getattr(viscosity, name), **kwargs):
+        # SuperLU is reached through the seam that imports scipy.sparse on first use
+        for name, attr in (("dgbsv", "dgbsv"), ("spsolve", "_sparse_solve")):
+            def record(*args, _name=name, _f=getattr(viscosity, attr), **kwargs):
                 called.append(_name)
                 return _f(*args, **kwargs)
-            patch.setattr(viscosity, name, record)
+            patch.setattr(viscosity, attr, record)
         u = viscosity._policy_solve(idx, 1.0 - w1, w1, beta, rhs)
     assert called == [solver]
     dense = np.linalg.solve(dense_policy_matrix(idx, 1.0 - w1, w1, beta), rhs)

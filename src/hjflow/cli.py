@@ -53,7 +53,8 @@ def run_evi(cfg: ExperimentConfig, out_dir: Path) -> Report:
     rng = _rng(cfg, "evi-check")
     rep = _report("evi-check", cfg)
     suite = run_evi_suite(space, rng, instances=cfg.evi.instances, delta=cfg.evi.delta)
-    rep.extend_tuples(suite.rows)
+    for row in suite.rows:
+        rep.check(*row)
     if suite.worst_case is not None:
         # replays the worst evi_residual row: evi_residual(space, x, rho, t, delta)
         x, t, rho = suite.worst_case
@@ -131,20 +132,16 @@ def run_tataru(cfg: ExperimentConfig, out_dir: Path) -> Report:
                     ((fmt17(t), fmt17(o)) for t, o in zip(ts, obj)))
 
     for i, (one, two, bound) in enumerate(lipschitz):
-        lhs = value[one] - value[two]
-        rep.add("lipschitz", i, lhs, bound + tol, lhs - bound - tol, lhs <= bound + tol)
+        rep.check("lipschitz", i, value[one] - value[two], bound + tol)
     for i, (base, moved) in enumerate(flow_lipschitz):
         worst = -np.inf
         for r, k in moved:
             worst = max(worst, (value[k] - value[base]) / r)
-        rep.add("flow_lipschitz", i, worst, 1.0 + tol, worst - 1.0 - tol, worst <= 1.0 + tol)
+        rep.check("flow_lipschitz", i, worst, 1.0 + tol)
     for i, (direct, first, second) in enumerate(triangle):
-        lhs = value[direct]
-        rhs = value[first] + value[second]
-        rep.add("triangle", i, lhs, rhs + tol, lhs - rhs - tol, lhs <= rhs + tol)
+        rep.check("triangle", i, value[direct], value[first] + value[second] + tol)
     for i, (low, high) in enumerate(monotone):
-        lo, hi = value[low], value[high]
-        rep.add("kappa_monotone", i, lo, hi + 1e-9, lo - hi - 1e-9, lo <= hi + 1e-9)
+        rep.check("kappa_monotone", i, value[low], value[high] + 1e-9)
     return rep
 
 
@@ -160,8 +157,7 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path) -> Report:
         target = psi_eps(lc.epsilon, 0.0)
         for m in (1, 10, 100, 1000):
             val = lambda_continuous(space, lc.epsilon, m, crit, crit)
-            err = abs(val.neg_log - target)
-            rep.add("constant_exact", m, val.neg_log, target, err - 1e-10, err <= 1e-10)
+            rep.check("constant_exact", m, abs(val.neg_log - target), 1e-10)
 
     target, curve_rows = varadhan_error_curve(space, lc.epsilon, pi, mu, lc.m_list)
     write_table(out_dir / "laplace_converge_curve.csv",
@@ -169,35 +165,28 @@ def run_laplace(cfg: ExperimentConfig, out_dir: Path) -> Report:
                 ((m, "inf", fmt17(neg_log), fmt17(target), fmt17(err))
                  for m, neg_log, err in curve_rows))
     final_err = curve_rows[-1][2]
-    first_err = curve_rows[0][2]
-    rep.add("varadhan_final_error", curve_rows[-1][0], final_err, 0.05,
-            final_err - 0.05, final_err < 0.05)
-    rep.add("varadhan_monotone", f"{curve_rows[0][0]}->{curve_rows[-1][0]}",
-            final_err, first_err, final_err - first_err, final_err < first_err)
+    rep.check("varadhan_final_error", curve_rows[-1][0], final_err, 0.05)
+    rep.check("varadhan_monotone", f"{curve_rows[0][0]}->{curve_rows[-1][0]}",
+              final_err, curve_rows[0][2])
 
     ref = lambda_continuous(space, lc.epsilon, lc.refine_m, pi, mu)
-    prev = None
+    prev = np.inf
     for n in lc.refine_n:
         dv = lambda_discrete(space, lc.epsilon, lc.refine_m, int(n), pi, mu)
         gap = abs(dv.log_value - ref.log_value)
-        if prev is None:
-            rep.add("riemann_refinement", n, gap, np.inf, -1.0, True)
-        else:
-            rep.add("riemann_refinement", n, gap, prev, gap - prev, gap < prev)
+        rep.check("riemann_refinement", n, gap, prev)
         prev = gap
 
     tm = tilted_measure(space, lc.concentration_epsilon, lc.concentration_m, pi, mu)
     res = tataru_batch(space, [pi], [mu], eps=lc.concentration_epsilon)[0]
-    mass = max(tm.mass_within(float(t), lc.concentration_window) for t in res.minimizers)
-    rep.add("tilt_concentration", lc.concentration_m, mass, lc.concentration_mass,
-            lc.concentration_mass - mass, mass >= lc.concentration_mass)
+    mass = max(tm.mass_within(float(t), 0.1) for t in res.minimizers)
+    rep.check("tilt_concentration", lc.concentration_m, -mass, -0.95)  # mass >= 0.95
 
     # mean exponent under the tilted measure approaches its value at the minimizer
     hcurve = HCurve(space, pi, mu, lc.concentration_epsilon)
     mean_h = tm.expectation(hcurve.h(tm.atoms))
     h_star = float(hcurve.h(res.minimizers[:1])[0])
-    gap = abs(mean_h - h_star)
-    rep.add("tilt_mean_weight", lc.concentration_m, mean_h, h_star, gap - 0.05, gap <= 0.05)
+    rep.check("tilt_mean_weight", lc.concentration_m, abs(mean_h - h_star), 0.05)
     return rep
 
 
@@ -205,8 +194,8 @@ def run_ham_chain(cfg: ExperimentConfig, out_dir: Path) -> Report:
     space = cfg.space.build()
     rng = _rng(cfg, "ham-chain")
     rep = _report("ham-chain", cfg)
-    chain_rows = chain_inequality_report(space, cfg.ham_chain.link, cfg.ham_chain.samples, rng)
-    rep.extend_tuples(chain_rows)
+    for row in chain_inequality_report(space, cfg.ham_chain.link, cfg.ham_chain.samples, rng):
+        rep.check(*row)
 
     # shared closed form at levels 5/6: identical g, f gap bounded by sqrt(2 eps);
     # ten draws first, then one level-5 and one level-6 pair over all of them
@@ -218,10 +207,8 @@ def run_ham_chain(cfg: ExperimentConfig, out_dir: Path) -> Report:
     p6 = build_chain_pair(space, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
     gaps, bounds = abs(p5.f(pi) - p6.f(pi)), b * np.sqrt(2 * eps)
     for i, (g5, g6, gap, bound) in enumerate(zip(p5.g(pi), p6.g(pi), gaps, bounds)):
-        rep.add("g5_equals_g6", i, g5, g6, 0.0 if g5 == g6 else 1.0, g5 == g6)
-        rep.add("f5_f6_gap", i, gap, bound, gap - bound, gap <= bound + 1e-12)
-    max_violation = max(row[4] for row in chain_rows)
-    print(f"ham-chain link {cfg.ham_chain.link}: max violation {max_violation:.3e}")
+        rep.check("g5_equals_g6", i, abs(g5 - g6), 0.0)
+        rep.check("f5_f6_gap", i, gap, bound + 1e-12)
     return rep
 
 
@@ -264,18 +251,16 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path) -> Report:
     sol = solve(h)
     write_table(out_dir / "resolvent_solution.csv", ("x", "u"),
                 ((fmt17(x), fmt17(u)) for x, u in zip(sol.u.xs, sol.u.values)))
-    bound = sol.error_bound
-    rep.add("fixed_point", 0, bound, rc.tol, bound - rc.tol, bound <= rc.tol)
-    rep.diagnostics["main_solve"] = {"iterations": sol.iterations, "error_bound": bound,
+    rep.check("fixed_point", 0, sol.error_bound, rc.tol)
+    rep.diagnostics["main_solve"] = {"iterations": sol.iterations, "error_bound": sol.error_bound,
                                      "bellman_residual": sol.bellman_residual}
 
     const = solve(_h_family("constant", 0.7, space.box))
-    err = float(np.max(np.abs(const.u.values - 0.7)))
-    rep.add("constant_h", 0, err, 1e-8, err - 1e-8, err <= 1e-8)
+    rep.check("constant_h", 0, np.max(np.abs(const.u.values - 0.7)), 1e-8)
 
     shifted = solve(lambda x: h(x) - 0.3)
-    err = float(np.max(np.abs(shifted.u.values - (sol.u.values - 0.3))))
-    rep.add("shift_equivariance", 0, err, 1e-8, err - 1e-8, err <= 1e-8)
+    rep.check("shift_equivariance", 0, np.max(np.abs(shifted.u.values - (sol.u.values - 0.3))),
+              1e-8)
 
     # linear-reward oracle for the quadratic potential: u(x) = x/2 + 1/8.
     # Solved at dt = lam/200: the scheme bias is first order in dt and the
@@ -286,12 +271,11 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path) -> Report:
         mask = np.abs(lq.u.xs) <= 2.0
         exact = lq.u.xs[mask] / 2.0 + 0.125
         rel = float(np.max(np.abs(lq.u.values[mask] - exact)) / np.max(np.abs(exact)))
-        rep.add("lq_oracle", 0, rel, 1e-2, rel - 1e-2, rel <= 1e-2)
+        rep.check("lq_oracle", 0, rel, 1e-2)
 
-    # viscosity verdicts for the solved value function; slack within twice the
-    # discretization tolerance is reported as a pass with positive violation
+    # viscosity verdicts for the solved value function: sigma * slack against
+    # twice the discretization tolerance 5 dx
     rng = _rng(cfg, "resolvent")
-    tol = 5 * rc.dx
     for i in range(10):
         a = float(rng.uniform(0.1, 0.6))
         k = int(rng.integers(1, 3))
@@ -301,9 +285,8 @@ def run_resolvent(cfg: ExperimentConfig, out_dir: Path) -> Report:
         anchors = [[rng.uniform(-1.5, 1.5)] for _ in range(k)]
         for side, name in (("dagger", "subsolution"), ("ddagger", "supersolution")):
             pair = build_cyl_pair(space, side, a, Affine(w, c), base, anchors)
-            check = check_viscosity(sol.u, pair, h, lam, tol)
-            rep.add(name, i, check.slack, tol, side_sign(side) * check.slack - tol,
-                    check.soft_passed)
+            slack = check_viscosity(sol.u, pair, h, lam).slack
+            rep.check(name, i, side_sign(side) * slack, 10 * rc.dx)
     return rep
 
 
@@ -329,8 +312,7 @@ def run_comparison(cfg: ExperimentConfig, out_dir: Path) -> Report:
         su = solve_resolvent(space, lam, h_dag, dx=dx)
         sv = solve_resolvent(space, lam, h_ddag, dx=dx)
         res = comparison_gap(su.u, sv.u, h_dag, h_ddag, su.fixed_point_tol, dx)
-        rep.add("comparison_gap", i, res.lhs, res.rhs + res.slack,
-                res.lhs - res.rhs - res.slack, res.passed)
+        rep.check("comparison_gap", i, res.lhs, res.rhs + res.slack)
 
     # constant shift attains the bound up to solver slack
     h_dag = _random_bounded_h(rng)
@@ -338,9 +320,7 @@ def run_comparison(cfg: ExperimentConfig, out_dir: Path) -> Report:
     su = solve_resolvent(space, lam, h_dag, dx=dx)
     sv = solve_resolvent(space, lam, h_ddag, dx=dx)
     res = comparison_gap(su.u, sv.u, h_dag, h_ddag, su.fixed_point_tol, dx)
-    tight = abs(res.lhs - res.rhs)
-    rep.add("comparison_shift_tight", 0, res.lhs, res.rhs, tight - res.slack,
-            tight <= res.slack)
+    rep.check("comparison_shift_tight", 0, abs(res.lhs - res.rhs), res.slack)
     return rep
 
 

@@ -67,8 +67,6 @@ class LaplaceConfig:
     mu: tuple = (3.0,)
     concentration_m: int = 1000
     concentration_epsilon: float = 1e-3
-    concentration_window: float = 0.1
-    concentration_mass: float = 0.95
 
 
 @dataclass(frozen=True)
@@ -209,10 +207,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     _integer(lc.refine_m, "laplace.refine_m", 1)
     _integer(lc.concentration_m, "laplace.concentration_m", 1)
     _positive_finite(lc.concentration_epsilon, "laplace.concentration_epsilon")
-    _positive_finite(lc.concentration_window, "laplace.concentration_window")
-    _positive_finite(lc.concentration_mass, "laplace.concentration_mass")
-    if lc.concentration_mass > 1:
-        raise ConfigError("laplace.concentration_mass", "must not exceed 1")
     if cfg.ham_chain.link not in ("1to2", "4to5", "0to1"):
         raise ConfigError("ham_chain.link", f"unknown link {cfg.ham_chain.link!r}")
     _integer(cfg.ham_chain.samples, "ham_chain.samples", 1)

@@ -323,18 +323,19 @@ def _groups(space: ModelSpace, keys: np.ndarray, width):
 def chain_inequality_report(space: ModelSpace, link: str, samples: int,
                             rng: np.random.Generator) -> tuple:
     """Sampled verification of one ladder inequality: the check rows
-    (check, instance, value, bound, violation, pass), one per sample.
+    (check, instance, value, bound), one per sample.
 
     Every link draws all its samples first, in the order of one sample after
     another, and then evaluates them in one array pass.  ``1to2``: g of the
     generic cylindrical pair on the explicit composite is dominated by the
-    level-2 g, to 1e-9; samples are grouped by n, which sets the K = n^2 atoms.
-    ``4to5``: the flow-action expression at the minimizer set stays below 1,
-    to 1e-6; one ``tataru_batch`` call minimizes all samples, each with its own
-    eps, and one ``_max_flow_action`` call maximizes.  ``0to1``: bounded and
-    unbounded pairs agree below the truncation knee, to 1e-9; samples are
-    grouped by their k anchors.  Groups are not padded to a common width, which
-    would change the order of the sums, and are split into chunks (``_groups``).
+    level-2 g, g1 - g2 <= 1e-9; samples are grouped by n, which sets the K = n^2
+    atoms.  ``4to5``: the flow-action expression LHS at the minimizer set stays
+    below 1, LHS - 1 <= 1e-6; one ``tataru_batch`` call minimizes all samples,
+    each with its own eps, and one ``_max_flow_action`` call maximizes.
+    ``0to1``: bounded and unbounded pairs agree below the truncation knee,
+    |g0 - g1| <= 1e-9; samples are grouped by their k anchors.  Groups are not
+    padded to a common width, which would change the order of the sums, and are
+    split into chunks (``_groups``).
     """
     if link not in ("1to2", "4to5", "0to1"):
         raise ValueError(f"unknown chain link {link!r}")
@@ -354,14 +355,13 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
                                      {"a": a[idx], "b": b[idx], "c": c[idx], "eps": eps[idx],
                                       "m": m[idx], "n": n, "rho": rho, "mu": mu})
             for i, g1, g2 in zip(idx.tolist(), pair1.g(pi).tolist(), pair2.g(pi).tolist()):
-                rows[i] = ("chain-1to2", i, g1, g2, g1 - g2, g1 - g2 <= 1e-9)
+                rows[i] = ("chain-1to2", i, g1 - g2, 1e-9)
     elif link == "4to5":
         draws = [(rng.uniform(0.05, 0.7), space.sample(rng, (2,))) for _ in range(samples)]
         epss, points = zip(*draws)
         mus, pis = np.moveaxis(np.array(points), 1, 0)
         lhs = _max_flow_action(space, epss, pis, mus, tataru_batch(space, pis, mus, eps=epss))
-        rows = [("chain-4to5", i, v, 1.0, v - 1.0, v - 1.0 <= 1e-6)
-                for i, v in enumerate(lhs.tolist())]
+        rows = [("chain-4to5", i, v - 1.0, 1e-6) for i, v in enumerate(lhs.tolist())]
     else:
         draws = []
         for _ in range(samples):
@@ -380,5 +380,5 @@ def chain_inequality_report(space: ModelSpace, link: str, samples: int,
                                   TruncatedAffine(n, np.column_stack((a, weights)), const),
                                   points[:, :-1])
             for i, g0, g1 in zip(idx.tolist(), pair0.g(pi).tolist(), pair1.g(pi).tolist()):
-                rows[i] = ("chain-0to1", i, g0, g1, abs(g0 - g1), abs(g0 - g1) <= 1e-9)
+                rows[i] = ("chain-0to1", i, abs(g0 - g1), 1e-9)
     return tuple(rows)

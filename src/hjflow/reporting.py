@@ -26,22 +26,23 @@ def fmt17(x) -> str:
 
 @dataclass(frozen=True)
 class CheckRow:
+    """One check: ``value`` must not exceed ``bound``.  The violation and the
+    verdict follow from them when the row is made, and from nothing else."""
+
     check: str
     instance: str
     value: float
     bound: float
-    violation: float
-    passed: bool
+    violation: float = field(init=False)
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "violation", self.value - self.bound)
+        object.__setattr__(self, "passed", self.value <= self.bound)
 
     def as_csv(self) -> tuple:
         return (self.check, self.instance, fmt17(self.value), fmt17(self.bound),
                 fmt17(self.violation), "true" if self.passed else "false")
-
-
-def row(check: str, instance, value: float, bound: float, violation: float,
-        passed: bool) -> CheckRow:
-    return CheckRow(check=check, instance=str(instance), value=float(value),
-                    bound=float(bound), violation=float(violation), passed=bool(passed))
 
 
 @dataclass
@@ -55,12 +56,9 @@ class Report:
     version: str = ""
     diagnostics: dict = field(default_factory=dict)
 
-    def add(self, check: str, instance, value: float, bound: float, violation: float,
-            passed: bool) -> None:
-        self.rows.append(row(check, instance, value, bound, violation, passed))
-
-    def extend_tuples(self, tuples) -> None:
-        self.rows.extend(row(*t) for t in tuples)
+    def check(self, name: str, instance, value: float, bound: float) -> None:
+        """Add the row ``value <= bound`` of check ``name`` at ``instance``."""
+        self.rows.append(CheckRow(name, str(instance), float(value), float(bound)))
 
     @property
     def passed(self) -> bool:
@@ -69,7 +67,9 @@ class Report:
 
     def summary(self) -> dict:
         n_pass = sum(1 for r in self.rows if r.passed)
-        worst = max((r.violation for r in self.rows), default=0.0)
+        worst = {}
+        for r in self.rows:
+            worst[r.check] = max(worst.get(r.check, r.violation), r.violation)
         return {
             "suite": self.name,
             "checks": len(self.rows),
@@ -81,8 +81,9 @@ class Report:
     def summary_line(self) -> str:
         s = self.summary()
         verdict = "PASS" if self.passed else "FAIL"
+        worst = ", ".join(f"{name} {v:.3e}" for name, v in s["max_violation"].items())
         return (f"[{self.name}] {verdict}: {s['passed']}/{s['checks']} checks passed, "
-                f"max violation {s['max_violation']:.3e}")
+                f"max violation per check: {worst or 'none'}")
 
 
 def write_table(path: str | Path, header, rows) -> Path:

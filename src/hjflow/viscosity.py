@@ -31,10 +31,11 @@ The answer carries a checked certificate: since T is a beta-contraction,
 ||u - u*|| <= ||T u - u|| / (1 - beta), and the solve raises unless that bound
 is within ``tol``.
 
-``check_viscosity`` then tests the defining inequality of a sub- resp.
+``check_viscosity`` then measures the defining inequality of a sub- resp.
 supersolution at the near-maximizers resp. near-minimizers of u - f for a
 dagger resp. ddagger Hamiltonian pair (f, g), with one f call on the whole
-grid and one g call on the near-optimizers.
+grid and one g call on the near-optimizers.  The checks return the measured
+quantities; the verdict is the report's row rule.
 """
 
 from __future__ import annotations
@@ -324,22 +325,18 @@ class ViscosityReport:
     side: str
     optimizers: np.ndarray
     slack: float
-    tol: float
-    passed: bool
-    soft_passed: bool
 
 
-def check_viscosity(u: GridFunction, pair: HamiltonianPair, h, lam: float,
-                    tol: float) -> ViscosityReport:
-    """Test sigma (u - lam g - h) <= tol at some near-maximizer of sigma (u - f).
+def check_viscosity(u: GridFunction, pair: HamiltonianPair, h, lam: float) -> ViscosityReport:
+    """The slack u - lam g - h at the near-optimizer where sigma * slack is least.
 
-    sigma = side_sign(pair.side): a dagger pair tests the subsolution
-    inequality u - lam g - h <= tol at the near-maximizers of u - f, a ddagger
-    pair the supersolution inequality u - lam g - h >= -tol at the
+    sigma = side_sign(pair.side): a dagger pair measures the subsolution
+    inequality u - lam g - h <= 0 at the near-maximizers of u - f, a ddagger
+    pair the supersolution inequality u - lam g - h >= 0 at the
     near-minimizers.  Near-optimizers are grid points within ``_GAP_TOL`` of the
-    optimum; the verdict is a pass when the inequality holds at one of them,
-    which is the finite form of the sequence-based definition.  ``slack`` is
-    u - lam g - h at the best of them.
+    optimum.  The inequality holds up to tol at one of them iff
+    sigma * slack <= tol, which is the finite form of the sequence-based
+    definition.
     """
     sigma = side_sign(pair.side)
     xs = u.xs
@@ -348,8 +345,7 @@ def check_viscosity(u: GridFunction, pair: HamiltonianPair, h, lam: float,
     hv = np.asarray(h(xs), dtype=float)
     slacks = u.values[cand] - lam * pair.g(xs[cand, None]) - hv[cand]
     slack = float(slacks[np.argmin(sigma * slacks)])
-    return ViscosityReport(side=pair.side, optimizers=xs[cand], slack=slack, tol=tol,
-                           passed=sigma * slack <= tol, soft_passed=sigma * slack <= 2 * tol)
+    return ViscosityReport(side=pair.side, optimizers=xs[cand], slack=slack)
 
 
 @dataclass(frozen=True)
@@ -357,12 +353,12 @@ class ComparisonResult:
     lhs: float
     rhs: float
     slack: float
-    passed: bool
 
 
 def comparison_gap(u: GridFunction, v: GridFunction, h_dag, h_ddag,
                    solver_tol: float, dx: float) -> ComparisonResult:
-    """sup(u - v) against sup(h_dag - h_ddag) with the discretization slack.
+    """lhs = sup(u - v), rhs = sup(h_dag - h_ddag) and the discretization slack:
+    the comparison principle asks lhs <= rhs + slack.
 
     ``solver_tol`` is the certified bound on each solve's distance to its
     exact fixed point (``ResolventSolution.fixed_point_tol``).
@@ -374,5 +370,4 @@ def comparison_gap(u: GridFunction, v: GridFunction, h_dag, h_ddag,
     lhs = float(np.max(u.values - v.values))
     rhs = float(np.max(hd - hdd))
     slack = 2.0 * (solver_tol + 5.0 * dx)
-    return ComparisonResult(lhs=lhs, rhs=rhs, slack=slack,
-                            passed=lhs <= rhs + slack)
+    return ComparisonResult(lhs=lhs, rhs=rhs, slack=slack)

@@ -16,6 +16,7 @@ from hjflow.hamiltonians import (
     build_chain_pair,
     build_cyl_pair,
     chain_inequality_report,
+    side_sign,
 )
 from hjflow.laplace import (
     lambda_continuous,
@@ -90,8 +91,8 @@ def test_criterion_02_evi_kappa_convex():
                   euclidean_space(double_well_potential(-0.5), sample_radius=1.5)):
         rep = run_evi_suite(space, rng, instances=200, delta=1e-4)
         worst = max(worst, max(r[2] for r in rep.rows))
-        if not all(r[5] for r in rep.rows):
-            bad = [r for r in rep.rows if not r[5]][0]
+        if not all(r[2] <= r[3] for r in rep.rows):
+            bad = [r for r in rep.rows if not r[2] <= r[3]][0]
             verdict(2, "EVI checks, quartic and double-well", False, str(bad))
     verdict(2, "EVI checks, quartic and double-well", worst <= 1e-3,
             f"max violation {worst:.2e} over 200+200 instances")
@@ -199,14 +200,14 @@ def test_criterion_07_tilted_concentration(ou):
 
 def test_criterion_08_chain_1to2(ou):
     rng = np.random.default_rng(108)
-    worst = max(row[4] for row in chain_inequality_report(ou, "1to2", 500, rng))
+    worst = max(row[2] for row in chain_inequality_report(ou, "1to2", 500, rng))
     verdict(8, "ladder inequality 1 -> 2", worst <= 1e-9,
             f"max(g1 - g2) = {worst:.3e} over 500 samples")
 
 
 def test_criterion_09_chain_4to5(ou):
     rng = np.random.default_rng(109)
-    worst = max(row[4] for row in chain_inequality_report(ou, "4to5", 500, rng))
+    worst = max(row[2] for row in chain_inequality_report(ou, "4to5", 500, rng))
     verdict(9, "ladder inequality 4 -> 5", worst <= 1e-6,
             f"max(LHS - 1) = {worst:.3e} over 500 samples")
 
@@ -265,27 +266,23 @@ def test_criterion_12_viscosity_verdicts(ou, smooth_h, value_function):
             return build_cyl_pair(ou, "dagger", a, Affine(w, c), base, anchors)
         return build_cyl_pair(ou, "ddagger", a, Affine(w, c), base, anchors)
 
-    sub_ok = all(
-        check_viscosity(sol.u, sample_pair("dagger"), smooth_h, 1.0, tol).passed
-        for _ in range(50)
-    )
-    sup_ok = all(
-        check_viscosity(sol.u, sample_pair("ddagger"), smooth_h, 1.0, tol).passed
-        for _ in range(50)
-    )
+    def holds(u, pair, h):
+        """The sub- resp. supersolution inequality up to tol at a near-optimizer."""
+        return side_sign(pair.side) * check_viscosity(u, pair, h, 1.0).slack <= tol
+
+    sub_ok = all(holds(sol.u, sample_pair("dagger"), smooth_h) for _ in range(50))
+    sup_ok = all(holds(sol.u, sample_pair("ddagger"), smooth_h) for _ in range(50))
 
     xs = sol.u.xs
     zeros_h = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     x0 = float(xs[len(xs) // 2 + 11])
     fail_pair = build_cyl_pair(ou, "dagger", 0.5, Affine([0.3]), np.array([x0]),
                                [[x0]])
-    fail_sub = check_viscosity(GridFunction(xs, np.ones_like(xs)), fail_pair,
-                               zeros_h, 1.0, tol)
+    fail_sub = holds(GridFunction(xs, np.ones_like(xs)), fail_pair, zeros_h)
     fail_pair_d = build_cyl_pair(ou, "ddagger", 0.5, Affine([0.3]), np.array([x0]),
                                  [[x0]])
-    fail_sup = check_viscosity(GridFunction(xs, -np.ones_like(xs)), fail_pair_d,
-                               zeros_h, 1.0, tol)
-    designed_ok = (not fail_sub.passed) and (not fail_sup.passed)
+    fail_sup = holds(GridFunction(xs, -np.ones_like(xs)), fail_pair_d, zeros_h)
+    designed_ok = (not fail_sub) and (not fail_sup)
 
     ok = sub_ok and sup_ok and designed_ok
     verdict(12, "viscosity verdicts for the value function", ok,
@@ -316,14 +313,14 @@ def test_criterion_13_comparison_principle(ou):
         su = solve_resolvent(ou, 1.0, h_dag, dx=dx)
         sv = solve_resolvent(ou, 1.0, h_ddag, dx=dx)
         res = comparison_gap(su.u, sv.u, h_dag, h_ddag, su.fixed_point_tol, dx)
-        all_ok &= res.passed
+        all_ok &= res.lhs <= res.rhs + res.slack
 
     h = lambda x: np.cos(0.9 * np.asarray(x, dtype=float))
     h_shift = lambda x: h(x) - 0.3
     su = solve_resolvent(ou, 1.0, h, dx=dx)
     sv = solve_resolvent(ou, 1.0, h_shift, dx=dx)
     res = comparison_gap(su.u, sv.u, h, h_shift, su.fixed_point_tol, dx)
-    tight_ok = res.passed and abs(res.lhs - res.rhs) <= res.slack
+    tight_ok = res.lhs <= res.rhs + res.slack and abs(res.lhs - res.rhs) <= res.slack
     verdict(13, "comparison principle", all_ok and tight_ok,
             f"20 ordered pairs pass: {all_ok}; shift pair equality gap "
             f"{abs(res.lhs - res.rhs):.2e} <= slack {res.slack:.3f}")

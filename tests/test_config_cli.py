@@ -98,7 +98,7 @@ def test_empty_report_fails():
 
 def test_json_roundtrips(tmp_path):
     rep = Report(name="demo", config_echo={"seed": 1}, version="0.1.0")
-    rep.add("check_a", 0, 1.0, 2.0, -1.0, True)
+    rep.check("check_a", 0, 1.0, 2.0)
     path = write_json(rep, tmp_path / "demo.json")
     data = json.loads(path.read_text())
     assert data["suite"] == "demo"
@@ -115,13 +115,14 @@ def _strict_json(text: str):
 
 def test_json_writes_non_finite_numbers_as_the_csv_strings(tmp_path):
     rep = Report(name="demo")
-    rep.add("check_a", 0, math.inf, -math.inf, math.nan, True)
+    rep.check("check_a", 0, math.inf, -math.inf)
+    rep.check("check_b", 0, math.inf, math.inf)
     rep.diagnostics["worst"] = {"residual": -math.inf, "xs": [1.5, math.nan]}
     data = _strict_json(write_json(rep, tmp_path / "demo.json").read_text())
-    row = data["rows"][0]
-    assert [row["value"], row["bound"], row["violation"]] == list(rep.rows[0].as_csv()[2:5])
-    assert [row["value"], row["bound"], row["violation"]] == ["inf", "-inf", "nan"]
-    assert data["summary"]["max_violation"] == "nan"
+    cells = [[row["value"], row["bound"], row["violation"]] for row in data["rows"]]
+    assert cells == [list(r.as_csv()[2:5]) for r in rep.rows]
+    assert cells == [["inf", "-inf", "inf"], ["inf", "inf", "nan"]]
+    assert data["summary"]["max_violation"] == {"check_a": "inf", "check_b": "nan"}
     assert data["diagnostics"]["worst"] == {"residual": "-inf", "xs": [1.5, "nan"]}
 
 

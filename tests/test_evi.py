@@ -187,13 +187,13 @@ def test_damped_distance_bound(ou, double_well, rng):
 def test_suite_all_pass(ou, quartic, double_well, rng):
     for space in (ou, quartic, double_well):
         rep = run_evi_suite(space, rng, instances=15)
-        assert all(r[5] for r in rep.rows), [r for r in rep.rows if not r[5]][:3]
+        assert all(r[2] <= r[3] for r in rep.rows), [r for r in rep.rows if r[2] > r[3]][:3]
         assert rep.max_residual <= 10 * 1e-4
 
 
 def test_suite_on_quantile_space(quantile_ou, rng):
     rep = run_evi_suite(quantile_ou, rng, instances=10)
-    assert all(r[5] for r in rep.rows)
+    assert all(r[2] <= r[3] for r in rep.rows)
 
 
 def per_check_suite_rows(space, rng, instances, delta=1e-4):
@@ -208,14 +208,14 @@ def per_check_suite_rows(space, rng, instances, delta=1e-4):
         t = float(rng.uniform(0.0, min(t_max, 5.0)))
         times = np.linspace(0.0, t_max, 9)[1:]
         res = evi_residual(space, x, rho, t, delta)
-        rows.append(("evi_residual", i, res, tol_evi, res - tol_evi, res <= tol_evi))
+        rows.append(("evi_residual", i, res, tol_evi))
         for name, v in (("contraction", contraction_violation(space, x, rho, times)),
                         ("energy_identity", energy_identity_residual(space, x, np.linspace(0.0, 1.0, 2001))),
                         ("slope_decay", slope_decay_violation(space, x, times)),
                         ("distance_growth", distance_growth_violation(space, x, rho, times)),
                         ("damped_distance_bound",
                          damped_distance_bound_violation(space, x, rho, times))):
-            rows.append((name, i, v, tol_other, v - tol_other, v <= tol_other))
+            rows.append((name, i, v, tol_other))
     return rows
 
 

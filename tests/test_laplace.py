@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import hjflow.laplace as laplace
-from hjflow.cli import run_laplace
+from hjflow.cli import main, run_laplace
 from hjflow.config import default_config
 from hjflow.laplace import (
     DiscreteMeasure,
@@ -189,6 +190,25 @@ def test_run_laplace_curve_writes_computed_neg_log_from_one_minimization(tmp_pat
     for r, m in zip(rows, lc.m_list):
         val = lambda_continuous(space, lc.epsilon, m, lc.pi, lc.mu)
         assert r["neg_log"] == fmt17(val.neg_log)
+
+
+def test_exactly_solved_laplace_instances_pass(tmp_path, capsys):
+    """A quadratic potential with kappa <= 0 solves the Laplace instance exactly:
+    the curve's errors and the refinement gaps end at 0.  An error equal to the
+    one before it is not an increase, so the rows pass (<=, not <)."""
+    configs = (
+        {"space": {"kind": "quantile", "size": 8, "potential": "quadratic", "kappa": 0.0},
+         "laplace": {"pi": [0.0] * 8, "mu": [3.0] * 8}},
+        {"space": {"kind": "euclidean", "size": 1, "potential": "quadratic", "kappa": -0.3}},
+    )
+    for k, config in enumerate(configs):
+        cfg_path, out = tmp_path / f"cfg{k}.json", tmp_path / f"out{k}"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["laplace-converge", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "laplace_converge.csv", newline="", encoding="utf-8") as fh:
+            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        monotone = rows["varadhan_monotone"]
+        assert [monotone[c] for c in ("value", "bound", "pass")] == ["0", "0", "true"]
 
 
 def test_hcurve_t_cap_no_worse_than_squaring_the_distance_back(ou, quantile_ou):

@@ -342,7 +342,7 @@ def per_instance_rows(cfg) -> list:
         mu2, nu2 = space.sample(rng), space.sample(rng)
         lhs = tataru(space, mu1, nu1).value - tataru(space, mu2, nu2).value
         bound = distance(space, mu1, mu2) + distance(space, nu1, nu2)
-        rep.add("lipschitz", i, lhs, bound + tol, lhs - bound - tol, lhs <= bound + tol)
+        rep.check("lipschitz", i, lhs, bound + tol)
     for i in range(n):
         nu, nu_hat = space.sample(rng), space.sample(rng)
         base = tataru(space, nu, nu_hat).value
@@ -351,19 +351,19 @@ def per_instance_rows(cfg) -> list:
             moved = flow(space, nu, r)
             rate = (tataru(space, moved, nu_hat).value - base) / r
             worst = max(worst, rate)
-        rep.add("flow_lipschitz", i, worst, 1.0 + tol, worst - 1.0 - tol, worst <= 1.0 + tol)
+        rep.check("flow_lipschitz", i, worst, 1.0 + tol)
     for i in range(n):
         rho, mid, nu = space.sample(rng), space.sample(rng), space.sample(rng)
         lhs = tataru(space, rho, nu).value
         rhs = tataru(space, rho, mid).value + tataru(space, mid, nu).value
-        rep.add("triangle", i, lhs, rhs + tol, lhs - rhs - tol, lhs <= rhs + tol)
+        rep.check("triangle", i, lhs, rhs + tol)
     for i in range(n):
         x, y = space.sample(rng), space.sample(rng)
         k2 = float(rng.uniform(-1.0, 1.0))
         k1 = k2 - float(rng.uniform(0.0, 1.0))
         lo = tataru(space, x, y, kappa_override=k1).value
         hi = tataru(space, x, y, kappa_override=k2).value
-        rep.add("kappa_monotone", i, lo, hi + 1e-9, lo - hi - 1e-9, lo <= hi + 1e-9)
+        rep.check("kappa_monotone", i, lo, hi + 1e-9)
     return rep.rows
 
 

@@ -23,8 +23,8 @@ def per_iteration_ham_chain_rows(cfg) -> list:
     space = cfg.space.build()
     rng = np.random.default_rng([cfg.seed, cli.SUITE_IDS["ham-chain"]])
     rep = Report(name="ham-chain")
-    rep.extend_tuples(chain_inequality_report(space, cfg.ham_chain.link,
-                                              cfg.ham_chain.samples, rng))
+    for row in chain_inequality_report(space, cfg.ham_chain.link, cfg.ham_chain.samples, rng):
+        rep.check(*row)
     for i in range(10):
         a, b = float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.2, 1.5))
         c = float(rng.uniform(-1.0, 1.0))
@@ -33,10 +33,10 @@ def per_iteration_ham_chain_rows(cfg) -> list:
         p5 = build_chain_pair(space, 5, "dagger", dict(a=a, b=b, c=c, eps=eps, rho=rho, mu=mu))
         p6 = build_chain_pair(space, 6, "dagger", dict(a=a, b=b, c=c, rho=rho, mu=mu))
         g5, g6 = p5.g(pi), p6.g(pi)
-        rep.add("g5_equals_g6", i, g5, g6, 0.0 if g5 == g6 else 1.0, g5 == g6)
+        rep.check("g5_equals_g6", i, abs(g5 - g6), 0.0)
         f_gap = abs(p5.f(pi) - p6.f(pi))
         bound = b * np.sqrt(2 * eps)
-        rep.add("f5_f6_gap", i, f_gap, bound, f_gap - bound, f_gap <= bound + 1e-12)
+        rep.check("f5_f6_gap", i, f_gap, bound + 1e-12)
     return rep.rows
 
 

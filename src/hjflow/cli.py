@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng  # numpy 2 loads it on first use: here, not in a verdict
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, _finite, default_config, load_config, validate
@@ -36,7 +37,7 @@ SUITE_IDS = {
 
 
 def _rng(cfg: ExperimentConfig, suite: str) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, SUITE_IDS[suite]])
+    return default_rng([cfg.seed, SUITE_IDS[suite]])
 
 
 def _report(name: str, cfg: ExperimentConfig) -> Report:

@@ -313,7 +313,7 @@ def composite_phi_for_push(space: ModelSpace, eps, b, c, m,
 def _groups(space: ModelSpace, keys: np.ndarray, width):
     """(key, sample indices) of each key, in chunks whose flow or anchor rows hold
     at most max(BLOCK_ELEMENTS, width(key) * size) elements."""
-    for key in np.unique(keys).tolist():
+    for key in sorted(set(keys.tolist())):  # np.unique would load numpy.ma on first use
         idx = np.flatnonzero(keys == key)
         step = max(1, BLOCK_ELEMENTS // (width(key) * space.size))
         for lo in range(0, idx.size, step):

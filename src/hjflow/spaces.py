@@ -240,9 +240,10 @@ class ModelSpace:
         one-term vecdot is 0 + v^2, the same bits, at several times the cost."""
         return np.square(v[..., 0]) if v.shape[-1] == 1 else np.vecdot(v, v)
 
-    def sq_dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Squared distances d^2 between the coordinate rows a and b."""
-        return self.weight * self._sq_norms(a - b)
+    def sq_dist(self, a: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+        """d^2 between the coordinate rows a and b; overwrite_a takes a - b in a where it fits."""
+        out = a if overwrite_a and np.broadcast(a, b).shape == a.shape else None
+        return self.weight * self._sq_norms(np.subtract(a, b, out=out))
 
     def energies(self, vals: np.ndarray) -> np.ndarray:
         """Energies E of the coordinate rows vals."""

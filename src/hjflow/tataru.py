@@ -35,8 +35,8 @@ ZOOM_STEPS = 20
 ZOOM_TOL = 1e-11
 _ZOOM_UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
 VALUE_TOL = 1e-9
-# bounds the memory of one objective call: it holds at most max(BLOCK_ELEMENTS,
-# GRID_POINTS * size) flow elements, size per time, so a full grid always fits
+# bounds the memory of one objective call: its one flow array (HCurve.h takes the differences
+# to pi in it) holds at most max(BLOCK_ELEMENTS, GRID_POINTS * size) elements: a full grid fits
 BLOCK_ELEMENTS = 2**14
 
 
@@ -155,14 +155,15 @@ class HCurve:
         return _psi(consts, np.multiply(sq, 0.5, out=sq), prime=prime)
 
     def h(self, ts, rows=None) -> np.ndarray:
-        """h at the times ts; the flow is dropped once its distances are taken."""
+        """h at the times ts; the flow takes its differences to pi and is dropped after."""
         pi, mu, k_hat, consts = self.pi, self.mu, self.kappa_hat, self.consts
         if rows is not None:
             pi, mu, k_hat = pi.take(rows, 0), mu.take(rows, 0), k_hat.take(rows, 0)
             consts = None if consts is None else consts.take(rows, 1)
         d = self._d(consts, self.space.sq_dist(self.space.flow_values(mu, ts),
-                                               pi[..., None, :]))[0]
-        return d * np.exp(k_hat * ts)
+                                               pi[..., None, :], overwrite_a=True))[0]
+        damping = k_hat * ts if k_hat.any() else None  # exp(0 t) = 1: h is D, bit for bit
+        return d if damping is None else d * np.exp(damping, out=damping)
 
     def terms(self, ts) -> tuple:
         """(h, damping exp(kappa_hat t), D', flow values (..., T, size)) at the times ts."""

@@ -23,10 +23,10 @@ lowest-column ties, so policies and values equal those of a full (n, K) sweep
 bit for bit.  The scheme's geometry (grid, controls, feet and runs) depends on
 the potential, the box, dt, dx and the control set but not on h or lam, so
 ``_scheme`` computes it once per scheme and every solve on that scheme shares
-its read-only arrays.  Row i of I - beta P is nonzero only in columns i, idx and
-idx + 1; a policy step solves it by LAPACK's banded LU (dgbsv) when those
-columns stay within ``_MAX_BAND`` of the diagonal, and otherwise by sparse LU,
-whose scipy.sparse is imported on the first such band.
+its read-only arrays.  Row i of I - beta P is nonzero only in columns i, idx and idx + 1;
+a policy step solves it by LAPACK's banded LU (dgbsv, from the OpenBLAS that numpy's wheel
+bundles, else scipy's) when those columns stay within ``_MAX_BAND`` of the diagonal, and
+otherwise by sparse LU, whose scipy.sparse is imported on the first such band.
 The answer carries a checked certificate: since T is a beta-contraction,
 ||u - u*|| <= ||T u - u|| / (1 - beta), and the solve raises unless that bound
 is within ``tol``.
@@ -40,14 +40,40 @@ quantities; the verdict is the report's row rule.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .hamiltonians import HamiltonianPair, side_sign
 from .spaces import ModelSpace
+
+
+def _lapack_dgbsv():
+    """scipy's ``dgbsv`` for one right side, from numpy's bundled OpenBLAS, else scipy's."""
+    try:  # dlsym also searches the libraries that numpy's core links
+        gbsv = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_dgbsv_64_
+    except (AttributeError, OSError):  # conda and MKL builds of numpy
+        from scipy.linalg.lapack import dgbsv
+        return dgbsv
+    gbsv.restype = None  # every argument is a pointer; declaring argtypes adds 1.3 us a call
+    ints = np.array([0, 0, 0, 1, 0, 0], np.int64)  # n, kl, ku, nrhs, ldab, info; calls share it
+    ptr = (ctypes.c_char * 0).from_buffer  # a ctypes array is passed as a pointer to its data
+    n, kl_, ku_, nrhs, ldab, info = (ctypes.byref(ptr(ints), 8 * i) for i in range(6))
+
+    def dgbsv(kl, ku, ab, b, overwrite_ab=False):
+        ab = np.array(ab, dtype=float, order="F", copy=None if overwrite_ab else True)
+        x, piv = np.array(b, dtype=float), np.empty(len(b), np.int64)
+        if x.ndim != 1 or ab.shape != (2 * kl + ku + 1, x.size):  # else LAPACK reads past them
+            raise ValueError("dgbsv needs ab of shape (2 kl + ku + 1, n) and one b of size n")
+        ints[0], ints[1], ints[2], ints[4] = x.size, kl, ku, ab.shape[0]
+        gbsv(n, kl_, ku_, nrhs, ptr(ab.T), ldab, ptr(piv), ptr(x), n, info)
+        return ab, piv - 1, x, ints.item(5)  # scipy's pivots count from 0
+    return dgbsv
+
+
+dgbsv = _lapack_dgbsv()
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hjflow.cli as cli
+from hjflow import viscosity
 from hjflow.cli import main, run_experiment
 from hjflow.config import ConfigError, config_from_dict, default_config, load_config
 from hjflow.cylinders import Affine
@@ -222,27 +223,66 @@ def test_import_leaves_out_scipy_special():
     assert res.stdout.strip() == "False"
 
 
+def _workload_config(tmp_path, name: str) -> tuple[Path, list]:
+    """The perfbench workload's config file at seed 7 and its suites; the quantile
+    workload gets sorted uniform Tataru points in [-2, 2], as perfbench gives it."""
+    workload = json.loads((ROOT / "perfbench" / "workloads" / f"{name}.json").read_text())
+    config = workload["config"]
+    if workload.get("generate_tataru_points"):
+        rng = np.random.default_rng(7)
+        for key in ("pi", "mu"):
+            config["tataru"][key] = np.sort(rng.uniform(-2.0, 2.0, 64)).tolist()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**config, "seed": 7}))
+    return path, workload["suites"]
+
+
 def test_scipy_sparse_loads_only_on_a_wide_policy_band(tmp_path):
-    # import and the solver workload's suites leave scipy.sparse out; the quartic's
-    # feet reach past _MAX_BAND cells, so its resolvent loads it for SuperLU
-    workload = json.loads((ROOT / "perfbench" / "workloads" / "solver.json").read_text())
-    solver, quartic = tmp_path / "solver.json", tmp_path / "quartic.json"
-    solver.write_text(json.dumps(workload["config"]))
+    # import and the solver workload's suites load no scipy module at all: dgbsv
+    # comes from numpy's OpenBLAS; the quartic's feet reach past _MAX_BAND cells,
+    # so its resolvent loads scipy.sparse for SuperLU
+    if viscosity.dgbsv.__module__ != "hjflow.viscosity":
+        pytest.skip("numpy links no OpenBLAS of its own, so dgbsv is scipy's")
+    solver, _ = _workload_config(tmp_path, "solver")
+    quartic = tmp_path / "quartic.json"
     quartic.write_text(json.dumps({"space": {"potential": "quartic"},
                                    "resolvent": {"dx": 0.05, "n_controls": 33}}))
     code = (
         "import sys, hjflow.cli\n"
+        "def scipy():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "def run(suite, cfg):\n"
         "    assert hjflow.cli.main([suite, '--config', cfg, '--out', sys.argv[3]]) == 0\n"
-        "    return 'scipy.sparse' in sys.modules\n"
-        "loaded = ['scipy.sparse' in sys.modules]\n"
-        "loaded += [run(suite, sys.argv[1]) for suite in ('resolvent', 'comparison')]\n"
-        "print(loaded + [run('resolvent', sys.argv[2])])\n"
+        "    return scipy()\n"
+        "loaded = [scipy()] + [run(s, sys.argv[1]) for s in ('resolvent', 'comparison')]\n"
+        "print(loaded, 'scipy.sparse' in run('resolvent', sys.argv[2]))\n"
     )
     res = subprocess.run([sys.executable, "-c", code, str(solver), str(quartic),
                           str(tmp_path / "out")], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[False, False, False, True]"
+    assert res.stdout.splitlines()[-1] == "[[], [], []] True"
+
+
+@pytest.mark.parametrize("workload", ["solver", "closed_form", "curved_flows"])
+def test_suites_load_no_module_that_import_did_not(tmp_path, workload):
+    # a module loaded on first use inside a suite is paid for in every fresh verdict,
+    # as numpy 2.4's lazy numpy.random and numpy.ma were.  The one exception is
+    # argparse's: its gettext loads locale when a parser is built, so the baseline
+    # builds one
+    config, suites = _workload_config(tmp_path, workload)
+    code = (
+        "import argparse, sys, hjflow.cli\n"
+        "argparse.ArgumentParser()\n"
+        "before = set(sys.modules)\n"
+        "for suite in sys.argv[3:]:\n"
+        "    args = [suite, '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+        "    assert hjflow.cli.main(args) == 0\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out"),
+                          *suites], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("path, value", [

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import pytest
 
-from hjflow import hamiltonians
+from hjflow import hamiltonians, tataru
 from hjflow.evi import _damped_distance_bound
-from hjflow.spaces import ModelSpace, euclidean_space, quartic_potential
+from hjflow.spaces import (ModelSpace, double_well_potential, euclidean_space, quantile_space,
+                           quartic_potential)
 from hjflow.tataru import HCurve, _psi, _psi_consts, psi_eps, psi_eps_and_prime, tataru_batch
 
 from row_helpers import flow_values
@@ -276,3 +278,49 @@ def test_h_has_one_kernel():
     homes = [name for name, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, ast.ClassDef) and node.name == "HCurve"]
     assert homes == ["tataru.py"]
+
+
+def _peak(call) -> int:
+    """Peak bytes that ``call`` holds, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_h_takes_distances_in_the_flow_buffer_with_the_same_bits(monkeypatch):
+    """On a 64-point quantile double well, h and tataru_batch give the bits of the
+    two-array form sq_dist(flow, pi), and a zoom-sized h call holds no more than
+    its flow does: the second flow-sized array is gone.  (On glibc, a temporary of
+    128 kB or more can be a fresh mapping whose pages fault in on every call.)"""
+    space = quantile_space(double_well_potential(-0.5), grid_size=64)
+    rng = np.random.default_rng(35)
+    pis, mus = _rows(space, rng, (15,)), _rows(space, rng, (15,))
+    eps = rng.uniform(0.05, 0.7, size=15)
+    ts = np.sort(rng.uniform(0.0, 3.0, (15, tataru.ZOOM_POINTS)), axis=-1)
+    rows = np.array([3, 0, 14, 3])
+
+    def run():
+        curve = HCurve(space, pis, mus, eps, np.full(15, space.kappa_hat))  # per instance
+        one = HCurve(space, pis[:4], mus[0], 0.2)  # pi adds instances: no flow buffer
+        return (curve.h(ts), curve.h(ts[rows], rows), one.h(ts[0]),
+                tataru_batch(space, pis, mus, eps=eps), tataru_batch(space, pis, mus))
+
+    in_place = run()
+    curve, flow_bytes = HCurve(space, pis, mus, eps), ts.size * space.size * 8
+    h_peak, flow_peak = (_peak(f) for f in (lambda: curve.h(ts),
+                                             lambda: space.flow_values(mus, ts)))
+    assert flow_bytes <= flow_peak <= h_peak < flow_peak + flow_bytes / 4
+    real = ModelSpace.sq_dist
+    with monkeypatch.context() as patch:
+        patch.setattr(ModelSpace, "sq_dist",
+                      lambda self, a, b, overwrite_a=False: real(self, a, b))
+        two_arrays = run()
+    for got, want in zip(in_place[:3], two_arrays[:3]):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(in_place[3:], two_arrays[3:]):
+        for a, b in zip(got, want):
+            assert (a.value, a.t_cap) == (b.value, b.t_cap)
+            assert a.minimizers.tobytes() == b.minimizers.tobytes()

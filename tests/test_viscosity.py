@@ -1,12 +1,16 @@
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg.lapack import dgbsv as scipy_dgbsv
 from scipy.sparse.linalg import spsolve
 
 from hjflow import viscosity
+from hjflow.cli import main
 from hjflow.cylinders import Affine
 from hjflow.hamiltonians import HamiltonianPair, build_cyl_pair
 from hjflow.spaces import euclidean_space, quadratic_potential
@@ -17,6 +21,8 @@ from hjflow.viscosity import (
     make_grid,
     solve_resolvent,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def smooth_h(x):
@@ -720,6 +726,105 @@ def test_banded_solve_reports_a_singular_system():
     w0 = (np.arange(n) < n - 1).astype(float)
     with pytest.raises(RuntimeError, match="dgbsv info"):
         viscosity._policy_solve(idx, w0, 1.0 - w0, 1.0, np.ones(n))
+
+
+def _band_system(rng, n, kl, ku):
+    """A diagonally dominant (kl, ku) band matrix in dgbsv's storage, and a right side."""
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl:] = rng.uniform(-1.0, 1.0, size=(kl + ku + 1, n))
+    ab[kl + ku] = np.where(rng.random(n) < 0.5, -1.0, 1.0) * (kl + ku + 1.0)
+    return ab, rng.uniform(-1.0, 1.0, size=n)
+
+
+def _assert_same_dgbsv(kl, ku, ab, b, dgbsv=viscosity.dgbsv):
+    """dgbsv against scipy's: the same bits of factors and solution, pivots and info."""
+    (lub, piv, x, info), want = (f(kl, ku, ab.copy(order="F"), b.copy(), overwrite_ab=True)
+                                 for f in (dgbsv, scipy_dgbsv))
+    assert lub.tobytes() == want[0].tobytes() and x.tobytes() == want[2].tobytes()
+    assert np.array_equal(piv, want[1])
+    assert info == want[3] and isinstance(info, int)
+
+
+@pytest.mark.parametrize("kl, ku", [(0, 0), (0, 5), (5, 0), (1, 1), (3, 2), (0, 64), (64, 0),
+                                    (31, 33)])
+def test_dgbsv_matches_scipy_bit_for_bit(rng, kl, ku):
+    # numpy's bundled OpenBLAS against scipy's on random band systems, from the
+    # diagonal alone to kl + ku = _MAX_BAND, with and without row swaps
+    for n in (1, 2, 7, 101, 201):
+        _assert_same_dgbsv(kl, ku, *_band_system(rng, n, kl, ku))
+        if kl:  # small diagonals: rows are swapped
+            ab, b = _band_system(rng, n, kl, ku)
+            ab[kl + ku] *= 1e-3
+            _assert_same_dgbsv(kl, ku, ab, b)
+
+
+@pytest.mark.parametrize("case", ["random", "max_band"])
+def test_dgbsv_matches_scipy_on_policy_systems(rng, case):
+    # the systems _policy_solve builds, as it builds them, solved by both
+    seen, dgbsv = [], viscosity.dgbsv
+
+    def both(kl, ku, ab, b, overwrite_ab=False):
+        _assert_same_dgbsv(kl, ku, ab, b, dgbsv)
+        seen.append(kl + ku)
+        return scipy_dgbsv(kl, ku, ab, b, overwrite_ab=overwrite_ab)
+
+    for n in (3, 12, 150, 1001):
+        if case == "random":
+            idx, w0, w1 = _random_policy(rng, n, -min(n, 7), min(n, 7))
+        else:  # feet kl cells left of row n - 1 and ku - 1 cells right of row 0
+            idx = np.minimum(np.arange(n), n - 2)
+            idx[0], idx[-1] = min(n - 2, viscosity._MAX_BAND // 2 - 1), max(
+                0, n - 1 - viscosity._MAX_BAND // 2)
+            w1 = rng.uniform(0.0, 1.0, size=n)
+            w0 = 1.0 - w1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(viscosity, "dgbsv", both)
+            viscosity._policy_solve(idx, w0, w1, 0.97, rng.uniform(-1.0, 1.0, size=n))
+    assert len(seen) == 4
+    if case == "max_band":
+        assert seen[-1] == viscosity._MAX_BAND
+
+
+def test_dgbsv_reports_a_singular_system_as_scipy_does():
+    # a zero first column: U's first pivot is zero, info 1
+    ab = np.zeros((4, 6), order="F")
+    _assert_same_dgbsv(1, 1, ab, np.ones(6))
+    assert viscosity.dgbsv(1, 1, ab, np.ones(6))[3] == 1
+
+
+@pytest.mark.parametrize("failure", ["no_load", "no_symbol"])
+def test_dgbsv_falls_back_to_scipy_when_numpy_ships_no_openblas(failure):
+    # numpy's core cannot be opened, or links no BLAS with the symbol (conda, MKL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(viscosity.ctypes, "CDLL",
+                      _raise_os_error if failure == "no_load" else lambda path: object())
+        assert viscosity._lapack_dgbsv() is scipy_dgbsv
+
+
+def _raise_os_error(*args, **kwargs):
+    raise OSError("cannot open shared object file")
+
+
+def test_fallback_dgbsv_writes_the_same_bytes(tmp_path):
+    # with the library lookup forced to fail, the solver workload's suites write the
+    # same files through the fallback
+    workload = json.loads((ROOT / "perfbench" / "workloads" / "solver.json").read_text())
+    config = tmp_path / "solver.json"
+    config.write_text(json.dumps(workload["config"]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(viscosity.ctypes, "CDLL", _raise_os_error)
+        fallback = viscosity._lapack_dgbsv()
+    outs = {}
+    for name, dgbsv in (("numpy", viscosity.dgbsv), ("scipy", fallback)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(viscosity, "dgbsv", dgbsv)
+            for suite in workload["suites"]:
+                assert main([suite, "--config", str(config), "--out",
+                             str(tmp_path / name)]) == 0
+        outs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert sorted(outs["numpy"]) == ["comparison.csv", "comparison.json", "resolvent.csv",
+                                     "resolvent.json", "resolvent_solution.csv"]
+    assert outs["numpy"] == outs["scipy"]
 
 
 def test_scheme_cache_keys_on_every_input(ou, quartic):
